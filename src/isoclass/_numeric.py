@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 #: Types treated as exact; arithmetic over them stays in rational arithmetic.
@@ -32,10 +31,6 @@ def all_exact(values) -> bool:
 def check_finite(value, what: str) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
-
-
-def as_float(value) -> float:
-    return float(value)
 
 
 def golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -79,16 +74,3 @@ def halton(count: int, dim: int):
     bases = _HALTON_BASES[:dim]
     return [tuple(_van_der_corput(i + 1, b) for b in bases) for i in range(count)]
 
-
-def worker_count() -> int:
-    """Worker cap from ISOCLASS_THREADS (0 = auto, unset = serial)."""
-    raw = os.environ.get("ISOCLASS_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)

@@ -12,14 +12,13 @@ quasi-random integration otherwise).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from ._numeric import ValidationError, halton, is_exact, worker_count
+from ._numeric import ValidationError, halton, is_exact
 from .bernstein import BernsteinClassifier, evaluate as bernstein_value
 from .bernstein import fit as fit_bernstein, suggest_orders
 from .losses import exponential, hinge, truncated_quadratic, zero_one
@@ -443,14 +442,8 @@ def simulate_regret(dgp, ns, reps: int, seed: int, estimator: str = "monotone", 
         return dgp.population_risk(model) - dgp.optimal_risk
 
     means, errors, negatives = [], [], 0
-    workers = worker_count()
     for n in ns:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                regrets = list(pool.map(lambda r: one_rep(n, r), range(reps)))
-        else:
-            regrets = [one_rep(n, rep) for rep in range(reps)]
-        arr = np.asarray(regrets)
+        arr = np.asarray([one_rep(n, rep) for rep in range(reps)])
         negatives += int((arr < 0).sum())
         means.append(float(arr.mean()))
         errors.append(float(arr.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0)

@@ -80,10 +80,8 @@ def _read_rows(path: str, expect_prefix, schema: str):
         return header, rows
 
 
-def load_sample(path: str, schema: str = "plain", rational: bool = True, propensity=None):
-    """Load a classification sample (plain or weighted) or trial records."""
-    if schema == "trial":
-        return load_trials(path, rational=rational, propensity=propensity)
+def load_sample(path: str, schema: str = "plain", rational: bool = True):
+    """Load a classification sample in the plain or weighted schema."""
     if schema not in ("plain", "weighted"):
         raise ValidationError(f"unknown sample schema {schema!r}")
     prefix = ["y"] if schema == "plain" else ["w", "y"]

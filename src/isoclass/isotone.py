@@ -3,14 +3,16 @@
 The problem  max sum c_i v_i  s.t.  v_i <= v_j on each cover edge i -> j and
 -1 <= v_i <= 1  always attains its optimum at a +/-1 vertex whose +1-set is an
 up-set of the DAG.  It therefore reduces to a maximum-weight up-set (closure)
-problem, solved exactly: a suffix scan on chains, a rational min-cut
-otherwise.  Among tied optima the inclusion-maximal up-set is returned (the
-union of all optimal up-sets, realized by the sink-unreachable side of the
-residual graph).
+problem, solved exactly: a suffix scan on chains, a min-cut otherwise.  Both
+run on Python ints: the coefficients are scaled once by their common
+denominator, which is exact for int, Fraction and float input alike.  Among
+tied optima the inclusion-maximal up-set is returned (the union of all
+optimal up-sets, realized by the sink-unreachable side of the residual graph).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,14 +37,14 @@ class IsotoneProblem:
 
 
 class _Dinic:
-    """Max-flow with exact Fraction capacities."""
+    """Max-flow with exact integer capacities."""
 
     def __init__(self, n: int):
         self.adj = [[] for _ in range(n)]
 
     def add_edge(self, u: int, v: int, cap) -> None:
         self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, Fraction(0), len(self.adj[u]) - 1])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
     def _levels(self, s: int, t: int):
         level = [-1] * len(self.adj)
@@ -79,14 +81,14 @@ class _Dinic:
             if advanced:
                 continue
             if not path:
-                return Fraction(0)
+                return 0
             # dead end: retreat and skip the exhausted arc
             u = path[-2][0] if len(path) >= 2 else s
             ptr[u] += 1
             path.pop()
 
     def max_flow(self, s: int, t: int):
-        flow = Fraction(0)
+        flow = 0
         while True:
             level = self._levels(s, t)
             if level is None:
@@ -115,9 +117,9 @@ class _Dinic:
 
 def _chain_best_up_set(order, weights):
     """Longest suffix of the chain maximizing its weight (empty suffix allowed)."""
-    best_sum = Fraction(0)
+    best_sum = 0
     best_pos = len(order)
-    running = Fraction(0)
+    running = 0
     for pos in range(len(order) - 1, -1, -1):
         running += weights[order[pos]]
         if running >= best_sum:
@@ -129,7 +131,7 @@ def _min_cut_best_up_set(dag: DominanceDag, weights):
     n = dag.n
     source, sink = n, n + 1
     net = _Dinic(n + 2)
-    total_pos = sum((w for w in weights if w > 0), Fraction(0))
+    total_pos = sum(w for w in weights if w > 0)
     infinite = total_pos + 1
     for i, w in enumerate(weights):
         if w > 0:
@@ -143,33 +145,33 @@ def _min_cut_best_up_set(dag: DominanceDag, weights):
     return {i for i in range(n) if not sink_side[i]}
 
 
-def _solution(problem: IsotoneProblem, plus_set, exact: bool):
+def _integer_weights(coeffs):
+    """Coefficients times their common denominator, as ints, and that denominator."""
+    fractions = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (scale // f.denominator) for f in fractions], scale
+
+
+def _solution(problem: IsotoneProblem, plus_set, objective):
     values = [1 if i in plus_set else -1 for i in range(problem.dag.n)]
-    objective = sum(
-        (Fraction(c) * v for c, v in zip(problem.coeffs, values)), Fraction(0)
-    )
-    return values, (objective if exact else float(objective))
+    return values, (objective if all_exact(problem.coeffs) else float(objective))
 
 
 def solve(problem: IsotoneProblem):
     """Optimal +/-1 values and objective; +1-set is the maximal optimal up-set."""
-    if problem.dag.n == 0:
-        return [], Fraction(0) if all_exact(problem.coeffs) else 0.0
-    exact = all_exact(problem.coeffs)
-    weights = [Fraction(c) for c in problem.coeffs]
+    weights, scale = _integer_weights(problem.coeffs)
     order = problem.dag.chain_order
     if order is not None:
         plus_set = _chain_best_up_set(order, weights)
     else:
         plus_set = _min_cut_best_up_set(problem.dag, weights)
-    return _solution(problem, plus_set, exact)
+    # sum c_i v_i = 2 * (weight of the +1-set) - (total weight)
+    objective = Fraction(2 * sum(weights[i] for i in plus_set) - sum(weights), scale)
+    return _solution(problem, plus_set, objective)
 
 
 def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LIMIT):
     """Oracle for solve: exhaustive up-set enumeration with the same tie-break."""
-    if problem.dag.n == 0:
-        return [], Fraction(0) if all_exact(problem.coeffs) else 0.0
-    exact = all_exact(problem.coeffs)
     weights = [Fraction(c) for c in problem.coeffs]
     best_weight = None
     union_mask = 0
@@ -185,4 +187,4 @@ def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LI
         elif w == best_weight:
             union_mask |= mask
     plus_set = {i for i in range(problem.dag.n) if union_mask >> i & 1}
-    return _solution(problem, plus_set, exact)
+    return _solution(problem, plus_set, 2 * best_weight - sum(weights, Fraction(0)))

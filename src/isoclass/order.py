@@ -4,6 +4,9 @@ A DominanceDag stores distinct points together with the transitive reduction
 of the componentwise order (cover edges i -> j meaning node_i <= node_j with
 nothing strictly between).  Up-sets -- subsets closed under following cover
 edges forward -- are the feasible prediction sets of monotone classification.
+Dominance only depends on the order within each coordinate, so the DAG is
+built from dense integer ranks, which is exact for any mix of int, Fraction
+and float coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numeric import ValidationError
+from ._numeric import ValidationError, check_finite
 from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
@@ -89,27 +92,6 @@ class DominanceDag:
         return all(flags[j] for i, j in self.cover_edges if flags[i])
 
 
-def _strict_dominance_matrix(points):
-    """Boolean matrix strict[i][j] = (points[i] <= points[j] and i != j)."""
-    n = len(points)
-    coords_ok = all(
-        isinstance(v, float) or (isinstance(v, int) and abs(v) <= 2**53)
-        for p in points
-        for v in p
-    )
-    if coords_ok:
-        arr = np.asarray(points, dtype=float)
-        comp = (arr[:, None, :] <= arr[None, :, :]).all(axis=-1)
-        np.fill_diagonal(comp, False)
-        return comp
-    strict = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j and all(a <= b for a, b in zip(points[i], points[j])):
-                strict[i, j] = True
-    return strict
-
-
 def build_dag(points) -> DominanceDag:
     """Cover DAG of distinct points under the componentwise order.
 
@@ -125,16 +107,27 @@ def build_dag(points) -> DominanceDag:
     n = len(points)
     if n == 0:
         return DominanceDag((), ())
+    for p in points:
+        for v in p:
+            check_finite(v, "coordinate")
     if dims == {1}:
         # one dimension is a total order: consecutive sorted points cover each other
         ranked = sorted(range(n), key=lambda i: points[i][0])
         edges = sorted((ranked[t], ranked[t + 1]) for t in range(n - 1))
         return DominanceDag(tuple(points), tuple(edges))
-    strict = _strict_dominance_matrix(points)
-    implied = (strict.astype(np.float64) @ strict.astype(np.float64)) > 0.5
-    cover = strict & ~implied
+    # only the order within a coordinate matters: replace each column by dense ranks
+    ranks = []
+    for col in zip(*points):
+        rank = {v: r for r, v in enumerate(sorted(set(col)))}
+        ranks.append([rank[v] for v in col])
+    arr = np.asarray(ranks, dtype=np.int64).T
+    strict = (arr[:, None, :] <= arr[None, :, :]).all(axis=-1)
+    np.fill_diagonal(strict, False)
+    # 2-path counts are at most n, so float32 holds them exactly below 2**24
+    step = strict.astype(np.float32)
+    cover = strict & ~((step @ step) > 0.5)
+    # np.nonzero walks in row-major order, so the edges come out sorted
     edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(cover))]
-    edges.sort()
     return DominanceDag(tuple(points), tuple(edges))
 
 

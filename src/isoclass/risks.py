@@ -130,11 +130,6 @@ class PredictionSet:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(bool(m) for m in self.members))
 
-    @classmethod
-    def from_indices(cls, indices, size: int) -> "PredictionSet":
-        chosen = set(indices)
-        return cls(tuple(i in chosen for i in range(size)))
-
     @property
     def indices(self) -> tuple:
         return tuple(i for i, m in enumerate(self.members) if m)

@@ -120,10 +120,3 @@ def test_dgp_registry():
     assert set(DGPS) == {"step", "smooth", "step2d"}
     with pytest.raises(Exception):
         simulate_regret("nope", (10,), reps=1, seed=0)
-
-
-def test_simulation_is_invariant_to_worker_count(monkeypatch):
-    serial = simulate_regret("step", (60,), reps=6, seed=21)
-    monkeypatch.setenv("ISOCLASS_THREADS", "4")
-    threaded = simulate_regret("step", (60,), reps=6, seed=21)
-    assert serial == threaded

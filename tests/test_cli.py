@@ -179,8 +179,8 @@ def test_output_path_in_missing_directory_exits_2(tmp_path, plain_csv, capsys):
 
 
 def test_load_sample_trial_schema(tmp_path):
-    from isoclass.io import load_sample
+    from isoclass.io import load_trials
 
     trial = write(tmp_path / "t.csv", "z,d,x1,e\n2,1,0.3,0.5\n")
-    records = load_sample(trial, schema="trial")
+    records = load_trials(trial)
     assert records[0].d == 1 and records[0].e == Fraction("0.5")

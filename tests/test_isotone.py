@@ -79,11 +79,25 @@ def _random_problem(rng):
 
 def test_solve_equals_brute_force_on_random_instances():
     rng = random.Random(101)
+    extra = random.Random(102)
+    magnitudes = (5e-324, 1e-300, 1e-20, 0.75, 3.0, 1e20, 1e300)
     for _ in range(150):
         problem = _random_problem(rng)
         got = solve(problem)
         want = brute_force_solve(problem)
         assert got == want
+        dag = problem.dag
+        # float coefficients from the smallest subnormal up to 1e300
+        wide = IsotoneProblem(
+            dag, tuple(extra.choice((-1, 1)) * extra.choice(magnitudes) for _ in range(dag.n))
+        )
+        assert solve(wide) == brute_force_solve(wide)
+        # the same dyadic instance as Fraction and as (exactly equal) float
+        dyadic = tuple(Fraction(extra.randint(-24, 24), 2 ** extra.randint(0, 60)) for _ in range(dag.n))
+        exact_values, exact_objective = solve(IsotoneProblem(dag, dyadic))
+        float_values, float_objective = solve(IsotoneProblem(dag, tuple(float(c) for c in dyadic)))
+        assert float_values == exact_values
+        assert float_objective == float(exact_objective)
 
 
 def test_solution_plus_set_is_an_up_set():

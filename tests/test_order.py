@@ -66,14 +66,28 @@ def _reachable(dag, start):
 
 def test_reachability_equals_dominance_on_random_clouds():
     rng = random.Random(41)
-    for _ in range(40):
-        d = rng.randint(1, 4)
-        pts = random_distinct_points(rng, rng.randint(1, 50), d, grid=4)
-        dag = build_dag(pts)
-        for i in range(len(pts)):
-            reach = _reachable(dag, i)
-            for j in range(len(pts)):
-                assert (j in reach) == dominates(pts[i], pts[j])
+    # coordinate values: small ints; Fraction beside an equal float; ints past 2**53
+    mixed = (0, Fraction(1, 3), Fraction(1, 2), 0.5, 0.75, 1)
+    huge = (-(2**60), 2**60, 2**60 + 1, 2**60 + 2)
+    for values in (range(4), mixed, huge):
+        for _ in range(40):
+            d = rng.randint(1, 4)
+            grid = random_distinct_points(rng, rng.randint(1, 50), d, grid=len(values))
+            # equal values of different types make equal points: keep the first
+            pts = list(dict.fromkeys(tuple(values[k] for k in p) for p in grid))
+            dag = build_dag(pts)
+            for i in range(len(pts)):
+                reach = _reachable(dag, i)
+                for j in range(len(pts)):
+                    assert (j in reach) == dominates(pts[i], pts[j])
+
+
+def test_build_dag_rejects_non_finite_coordinates():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError):
+            build_dag([(0,), (bad,)])
+        with pytest.raises(ValidationError):
+            build_dag([(0, 0), (bad, 1)])
 
 
 def test_up_set_count_chain_and_antichain():
