@@ -17,8 +17,10 @@ from .bench import (
 )
 from .bernstein import BernsteinClassifier, basis, binarize, suggest_orders
 from .bernstein import evaluate as bernstein_evaluate
+from .bernstein import evaluate_batch as bernstein_evaluate_batch
 from .bernstein import fit as fit_bernstein
 from .bernstein import predict as bernstein_predict
+from .bernstein import predict_batch as bernstein_predict_batch
 from .isotone import IsotoneProblem, brute_force_solve, solve
 from .losses import (
     Loss,
@@ -38,6 +40,7 @@ from .losses import (
 from .monotone import MonotoneClassifier
 from .monotone import fit as fit_monotone
 from .monotone import predict as monotone_predict
+from .monotone import predict_batch as monotone_predict_batch
 from .order import DominanceDag, build_dag, dominates, enumerate_up_sets, lattice_dag
 from .policy import (
     TrialRecord,
@@ -73,7 +76,9 @@ __all__ = [
     "WeightedSample",
     "basis",
     "bernstein_evaluate",
+    "bernstein_evaluate_batch",
     "bernstein_predict",
+    "bernstein_predict_batch",
     "binarize",
     "brute_force_solve",
     "build_dag",
@@ -94,6 +99,7 @@ __all__ = [
     "logistic",
     "max_weight_bound",
     "monotone_predict",
+    "monotone_predict_batch",
     "parse_loss",
     "phi",
     "quadratic",

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 #: Types treated as exact; arithmetic over them stays in rational arithmetic.
 EXACT_TYPES = (int, Fraction)
 
@@ -58,19 +60,21 @@ def golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
-def _van_der_corput(i: int, base: int) -> float:
-    x, denom = 0.0, 1.0
-    while i > 0:
-        i, rem = divmod(i, base)
-        denom *= base
-        x += rem / denom
-    return x
+def halton(count: int, dim: int) -> np.ndarray:
+    """First ``count`` points of the Halton sequence in [0,1)^dim, as a (count, dim) array.
 
-
-def halton(count: int, dim: int):
-    """First ``count`` points of the Halton sequence in [0,1)^dim (list of tuples)."""
+    Column v holds the radical inverses of 1..count in the v-th prime base.
+    Digits are added least significant first, each as digit / base^t, which is
+    the scalar van der Corput loop run on all indices at once, so the values
+    are bit-identical to it.
+    """
     if dim > len(_HALTON_BASES):
         raise ValueError(f"halton supports up to {len(_HALTON_BASES)} dimensions")
-    bases = _HALTON_BASES[:dim]
-    return [tuple(_van_der_corput(i + 1, b) for b in bases) for i in range(count)]
-
+    out = np.zeros((count, dim))
+    for v, base in enumerate(_HALTON_BASES[:dim]):
+        rest, denom = np.arange(1, count + 1), 1.0
+        while rest.any():
+            rest, digit = np.divmod(rest, base)
+            denom *= base
+            out[:, v] += digit / denom
+    return out

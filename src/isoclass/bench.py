@@ -7,7 +7,10 @@ surrogate set risks over all monotone up-sets and reports pairwise
 risk-ordering agreement between losses.  ``simulate_regret`` runs seeded
 Monte Carlo fits against known data-generating processes and evaluates exact
 population regrets (closed-form for one-dimensional step/smooth designs,
-quasi-random integration otherwise).
+quasi-random integration otherwise).  The quadrature grid is labelled in one
+batch per fitted model, through the same ``predict_batch`` paths that label
+new points, so a population risk costs one dominance test or one basis
+contraction over the grid.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import numpy as np
 
 from ._numeric import ValidationError, halton, is_exact
 from .bernstein import BernsteinClassifier, evaluate as bernstein_value
-from .bernstein import fit as fit_bernstein, suggest_orders
+from .bernstein import fit as fit_bernstein, predict_batch as bernstein_labels, suggest_orders
 from .losses import exponential, hinge, truncated_quadratic, zero_one
-from .monotone import MonotoneClassifier, fit as fit_monotone
+from .monotone import MonotoneClassifier, fit as fit_monotone, predict_batch as monotone_labels
 from .order import build_dag, enumerate_up_sets
 from .risks import (
     DiscreteDistribution,
@@ -309,7 +312,10 @@ class Step2dDgp:
     """d = 2 design: X ~ U[0,1]^2, eta = 0.25 + 0.5 * 1{x1 + x2 >= 1}.
 
     Population risks use a fixed 10^5-point Halton grid, so evaluation is
-    deterministic (but carries quadrature error of order 1e-3).
+    deterministic (but carries quadrature error of order 1e-3).  The grid is
+    built once per instance and labelled in one batch per model:
+    ``monotone.predict_batch`` for monotone models,
+    ``bernstein.predict_batch`` for Bernstein ones.
     """
 
     name = "step2d"
@@ -331,7 +337,7 @@ class Step2dDgp:
 
     def _quadrature(self):
         if self._grid is None:
-            pts = np.asarray(halton(self.grid_size, 2))
+            pts = halton(self.grid_size, 2)
             etas = np.where(pts.sum(axis=1) >= 1.0, 0.75, 0.25)
             self._grid = (pts, etas)
         return self._grid
@@ -369,23 +375,9 @@ def _threshold_1d(model) -> float:
 
 def _predict_batch(model, pts: np.ndarray) -> np.ndarray:
     if isinstance(model, MonotoneClassifier):
-        neg = np.asarray(
-            [p for p, v in zip(model.support, model.values) if v < 0], dtype=float
-        )
-        if neg.size == 0:
-            return np.ones(len(pts), dtype=int)
-        labels = np.ones(len(pts), dtype=int)
-        chunk = max(1, 10_000_000 // max(1, neg.shape[0] * neg.shape[1]))
-        for start in range(0, len(pts), chunk):
-            block = pts[start : start + chunk]
-            dominated = (block[:, None, :] <= neg[None, :, :]).all(axis=2).any(axis=1)
-            labels[start : start + chunk][dominated] = -1
-        return labels
+        return monotone_labels(model, pts)
     if isinstance(model, BernsteinClassifier):
-        values = np.zeros(len(pts))
-        for i, p in enumerate(pts):
-            values[i] = bernstein_value(model, tuple(p))
-        return np.where(values >= 0, 1, -1)
+        return bernstein_labels(model, pts)
     return np.asarray([1 if model(tuple(p)) >= 0 else -1 for p in pts], dtype=int)
 
 

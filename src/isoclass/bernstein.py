@@ -5,6 +5,9 @@ the multi-index lattice j in {0..k_1} x ... x {0..k_d}, with theta confined to
 [-1, 1] and monotone along the lattice order.  Fitting solves the hinge
 linear program over that polytope (an isotone problem on the lattice DAG);
 binarization snaps coefficients to their signs, which preserves optimality.
+``evaluate_batch`` computes B(theta, x) at many points by contracting one
+basis matrix per dimension against the coefficient grid; the single-point
+functions call it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -40,11 +43,6 @@ def basis(k: int, j: int, x) -> float:
 @lru_cache(maxsize=64)
 def _comb_vector(k: int) -> np.ndarray:
     return np.array([math.comb(k, j) for j in range(k + 1)], dtype=float)
-
-
-def _basis_row(k: int, x: float) -> np.ndarray:
-    j = np.arange(k + 1)
-    return _comb_vector(k) * x**j * (1.0 - x) ** (k - j)
 
 
 def _basis_matrix(k: int, xs: np.ndarray) -> np.ndarray:
@@ -94,6 +92,11 @@ class BernsteinClassifier:
     def dim(self) -> int:
         return len(self.orders)
 
+    @cached_property
+    def theta_grid(self) -> np.ndarray:
+        """``theta`` as a float array of shape (k_1 + 1, ..., k_d + 1)."""
+        return np.asarray(self.theta, dtype=float).reshape(tuple(k + 1 for k in self.orders))
+
     def multi_indices(self):
         return product(*(range(k + 1) for k in self.orders))
 
@@ -123,36 +126,62 @@ class BernsteinClassifier:
         )
 
 
-def _to_unit_cube(model: BernsteinClassifier, x) -> list:
-    x = [float(v) for v in x]
-    if len(x) != model.dim:
-        raise ValidationError(f"point has dimension {len(x)}, model expects {model.dim}")
+def _to_unit_cube(model: BernsteinClassifier, points) -> np.ndarray:
+    """Validated (n, d) float array of the points, rescaled and clamped into [0, 1]."""
+    if isinstance(points, np.ndarray):
+        x = np.array(points, dtype=float)
+        if x.ndim != 2 or x.shape[1] != model.dim:
+            raise ValidationError(f"points have shape {x.shape}, model expects dimension {model.dim}")
+    else:
+        points = [tuple(p) for p in points]
+        for p in points:
+            if len(p) != model.dim:
+                raise ValidationError(f"point has dimension {len(p)}, model expects {model.dim}")
+        x = np.array(points, dtype=float).reshape(len(points), model.dim)
+    if not np.isfinite(x).all():
+        raise ValidationError("coordinates must be finite")
     if model.scale is not None:
-        mins, maxs = model.scale
-        x = [
-            (v - lo) / (hi - lo) if hi > lo else 0.5
-            for v, lo, hi in zip(x, mins, maxs)
-        ]
-    clipped = [min(1.0, max(0.0, v)) for v in x]
-    if clipped != x:
+        for v, (lo, hi) in enumerate(zip(*model.scale)):
+            x[:, v] = (x[:, v] - lo) / (hi - lo) if hi > lo else 0.5
+    clipped = np.clip(x, 0.0, 1.0)
+    if (clipped != x).any():
         warnings.warn("coordinates outside [0,1] were clamped", stacklevel=3)
     return clipped
 
 
+def evaluate_batch(model: BernsteinClassifier, points) -> np.ndarray:
+    """Tensor-product polynomial values at many points (float array).
+
+    One basis matrix per dimension is contracted against the coefficient grid,
+    first dimension first; rows are processed in chunks so the basis matrices
+    and intermediates stay near 2M entries.
+    """
+    u = _to_unit_cube(model, points)
+    grid = model.theta_grid
+    out = np.empty(len(u))
+    step = max(1, 2_000_000 // (grid.size // grid.shape[0] + max(grid.shape)))
+    for start in range(0, len(u), step):
+        block = u[start : start + step]
+        value = _basis_matrix(model.orders[0], block[:, 0]) @ grid.reshape(grid.shape[0], -1)
+        for v in range(1, model.dim):
+            b = _basis_matrix(model.orders[v], block[:, v])
+            value = (b[:, :, None] * value.reshape(len(block), b.shape[1], -1)).sum(axis=1)
+        out[start : start + step] = value[:, 0]
+    return out
+
+
+def predict_batch(model: BernsteinClassifier, points) -> np.ndarray:
+    """Labels sign(B(theta, x)) at many points (int array, sign(0) = +1)."""
+    return np.where(evaluate_batch(model, points) >= 0, 1, -1)
+
+
 def evaluate(model: BernsteinClassifier, x) -> float:
     """Tensor-product polynomial value at x in the unit cube."""
-    u = _to_unit_cube(model, x)
-    value = np.asarray(model.theta, dtype=float).reshape(
-        tuple(k + 1 for k in model.orders)
-    )
-    for k, coord in zip(model.orders, u):
-        value = np.tensordot(_basis_row(k, coord), value, axes=(0, 0))
-    return float(value)
+    return float(evaluate_batch(model, (tuple(x),))[0])
 
 
 def predict(model: BernsteinClassifier, x) -> int:
-    value = evaluate(model, x)
-    return 1 if value >= 0 else -1
+    return 1 if evaluate(model, x) >= 0 else -1
 
 
 def binarize(model: BernsteinClassifier) -> BernsteinClassifier:
@@ -213,10 +242,10 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
 
 def empirical_hinge_risk(model: BernsteinClassifier, sample: WeightedSample):
     """(1/n) sum w_i (1 - y_i B(theta, x_i)); the box keeps the max inactive."""
-    total = 0.0
-    for w, y, p in zip(sample.weights, sample.labels, sample.points):
-        total += float(w) * max(0.0, 1.0 - y * evaluate(model, p))
-    return total / sample.n
+    values = evaluate_batch(model, sample.points)
+    weights = np.asarray([float(w) for w in sample.weights])
+    labels = np.asarray(sample.labels, dtype=float)
+    return float(weights @ np.maximum(0.0, 1.0 - labels * values)) / sample.n
 
 
 def suggest_orders(n: int, d: int):

@@ -96,10 +96,8 @@ def _cmd_fit_bernstein(args) -> int:
 def _cmd_predict(args) -> int:
     model = io.load_model(args.model)
     points = io.load_points(args.input, rational=not args.float)
-    if isinstance(model, MonotoneClassifier):
-        labels = [monotone.predict(model, p) for p in points]
-    else:
-        labels = [bernstein.predict(model, p) for p in points]
+    kind = monotone if isinstance(model, MonotoneClassifier) else bernstein
+    labels = kind.predict_batch(model, points).tolist()
     d = len(points[0]) if points else 0
     header = [f"x{i + 1}" for i in range(d)] + ["label"]
     io.write_csv(args.out, header, [list(p) + [y] for p, y in zip(points, labels)])

@@ -20,6 +20,7 @@ from ._numeric import ValidationError, check_finite
 from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
+_BLOCK_ENTRIES = 1 << 22
 
 
 def dominates(a, b) -> bool:
@@ -92,6 +93,38 @@ class DominanceDag:
         return all(flags[j] for i, j in self.cover_edges if flags[i])
 
 
+def dense_ranks(column) -> np.ndarray:
+    """Dense rank of each value among the distinct values of ``column`` (int64).
+
+    A column of floats is ranked by numpy, whose float comparisons are exact;
+    any other column by sorting its distinct values with Python's exact
+    comparisons, so any mix of int, Fraction and float ranks exactly.
+    """
+    if (isinstance(column, np.ndarray) and column.dtype.kind == "f") or all(
+        isinstance(v, float) for v in column
+    ):
+        return np.unique(np.asarray(column, dtype=float), return_inverse=True)[1]
+    rank = {v: r for r, v in enumerate(sorted(set(column)))}
+    return np.fromiter((rank[v] for v in column), dtype=np.int64, count=len(column))
+
+
+def dominator_counts(queries: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """For each row q of ``queries``, the number of rows t of ``tops`` with q <= t.
+
+    Both are integer rank arrays of shape (-, d); rows are compared in chunks
+    so the boolean block stays near 4M entries whatever the sizes.
+    """
+    counts = np.zeros(len(queries), dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // max(1, tops.size))
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        below = block[:, None, 0] <= tops[None, :, 0]
+        for v in range(1, tops.shape[1]):
+            below &= block[:, None, v] <= tops[None, :, v]
+        counts[start : start + step] = np.count_nonzero(below, axis=1)
+    return counts
+
+
 def build_dag(points) -> DominanceDag:
     """Cover DAG of distinct points under the componentwise order.
 
@@ -116,11 +149,7 @@ def build_dag(points) -> DominanceDag:
         edges = sorted((ranked[t], ranked[t + 1]) for t in range(n - 1))
         return DominanceDag(tuple(points), tuple(edges))
     # only the order within a coordinate matters: replace each column by dense ranks
-    ranks = []
-    for col in zip(*points):
-        rank = {v: r for r, v in enumerate(sorted(set(col)))}
-        ranks.append([rank[v] for v in col])
-    arr = np.asarray(ranks, dtype=np.int64).T
+    arr = np.stack([dense_ranks(col) for col in zip(*points)], axis=1)
     strict = (arr[:, None, :] <= arr[None, :, :]).all(axis=-1)
     np.fill_diagonal(strict, False)
     # 2-path counts are at most n, so float32 holds them exactly below 2**24

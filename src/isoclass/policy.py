@@ -66,18 +66,17 @@ def to_weighted_sample(records, kappa=DEFAULT_KAPPA) -> WeightedSample:
     return WeightedSample(tuple(weights), tuple(labels), tuple(points))
 
 
-def _labeler(classifier):
+def _labels(classifier, points) -> list:
+    """Labels at ``points``: a fitted model in one batch, a plain callable point by point."""
     if callable(classifier):
-        return classifier
+        return [classifier(x) for x in points]
     if hasattr(classifier, "support"):  # MonotoneClassifier
-        from .monotone import predict as mono_predict
-
-        return lambda x: mono_predict(classifier, x)
-    if hasattr(classifier, "theta"):  # BernsteinClassifier
-        from .bernstein import predict as bern_predict
-
-        return lambda x: bern_predict(classifier, x)
-    raise ValidationError("classifier must be callable or a fitted model")
+        from .monotone import predict_batch
+    elif hasattr(classifier, "theta"):  # BernsteinClassifier
+        from .bernstein import predict_batch
+    else:
+        raise ValidationError("classifier must be callable or a fitted model")
+    return predict_batch(classifier, points).tolist()
 
 
 def welfare_estimate(classifier, records):
@@ -85,10 +84,10 @@ def welfare_estimate(classifier, records):
     records = list(records)
     if not records:
         raise ValidationError("no records")
-    label_at = _labeler(classifier)
+    labels = _labels(classifier, [r.x for r in records])
     total = 0
-    for r in records:
-        if r.d == label_at(r.x):
+    for r, label in zip(records, labels):
+        if r.d == label:
             total += r.z / r.denominator
     return total / len(records)
 

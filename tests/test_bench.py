@@ -14,7 +14,8 @@ from isoclass import (
     simulate_regret,
     zero_one,
 )
-from isoclass.bench import DGPS, StepDgp, example_distribution_1, _threshold_1d
+from isoclass._numeric import halton
+from isoclass.bench import DGPS, StepDgp, Step2dDgp, example_distribution_1, _threshold_1d
 from isoclass import MonotoneClassifier, fit_bernstein, WeightedSample
 
 
@@ -120,3 +121,33 @@ def test_dgp_registry():
     assert set(DGPS) == {"step", "smooth", "step2d"}
     with pytest.raises(Exception):
         simulate_regret("nope", (10,), reps=1, seed=0)
+
+
+def _van_der_corput(i, base):
+    x, denom = 0.0, 1.0
+    while i > 0:
+        i, rem = divmod(i, base)
+        denom *= base
+        x += rem / denom
+    return x
+
+
+def test_halton_equals_reference_van_der_corput_loop():
+    bases = (2, 3, 5, 7, 11, 13, 17, 19)
+    for dim in range(1, 9):
+        pts = halton(700, dim)
+        assert pts.shape == (700, dim)
+        want = [[_van_der_corput(i + 1, b) for b in bases[:dim]] for i in range(700)]
+        assert pts.tolist() == want
+    assert halton(0, 2).shape == (0, 2)
+    with pytest.raises(ValueError):
+        halton(10, 9)
+
+
+def test_step2d_population_risk_pinned_on_hand_built_model():
+    model = MonotoneClassifier(
+        ((0.2, 0.7), (Fraction(1, 2), 0.45), (0.8, 0.15), (0.1, 0.3),
+         (0.3, 0.75), (0.6, Fraction(3, 5)), (0.9, 0.3)),
+        (-1, -1, -1, -1, 1, 1, 1),
+    )
+    assert Step2dDgp().population_risk(model) == 0.33985

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from isoclass import (
     lattice_dag,
     suggest_orders,
 )
-from isoclass.bernstein import empirical_hinge_risk
+from isoclass.bernstein import empirical_hinge_risk, evaluate_batch, predict_batch
 
 
 def random_cube_sample(rng, n, d):
@@ -238,3 +239,85 @@ def test_suggest_orders_caps_lattice_size():
     orders = suggest_orders(10**6, 3)
     size = np.prod([k + 1 for k in orders])
     assert size <= 10**6
+
+
+def _tensor_product_value(model, x):
+    """Per-point oracle from the public basis: sum_j theta_j prod_v b_{k_v j_v}(x_v)."""
+    if model.scale is not None:
+        mins, maxs = model.scale
+        x = [(v - lo) / (hi - lo) if hi > lo else 0.5 for v, lo, hi in zip(x, mins, maxs)]
+    x = [min(1.0, max(0.0, float(v))) for v in x]
+    total = 0.0
+    for t, j in zip(model.theta, model.multi_indices()):
+        term = t
+        for k, jv, xv in zip(model.orders, j, x):
+            term *= basis(k, jv, xv)
+        total += term
+    return total
+
+
+@pytest.mark.filterwarnings("ignore:coordinates outside")
+def test_evaluate_batch_matches_per_point_tensor_product():
+    rng = np.random.default_rng(5)
+    for orders in ((7,), (1,), (4, 3), (6, 6), (2, 3, 4)):
+        size = math.prod(k + 1 for k in orders)
+        theta = tuple(np.clip(rng.normal(size=size), -1, 1).tolist())
+        d = len(orders)
+        for scale in (None, (tuple(rng.uniform(-2, 0, d).tolist()), tuple(rng.uniform(1, 3, d).tolist()))):
+            model = BernsteinClassifier(orders, theta, scale=scale)
+            pts = rng.uniform(0, 1, (50, d)) if scale is None else rng.uniform(-1, 2, (50, d))
+            want = [_tensor_product_value(model, p) for p in pts.tolist()]
+            got = evaluate_batch(model, pts)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert evaluate_batch(model, [tuple(p) for p in pts.tolist()]).tolist() == got.tolist()
+            assert [bernstein_evaluate(model, p) for p in pts.tolist()] == pytest.approx(want, abs=1e-12)
+            assert predict_batch(model, pts).tolist() == [1 if v >= 0 else -1 for v in got]
+
+
+def test_evaluate_batch_clamps_with_one_warning_per_batch():
+    model = BernsteinClassifier((2, 2), (-1, -0.5, 0, -0.5, 0, 0.5, 0, 0.5, 1))
+    pts = [(1.5, 0.2), (-0.3, 0.4), (0.5, 2.0), (0.1, 0.1)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = evaluate_batch(model, pts)
+    assert len(caught) == 1 and "clamped" in str(caught[0].message)
+    want = [_tensor_product_value(model, p) for p in pts]
+    assert np.max(np.abs(got - want)) <= 1e-12
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evaluate_batch(model, [(0.0, 1.0), (0.5, 0.5)])
+    assert caught == []
+
+
+def test_evaluate_batch_empty_and_dimension_checks():
+    model = BernsteinClassifier((2, 1), (-1, -1, 0, 0, 1, 1))
+    assert evaluate_batch(model, []).shape == (0,)
+    assert evaluate_batch(model, np.zeros((0, 2))).shape == (0,)
+    with pytest.raises(ValidationError):
+        evaluate_batch(model, [(0.5,)])
+    with pytest.raises(ValidationError):
+        evaluate_batch(model, np.zeros((3, 3)))
+
+
+def test_predict_rejects_non_finite_queries():
+    model = BernsteinClassifier((1, 1), (-1, 0, 0, 1))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError):
+            bernstein_predict(model, (bad, 0.5))
+        with pytest.raises(ValidationError):
+            predict_batch(model, [(0.5, 0.5), (0.5, bad)])
+        with pytest.raises(ValidationError):
+            evaluate_batch(model, np.array([[bad, 0.5]]))
+
+
+def test_empirical_hinge_risk_matches_per_point_sum():
+    rng = random.Random(8)
+    for d, orders in ((1, (5,)), (2, (3, 4))):
+        sample = random_cube_sample(rng, 40, d)
+        theta = tuple(rng.uniform(-1, 1) for _ in range(math.prod(k + 1 for k in orders)))
+        model = BernsteinClassifier(orders, theta)
+        want = sum(
+            float(w) * max(0.0, 1.0 - y * _tensor_product_value(model, p))
+            for w, y, p in zip(sample.weights, sample.labels, sample.points)
+        ) / sample.n
+        assert abs(empirical_hinge_risk(model, sample) - want) <= 1e-12

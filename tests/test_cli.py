@@ -184,3 +184,15 @@ def test_load_sample_trial_schema(tmp_path):
     trial = write(tmp_path / "t.csv", "z,d,x1,e\n2,1,0.3,0.5\n")
     records = load_trials(trial)
     assert records[0].d == 1 and records[0].e == Fraction("0.5")
+
+
+def test_predict_rejects_bad_query_points_with_exit_2(tmp_path, plain_csv, capsys):
+    model_path = str(tmp_path / "m.json")
+    assert main(["fit-monotone", "--in", plain_csv, "--out", model_path]) == 0
+    wide = write(tmp_path / "wide.csv", "x1,x2\n0.5,0.5\n")
+    nan = write(tmp_path / "nan.csv", "x1\nnan\n")
+    out = str(tmp_path / "p.csv")
+    assert main(["predict", "--model", model_path, "--in", wide, "--out", out]) == 2
+    assert main(["predict", "--model", model_path, "--in", nan, "--out", out, "--float"]) == 2
+    assert not os.path.exists(out)
+    capsys.readouterr()

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import random_small_sample
@@ -11,6 +12,7 @@ from isoclass import (
     ValidationError,
     WeightedSample,
     build_dag,
+    dominates,
     empirical_risk,
     enumerate_up_sets,
     fit_monotone,
@@ -18,6 +20,7 @@ from isoclass import (
     monotone_predict,
     zero_one,
 )
+from isoclass.monotone import predict_batch, values_at
 
 
 def example_41_sample():
@@ -150,3 +153,107 @@ def test_compact_serialization_reproduces_predictions():
 def test_model_rejects_fractional_values():
     with pytest.raises(ValidationError):
         MonotoneClassifier(((0,),), (0,))
+
+
+def _brute_force_label(model, q):
+    """-1 iff some -1-valued support point dominates q (all support points scanned)."""
+    dominated = any(
+        v < 0 and all(a <= b for a, b in zip(q, p)) for p, v in zip(model.support, model.values)
+    )
+    return -1 if dominated else 1
+
+
+def _mixed_value(rng, top):
+    k = rng.randint(0, top)
+    # k/3 as a float lies just off Fraction(k, 3), so a float shortcut would tie them
+    return rng.choice((k, Fraction(k, 2), k / 2, Fraction(2 * k + 1, 4), (2 * k + 1) / 4,
+                       Fraction(k, 3), k / 3))
+
+
+def test_predict_batch_equals_brute_force_dominance():
+    rng = random.Random(131)
+    for trial in range(45):
+        d = 1 + trial % 3
+        n = rng.randint(1, 40)
+        # a mix of equal Fraction and float values makes ties across types
+        points = [tuple(_mixed_value(rng, 4) for _ in range(d)) for _ in range(n)]
+        labels = [rng.choice((-1, 1)) for _ in range(n)]
+        model = fit_monotone(WeightedSample.unweighted(labels, points))
+        queries = [tuple(_mixed_value(rng, 5) - 1 for _ in range(d)) for _ in range(60)]
+        queries += list(model.support)
+        want = [_brute_force_label(model, q) for q in queries]
+        assert predict_batch(model, queries).tolist() == want
+        assert values_at(model, queries) == want
+        compact = MonotoneClassifier.from_dict(json.loads(json.dumps(model.to_compact_dict())))
+        assert predict_batch(compact, queries).tolist() == want
+
+
+def test_predict_batch_float_array_equals_brute_force():
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        support = [tuple(p) for p in np.round(rng.random((30, d)), 1).tolist()]
+        support = sorted(set(support))
+        model = fit_monotone(WeightedSample.unweighted([int(rng.choice((-1, 1))) for _ in support], support))
+        queries = np.round(rng.random((200, d)), 1)
+        want = [_brute_force_label(model, tuple(q)) for q in queries.tolist()]
+        assert predict_batch(model, queries).tolist() == want
+
+
+def test_predict_batch_edge_cases():
+    all_positive = MonotoneClassifier(((0, 0), (1, 2)), (1, 1))
+    assert predict_batch(all_positive, [(-5, -5), (3, 3)]).tolist() == [1, 1]
+    model = MonotoneClassifier(((1, 1), (2, Fraction(1, 2)), (3, 3)), (-1, -1, 1))
+    assert predict_batch(model, []).tolist() == []
+    assert predict_batch(model, np.zeros((0, 2))).tolist() == []
+    assert values_at(model, []) == []
+    # ties: a query equal to a -1 point is dominated by it
+    assert predict_batch(model, [(1.0, 1.0), (2, 0.5), (2.0, 1.0), (Fraction(1, 2), 0)]).tolist() == [-1, -1, 1, -1]
+    assert model.frontier == ((1, 1), (2, Fraction(1, 2)))
+
+
+def test_predict_batch_separates_a_fraction_from_its_nearest_float():
+    third = Fraction(1, 3)
+    assert 1 / 3 < third
+    exact = MonotoneClassifier(((third, third), (1, 1)), (-1, 1))
+    near = MonotoneClassifier(((1 / 3, 1 / 3), (1, 1)), (-1, 1))
+    queries = np.array([[1 / 3, 1 / 3], [0.0, 0.5]])
+    assert predict_batch(exact, queries).tolist() == [-1, 1]
+    assert predict_batch(near, [(third, 0), (1 / 3, 0)]).tolist() == [1, -1]
+
+
+def test_predict_rejects_non_finite_queries():
+    model = MonotoneClassifier(((1, 1), (2, 2)), (-1, 1))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError):
+            monotone_predict(model, (bad, 0.5))
+        with pytest.raises(ValidationError):
+            predict_batch(model, [(0.5, 0.5), (0.5, bad)])
+        with pytest.raises(ValidationError):
+            predict_batch(model, np.array([[0.5, bad]]))
+
+
+def test_compact_frontiers_equal_pure_python_definition():
+    rng = random.Random(211)
+    for trial in range(30):
+        d = 1 + trial % 3
+        points = [tuple(_mixed_value(rng, 3) for _ in range(d)) for _ in range(rng.randint(1, 30))]
+        labels = [rng.choice((-1, 1)) for _ in points]
+        model = fit_monotone(WeightedSample.unweighted(labels, points))
+        pos = [p for p, v in zip(model.support, model.values) if v > 0]
+        neg = [p for p, v in zip(model.support, model.values) if v < 0]
+        min_pos = [p for p in pos if not any(q != p and dominates(q, p) for q in pos)]
+        max_neg = [p for p in neg if not any(q != p and dominates(p, q) for q in neg)]
+        assert list(model.frontier) == max_neg
+        compact = MonotoneClassifier.from_dict(json.loads(json.dumps(model.to_compact_dict())))
+        assert list(compact.support) == max_neg + min_pos
+
+
+def test_frontier_of_a_large_model_equals_quadratic_definition():
+    # thousands of -1 points make the frontier sweep span several blocks
+    rng = np.random.default_rng(23)
+    for d, grid in ((1, 10**6), (2, 300), (3, 40)):
+        cloud = np.unique(rng.integers(0, grid, size=(2600, d)), axis=0)
+        cloud = cloud[rng.permutation(len(cloud))]
+        model = MonotoneClassifier(tuple(map(tuple, cloud.tolist())), (-1,) * len(cloud))
+        below = (cloud[:, None, :] <= cloud[None, :, :]).all(axis=2).sum(axis=1)
+        assert list(model.frontier) == [tuple(p) for p in cloud[below == 1].tolist()]
