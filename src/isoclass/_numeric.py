@@ -35,6 +35,18 @@ def check_finite(value, what: str) -> None:
         raise ValidationError(f"{what} must be finite, got {value!r}")
 
 
+def finite_array(values, count: int):
+    """The ``count`` values as a float array if float() takes each and all are finite, else None.
+
+    On None (also for an int beyond float range) callers run their per-value checks.
+    """
+    try:
+        out = np.fromiter(values, dtype=float, count=count)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return out if np.isfinite(out).all() else None
+
+
 def golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Minimum value of a unimodal ``fn`` on [lo, hi] by golden-section search.
 

@@ -13,6 +13,7 @@ functions call it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -41,15 +42,38 @@ def basis(k: int, j: int, x) -> float:
 
 
 @lru_cache(maxsize=64)
-def _comb_vector(k: int) -> np.ndarray:
-    return np.array([math.comb(k, j) for j in range(k + 1)], dtype=float)
+def _log_comb(k: int):
+    """log C(k, j) for j = 0..k (from the exact integers), j, and k - j."""
+    j = np.arange(k + 1)
+    return np.array([math.log(math.comb(k, i)) for i in range(k + 1)]), j, k - j
 
 
-def _basis_matrix(k: int, xs: np.ndarray) -> np.ndarray:
-    """Rows of basis values: out[i, j] = C(k, j) xs[i]^j (1 - xs[i])^(k - j)."""
-    col = np.asarray(xs, dtype=float)[:, None]
-    j = np.arange(k + 1)[None, :]
-    return _comb_vector(k) * col**j * (1.0 - col) ** (k - j)
+def _basis_matrices(orders, u: np.ndarray) -> list:
+    """One basis matrix per column v of ``u`` (n, d), in [0, 1]: C(k_v, j) u^j (1 - u)^(k_v - j).
+
+    Entries are exp(log C(k, j) + j log u + (k - j) log1p(-u)), within 1e-12 of
+    the power form, whose float powers are slow near underflow.  A log of 0
+    (u = 0 or 1) is -1e300 instead of -inf, so those rows are exactly one-hot.
+    """
+    # the masked form costs microseconds per call, which single-point calls feel: only blocks
+    # holding an end point take it
+    if (u * (1.0 - u)).all():
+        log_u, log_1mu = np.log(u), np.log1p(-u)
+    else:
+        log_u = np.log(u, out=np.full_like(u, -1e300), where=u > 0.0)
+        log_1mu = np.log1p(-u, out=np.full_like(u, -1e300), where=u < 1.0)
+    out = []
+    for v, k in enumerate(orders):
+        log_comb, j, rest = _log_comb(k)
+        b = log_comb + log_u[:, v, None] * j + log_1mu[:, v, None] * rest
+        out.append(np.exp(b, out=b))
+    return out
+
+
+def _chunk_rows(orders) -> int:
+    """Rows per chunk so its basis matrices and partial products stay near 2^18 entries (in cache)."""
+    trailing = math.prod(k + 1 for k in orders[1:])
+    return max(1, (1 << 18) // (trailing + sum(k + 1 for k in orders)))
 
 
 @dataclass(frozen=True)
@@ -143,29 +167,35 @@ def _to_unit_cube(model: BernsteinClassifier, points) -> np.ndarray:
     if model.scale is not None:
         for v, (lo, hi) in enumerate(zip(*model.scale)):
             x[:, v] = (x[:, v] - lo) / (hi - lo) if hi > lo else 0.5
-    clipped = np.clip(x, 0.0, 1.0)
+    clipped = np.minimum(np.maximum(x, 0.0), 1.0)
     if (clipped != x).any():
-        warnings.warn("coordinates outside [0,1] were clamped", stacklevel=3)
+        _warn_at_caller("coordinates outside [0,1] were clamped")
     return clipped
+
+
+def _warn_at_caller(message: str) -> None:
+    """UserWarning attributed to the first frame outside this module: the user's call site."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename == _warn_at_caller.__code__.co_filename:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def evaluate_batch(model: BernsteinClassifier, points) -> np.ndarray:
     """Tensor-product polynomial values at many points (float array).
 
     One basis matrix per dimension is contracted against the coefficient grid,
-    first dimension first; rows are processed in chunks so the basis matrices
-    and intermediates stay near 2M entries.
+    first dimension first, in row chunks (see ``_chunk_rows``).
     """
     u = _to_unit_cube(model, points)
     grid = model.theta_grid
     out = np.empty(len(u))
-    step = max(1, 2_000_000 // (grid.size // grid.shape[0] + max(grid.shape)))
+    step = _chunk_rows(model.orders)
     for start in range(0, len(u), step):
-        block = u[start : start + step]
-        value = _basis_matrix(model.orders[0], block[:, 0]) @ grid.reshape(grid.shape[0], -1)
-        for v in range(1, model.dim):
-            b = _basis_matrix(model.orders[v], block[:, v])
-            value = (b[:, :, None] * value.reshape(len(block), b.shape[1], -1)).sum(axis=1)
+        first, *rest = _basis_matrices(model.orders, u[start : start + step])
+        value = first @ grid.reshape(grid.shape[0], -1)
+        for b in rest:
+            value = (b[:, None, :] @ value.reshape(len(b), b.shape[1], -1))[:, 0]
         out[start : start + step] = value[:, 0]
     return out
 
@@ -223,17 +253,16 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     signed = np.asarray(
         [float(w) * y for w, y in zip(sample.weights, sample.labels)], dtype=float
     )
-    # objective coefficient per multi-index: sum_i w_i y_i prod_v b_{k_v j_v}(x_iv),
-    # accumulated in fixed-size row chunks so only the K-sized output is materialized
-    shape = tuple(k + 1 for k in orders)
-    letters = "abcdefghijklmnopqrstuvwxyz"[: len(orders)]
-    spec = "i," + ",".join(f"i{c}" for c in letters) + "->" + letters
-    chunk = max(1, 2_000_000 // size)
-    coeff = np.zeros(shape)
-    for start in range(0, sample.n, chunk):
-        stop = start + chunk
-        blocks = [_basis_matrix(k, pts[start:stop, v]) for v, k in enumerate(orders)]
-        coeff += np.einsum(spec, signed[start:stop], *blocks)
+    # objective coefficient per multi-index: sum_i w_i y_i prod_v b_{k_v j_v}(x_iv), as one matrix
+    # product per row chunk: the first basis matrix against the weighted row-wise products of the rest
+    coeff = np.zeros((orders[0] + 1, size // (orders[0] + 1)))
+    step = _chunk_rows(orders)
+    for start in range(0, sample.n, step):
+        first, *rest = _basis_matrices(orders, pts[start : start + step])
+        rows = signed[start : start + step, None]
+        for b in reversed(rest):
+            rows = (b[:, :, None] * rows[:, None, :]).reshape(len(b), -1)
+        coeff += first.T @ rows
     coeff = coeff.reshape(-1)
     dag = lattice_dag(orders)
     values, _ = solve(IsotoneProblem(dag, tuple(coeff.tolist())))

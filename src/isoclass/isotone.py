@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numeric import ValidationError, all_exact, check_finite
+from ._numeric import ValidationError, all_exact, check_finite, finite_array, is_exact
 from .order import DEFAULT_NODE_LIMIT, DominanceDag, iter_up_set_masks
 
 
@@ -32,8 +32,9 @@ class IsotoneProblem:
             raise ValidationError(
                 f"{len(self.coeffs)} coefficients for {self.dag.n} nodes"
             )
-        for i, c in enumerate(self.coeffs):
-            check_finite(c, f"coefficient {i}")
+        if finite_array(self.coeffs, len(self.coeffs)) is None:
+            for i, c in enumerate(self.coeffs):
+                check_finite(c, f"coefficient {i}")
 
 
 class _Dinic:
@@ -146,20 +147,32 @@ def _min_cut_best_up_set(dag: DominanceDag, weights):
 
 
 def _integer_weights(coeffs):
-    """Coefficients times their common denominator, as ints, and that denominator."""
-    fractions = [Fraction(c) for c in coeffs]
-    scale = math.lcm(*(f.denominator for f in fractions))
-    return [f.numerator * (scale // f.denominator) for f in fractions], scale
+    """Coefficients times their common denominator, as ints; that denominator; and exactness.
+
+    Ints pass through; any other coefficient goes through Fraction, exact for each type.
+    """
+    weights, denominators, exact = list(coeffs), set(), True
+    for i, c in enumerate(weights):
+        if type(c) is not int:
+            exact = exact and is_exact(c)
+            weights[i] = f = Fraction(c)
+            denominators.add(f.denominator)
+    scale = math.lcm(*denominators)
+    if scale > 1:
+        weights = [w.numerator * (scale // w.denominator) for w in weights]
+    return weights, scale, exact
 
 
-def _solution(problem: IsotoneProblem, plus_set, objective):
-    values = [1 if i in plus_set else -1 for i in range(problem.dag.n)]
-    return values, (objective if all_exact(problem.coeffs) else float(objective))
+def _solution(n: int, plus_set, objective, exact: bool):
+    values = [-1] * n
+    for i in plus_set:
+        values[i] = 1
+    return values, (objective if exact else float(objective))
 
 
 def solve(problem: IsotoneProblem):
     """Optimal +/-1 values and objective; +1-set is the maximal optimal up-set."""
-    weights, scale = _integer_weights(problem.coeffs)
+    weights, scale, exact = _integer_weights(problem.coeffs)
     order = problem.dag.chain_order
     if order is not None:
         plus_set = _chain_best_up_set(order, weights)
@@ -167,7 +180,7 @@ def solve(problem: IsotoneProblem):
         plus_set = _min_cut_best_up_set(problem.dag, weights)
     # sum c_i v_i = 2 * (weight of the +1-set) - (total weight)
     objective = Fraction(2 * sum(weights[i] for i in plus_set) - sum(weights), scale)
-    return _solution(problem, plus_set, objective)
+    return _solution(problem.dag.n, plus_set, objective, exact)
 
 
 def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LIMIT):
@@ -187,4 +200,5 @@ def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LI
         elif w == best_weight:
             union_mask |= mask
     plus_set = {i for i in range(problem.dag.n) if union_mask >> i & 1}
-    return _solution(problem, plus_set, 2 * best_weight - sum(weights, Fraction(0)))
+    objective = 2 * best_weight - sum(weights, Fraction(0))
+    return _solution(problem.dag.n, plus_set, objective, all_exact(problem.coeffs))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._numeric import ValidationError, check_finite
 from .isotone import IsotoneProblem, solve
-from .order import build_dag, dense_ranks, dominator_counts
+from .order import build_dag, dense_ranks, dominator_counts, rank_matrix
 from .risks import WeightedSample
 
 _SWEEP_BLOCK = 1024
@@ -36,11 +36,11 @@ class MonotoneClassifier:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(tuple(p) for p in self.support))
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "support", tuple(map(tuple, self.support)))
+        object.__setattr__(self, "values", tuple(map(int, self.values)))
         if len(self.support) != len(self.values):
             raise ValidationError("support and values must have equal length")
-        if any(v not in (-1, 1) for v in self.values):
+        if not set(self.values) <= {-1, 1}:
             raise ValidationError("fitted values must be -1 or +1")
 
     @property
@@ -98,7 +98,7 @@ def _maximal(points, lower: bool = False) -> tuple:
     """
     if not points:
         return ()
-    ranks = np.stack([dense_ranks(col) for col in zip(*points)], axis=1)
+    ranks = rank_matrix(points)
     if lower:
         ranks = -ranks
     order = np.lexsort(ranks.T[::-1])[::-1]
@@ -133,10 +133,11 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     totals = {}
     for w, y, p in zip(sample.weights, sample.labels, sample.points):
         totals[p] = totals.get(p, 0) + w * y
-    support = sorted(totals)
+    # the lexicographic order sorted() would give, found on exact column ranks
+    points = list(totals)
+    support = [points[i] for i in np.lexsort(rank_matrix(points).T[::-1]).tolist()]
     dag = build_dag(support)
-    coeffs = tuple(totals[p] for p in dag.nodes)
-    values, _ = solve(IsotoneProblem(dag, coeffs))
+    values, _ = solve(IsotoneProblem(dag, [totals[p] for p in support]))
     return MonotoneClassifier(dag.nodes, tuple(values))
 
 

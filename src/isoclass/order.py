@@ -11,12 +11,14 @@ and float coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product, repeat
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite
+from ._numeric import ValidationError, check_finite, finite_array
 from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
@@ -31,6 +33,12 @@ def dominates(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _int_pair(edge) -> tuple:
+    """``edge`` as a pair of Python ints; a pair that already is one is kept, not copied."""
+    i, j = edge
+    return edge if type(edge) is tuple and type(i) is int and type(j) is int else (int(i), int(j))
+
+
 @dataclass(frozen=True)
 class DominanceDag:
     """Distinct points plus transitively-reduced componentwise-order edges."""
@@ -39,8 +47,8 @@ class DominanceDag:
     cover_edges: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(tuple(p) for p in self.nodes))
-        object.__setattr__(self, "cover_edges", tuple((int(i), int(j)) for i, j in self.cover_edges))
+        object.__setattr__(self, "nodes", tuple(map(tuple, self.nodes)))
+        object.__setattr__(self, "cover_edges", tuple(map(_int_pair, self.cover_edges)))
 
     @property
     def n(self) -> int:
@@ -66,22 +74,13 @@ class DominanceDag:
         n = self.n
         if n <= 1:
             return tuple(range(n))
-        if len(self.cover_edges) != n - 1:
+        nxt = dict(self.cover_edges)
+        heads = set(nxt.values())
+        # n - 1 edges, out- and in-degrees at most 1: the one node that is no head starts the walk
+        if not len(self.cover_edges) == len(nxt) == len(heads) == n - 1:
             return None
-        out_deg = [0] * n
-        in_deg = [0] * n
-        nxt = [-1] * n
-        for i, j in self.cover_edges:
-            out_deg[i] += 1
-            in_deg[j] += 1
-            nxt[i] = j
-        if any(d > 1 for d in out_deg) or any(d > 1 for d in in_deg):
-            return None
-        sources = [i for i in range(n) if in_deg[i] == 0]
-        if len(sources) != 1:
-            return None
-        order = [sources[0]]
-        while nxt[order[-1]] != -1:
+        order = [next(i for i in range(n) if i not in heads)]
+        while order[-1] in nxt:
             order.append(nxt[order[-1]])
         return tuple(order) if len(order) == n else None
 
@@ -101,11 +100,24 @@ def dense_ranks(column) -> np.ndarray:
     comparisons, so any mix of int, Fraction and float ranks exactly.
     """
     if (isinstance(column, np.ndarray) and column.dtype.kind == "f") or all(
-        isinstance(v, float) for v in column
+        map(isinstance, column, repeat(float))
     ):
         return np.unique(np.asarray(column, dtype=float), return_inverse=True)[1]
     rank = {v: r for r, v in enumerate(sorted(set(column)))}
     return np.fromiter((rank[v] for v in column), dtype=np.int64, count=len(column))
+
+
+def rank_matrix(points) -> np.ndarray:
+    """Dense ranks of each coordinate column of ``points``, as an (n, d) int64 array."""
+    return np.stack([dense_ranks([p[v] for p in points]) for v in range(len(points[0]))], axis=1)
+
+
+def _below(queries: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """Entry (a, b) is queries[a] <= tops[b]; ``&`` over columns beats ``all`` over a short axis."""
+    below = queries[:, None, 0] <= tops[None, :, 0]
+    for v in range(1, tops.shape[1]):
+        below &= queries[:, None, v] <= tops[None, :, v]
+    return below
 
 
 def dominator_counts(queries: np.ndarray, tops: np.ndarray) -> np.ndarray:
@@ -117,11 +129,7 @@ def dominator_counts(queries: np.ndarray, tops: np.ndarray) -> np.ndarray:
     counts = np.zeros(len(queries), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // max(1, tops.size))
     for start in range(0, len(queries), step):
-        block = queries[start : start + step]
-        below = block[:, None, 0] <= tops[None, :, 0]
-        for v in range(1, tops.shape[1]):
-            below &= block[:, None, v] <= tops[None, :, v]
-        counts[start : start + step] = np.count_nonzero(below, axis=1)
+        counts[start : start + step] = np.count_nonzero(_below(queries[start : start + step], tops), axis=1)
     return counts
 
 
@@ -131,26 +139,32 @@ def build_dag(points) -> DominanceDag:
     Transitive reduction removes every edge implied by a 2-path; reachability
     of the result equals the full dominance relation.
     """
-    points = [tuple(p) for p in points]
+    points = list(map(tuple, points))
     if len(set(points)) != len(points):
         raise ValidationError("points must be distinct (deduplicate before building)")
-    dims = {len(p) for p in points}
+    dims = set(map(len, points))
     if len(dims) > 1:
         raise ValidationError(f"points have mixed dimensions: {sorted(dims)}")
     n = len(points)
     if n == 0:
         return DominanceDag((), ())
-    for p in points:
-        for v in p:
-            check_finite(v, "coordinate")
-    if dims == {1}:
-        # one dimension is a total order: consecutive sorted points cover each other
-        ranked = sorted(range(n), key=lambda i: points[i][0])
-        edges = sorted((ranked[t], ranked[t + 1]) for t in range(n - 1))
-        return DominanceDag(tuple(points), tuple(edges))
+    if finite_array(chain.from_iterable(points), n * len(points[0])) is None:
+        for p in points:
+            for v in p:
+                check_finite(v, "coordinate")
     # only the order within a coordinate matters: replace each column by dense ranks
-    arr = np.stack([dense_ranks(col) for col in zip(*points)], axis=1)
-    strict = (arr[:, None, :] <= arr[None, :, :]).all(axis=-1)
+    arr = rank_matrix(points)
+    if dims == {1}:
+        # distinct points on a line are a chain: each is covered by the next larger one,
+        # and the cached chain order is seeded from the ranks instead of re-derived from the edges
+        ranks = arr[:, 0]
+        order = np.argsort(ranks)
+        below_top = np.flatnonzero(ranks < n - 1)
+        edges = zip(below_top.tolist(), order[ranks[below_top] + 1].tolist())
+        dag = DominanceDag(tuple(points), tuple(edges))
+        object.__setattr__(dag, "chain_order", tuple(order.tolist()))
+        return dag
+    strict = _below(arr, arr)
     np.fill_diagonal(strict, False)
     # 2-path counts are at most n, so float32 holds them exactly below 2**24
     step = strict.astype(np.float32)
@@ -169,34 +183,15 @@ def lattice_dag(orders) -> DominanceDag:
     orders = tuple(int(k) for k in orders)
     if any(k < 0 for k in orders):
         raise ValidationError("lattice orders must be nonnegative")
-    d = len(orders)
     shape = tuple(k + 1 for k in orders)
-    strides = [1] * d
-    for v in range(d - 2, -1, -1):
-        strides[v] = strides[v + 1] * shape[v + 1]
-    nodes = []
-    edges = []
-    idx = [0] * d
-
-    def flat(ix) -> int:
-        return sum(ix[v] * strides[v] for v in range(d))
-
-    total = 1
-    for s in shape:
-        total *= s
-    for _ in range(total):
-        nodes.append(tuple(idx))
-        here = flat(idx)
-        for v in range(d):
-            if idx[v] < orders[v]:
-                edges.append((here, here + strides[v]))
-        for v in range(d - 1, -1, -1):
-            idx[v] += 1
-            if idx[v] <= orders[v]:
-                break
-            idx[v] = 0
-    edges.sort()
-    return DominanceDag(tuple(nodes), tuple(edges))
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    # a unit step along axis v joins each index below k_v to the one a stride further on
+    steps = [(flat.take(range(k), axis=v).ravel(), math.prod(shape[v + 1 :])) for v, k in enumerate(orders)]
+    src = np.concatenate([tail for tail, _ in steps] + [np.zeros(0, dtype=int)])
+    dst = np.concatenate([tail + stride for tail, stride in steps] + [np.zeros(0, dtype=int)])
+    by_edge = np.lexsort((dst, src))
+    nodes = tuple(product(*(range(size) for size in shape)))
+    return DominanceDag(nodes, tuple(zip(src[by_edge].tolist(), dst[by_edge].tolist())))
 
 
 def iter_up_set_masks(dag: DominanceDag, node_limit: int = DEFAULT_NODE_LIMIT):

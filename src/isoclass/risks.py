@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from ._numeric import ValidationError, check_finite, is_exact, sign
+import numpy as np
+
+from ._numeric import ValidationError, check_finite, finite_array, is_exact, sign
 from .losses import Loss, c_plus_minus, phi
 
 _MASS_TOL = Fraction(1, 10**12)
-
-
-def _as_point(values) -> tuple:
-    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -37,24 +36,30 @@ class WeightedSample:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "labels", tuple(int(y) for y in self.labels))
-        object.__setattr__(self, "points", tuple(_as_point(p) for p in self.points))
+        object.__setattr__(self, "labels", tuple(map(int, self.labels)))
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
         n = len(self.points)
         if len(self.weights) != n or len(self.labels) != n:
             raise ValidationError("weights, labels and points must have equal length")
-        for i, w in enumerate(self.weights):
-            check_finite(w, f"weight of row {i}")
-            if w < 0:
-                raise ValidationError(f"row {i}: weight must be nonnegative, got {w!r}")
-        for i, y in enumerate(self.labels):
-            if y not in (-1, 1):
-                raise ValidationError(f"row {i}: label must be -1 or +1, got {y!r}")
-        dims = {len(p) for p in self.points}
+        # one pass per column; the loops run only to name the first bad row (a negative
+        # weight that float() rounds to -0.0 keeps its sign bit)
+        weights = finite_array(self.weights, n)
+        if weights is None or np.signbit(weights).any():
+            for i, w in enumerate(self.weights):
+                check_finite(w, f"weight of row {i}")
+                if w < 0:
+                    raise ValidationError(f"row {i}: weight must be nonnegative, got {w!r}")
+        if not set(self.labels) <= {-1, 1}:
+            for i, y in enumerate(self.labels):
+                if y not in (-1, 1):
+                    raise ValidationError(f"row {i}: label must be -1 or +1, got {y!r}")
+        dims = set(map(len, self.points))
         if len(dims) > 1:
             raise ValidationError(f"covariate dimension varies across rows: {sorted(dims)}")
-        for i, p in enumerate(self.points):
-            for v in p:
-                check_finite(v, f"covariate of row {i}")
+        if finite_array(chain.from_iterable(self.points), n * self.dim) is None:
+            for i, p in enumerate(self.points):
+                for v in p:
+                    check_finite(v, f"covariate of row {i}")
 
     @classmethod
     def unweighted(cls, labels, points) -> "WeightedSample":
@@ -83,7 +88,7 @@ class DiscreteDistribution:
     w_minus: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(_as_point(p) for p in self.points))
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
         object.__setattr__(self, "mass", tuple(self.mass))
         object.__setattr__(self, "eta", tuple(self.eta))
         n = len(self.points)

@@ -18,9 +18,10 @@ from isoclass import (
     brute_force_solve,
     fit_bernstein,
     lattice_dag,
+    solve,
     suggest_orders,
 )
-from isoclass.bernstein import empirical_hinge_risk, evaluate_batch, predict_batch
+from isoclass.bernstein import _basis_matrices, _chunk_rows, empirical_hinge_risk, evaluate_batch, predict_batch
 
 
 def random_cube_sample(rng, n, d):
@@ -321,3 +322,81 @@ def test_empirical_hinge_risk_matches_per_point_sum():
             for w, y, p in zip(sample.weights, sample.labels, sample.points)
         ) / sample.n
         assert abs(empirical_hinge_risk(model, sample) - want) <= 1e-12
+
+
+def test_basis_matrices_match_basis_at_interior_and_end_points():
+    rng = np.random.default_rng(21)
+    special = [0.0, 1.0, 1e-300, 1 - 2**-53, 5e-324, 0.5]
+    for k in (1, 4, 80, 147, 500):
+        xs = np.array(special + rng.random(40).tolist())
+        # one call for all rows, one call per row, and a two-column block
+        batch = _basis_matrices((k,), xs[:, None])[0]
+        rows = np.vstack([_basis_matrices((k,), np.array([[x]]))[0] for x in xs])
+        pair = _basis_matrices((k, 3), np.stack([xs, xs[::-1]], axis=1))
+        want = np.array([[basis(k, j, x) for j in range(k + 1)] for x in xs.tolist()])
+        for got in (batch, rows, pair[0]):
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(pair[1] - [[basis(3, j, x) for j in range(4)] for x in xs[::-1].tolist()])) <= 1e-12
+        # the end points give exactly one-hot rows
+        assert batch[0].tolist() == [1.0] + [0.0] * k
+        assert batch[1].tolist() == [0.0] * k + [1.0]
+
+
+def _power_basis(k, xs):
+    """Reference basis matrix in the power form C(k, j) x^j (1 - x)^(k - j)."""
+    col = np.asarray(xs, dtype=float)[:, None]
+    j = np.arange(k + 1)[None, :]
+    return np.array([math.comb(k, i) for i in range(k + 1)], dtype=float) * col**j * (1.0 - col) ** (k - j)
+
+
+def test_evaluate_batch_across_chunk_boundaries_matches_single_rows():
+    rng = np.random.default_rng(22)
+    for orders in ((500,), (80, 80)):
+        size = math.prod(k + 1 for k in orders)
+        model = BernsteinClassifier(orders, tuple(np.clip(rng.normal(size=size), -1, 1).tolist()))
+        pts = rng.random((2 * _chunk_rows(orders) + 7, len(orders)))
+        pts[:3] = [[0.0] * len(orders), [1.0] * len(orders), [1e-300] * len(orders)]
+        got = evaluate_batch(model, pts)
+        sample = rng.choice(len(pts), 40, replace=False).tolist() + [0, 1, 2, len(pts) - 1]
+        single = [bernstein_evaluate(model, tuple(pts[i])) for i in sample]
+        assert np.max(np.abs(got[sample] - single)) <= 1e-12
+        grid = model.theta_grid
+        want = _power_basis(orders[0], pts[sample, 0]) @ grid.reshape(grid.shape[0], -1)
+        if len(orders) == 2:
+            want = (want * _power_basis(orders[1], pts[sample, 1])).sum(axis=1, keepdims=True)
+        assert np.max(np.abs(got[sample] - want[:, 0])) <= 1e-12
+
+
+def test_fit_matches_power_form_reference_across_chunks():
+    rng = np.random.default_rng(23)
+    for orders, n in (((500,), 2 * _chunk_rows((500,)) + 11), ((2, 3, 4), 300), ((6, 5), 200)):
+        pts = rng.random((n, len(orders)))
+        labels = np.where(rng.random(n) < pts.mean(axis=1), 1, -1)
+        sample = WeightedSample.unweighted(labels.tolist(), [tuple(p) for p in pts.tolist()])
+        coeff = labels.astype(float)
+        for v, k in enumerate(orders):
+            # weighted row-wise products over the dimensions so far, last index fastest
+            coeff = (coeff.reshape(n, -1)[:, :, None] * _power_basis(k, pts[:, v])[:, None, :]).reshape(n, -1)
+        coeff = coeff.sum(axis=0)
+        want, _ = solve(IsotoneProblem(lattice_dag(orders), tuple(coeff.tolist())))
+        assert list(fit_bernstein(sample, orders).theta) == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, sample: evaluate_batch(model, sample.points),
+        lambda model, sample: predict_batch(model, sample.points),
+        lambda model, sample: bernstein_evaluate(model, sample.points[0]),
+        lambda model, sample: bernstein_predict(model, sample.points[0]),
+        lambda model, sample: empirical_hinge_risk(model, sample),
+    ],
+    ids=["evaluate_batch", "predict_batch", "evaluate", "predict", "empirical_hinge_risk"],
+)
+def test_clamp_warning_names_the_callers_line(call):
+    model = BernsteinClassifier((2, 1), (-1, -1, 0, 0, 1, 1))
+    sample = WeightedSample.unweighted([1, -1], [(1.5, 0.5), (0.2, -0.5)])
+    with pytest.warns(UserWarning, match="clamped") as record:
+        call(model, sample)
+    assert [w.filename for w in record] == [__file__]

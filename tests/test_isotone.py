@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import random_distinct_points
@@ -161,3 +162,28 @@ def test_lattice_problems_use_exact_solver():
 def test_rejects_non_finite_coefficients():
     with pytest.raises(ValidationError):
         IsotoneProblem(chain(1), (float("nan"),))
+
+
+def test_coefficient_types_give_the_fraction_route_result():
+    rng = random.Random(404)
+    makers = {
+        "int": lambda c, i: c,
+        "Fraction": lambda c, i: Fraction(c, 3),
+        "float": lambda c, i: c / 8,
+        "mixed": lambda c, i: (c, Fraction(c, 3), c / 8, Fraction(c))[i % 4],
+        "int64": lambda c, i: np.int64(c),
+    }
+    for _ in range(40):
+        dag = _random_problem(rng).dag
+        raw = [rng.randint(-9, 9) for _ in range(dag.n)]
+        for make in makers.values():
+            coeffs = tuple(make(c, i) for i, c in enumerate(raw))
+            values, objective = solve(IsotoneProblem(dag, coeffs))
+            # the reference: every coefficient as a Fraction; the objective stays exact
+            # only when every coefficient is an int or a Fraction
+            want_values, want_objective = solve(IsotoneProblem(dag, tuple(Fraction(c) for c in coeffs)))
+            if any(isinstance(c, (float, np.integer)) for c in coeffs):
+                want_objective = float(want_objective)
+            assert values == want_values
+            assert objective == want_objective and type(objective) is type(want_objective)
+            assert (values, objective) == brute_force_solve(IsotoneProblem(dag, coeffs))

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from helpers import random_distinct_points
 
 from isoclass import ValidationError, build_dag, dominates, enumerate_up_sets, lattice_dag
+from isoclass.order import DominanceDag
 from isoclass.order import iter_up_set_masks
 
 
@@ -82,6 +84,19 @@ def test_reachability_equals_dominance_on_random_clouds():
                     assert (j in reach) == dominates(pts[i], pts[j])
 
 
+def test_build_dag_chain_order_agrees_with_cover_edges_on_mixed_input():
+    rng = random.Random(43)
+    values = (-(10**400), -3, Fraction(-5, 2), -0.25, 0, Fraction(1, 3), 0.5, 2, 2**60 + 1, 10**400)
+    for _ in range(30):
+        pts = [(v,) for v in rng.sample(values, rng.randint(1, len(values)))]
+        dag = build_dag(pts)
+        # a DAG rebuilt from the same nodes and edges derives its order from the edges
+        rebuilt = DominanceDag(dag.nodes, dag.cover_edges)
+        assert dag.chain_order == rebuilt.chain_order
+        assert [dag.nodes[i][0] for i in dag.chain_order] == sorted(p[0] for p in pts)
+        assert list(dag.cover_edges) == sorted(dag.cover_edges)
+
+
 def test_build_dag_rejects_non_finite_coordinates():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValidationError):
@@ -133,6 +148,11 @@ def test_lattice_dag_matches_build_dag():
     assert set(lat.cover_edges) == set(direct.cover_edges)
     assert lat.nodes[0] == (0, 0)
     assert lat.nodes[-1] == (2, 1)
+    # row-major nodes and sorted edges, as build_dag gives them for the same nodes
+    for orders in ((0,), (3,), (2, 0), (1, 3), (2, 1, 3), (1, 0, 2, 1)):
+        lat = lattice_dag(orders)
+        assert lat.nodes == tuple(product(*(range(k + 1) for k in orders)))
+        assert lat.cover_edges == build_dag(list(lat.nodes)).cover_edges
 
 
 def test_lattice_dag_one_dimension_is_chain():

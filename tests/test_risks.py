@@ -186,6 +186,28 @@ def test_sample_validation():
         WeightedSample((1, 1), (1, -1), ((0,), (0, 1)))
 
 
+def test_sample_validation_names_the_first_bad_row():
+    def rejects(weights, labels, points, message):
+        with pytest.raises(ValidationError) as caught:
+            WeightedSample(weights, labels, points)
+        assert str(caught.value) == message
+
+    pts = [(0.0,), (1,), (Fraction(1, 2),), (3.0,)]
+    nan, inf = float("nan"), float("inf")
+    rejects((1, 1, nan, 1), (1,) * 4, pts, "weight of row 2 must be finite, got nan")
+    rejects((1, inf, nan, 1), (1,) * 4, pts, "weight of row 1 must be finite, got inf")
+    rejects((1, 1, -1, nan), (1,) * 4, pts, "row 2: weight must be nonnegative, got -1")
+    rejects((1, 1, 1, -0.5), (1,) * 4, pts, "row 3: weight must be nonnegative, got -0.5")
+    tiny = Fraction(-1, 10**400)  # float() rounds it to -0.0
+    rejects((1, tiny, 1, 1), (1,) * 4, pts, f"row 1: weight must be nonnegative, got {tiny!r}")
+    rejects((1,) * 4, (1, -1, 0, 2), pts, "row 2: label must be -1 or +1, got 0")
+    rejects((1,) * 4, (1,) * 4, [(0.0,), (1,), (nan,), (inf,)], "covariate of row 2 must be finite, got nan")
+    rejects((1,) * 4, (1,) * 4, [(0.0,), (-inf,), (nan,), (1,)], "covariate of row 1 must be finite, got -inf")
+    # beyond float range but finite: still accepted
+    sample = WeightedSample((10**400, -0.0, Fraction(1, 3), 2), (1, -1, 1, -1), [(10**400,), (1,), (-(10**400),), (0.5,)])
+    assert sample.n == 4 and sample.points[0] == (10**400,)
+
+
 def test_distribution_validation():
     with pytest.raises(ValidationError):
         DiscreteDistribution(((0,), (0,)), (THIRD, 2 * THIRD), (0, 1))
