@@ -16,6 +16,7 @@ contraction over the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -256,6 +257,13 @@ def calibration_table(dist: DiscreteDistribution, losses, node_limit: int = 15) 
 # regret simulations
 
 
+def _draw(dgp, rng, n: int):
+    """n rows: X uniform on [0,1]^dim (float tuples), then Y = +1 with probability eta(X) (ints)."""
+    xs = rng.random((n, dgp.dim))
+    ys = np.where(rng.random(n) < dgp.eta(xs), 1, -1)
+    return list(zip(*xs.T.tolist())), ys.tolist()
+
+
 class StepDgp:
     """d = 1 design: X ~ U[0,1], eta(x) = 0.25 + 0.5 * 1{x >= 0.5}.
 
@@ -268,14 +276,11 @@ class StepDgp:
     dim = 1
     optimal_risk = 0.25
 
-    def eta(self, x: float) -> float:
-        return 0.25 + 0.5 * (x >= 0.5)
+    def eta(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x[:, 0] >= 0.5, 0.75, 0.25)
 
     def sample(self, rng, n: int):
-        xs = rng.random(n)
-        etas = np.where(xs >= 0.5, 0.75, 0.25)
-        ys = np.where(rng.random(n) < etas, 1, -1)
-        return [(float(x),) for x in xs], [int(y) for y in ys]
+        return _draw(self, rng, n)
 
     def risk_of_threshold(self, a: float) -> float:
         a = min(1.0, max(0.0, a))
@@ -292,13 +297,11 @@ class SmoothDgp:
     dim = 1
     optimal_risk = 0.25
 
-    def eta(self, x: float) -> float:
-        return float(x)
+    def eta(self, x: np.ndarray) -> np.ndarray:
+        return x[:, 0]
 
     def sample(self, rng, n: int):
-        xs = rng.random(n)
-        ys = np.where(rng.random(n) < xs, 1, -1)
-        return [(float(x),) for x in xs], [int(y) for y in ys]
+        return _draw(self, rng, n)
 
     def risk_of_threshold(self, a: float) -> float:
         a = min(1.0, max(0.0, a))
@@ -323,27 +326,19 @@ class Step2dDgp:
     optimal_risk = 0.25
     grid_size = 100_000
 
-    def __init__(self):
-        self._grid = None
-
-    def eta(self, x) -> float:
-        return 0.25 + 0.5 * (x[0] + x[1] >= 1.0)
+    def eta(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x.sum(axis=1) >= 1.0, 0.75, 0.25)
 
     def sample(self, rng, n: int):
-        xs = rng.random((n, 2))
-        etas = np.where(xs.sum(axis=1) >= 1.0, 0.75, 0.25)
-        ys = np.where(rng.random(n) < etas, 1, -1)
-        return [(float(a), float(b)) for a, b in xs], [int(y) for y in ys]
+        return _draw(self, rng, n)
 
+    @cached_property
     def _quadrature(self):
-        if self._grid is None:
-            pts = halton(self.grid_size, 2)
-            etas = np.where(pts.sum(axis=1) >= 1.0, 0.75, 0.25)
-            self._grid = (pts, etas)
-        return self._grid
+        pts = halton(self.grid_size, 2)
+        return pts, self.eta(pts)
 
     def population_risk(self, model) -> float:
-        pts, etas = self._quadrature()
+        pts, etas = self._quadrature
         pred = _predict_batch(model, pts)
         risk = np.where(pred > 0, 1.0 - etas, etas)
         return float(risk.mean())

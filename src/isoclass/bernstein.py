@@ -17,7 +17,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -70,10 +70,18 @@ def _basis_matrices(orders, u: np.ndarray) -> list:
     return out
 
 
+def _lattice_shape(orders) -> tuple:
+    """Coefficient-grid shape (k_1 + 1, ..., k_d + 1) of ``orders``: ints, each >= 1."""
+    shape = tuple(int(k) + 1 for k in orders)
+    if any(s < 2 for s in shape):
+        raise ValidationError("every Bernstein order must be >= 1")
+    return shape
+
+
 def _chunk_rows(orders) -> int:
     """Rows per chunk so its basis matrices and partial products stay near 2^18 entries (in cache)."""
-    trailing = math.prod(k + 1 for k in orders[1:])
-    return max(1, (1 << 18) // (trailing + sum(k + 1 for k in orders)))
+    shape = _lattice_shape(orders)
+    return max(1, (1 << 18) // (math.prod(shape[1:]) + sum(shape)))
 
 
 @dataclass(frozen=True)
@@ -91,13 +99,10 @@ class BernsteinClassifier:
     scale: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(k) for k in self.orders))
+        shape = _lattice_shape(self.orders)
+        object.__setattr__(self, "orders", tuple(s - 1 for s in shape))
         object.__setattr__(self, "theta", tuple(self.theta))
-        if any(k < 1 for k in self.orders):
-            raise ValidationError("every Bernstein order must be >= 1")
-        size = 1
-        for k in self.orders:
-            size *= k + 1
+        size = math.prod(shape)
         if len(self.theta) != size:
             raise ValidationError(
                 f"theta has {len(self.theta)} entries, lattice needs {size}"
@@ -119,10 +124,10 @@ class BernsteinClassifier:
     @cached_property
     def theta_grid(self) -> np.ndarray:
         """``theta`` as a float array of shape (k_1 + 1, ..., k_d + 1)."""
-        return np.asarray(self.theta, dtype=float).reshape(tuple(k + 1 for k in self.orders))
+        return np.asarray(self.theta, dtype=float).reshape(_lattice_shape(self.orders))
 
     def multi_indices(self):
-        return product(*(range(k + 1) for k in self.orders))
+        return product(*map(range, _lattice_shape(self.orders)))
 
     def to_dict(self) -> dict:
         return {
@@ -150,20 +155,35 @@ class BernsteinClassifier:
         )
 
 
-def _to_unit_cube(model: BernsteinClassifier, points) -> np.ndarray:
-    """Validated (n, d) float array of the points, rescaled and clamped into [0, 1]."""
-    if isinstance(points, np.ndarray):
-        x = np.array(points, dtype=float)
-        if x.ndim != 2 or x.shape[1] != model.dim:
-            raise ValidationError(f"points have shape {x.shape}, model expects dimension {model.dim}")
-    else:
+def float_points(points, dim: int) -> np.ndarray:
+    """(n, dim) float array of a point batch: an array, or an iterable of ``dim``-tuples.
+
+    Every coordinate must be finite as a float: NaN, an infinity, or an int or
+    rational beyond float range is a ValidationError.
+    """
+    if not isinstance(points, np.ndarray):
         points = [tuple(p) for p in points]
         for p in points:
-            if len(p) != model.dim:
-                raise ValidationError(f"point has dimension {len(p)}, model expects {model.dim}")
-        x = np.array(points, dtype=float).reshape(len(points), model.dim)
+            if len(p) != dim:
+                raise ValidationError(f"point has dimension {len(p)}, model expects {dim}")
+    try:
+        x = np.array(points, dtype=float)
+    except OverflowError:
+        # such a value has over 300 digits: name it by its first ones
+        bad = next(v for v in chain.from_iterable(points) if abs(v) > sys.float_info.max)
+        raise ValidationError(f"coordinate {str(bad)[:20]}... is beyond float range") from None
+    if isinstance(points, list):
+        x = x.reshape(len(points), dim)
+    elif x.ndim != 2 or x.shape[1] != dim:
+        raise ValidationError(f"points have shape {x.shape}, model expects dimension {dim}")
     if not np.isfinite(x).all():
         raise ValidationError("coordinates must be finite")
+    return x
+
+
+def _to_unit_cube(model: BernsteinClassifier, points) -> np.ndarray:
+    """Validated (n, d) float array of the points, rescaled and clamped into [0, 1]."""
+    x = float_points(points, model.dim)
     if model.scale is not None:
         for v, (lo, hi) in enumerate(zip(*model.scale)):
             x[:, v] = (x[:, v] - lo) / (hi - lo) if hi > lo else 0.5
@@ -228,23 +248,20 @@ def binarize(model: BernsteinClassifier) -> BernsteinClassifier:
 
 def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     """Hinge-LP fit over the lattice-monotone coefficient polytope."""
-    orders = tuple(int(k) for k in orders)
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
-    if any(k < 1 for k in orders):
-        raise ValidationError("every Bernstein order must be >= 1")
+    shape = _lattice_shape(orders)
+    orders = tuple(s - 1 for s in shape)
     if len(orders) != sample.dim:
         raise ValidationError(
             f"{len(orders)} orders for {sample.dim}-dimensional covariates"
         )
     if any(k > MAX_ORDER_PER_DIM for k in orders):
         raise ValidationError(f"orders are capped at {MAX_ORDER_PER_DIM} per dimension")
-    size = 1
-    for k in orders:
-        size *= k + 1
+    size = math.prod(shape)
     if size > MAX_LATTICE_SIZE:
         raise ValidationError(f"coefficient lattice of size {size} exceeds {MAX_LATTICE_SIZE}")
-    pts = np.asarray([[float(v) for v in p] for p in sample.points], dtype=float)
+    pts = float_points(sample.points, sample.dim)
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise ValidationError(
             "covariates must lie in the unit cube [0,1]^d; rescale them first "
@@ -255,7 +272,7 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     )
     # objective coefficient per multi-index: sum_i w_i y_i prod_v b_{k_v j_v}(x_iv), as one matrix
     # product per row chunk: the first basis matrix against the weighted row-wise products of the rest
-    coeff = np.zeros((orders[0] + 1, size // (orders[0] + 1)))
+    coeff = np.zeros((shape[0], size // shape[0]))
     step = _chunk_rows(orders)
     for start in range(0, sample.n, step):
         first, *rest = _basis_matrices(orders, pts[start : start + step])
@@ -278,11 +295,12 @@ def empirical_hinge_risk(model: BernsteinClassifier, sample: WeightedSample):
 
 
 def suggest_orders(n: int, d: int):
-    """Smallest uniform order whose tail keeps sqrt(log k / k) below the target rate.
+    """Smallest uniform order k whose tail keeps sqrt(log j / j), j >= k, below the target rate.
 
-    The rate is log(n)/sqrt(n) in one dimension and n^(-1/d) otherwise.  The
-    result is floored at 1 and capped by n - 1 parameters per dimension, 500
-    per dimension, and a total lattice of at most 10^6 indices.
+    The rate is log(n)/sqrt(n) in one dimension and n^(-1/d) otherwise; log j / j
+    falls after j = 3, so the tail test is log(max(k, 3)) / max(k, 3) <= rate^2.
+    The order is at least 1 and stops at the first cap: n - 1, ``MAX_ORDER_PER_DIM``,
+    and the largest k with (k + 1)^d <= ``MAX_LATTICE_SIZE``.
     """
     if n < 2:
         raise ValidationError("need a sample size of at least 2")
@@ -290,18 +308,8 @@ def suggest_orders(n: int, d: int):
         raise ValidationError("dimension must be positive")
     rate = math.log(n) / math.sqrt(n) if d == 1 else n ** (-1.0 / d)
     bound = rate * rate
-
-    def tail_ok(k: int) -> bool:
-        # log(j)/j peaks at j = 3 and decreases afterwards
-        probe = max(k, 2)
-        while probe <= 3:
-            if math.log(probe) / probe > bound:
-                return False
-            probe += 1
-        return math.log(max(k, 4)) / max(k, 4) <= bound
-
-    k = 1
-    while not tail_ok(k):
+    cap, k = min(n - 1, MAX_ORDER_PER_DIM), 1
+    # step to k + 1 while it stays under every cap and k fails the tail test
+    while k < cap and (k + 2) ** d <= MAX_LATTICE_SIZE and math.log(max(k, 3)) / max(k, 3) > bound:
         k += 1
-    k = max(1, min(k, n - 1, MAX_ORDER_PER_DIM, int(MAX_LATTICE_SIZE ** (1.0 / d)) - 1))
     return (k,) * d

@@ -21,16 +21,6 @@ from .monotone import MonotoneClassifier
 from .risks import WeightedSample
 
 
-def _parse_orders(text: str):
-    try:
-        orders = tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad --orders value {text!r}") from exc
-    if not orders or any(k < 1 for k in orders):
-        raise ValidationError(f"--orders must be integers >= 1, got {text!r}")
-    return orders
-
-
 def _parse_ints(text: str, flag: str):
     try:
         values = tuple(int(tok) for tok in text.split(","))
@@ -39,6 +29,13 @@ def _parse_ints(text: str, flag: str):
     if not values:
         raise ValidationError(f"{flag} must list at least one integer")
     return values
+
+
+def _parse_orders(text: str):
+    orders = _parse_ints(text, "--orders")
+    if any(k < 1 for k in orders):
+        raise ValidationError(f"--orders must be integers >= 1, got {text!r}")
+    return orders
 
 
 def _parse_const(text: str, rational: bool):
@@ -54,19 +51,14 @@ def _set_label(indices) -> str:
 
 def _rescale_sample(sample: WeightedSample):
     """Min-max map of covariates into the unit cube; returns (sample, (mins, maxs))."""
-    d = sample.dim
-    mins = [min(p[v] for p in sample.points) for v in range(d)]
-    maxs = [max(p[v] for p in sample.points) for v in range(d)]
-    mapped = []
-    for p in sample.points:
-        mapped.append(
-            tuple(
-                (v - lo) / (hi - lo) if hi > lo else Fraction(1, 2)
-                for v, lo, hi in zip(p, mins, maxs)
-            )
-        )
-    scaled = WeightedSample(sample.weights, sample.labels, tuple(mapped))
-    return scaled, (tuple(float(v) for v in mins), tuple(float(v) for v in maxs))
+    columns = list(zip(*sample.points))
+    mins, maxs = list(map(min, columns)), list(map(max, columns))
+    scale = bernstein.float_points((mins, maxs), sample.dim).tolist()
+    mapped = [
+        tuple((v - lo) / (hi - lo) if hi > lo else Fraction(1, 2) for v, lo, hi in zip(p, mins, maxs))
+        for p in sample.points
+    ]
+    return WeightedSample(sample.weights, sample.labels, mapped), tuple(map(tuple, scale))
 
 
 def _cmd_fit_monotone(args) -> int:

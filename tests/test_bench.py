@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import random_rational_distribution
@@ -151,3 +152,25 @@ def test_step2d_population_risk_pinned_on_hand_built_model():
         (-1, -1, -1, -1, 1, 1, 1),
     )
     assert Step2dDgp().population_risk(model) == 0.33985
+
+
+def _reference_draws(name, rng, n):
+    """Each design's draw with its eta written out: X first, then one uniform per label."""
+    if name == "step2d":
+        xs = rng.random((n, 2))
+        etas = np.where(xs.sum(axis=1) >= 1.0, 0.75, 0.25)
+        ys = np.where(rng.random(n) < etas, 1, -1)
+        return [(float(a), float(b)) for a, b in xs], [int(y) for y in ys]
+    xs = rng.random(n)
+    etas = np.where(xs >= 0.5, 0.75, 0.25) if name == "step" else xs
+    ys = np.where(rng.random(n) < etas, 1, -1)
+    return [(float(x),) for x in xs], [int(y) for y in ys]
+
+
+def test_dgp_draws_are_bit_identical_to_the_written_out_formulas():
+    for name, cls in DGPS.items():
+        for n in (0, 1, 257):
+            points, labels = cls().sample(np.random.default_rng([11, n]), n)
+            assert (points, labels) == _reference_draws(name, np.random.default_rng([11, n]), n)
+            assert all(type(v) is float for p in points for v in p)
+            assert all(type(y) is int for y in labels)

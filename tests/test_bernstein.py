@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,15 @@ from isoclass import (
     solve,
     suggest_orders,
 )
-from isoclass.bernstein import _basis_matrices, _chunk_rows, empirical_hinge_risk, evaluate_batch, predict_batch
+from isoclass.bernstein import (
+    MAX_LATTICE_SIZE,
+    MAX_ORDER_PER_DIM,
+    _basis_matrices,
+    _chunk_rows,
+    empirical_hinge_risk,
+    evaluate_batch,
+    predict_batch,
+)
 
 
 def random_cube_sample(rng, n, d):
@@ -240,6 +250,34 @@ def test_suggest_orders_caps_lattice_size():
     orders = suggest_orders(10**6, 3)
     size = np.prod([k + 1 for k in orders])
     assert size <= 10**6
+    # the cap is the largest order that fits, found in integers
+    assert orders == (99,) * 3
+    assert suggest_orders(10**6, 6) == (9,) * 6
+    for d in range(1, 9):
+        for n in (100, 10**4, 10**6, 10**9):
+            k = suggest_orders(n, d)[0]
+            assert (k + 1) ** d <= MAX_LATTICE_SIZE
+            rate = math.log(n) / math.sqrt(n) if d == 1 else n ** (-1.0 / d)
+            if k < min(n - 1, MAX_ORDER_PER_DIM) and math.log(max(k, 3)) / max(k, 3) > rate * rate:
+                # only the lattice cap stops the search here: the next order would not fit
+                assert (k + 2) ** d > MAX_LATTICE_SIZE
+
+
+def test_suggest_orders_stops_at_its_caps_without_searching_past_them():
+    start = time.perf_counter()
+    assert suggest_orders(10**6, 2) == (500, 500)
+    assert suggest_orders(10**12, 1) == (500,)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_coordinates_beyond_float_range_are_validation_errors():
+    huge = Fraction(10**400)
+    with pytest.raises(ValidationError, match="beyond float range"):
+        fit_bernstein(WeightedSample.unweighted([1, -1], [(huge,), (Fraction(1, 2),)]), (2,))
+    model = BernsteinClassifier((1,), (-1, 1))
+    for points in ([(Fraction(1, 2),), (-(10**400),)], np.array([[huge]], dtype=object)):
+        with pytest.raises(ValidationError, match="beyond float range"):
+            evaluate_batch(model, points)
 
 
 def _tensor_product_value(model, x):

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 import os
+from pathlib import Path
 import random
 
 import pytest
@@ -27,7 +28,7 @@ def test_fit_monotone_predict_round_trip(tmp_path, plain_csv, capsys):
     preds_path = str(tmp_path / "preds.csv")
     assert main(["predict", "--model", model_path, "--in", points_path, "--out", preds_path]) == 0
     capsys.readouterr()
-    rows = open(preds_path).read().strip().splitlines()[1:]
+    rows = Path(preds_path).read_text().strip().splitlines()[1:]
     labels = [int(r.split(",")[1]) for r in rows]
     # predicting at the training points reproduces the fitted in-sample labels
     model = load_model(model_path)
@@ -79,7 +80,7 @@ def test_policy_weights_and_fit(tmp_path, capsys):
     )
     weights_path = str(tmp_path / "w.csv")
     assert main(["policy-weights", "--in", trial, "--kappa", "0.05", "--out", weights_path]) == 0
-    body = open(weights_path).read().splitlines()
+    body = Path(weights_path).read_text().splitlines()
     assert body[0] == "w,y,x1"
     assert len(body) == 5
     policy_path = str(tmp_path / "p.json")
@@ -102,7 +103,7 @@ def test_reproduce_examples_report_values(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "14/30" in out
     assert "8/15" in out
-    payload = json.load(open(report_path))
+    payload = json.loads(Path(report_path).read_text())
     assert payload["example2"]["linear_risk"] == "8/15"
     over_30 = {row["loss"]: row["classification_risk_over_30"] for row in payload["example1"]}
     assert over_30["hinge:1"] == "14/30"
@@ -116,7 +117,7 @@ def test_calibration_table_csv(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "zero-one vs hinge:1: agree" in text
     assert "zero-one vs exp: DISAGREE" in text
-    header = open(out).read().splitlines()[0]
+    header = Path(out).read_text().splitlines()[0]
     assert header == "set,risk_zero_one,risk_hinge:1,risk_exp"
 
 
@@ -129,10 +130,10 @@ def test_simulate_regret_csv(tmp_path, capsys):
     ])
     capsys.readouterr()
     assert code == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "n,mean_regret,se,reps"
     assert len(lines) == 3
-    assert json.load(open(summary))["reps"] == 4
+    assert json.loads(Path(summary).read_text())["reps"] == 4
 
 
 def test_malformed_csv_reports_line_and_writes_nothing(tmp_path, capsys):
@@ -196,3 +197,19 @@ def test_predict_rejects_bad_query_points_with_exit_2(tmp_path, plain_csv, capsy
     assert main(["predict", "--model", model_path, "--in", nan, "--out", out, "--float"]) == 2
     assert not os.path.exists(out)
     capsys.readouterr()
+
+
+def test_coordinates_beyond_float_range_exit_2(tmp_path, plain_csv, capsys):
+    big = write(tmp_path / "big.csv", "y,x1\n1,1e400\n-1,0.5\n")
+    model_path = str(tmp_path / "b.json")
+    for rescale in ([], ["--rescale"]):
+        assert main(["fit-bernstein", "--in", big, "--orders", "3", *rescale, "--out", model_path]) == 2
+        assert capsys.readouterr().err.startswith("error: coordinate 1000")
+    assert not os.path.exists(model_path)
+    assert main(["fit-bernstein", "--in", plain_csv, "--orders", "3", "--out", model_path]) == 0
+    query = write(tmp_path / "q.csv", "x1\n0.5\n1e400\n")
+    out = str(tmp_path / "p.csv")
+    capsys.readouterr()
+    assert main(["predict", "--model", model_path, "--in", query, "--out", out]) == 2
+    assert "error: coordinate 1000" in capsys.readouterr().err
+    assert not os.path.exists(out)
