@@ -169,9 +169,7 @@ def float_points(points, dim: int) -> np.ndarray:
     try:
         x = np.array(points, dtype=float)
     except OverflowError:
-        # such a value has over 300 digits: name it by its first ones
-        bad = next(v for v in chain.from_iterable(points) if abs(v) > sys.float_info.max)
-        raise ValidationError(f"coordinate {str(bad)[:20]}... is beyond float range") from None
+        raise _beyond_float_range("coordinate", chain.from_iterable(points)) from None
     if isinstance(points, list):
         x = x.reshape(len(points), dim)
     elif x.ndim != 2 or x.shape[1] != dim:
@@ -179,6 +177,20 @@ def float_points(points, dim: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValidationError("coordinates must be finite")
     return x
+
+
+def _beyond_float_range(what: str, values) -> ValidationError:
+    """The error naming the first of ``values`` beyond float range, by its first digits (it has over 300)."""
+    bad = next(v for v in values if abs(v) > sys.float_info.max)
+    return ValidationError(f"{what} {str(bad)[:20]}... is beyond float range")
+
+
+def _float_weights(sample: WeightedSample) -> np.ndarray:
+    """The sample's weights as a float array; a weight beyond float range is a ValidationError."""
+    try:
+        return np.array([float(w) for w in sample.weights])
+    except OverflowError:
+        raise _beyond_float_range("weight", sample.weights) from None
 
 
 def _to_unit_cube(model: BernsteinClassifier, points) -> np.ndarray:
@@ -267,9 +279,7 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
             "covariates must lie in the unit cube [0,1]^d; rescale them first "
             "(the CLI offers --rescale min-max normalization)"
         )
-    signed = np.asarray(
-        [float(w) * y for w, y in zip(sample.weights, sample.labels)], dtype=float
-    )
+    signed = _float_weights(sample) * np.asarray(sample.labels, dtype=float)
     # objective coefficient per multi-index: sum_i w_i y_i prod_v b_{k_v j_v}(x_iv), as one matrix
     # product per row chunk: the first basis matrix against the weighted row-wise products of the rest
     coeff = np.zeros((shape[0], size // shape[0]))
@@ -289,7 +299,7 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
 def empirical_hinge_risk(model: BernsteinClassifier, sample: WeightedSample):
     """(1/n) sum w_i (1 - y_i B(theta, x_i)); the box keeps the max inactive."""
     values = evaluate_batch(model, sample.points)
-    weights = np.asarray([float(w) for w in sample.weights])
+    weights = _float_weights(sample)
     labels = np.asarray(sample.labels, dtype=float)
     return float(weights @ np.maximum(0.0, 1.0 - labels * values)) / sample.n
 
@@ -300,12 +310,19 @@ def suggest_orders(n: int, d: int):
     The rate is log(n)/sqrt(n) in one dimension and n^(-1/d) otherwise; log j / j
     falls after j = 3, so the tail test is log(max(k, 3)) / max(k, 3) <= rate^2.
     The order is at least 1 and stops at the first cap: n - 1, ``MAX_ORDER_PER_DIM``,
-    and the largest k with (k + 1)^d <= ``MAX_LATTICE_SIZE``.
+    and the largest k with (k + 1)^d <= ``MAX_LATTICE_SIZE``.  Past the dimension
+    where order 1 already breaks the last cap, no order fits: a ValidationError.
     """
     if n < 2:
         raise ValidationError("need a sample size of at least 2")
     if d < 1:
         raise ValidationError("dimension must be positive")
+    max_dim = MAX_LATTICE_SIZE.bit_length() - 1
+    if d > max_dim:
+        raise ValidationError(
+            f"no Bernstein order fits {d} covariates: the 2^{d}-coefficient lattice of order 1 "
+            f"exceeds {MAX_LATTICE_SIZE}; at most {max_dim} covariates are supported"
+        )
     rate = math.log(n) / math.sqrt(n) if d == 1 else n ** (-1.0 / d)
     bound = rate * rate
     cap, k = min(n - 1, MAX_ORDER_PER_DIM), 1

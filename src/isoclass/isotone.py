@@ -3,16 +3,26 @@
 The problem  max sum c_i v_i  s.t.  v_i <= v_j on each cover edge i -> j and
 -1 <= v_i <= 1  always attains its optimum at a +/-1 vertex whose +1-set is an
 up-set of the DAG.  It therefore reduces to a maximum-weight up-set (closure)
-problem, solved exactly: a suffix scan on chains, a min-cut otherwise.  Both
-run on Python ints: the coefficients are scaled once by their common
-denominator, which is exact for int, Fraction and float input alike.  Among
-tied optima the inclusion-maximal up-set is returned (the union of all
-optimal up-sets, realized by the sink-unreachable side of the residual graph).
+problem, which ``solve`` answers on one of three paths, picked from the ranks
+of the DAG's nodes:
+
+* a chain (any dimension): one suffix scan;
+* two dimensions: one sweep over the staircase that an up-set of 2-d points
+  is, in O(n log n), without building cover edges;
+* three or more: Picard's closure <=> min-cut reduction, by Dinic's max-flow
+  on the cover edges.
+
+All three run on Python ints: the coefficients are scaled once by their
+common denominator, which is exact for int, Fraction and float input alike.
+Among tied optima each path returns the inclusion-maximal up-set, the union
+of all optimal ones: the longest optimal suffix, the smallest optimal
+staircase thresholds, or the sink-unreachable side of the residual graph.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,20 +156,86 @@ def _min_cut_best_up_set(dag: DominanceDag, weights):
     return {i for i in range(n) if not sink_side[i]}
 
 
+def _staircase_best_up_set(dag: DominanceDag, weights):
+    """Maximal maximum-weight up-set of 2-d nodes, by one sweep over their staircase.
+
+    Rows are the nodes in lexicographic rank order (r1, r2); an up-set keeps
+    row k exactly when r2 >= t_k, for thresholds t_k that never increase with
+    k.  Sweeping from the greatest row down, K(t) -- the best weight of the
+    rows swept so far given a threshold <= t -- is nondecreasing, so it is
+    kept as its positive increments delta(s), whose positions sit in a sorted
+    list.  A row with r2 = c and weight w adds w to K on [0, c] and takes the
+    prefix max: for w < 0 that is one increment delta(c + 1) += -w; for w > 0
+    the next increments after c absorb w.  Replaying the log of position
+    changes backwards, row k takes the largest increment position <= t_{k-1}
+    (0 if none): the smallest optimal threshold, so the union of all optimal
+    up-sets.
+    """
+    rows = dag.lex_order.tolist()
+    level = dag.ranks[:, 1].tolist()
+    top = max(level) + 1  # the threshold that keeps no row
+    delta = [0] * (top + 1)
+    pos, log = [], []
+    for k in reversed(rows):
+        w, c = weights[k], level[k]
+        if w < 0:
+            # a new position is logged as an int, to be removed on replay
+            if not delta[c + 1]:
+                insort(pos, c + 1)
+                log.append(c + 1)
+            else:
+                log.append(None)
+            delta[c + 1] -= w
+        elif w > 0:
+            i = j = bisect_right(pos, c)
+            while w and j < len(pos):
+                left = delta[pos[j]] - w
+                if left > 0:
+                    delta[pos[j]] = left
+                    break
+                w = -left
+                delta[pos[j]] = 0
+                j += 1
+            # the positions used up are logged as a list, to be put back on replay
+            log.append(pos[i:j])
+            del pos[i:j]
+        else:
+            log.append(None)
+    plus, t = [], top
+    for k, change in zip(rows, reversed(log)):
+        i = bisect_right(pos, t)
+        t = pos[i - 1] if i else 0
+        if level[k] >= t:
+            plus.append(k)
+        if type(change) is int:
+            del pos[bisect_left(pos, change)]
+        elif change:
+            i = bisect_left(pos, change[0])
+            pos[i:i] = change
+    return plus
+
+
 def _integer_weights(coeffs):
     """Coefficients times their common denominator, as ints; that denominator; and exactness.
 
-    Ints pass through; any other coefficient goes through Fraction, exact for each type.
+    Ints pass through, floats go through ``as_integer_ratio`` and anything
+    else (numpy scalars included) through Fraction; each is exact for its type.
     """
     weights, denominators, exact = list(coeffs), set(), True
     for i, c in enumerate(weights):
-        if type(c) is not int:
+        if type(c) is int:
+            continue
+        if type(c) is float:
+            exact = False
+            weights[i] = c.as_integer_ratio()
+        else:
             exact = exact and is_exact(c)
-            weights[i] = f = Fraction(c)
-            denominators.add(f.denominator)
+            f = Fraction(c)
+            weights[i] = (int(f.numerator), f.denominator)
+        denominators.add(weights[i][1])
     scale = math.lcm(*denominators)
-    if scale > 1:
-        weights = [w.numerator * (scale // w.denominator) for w in weights]
+    if denominators:
+        weights = [w * scale if type(w) is int else w[0] * (scale // w[1]) for w in weights]
     return weights, scale, exact
 
 
@@ -173,14 +249,17 @@ def _solution(n: int, plus_set, objective, exact: bool):
 def solve(problem: IsotoneProblem):
     """Optimal +/-1 values and objective; +1-set is the maximal optimal up-set."""
     weights, scale, exact = _integer_weights(problem.coeffs)
-    order = problem.dag.chain_order
+    dag = problem.dag
+    order = dag.chain_order
     if order is not None:
         plus_set = _chain_best_up_set(order, weights)
+    elif dag.dim == 2:
+        plus_set = _staircase_best_up_set(dag, weights)
     else:
-        plus_set = _min_cut_best_up_set(problem.dag, weights)
+        plus_set = _min_cut_best_up_set(dag, weights)
     # sum c_i v_i = 2 * (weight of the +1-set) - (total weight)
     objective = Fraction(2 * sum(weights[i] for i in plus_set) - sum(weights), scale)
-    return _solution(problem.dag.n, plus_set, objective, exact)
+    return _solution(dag.n, plus_set, objective, exact)
 
 
 def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LIMIT):

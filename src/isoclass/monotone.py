@@ -133,10 +133,12 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     totals = {}
     for w, y, p in zip(sample.weights, sample.labels, sample.points):
         totals[p] = totals.get(p, 0) + w * y
-    # the lexicographic order sorted() would give, found on exact column ranks
+    # the lexicographic order sorted() would give, found on exact column ranks, which the DAG reuses
     points = list(totals)
-    support = [points[i] for i in np.lexsort(rank_matrix(points).T[::-1]).tolist()]
-    dag = build_dag(support)
+    ranks = rank_matrix(points)
+    by_lex = np.lexsort(ranks.T[::-1])
+    support = [points[i] for i in by_lex.tolist()]
+    dag = build_dag(support, ranks[by_lex])
     values, _ = solve(IsotoneProblem(dag, [totals[p] for p in support]))
     return MonotoneClassifier(dag.nodes, tuple(values))
 

@@ -4,15 +4,15 @@ A DominanceDag stores distinct points together with the transitive reduction
 of the componentwise order (cover edges i -> j meaning node_i <= node_j with
 nothing strictly between).  Up-sets -- subsets closed under following cover
 edges forward -- are the feasible prediction sets of monotone classification.
-Dominance only depends on the order within each coordinate, so the DAG is
-built from dense integer ranks, which is exact for any mix of int, Fraction
-and float coordinates.
+Dominance only depends on the order within each coordinate, so a DAG keeps
+its nodes' dense integer ranks, exact for any mix of int, Fraction and float
+coordinates, and derives its chain order and (on first access) its cover
+edges from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
 
@@ -39,27 +39,46 @@ def _int_pair(edge) -> tuple:
     return edge if type(edge) is tuple and type(i) is int and type(j) is int else (int(i), int(j))
 
 
-@dataclass(frozen=True)
 class DominanceDag:
-    """Distinct points plus transitively-reduced componentwise-order edges."""
+    """Distinct points and the cover relation of their componentwise order.
 
-    nodes: tuple
-    cover_edges: tuple
+    Invariant: ``cover_edges`` is the cover relation of ``nodes`` (i -> j when
+    node_i < node_j with nothing strictly between).  ``build_dag`` and
+    ``lattice_dag`` always give such a DAG, and ``solve`` relies on it to pick
+    its algorithm from the nodes' ranks alone.  Edges passed in are kept as
+    given; otherwise they are computed from the ranks on first access, which
+    neither the chain scan nor the 2-d sweep makes.  ``ranks``, the nodes'
+    ``rank_matrix`` when the caller already has it, spares ranking them again.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(map(tuple, self.nodes)))
-        object.__setattr__(self, "cover_edges", tuple(map(_int_pair, self.cover_edges)))
+    def __init__(self, nodes, cover_edges=None, ranks=None):
+        self.nodes = tuple(map(tuple, nodes))
+        if cover_edges is not None:
+            self.cover_edges = tuple(map(_int_pair, cover_edges))
+        if ranks is not None:
+            self.ranks = ranks
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
+    @property
+    def dim(self) -> int:
+        return len(self.nodes[0]) if self.nodes else 0
+
     @cached_property
-    def successors(self) -> tuple:
-        succ = [[] for _ in range(self.n)]
-        for i, j in self.cover_edges:
-            succ[i].append(j)
-        return tuple(tuple(s) for s in succ)
+    def ranks(self) -> np.ndarray:
+        """``rank_matrix`` of the nodes: (n, d) int64."""
+        return rank_matrix(self.nodes)
+
+    @cached_property
+    def lex_order(self) -> np.ndarray:
+        """Node indices in lexicographic order of their ranks (that of the nodes themselves)."""
+        return np.lexsort(self.ranks.T[::-1])
+
+    @cached_property
+    def cover_edges(self) -> tuple:
+        return _cover_edges(self.ranks) if self.n > 1 else ()
 
     @cached_property
     def successor_masks(self) -> tuple:
@@ -70,19 +89,17 @@ class DominanceDag:
 
     @cached_property
     def chain_order(self):
-        """Indices ordered from least to greatest if the DAG is a total order, else None."""
-        n = self.n
-        if n <= 1:
-            return tuple(range(n))
-        nxt = dict(self.cover_edges)
-        heads = set(nxt.values())
-        # n - 1 edges, out- and in-degrees at most 1: the one node that is no head starts the walk
-        if not len(self.cover_edges) == len(nxt) == len(heads) == n - 1:
+        """Indices ordered from least to greatest if the nodes form a chain, else None.
+
+        In lexicographic order, the nodes are a chain exactly when no
+        coordinate's rank ever falls.
+        """
+        if self.n <= 1:
+            return tuple(range(self.n))
+        lex = self.lex_order
+        if (np.diff(self.ranks[lex], axis=0) < 0).any():
             return None
-        order = [next(i for i in range(n) if i not in heads)]
-        while order[-1] in nxt:
-            order.append(nxt[order[-1]])
-        return tuple(order) if len(order) == n else None
+        return tuple(lex.tolist())
 
     def is_up_set(self, members) -> bool:
         """Independent membership check: i in S and i -> j implies j in S."""
@@ -133,11 +150,38 @@ def dominator_counts(queries: np.ndarray, tops: np.ndarray) -> np.ndarray:
     return counts
 
 
-def build_dag(points) -> DominanceDag:
-    """Cover DAG of distinct points under the componentwise order.
+def _cover_edges(ranks: np.ndarray) -> tuple:
+    """Cover relation of distinct rank rows, as sorted (i, j) pairs.
 
-    Transitive reduction removes every edge implied by a 2-path; reachability
-    of the result equals the full dominance relation.
+    Rows that fill their whole rank grid (a lattice, or any distinct points on
+    a line) are covered by their unit steps in one coordinate; otherwise every
+    edge implied by a 2-path is removed from the dense strict order.
+    """
+    n = len(ranks)
+    shape = tuple((ranks.max(axis=0) + 1).tolist())
+    if math.prod(shape) == n:
+        cells = np.empty(n, dtype=np.int64)
+        cells[np.ravel_multi_index(tuple(ranks.T), shape)] = np.arange(n)
+        cells = cells.reshape(shape)
+        src = np.concatenate([cells.take(range(k - 1), axis=v).ravel() for v, k in enumerate(shape)])
+        dst = np.concatenate([cells.take(range(1, k), axis=v).ravel() for v, k in enumerate(shape)])
+        by_edge = np.lexsort((dst, src))
+        src, dst = src[by_edge], dst[by_edge]
+    else:
+        strict = _below(ranks, ranks)
+        np.fill_diagonal(strict, False)
+        # 2-path counts are at most n, so float32 holds them exactly below 2**24
+        step = strict.astype(np.float32)
+        # np.nonzero walks in row-major order, so the edges come out sorted
+        src, dst = np.nonzero(strict & ~((step @ step) > 0.5))
+    return tuple(zip(src.tolist(), dst.tolist()))
+
+
+def build_dag(points, ranks=None) -> DominanceDag:
+    """Order DAG of distinct points under the componentwise order.
+
+    ``ranks`` is passed on to ``DominanceDag``; cover edges are computed on
+    first access.
     """
     points = list(map(tuple, points))
     if len(set(points)) != len(points):
@@ -147,51 +191,27 @@ def build_dag(points) -> DominanceDag:
         raise ValidationError(f"points have mixed dimensions: {sorted(dims)}")
     n = len(points)
     if n == 0:
-        return DominanceDag((), ())
+        return DominanceDag(())
     if finite_array(chain.from_iterable(points), n * len(points[0])) is None:
         for p in points:
             for v in p:
                 check_finite(v, "coordinate")
-    # only the order within a coordinate matters: replace each column by dense ranks
-    arr = rank_matrix(points)
-    if dims == {1}:
-        # distinct points on a line are a chain: each is covered by the next larger one,
-        # and the cached chain order is seeded from the ranks instead of re-derived from the edges
-        ranks = arr[:, 0]
-        order = np.argsort(ranks)
-        below_top = np.flatnonzero(ranks < n - 1)
-        edges = zip(below_top.tolist(), order[ranks[below_top] + 1].tolist())
-        dag = DominanceDag(tuple(points), tuple(edges))
-        object.__setattr__(dag, "chain_order", tuple(order.tolist()))
-        return dag
-    strict = _below(arr, arr)
-    np.fill_diagonal(strict, False)
-    # 2-path counts are at most n, so float32 holds them exactly below 2**24
-    step = strict.astype(np.float32)
-    cover = strict & ~((step @ step) > 0.5)
-    # np.nonzero walks in row-major order, so the edges come out sorted
-    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(cover))]
-    return DominanceDag(tuple(points), tuple(edges))
+    # only the order within a coordinate matters: the DAG works on dense ranks
+    return DominanceDag(points, ranks=rank_matrix(points) if ranks is None else ranks)
 
 
 def lattice_dag(orders) -> DominanceDag:
-    """Cover DAG of the multi-index lattice {0..k_1} x ... x {0..k_d}.
+    """Order DAG of the multi-index lattice {0..k_1} x ... x {0..k_d}.
 
-    Nodes are multi-indices in row-major order (last coordinate fastest);
-    cover edges are unit steps in a single coordinate.
+    Nodes are multi-indices in row-major order (last coordinate fastest), and
+    are their own ranks; cover edges are unit steps in a single coordinate.
     """
     orders = tuple(int(k) for k in orders)
     if any(k < 0 for k in orders):
         raise ValidationError("lattice orders must be nonnegative")
     shape = tuple(k + 1 for k in orders)
-    flat = np.arange(math.prod(shape)).reshape(shape)
-    # a unit step along axis v joins each index below k_v to the one a stride further on
-    steps = [(flat.take(range(k), axis=v).ravel(), math.prod(shape[v + 1 :])) for v, k in enumerate(orders)]
-    src = np.concatenate([tail for tail, _ in steps] + [np.zeros(0, dtype=int)])
-    dst = np.concatenate([tail + stride for tail, stride in steps] + [np.zeros(0, dtype=int)])
-    by_edge = np.lexsort((dst, src))
     nodes = tuple(product(*(range(size) for size in shape)))
-    return DominanceDag(nodes, tuple(zip(src[by_edge].tolist(), dst[by_edge].tolist())))
+    return DominanceDag(nodes, ranks=np.indices(shape).reshape(len(shape), len(nodes)).T)
 
 
 def iter_up_set_masks(dag: DominanceDag, node_limit: int = DEFAULT_NODE_LIMIT):

@@ -227,6 +227,12 @@ def test_suggest_orders_examples():
     assert suggest_orders(10, 1) == (1,)  # the rate exceeds the log(k)/k hump
 
 
+def test_suggest_orders_refuses_dimensions_where_no_order_fits():
+    assert suggest_orders(30, 19) == (1,) * 19  # 2^19 coefficients fit under 10^6
+    with pytest.raises(ValidationError, match="at most 19 covariates"):
+        suggest_orders(30, 20)
+
+
 def test_suggest_orders_satisfies_rate_bound():
     for n in (50, 100, 400, 1600, 10_000):
         (k,) = suggest_orders(n, 1)
@@ -278,6 +284,14 @@ def test_coordinates_beyond_float_range_are_validation_errors():
     for points in ([(Fraction(1, 2),), (-(10**400),)], np.array([[huge]], dtype=object)):
         with pytest.raises(ValidationError, match="beyond float range"):
             evaluate_batch(model, points)
+
+
+def test_weights_beyond_float_range_are_validation_errors():
+    sample = WeightedSample((Fraction(10**400), 1), (1, -1), ((0.25,), (0.75,)))
+    with pytest.raises(ValidationError, match="weight 1000"):
+        fit_bernstein(sample, (2,))
+    with pytest.raises(ValidationError, match="weight 1000"):
+        empirical_hinge_risk(BernsteinClassifier((1,), (-1, 1)), sample)
 
 
 def _tensor_product_value(model, x):

@@ -213,3 +213,25 @@ def test_coordinates_beyond_float_range_exit_2(tmp_path, plain_csv, capsys):
     assert main(["predict", "--model", model_path, "--in", query, "--out", out]) == 2
     assert "error: coordinate 1000" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_weight_beyond_float_range_exits_2_for_fit_bernstein(tmp_path, capsys):
+    data = write(tmp_path / "w.csv", "w,y,x1\n1e400,1,0.2\n1,-1,0.7\n2,1,0.9\n")
+    model_path = str(tmp_path / "b.json")
+    assert main(["fit-bernstein", "--in", data, "--weighted", "--orders", "3", "--out", model_path]) == 2
+    assert capsys.readouterr().err.startswith("error: weight 1000")
+    assert not os.path.exists(model_path)
+    assert main(["fit-monotone", "--in", data, "--weighted", "--out", model_path]) == 0
+    capsys.readouterr()
+
+
+def test_fit_bernstein_default_orders_name_the_dimension_limit(tmp_path, capsys):
+    rng = random.Random(7)
+    header = ",".join(["y"] + [f"x{i + 1}" for i in range(20)])
+    rows = [",".join([str(rng.choice((-1, 1)))] + [f"{rng.random():.3f}" for _ in range(20)]) for _ in range(30)]
+    data = write(tmp_path / "wide.csv", "\n".join([header] + rows) + "\n")
+    model_path = str(tmp_path / "b.json")
+    assert main(["fit-bernstein", "--in", data, "--out", model_path]) == 2
+    err = capsys.readouterr().err
+    assert "20 covariates" in err and "at most 19 covariates" in err
+    assert not os.path.exists(model_path)

@@ -187,3 +187,11 @@ def test_coefficient_types_give_the_fraction_route_result():
             assert values == want_values
             assert objective == want_objective and type(objective) is type(want_objective)
             assert (values, objective) == brute_force_solve(IsotoneProblem(dag, coeffs))
+
+
+def test_numpy_integer_coefficients_beside_a_large_common_denominator():
+    # numpy integers must be scaled as Python ints: int64 would wrap or overflow past 2**63
+    dag = chain(3)
+    coeffs = (np.int64(-3), Fraction(1, 10**20), np.int64(4))
+    want = solve(IsotoneProblem(dag, tuple(Fraction(int(c)) if isinstance(c, np.integer) else c for c in coeffs)))
+    assert solve(IsotoneProblem(dag, coeffs)) == (want[0], float(want[1]))

@@ -55,11 +55,14 @@ def test_build_dag_handles_rational_coordinates():
 
 
 def _reachable(dag, start):
+    successors = [[] for _ in range(dag.n)]
+    for i, j in dag.cover_edges:
+        successors[i].append(j)
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
-        for v in dag.successors[u]:
+        for v in successors[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -90,9 +93,10 @@ def test_build_dag_chain_order_agrees_with_cover_edges_on_mixed_input():
     for _ in range(30):
         pts = [(v,) for v in rng.sample(values, rng.randint(1, len(values)))]
         dag = build_dag(pts)
-        # a DAG rebuilt from the same nodes and edges derives its order from the edges
+        # the order found from the ranks walks the cover edges, also on a DAG given its edges
         rebuilt = DominanceDag(dag.nodes, dag.cover_edges)
         assert dag.chain_order == rebuilt.chain_order
+        assert sorted(zip(dag.chain_order, dag.chain_order[1:])) == list(rebuilt.cover_edges)
         assert [dag.nodes[i][0] for i in dag.chain_order] == sorted(p[0] for p in pts)
         assert list(dag.cover_edges) == sorted(dag.cover_edges)
 
@@ -158,3 +162,24 @@ def test_lattice_dag_matches_build_dag():
 def test_lattice_dag_one_dimension_is_chain():
     lat = lattice_dag((4,))
     assert lat.chain_order == tuple(range(5))
+
+
+def _brute_cover_edges(pts):
+    """Pairs p_i < p_j with no point strictly between, straight from the definition."""
+    below = [[i != j and dominates(p, q) for j, q in enumerate(pts)] for i, p in enumerate(pts)]
+    n = len(pts)
+    return [(i, j) for i in range(n) for j in range(n)
+            if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))]
+
+
+def test_cover_edges_equal_the_definition_on_clouds_grids_and_lattices():
+    rng = random.Random(47)
+    clouds = [random_distinct_points(rng, rng.randint(2, 40), rng.randint(1, 3), grid=4) for _ in range(30)]
+    # whole grids in shuffled order, on unevenly spaced values, take the unit-step path
+    grids = [list(product((0, Fraction(1, 3), 2.5), (-1, 7))), list(product(range(3), range(2), range(2)))]
+    for pts in clouds + grids:
+        rng.shuffle(pts)
+        assert list(build_dag(pts).cover_edges) == _brute_cover_edges(pts)
+    for orders in ((3,), (2, 3), (1, 2, 2)):
+        lat = lattice_dag(orders)
+        assert list(lat.cover_edges) == _brute_cover_edges(lat.nodes)
