@@ -5,12 +5,12 @@ three-point numerical examples in exact rational arithmetic and verify the
 published optima.  ``calibration_table`` tabulates classification and
 surrogate set risks over all monotone up-sets and reports pairwise
 risk-ordering agreement between losses.  ``simulate_regret`` runs seeded
-Monte Carlo fits against known data-generating processes and evaluates exact
-population regrets (closed-form for one-dimensional step/smooth designs,
-quasi-random integration otherwise).  The quadrature grid is labelled in one
-batch per fitted model, through the same ``predict_batch`` paths that label
-new points, so a population risk costs one dominance test or one basis
-contraction over the grid.
+Monte Carlo fits against known data-generating processes and evaluates their
+population regrets.  These are closed forms, exact up to float rounding, for
+the one-dimensional step and smooth designs and for monotone models on the
+two-dimensional step2d design, whose risk is an area of the model's -1
+staircase.  Only Bernstein models on step2d are integrated, over a fixed
+Halton grid labelled in one batch through ``bernstein.predict_batch``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ._numeric import ValidationError, halton, is_exact
 from .bernstein import BernsteinClassifier, evaluate as bernstein_value
 from .bernstein import fit as fit_bernstein, predict_batch as bernstein_labels, suggest_orders
 from .losses import exponential, hinge, truncated_quadratic, zero_one
-from .monotone import MonotoneClassifier, fit as fit_monotone, predict_batch as monotone_labels
+from .monotone import MonotoneClassifier, fit as fit_monotone
 from .order import build_dag, enumerate_up_sets
 from .risks import (
     DiscreteDistribution,
@@ -314,11 +314,10 @@ class SmoothDgp:
 class Step2dDgp:
     """d = 2 design: X ~ U[0,1]^2, eta = 0.25 + 0.5 * 1{x1 + x2 >= 1}.
 
-    Population risks use a fixed 10^5-point Halton grid, so evaluation is
-    deterministic (but carries quadrature error of order 1e-3).  The grid is
-    built once per instance and labelled in one batch per model:
-    ``monotone.predict_batch`` for monotone models,
-    ``bernstein.predict_batch`` for Bernstein ones.
+    A monotone model's population risk is exact (``_staircase_risk``).  A
+    Bernstein model's uses a fixed 10^5-point Halton grid, so it is
+    deterministic but carries quadrature error of order 1e-4; the grid is built
+    on first use and labelled in one batch per model.
     """
 
     name = "step2d"
@@ -338,10 +337,37 @@ class Step2dDgp:
         return pts, self.eta(pts)
 
     def population_risk(self, model) -> float:
+        if isinstance(model, MonotoneClassifier):
+            if model.support and model.dim != self.dim:
+                raise ValidationError(f"model has dimension {model.dim}, design expects {self.dim}")
+            return _staircase_risk(model.frontier)
+        if not isinstance(model, BernsteinClassifier):
+            raise ValidationError(f"unsupported model type for step2d risk: {type(model)!r}")
         pts, etas = self._quadrature
-        pred = _predict_batch(model, pts)
+        pred = bernstein_labels(model, pts)
         risk = np.where(pred > 0, 1.0 - etas, etas)
         return float(risk.mean())
+
+
+def _staircase_risk(frontier) -> float:
+    """Exact step2d risk of the monotone model whose -1 frontier is ``frontier``.
+
+    The -1 region D is the union of the boxes [0, f], f in the frontier, within
+    the unit square.  eta is 3/4 on U = {x1 + x2 >= 1} and 1/4 below it, so the
+    risk is 1/2 + (|D & U| - |D| / 2).  Sorted by x1 the maximal points have
+    decreasing heights (clipping can tie x1; the highest of a tie comes first),
+    so D is a staircase of strips (a, b] x [0, h]: each adds (b - a) h to |D|
+    and the integral of max(0, x1 - c) over (a, b], c = 1 - h, to |D & U|.
+    """
+    if not frontier:
+        return 0.5
+    pts = np.clip(np.asarray(frontier, dtype=float), 0.0, 1.0)
+    b, h = pts[np.lexsort((-pts[:, 1], pts[:, 0]))].T
+    a = np.concatenate(([0.0], b[:-1]))
+    c = 1.0 - h
+    area = ((b - a) * h).sum()
+    upper = 0.5 * (np.maximum(b - c, 0.0) ** 2 - np.maximum(a - c, 0.0) ** 2).sum()
+    return float(0.5 + 0.5 * (2.0 * upper - area))
 
 
 DGPS = {cls.name: cls for cls in (StepDgp, SmoothDgp, Step2dDgp)}
@@ -366,14 +392,6 @@ def _threshold_1d(model) -> float:
                 lo = mid
         return 0.5 * (lo + hi)
     raise ValidationError(f"unsupported model type for 1-d threshold: {type(model)!r}")
-
-
-def _predict_batch(model, pts: np.ndarray) -> np.ndarray:
-    if isinstance(model, MonotoneClassifier):
-        return monotone_labels(model, pts)
-    if isinstance(model, BernsteinClassifier):
-        return bernstein_labels(model, pts)
-    return np.asarray([1 if model(tuple(p)) >= 0 else -1 for p in pts], dtype=int)
 
 
 @dataclass(frozen=True)

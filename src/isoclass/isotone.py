@@ -22,6 +22,7 @@ staircase thresholds, or the sink-unreachable side of the residual graph.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
@@ -264,7 +265,8 @@ def solve(problem: IsotoneProblem):
 
 def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LIMIT):
     """Oracle for solve: exhaustive up-set enumeration with the same tie-break."""
-    weights = [Fraction(c) for c in problem.coeffs]
+    # numpy integers as Python ints: Fraction would keep an int64 numerator, which overflows
+    weights = [Fraction(int(c) if isinstance(c, numbers.Integral) else c) for c in problem.coeffs]
     best_weight = None
     union_mask = 0
     for mask in iter_up_set_masks(problem.dag, node_limit):

@@ -7,9 +7,12 @@ import pytest
 from helpers import random_rational_distribution
 
 from isoclass import (
+    ValidationError,
     calibration_table,
     exponential,
+    fit_monotone,
     hinge,
+    monotone_predict_batch,
     reproduce_example_1,
     reproduce_example_2,
     simulate_regret,
@@ -115,7 +118,17 @@ def test_simulate_regret_bernstein_estimator():
 def test_simulate_regret_2d_dgp():
     curve = simulate_regret("step2d", (60,), reps=3, seed=4)
     assert curve.sample_sizes == (60,)
-    assert curve.mean_regret[0] > -2e-3  # quadrature error only
+    # monotone step2d risks are exact, so every regret is nonnegative
+    assert curve.negative_count == 0
+    assert curve.mean_regret[0] > 0
+
+
+def test_simulate_regret_2d_bernstein_curve_pinned():
+    # Bernstein step2d risks still come from the Halton quadrature; these are its values
+    curve = simulate_regret("step2d", (40, 120), reps=2, seed=12, estimator="bernstein", orders=(3, 3))
+    assert curve.mean_regret == (0.104685, 0.06802)
+    assert curve.std_error == (0.04613999999999999, 0.009474999999999982)
+    assert curve.negative_count == 0
 
 
 def test_dgp_registry():
@@ -151,7 +164,98 @@ def test_step2d_population_risk_pinned_on_hand_built_model():
          (0.3, 0.75), (0.6, Fraction(3, 5)), (0.9, 0.3)),
         (-1, -1, -1, -1, 1, 1, 1),
     )
-    assert Step2dDgp().population_risk(model) == 0.33985
+    # |D| = 0.2*0.7 + 0.3*0.45 + 0.3*0.15 = 0.32 and D misses x1 + x2 >= 1: risk 1/2 - 0.32/2
+    assert Step2dDgp().population_risk(model) == pytest.approx(17 / 50, abs=1e-15)
+
+
+def test_step2d_population_risk_rejects_other_models():
+    dgp = Step2dDgp()
+    with pytest.raises(ValidationError):
+        dgp.population_risk(MonotoneClassifier(((0.5,),), (-1,)))
+    with pytest.raises(ValidationError):
+        dgp.population_risk(lambda x: 1.0)
+
+
+def _clip_unit(v):
+    return min(Fraction(1), max(Fraction(0), v))
+
+
+def _shoelace(poly):
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+def _clip_to_upper_half_plane(poly):
+    """Sutherland-Hodgman clip of a polygon to {x1 + x2 >= 1}, in exact arithmetic."""
+    def inside(p):
+        return p[0] + p[1] >= 1
+
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        if inside(p):
+            out.append(p)
+        if inside(p) != inside(q):
+            t = (1 - p[0] - p[1]) / (q[0] + q[1] - p[0] - p[1])
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _staircase_risk_oracle(negatives):
+    """Exact step2d risk of labelling -1 the union of the boxes [0, p], p in ``negatives``.
+
+    The region is drawn as a polygon from its own maximal corners, and areas come
+    from the shoelace formula over Fractions.
+    """
+    corners = {(_clip_unit(Fraction(x)), _clip_unit(Fraction(y))) for x, y in negatives}
+    corners = sorted(p for p in corners if p[0] > 0 and p[1] > 0
+                     and not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in corners))
+    if not corners:
+        return Fraction(1, 2)
+    # counterclockwise from the origin: along the x1 axis, then down the steps right to left
+    lefts = [Fraction(0)] + [x for x, _ in corners[:-1]]
+    poly = [(Fraction(0), Fraction(0)), (corners[-1][0], Fraction(0))]
+    for (x, y), left in zip(corners[::-1], lefts[::-1]):
+        poly += [(x, y), (left, y)]
+    area = _shoelace(poly)
+    upper = _shoelace(_clip_to_upper_half_plane(poly))
+    return Fraction(1, 2) + (2 * upper - area) / 2
+
+
+def test_step2d_monotone_risk_equals_exact_polygon_areas():
+    rng = random.Random(2024)
+    dgp = Step2dDgp()
+    assert dgp.population_risk(MonotoneClassifier(((0.3, 0.4),), (1,))) == 0.5
+    for trial in range(400):
+        k = rng.randint(0, 8)
+        if trial % 2:
+            pts = [(rng.uniform(-0.3, 1.3), rng.uniform(-0.3, 1.3)) for _ in range(k)]
+        else:  # coarse coordinates make ties, boundary hits and repeated corners likely
+            pts = [(rng.randint(-2, 10) / 8, rng.randint(-2, 10) / 8) for _ in range(k)]
+        pts = list(dict.fromkeys(pts)) + [(0.5, 0.5)]
+        values = [rng.choice((-1, 1)) for _ in pts[:-1]] + [1]
+        model = MonotoneClassifier(tuple(pts), tuple(values))
+        want = _staircase_risk_oracle([p for p, v in zip(pts, values) if v < 0])
+        assert abs(dgp.population_risk(model) - want) <= 1e-15, (pts, values)
+
+
+def test_step2d_monotone_risk_agrees_with_the_halton_quadrature():
+    dgp = Step2dDgp()
+    grid = halton(Step2dDgp.grid_size, 2)
+    etas = dgp.eta(grid)
+    for n in (400, 1600, 6400):
+        for rep in range(5):
+            pts, ys = dgp.sample(np.random.default_rng([31, n, rep]), n)
+            model = fit_monotone(WeightedSample.unweighted(ys, pts))
+            quadrature = np.where(monotone_predict_batch(model, grid) > 0, 1.0 - etas, etas).mean()
+            assert abs(dgp.population_risk(model) - quadrature) <= 3e-4, (n, rep)
+
+
+def test_step2d_monotone_curve_builds_no_quadrature_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("halton grid built for a monotone model")
+
+    monkeypatch.setattr("isoclass.bench.halton", no_grid)
+    curve = simulate_regret("step2d", (50, 200), reps=2, seed=8)
+    assert curve.negative_count == 0
 
 
 def _reference_draws(name, rng, n):

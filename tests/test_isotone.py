@@ -195,3 +195,19 @@ def test_numpy_integer_coefficients_beside_a_large_common_denominator():
     coeffs = (np.int64(-3), Fraction(1, 10**20), np.int64(4))
     want = solve(IsotoneProblem(dag, tuple(Fraction(int(c)) if isinstance(c, np.integer) else c for c in coeffs)))
     assert solve(IsotoneProblem(dag, coeffs)) == (want[0], float(want[1]))
+    assert brute_force_solve(IsotoneProblem(dag, coeffs)) == solve(IsotoneProblem(dag, coeffs))
+
+
+def test_brute_force_equals_solve_on_int64_fraction_float_mixes():
+    rng = random.Random(707)
+    makers = (
+        lambda c: np.int64(c),
+        lambda c: Fraction(c, 10 ** rng.randint(1, 25)),
+        lambda c: c / 8,
+        lambda c: c,
+    )
+    for _ in range(60):
+        dag = _random_problem(rng).dag
+        coeffs = tuple(rng.choice(makers)(rng.randint(-9, 9)) for _ in range(dag.n))
+        problem = IsotoneProblem(dag, coeffs)
+        assert brute_force_solve(problem) == solve(problem)
