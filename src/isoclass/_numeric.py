@@ -1,4 +1,4 @@
-"""Shared numeric helpers: sign convention, exactness checks, 1-d minimization."""
+"""Shared numeric helpers: sign convention, exactness checks, Halton points."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import numpy as np
 
 #: Types treated as exact; arithmetic over them stays in rational arithmetic.
 EXACT_TYPES = (int, Fraction)
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class ValidationError(ValueError):
@@ -45,28 +43,6 @@ def finite_array(values, count: int):
     except (OverflowError, TypeError, ValueError):
         return None
     return out if np.isfinite(out).all() else None
-
-
-def golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Minimum value of a unimodal ``fn`` on [lo, hi] by golden-section search.
-
-    Returns the minimal function value (not the argmin); ``tol`` bounds the
-    bracket width on the argument.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return min(fc, fd, fn(a), fn(b))
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)

@@ -6,14 +6,15 @@ quadratic.  For each we expose
 
 * ``phi``               -- the pointwise loss value phi(margin),
 * ``delta_c``           -- the closed-form conditional-risk gap DeltaC(eta),
-* ``c_plus_minus``      -- the minimal conditional risks with the classifier
-                           value confined to [0, 1] and [-1, 0),
+* ``c_plus_minus``      -- the closed-form minimal conditional risks with the
+                           classifier value confined to [0, 1] and [-1, 0),
 * ``delta_c_weighted``  -- the weighted-classification analogue in terms of
                            mu+ = w+ * eta and mu- = w- * (1 - eta).
 
 Rational inputs (int / Fraction) stay rational wherever the closed form is a
-rational function (0-1, hinge, quadratic, truncated quadratic); the
-exponential and logistic forms are evaluated in binary64.
+rational function: the gaps and minimal conditional risks of the 0-1, hinge,
+quadratic and truncated quadratic losses.  The exponential and logistic forms
+are evaluated in binary64.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numeric import ValidationError, check_finite, golden_min, is_exact
+from ._numeric import ValidationError, check_finite, is_exact
 
 KINDS = (
     "zero_one",
@@ -177,9 +178,15 @@ def delta_c(loss: Loss, eta):
 def c_plus_minus(loss: Loss, eta):
     """(inf over f in [0,1], inf over f in [-1,0)) of the conditional risk.
 
-    The hinge and 0-1 infima are closed forms; the remaining convex losses are
-    minimized numerically on the closed intervals (the infimum over [-1, 0) is
-    the same as over [-1, 0] for continuous losses).
+    Every infimum is a closed form.  For the smooth losses the conditional
+    risk C(eta, f) = eta phi(f) + (1 - eta) phi(-f) is convex in f, so each
+    infimum is C at its unconstrained minimiser clipped to the closed interval
+    (the infimum over [-1, 0) is the same as over [-1, 0] for continuous
+    losses).  That minimiser is 2 eta - 1 for the quadratic and truncated
+    quadratic losses, so their results stay rational on rational eta; it is
+    the log-odds log(eta / (1 - eta)) for logistic and half of it for
+    exponential, taken in binary64 from float(eta) (infinite where that float
+    is 0 or 1).
     """
     _check_eta(eta)
     kind = loss.kind
@@ -190,15 +197,21 @@ def c_plus_minus(loss: Loss, eta):
         if eta > _HALF:
             return (c * (1 - 2 * eta) + c, c)
         return (c, 2 * c * eta)
+    if kind in ("quadratic", "truncated_quadratic"):
+        best = 2 * eta - 1
+    else:
+        eta = float(eta)
+        if 0.0 < eta < 1.0:
+            best = math.log(eta / (1.0 - eta))
+        else:
+            best = math.inf if eta else -math.inf
+        if kind == "exponential":
+            best /= 2
 
-    e = float(eta)
+    def risk(f):
+        return eta * phi(loss, f) + (1 - eta) * phi(loss, -f)
 
-    def cond_risk(f: float) -> float:
-        return e * phi(loss, f) + (1.0 - e) * phi(loss, -f)
-
-    plus = golden_min(cond_risk, 0.0, 1.0)
-    minus = golden_min(cond_risk, -1.0, 0.0)
-    return (plus, minus)
+    return (risk(min(max(best, 0), 1)), risk(min(max(best, -1), 0)))
 
 
 def delta_c_weighted(loss: Loss, w_plus, w_minus, eta):

@@ -187,8 +187,3 @@ def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:
 def predict(model: MonotoneClassifier, x) -> int:
     """Sign of the minimum fitted value over dominating support points; +1 if none."""
     return int(predict_batch(model, (tuple(x),))[0])
-
-
-def values_at(model: MonotoneClassifier, points) -> list:
-    """Fitted/predicted labels at many points (a list of ints)."""
-    return predict_batch(model, points).tolist()

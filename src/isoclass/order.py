@@ -33,28 +33,19 @@ def dominates(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _int_pair(edge) -> tuple:
-    """``edge`` as a pair of Python ints; a pair that already is one is kept, not copied."""
-    i, j = edge
-    return edge if type(edge) is tuple and type(i) is int and type(j) is int else (int(i), int(j))
-
-
 class DominanceDag:
     """Distinct points and the cover relation of their componentwise order.
 
-    Invariant: ``cover_edges`` is the cover relation of ``nodes`` (i -> j when
-    node_i < node_j with nothing strictly between).  ``build_dag`` and
-    ``lattice_dag`` always give such a DAG, and ``solve`` relies on it to pick
-    its algorithm from the nodes' ranks alone.  Edges passed in are kept as
-    given; otherwise they are computed from the ranks on first access, which
-    neither the chain scan nor the 2-d sweep makes.  ``ranks``, the nodes'
-    ``rank_matrix`` when the caller already has it, spares ranking them again.
+    ``cover_edges`` is the cover relation of ``nodes`` (i -> j when node_i <
+    node_j with nothing strictly between), computed from the ranks on first
+    access, which neither the chain scan nor the 2-d sweep makes; so the edges
+    and the ranks that ``solve`` picks its algorithm from describe one order.
+    ``ranks``, the nodes' ``rank_matrix`` when the caller already has it,
+    spares ranking them again.
     """
 
-    def __init__(self, nodes, cover_edges=None, ranks=None):
+    def __init__(self, nodes, ranks=None):
         self.nodes = tuple(map(tuple, nodes))
-        if cover_edges is not None:
-            self.cover_edges = tuple(map(_int_pair, cover_edges))
         if ranks is not None:
             self.ranks = ranks
 

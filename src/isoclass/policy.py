@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import bernstein, monotone
 from ._numeric import ValidationError, check_finite, sign
 from .risks import WeightedSample
 
@@ -70,13 +71,11 @@ def _labels(classifier, points) -> list:
     """Labels at ``points``: a fitted model in one batch, a plain callable point by point."""
     if callable(classifier):
         return [classifier(x) for x in points]
-    if hasattr(classifier, "support"):  # MonotoneClassifier
-        from .monotone import predict_batch
-    elif hasattr(classifier, "theta"):  # BernsteinClassifier
-        from .bernstein import predict_batch
-    else:
-        raise ValidationError("classifier must be callable or a fitted model")
-    return predict_batch(classifier, points).tolist()
+    if isinstance(classifier, monotone.MonotoneClassifier):
+        return monotone.predict_batch(classifier, points).tolist()
+    if isinstance(classifier, bernstein.BernsteinClassifier):
+        return bernstein.predict_batch(classifier, points).tolist()
+    raise ValidationError("classifier must be callable or a fitted model")
 
 
 def welfare_estimate(classifier, records):

@@ -163,11 +163,8 @@ def surrogate_risk_at_set(dist: DiscreteDistribution, g: PredictionSet, loss: Lo
     """Minimal surrogate risk over classifiers in [-1,1] with prediction set g."""
     _check_conformal(dist, g)
     total = 0
-    cache = {}
     for m, eta, inside in zip(dist.mass, dist.eta, g.members):
-        if eta not in cache:
-            cache[eta] = c_plus_minus(loss, eta)
-        plus, minus = cache[eta]
+        plus, minus = c_plus_minus(loss, eta)
         total += m * (plus if inside else minus)
     return total
 

@@ -121,6 +121,21 @@ def test_calibration_table_csv(tmp_path, capsys):
     assert header == "set,risk_zero_one,risk_hinge:1,risk_exp"
 
 
+def test_calibration_table_pins_example_1_for_every_loss(tmp_path, capsys):
+    dist = write(tmp_path / "dist.csv", "mass,eta,x1\n1/3,9/10,0\n1/3,3/10,1\n1/3,1/5,2\n")
+    out = str(tmp_path / "cal.csv")
+    losses = "zero-one,hinge:1,exp,logistic,quad,tquad"
+    assert main(["calibration-table", "--dist", dist, "--losses", losses, "--out", out]) == 0
+    capsys.readouterr()
+    assert Path(out).read_text().splitlines() == [
+        "set,risk_zero_one,risk_hinge:1,risk_exp,risk_logistic,risk_quad,risk_tquad",
+        "-,7/15,2/3,0.9055050463303893,0.6057577233776872,62/75,62/75",
+        "2,2/3,13/15,0.972171712997056,0.6657195543915946,71/75,71/75",
+        "1|2,4/5,1,1.0,0.6931471805599453,1,1",
+        "0|1|2,8/15,11/15,0.8676398933000675,0.5998520162127045,59/75,59/75",
+    ]
+
+
 def test_simulate_regret_csv(tmp_path, capsys):
     out = str(tmp_path / "curve.csv")
     summary = str(tmp_path / "curve.json")

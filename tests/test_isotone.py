@@ -211,3 +211,39 @@ def test_brute_force_equals_solve_on_int64_fraction_float_mixes():
         coeffs = tuple(rng.choice(makers)(rng.randint(-9, 9)) for _ in range(dag.n))
         problem = IsotoneProblem(dag, coeffs)
         assert brute_force_solve(problem) == solve(problem)
+
+
+def _linprog_optimum(points, coeffs):
+    """max sum c_i v_i over -1 <= v <= 1 with v_i <= v_j whenever point i <= point j, by HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    pts = np.asarray(points)
+    below = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
+    np.fill_diagonal(below, False)
+    lo, hi = np.nonzero(below)
+    rows = np.repeat(np.arange(len(lo)), 2)
+    cols = np.stack((lo, hi), axis=1).ravel()
+    signs = np.tile([1.0, -1.0], len(lo))
+    a_ub = sparse.csr_array((signs, (rows, cols)), shape=(len(lo), len(pts)))
+    res = optimize.linprog(
+        -np.asarray(coeffs, dtype=float), A_ub=a_ub, b_ub=np.zeros(len(lo)),
+        bounds=(-1, 1), method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def test_solve_objective_equals_the_isotone_linear_program():
+    # the comparability constraints are totally unimodular, so the LP optimum
+    # is an integer and equals the best +/-1 labelling on every solver path
+    rng = random.Random(701)
+    dags = []
+    for d, grid in ((1, 400), (2, 30), (3, 12)):
+        for _ in range(6):
+            dags.append(build_dag(random_distinct_points(rng, rng.randint(50, 300), d, grid=grid)))
+    dags += [lattice_dag(orders) for orders in ((11, 11), (4, 4, 4), (0, 11), (3, 7))]
+    for dag in dags:
+        coeffs = [rng.randint(-9, 9) for _ in range(dag.n)]
+        lp = _linprog_optimum(dag.nodes, coeffs)
+        assert abs(lp - round(lp)) < 1e-6
+        assert solve(IsotoneProblem(dag, coeffs))[1] == round(lp)

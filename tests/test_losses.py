@@ -134,6 +134,37 @@ def test_c_plus_minus_hinge_examples(loss, eta, expected):
     assert c_plus_minus(loss, eta) == expected
 
 
+@pytest.mark.parametrize("loss", [quadratic(), truncated_quadratic()])
+def test_quadratic_c_plus_minus_are_exact_fractions(loss):
+    for k in range(98):
+        eta = Fraction(k, 97)
+        # the minimiser 2 eta - 1 lies in one box; the other box's infimum is at 0
+        inner = 4 * eta * (1 - eta)
+        want = (1, inner) if eta < Fraction(1, 2) else (inner, 1)
+        got = c_plus_minus(loss, eta)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+
+def _smooth_conditional_risk(kind, eta, f):
+    e = float(eta)
+    if kind == "exponential":
+        return e * math.exp(-f) + (1 - e) * math.exp(f)
+    return e * math.log1p(math.exp(-f)) + (1 - e) * math.log1p(math.exp(f))
+
+
+@pytest.mark.parametrize("loss", [exponential(), logistic()])
+def test_smooth_c_plus_minus_are_minima_over_a_grid(loss):
+    rng = random.Random(97)
+    tiny = Fraction(1, 10**400)
+    etas = [rng.random() for _ in range(500)] + [0, 1, tiny, 1 - tiny, 5e-324]
+    for eta in etas:
+        for value, (lo, hi) in zip(c_plus_minus(loss, eta), ((0.0, 1.0), (-1.0, 0.0))):
+            grid = [_smooth_conditional_risk(loss.kind, eta, lo + (hi - lo) * t / 2000) for t in range(2001)]
+            assert value <= min(grid) + 1e-15
+            assert value >= min(grid) - 1e-6
+
+
 def test_c_plus_minus_truncated_quadratic_balanced():
     plus, minus = c_plus_minus(truncated_quadratic(), 0.5)
     assert plus == pytest.approx(minus, abs=1e-9)

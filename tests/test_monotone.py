@@ -20,7 +20,7 @@ from isoclass import (
     monotone_predict,
     zero_one,
 )
-from isoclass.monotone import predict_batch, values_at
+from isoclass.monotone import predict_batch
 
 
 def example_41_sample():
@@ -183,7 +183,6 @@ def test_predict_batch_equals_brute_force_dominance():
         queries += list(model.support)
         want = [_brute_force_label(model, q) for q in queries]
         assert predict_batch(model, queries).tolist() == want
-        assert values_at(model, queries) == want
         compact = MonotoneClassifier.from_dict(json.loads(json.dumps(model.to_compact_dict())))
         assert predict_batch(compact, queries).tolist() == want
 
@@ -205,7 +204,6 @@ def test_predict_batch_edge_cases():
     model = MonotoneClassifier(((1, 1), (2, Fraction(1, 2)), (3, 3)), (-1, -1, 1))
     assert predict_batch(model, []).tolist() == []
     assert predict_batch(model, np.zeros((0, 2))).tolist() == []
-    assert values_at(model, []) == []
     # ties: a query equal to a -1 point is dominated by it
     assert predict_batch(model, [(1.0, 1.0), (2, 0.5), (2.0, 1.0), (Fraction(1, 2), 0)]).tolist() == [-1, -1, 1, -1]
     assert model.frontier == ((1, 1), (2, Fraction(1, 2)))

@@ -93,10 +93,12 @@ def test_build_dag_chain_order_agrees_with_cover_edges_on_mixed_input():
     for _ in range(30):
         pts = [(v,) for v in rng.sample(values, rng.randint(1, len(values)))]
         dag = build_dag(pts)
-        # the order found from the ranks walks the cover edges, also on a DAG given its edges
-        rebuilt = DominanceDag(dag.nodes, dag.cover_edges)
+        # the order found from the ranks walks the edges computed from them,
+        # also on a DAG that ranks its nodes itself
+        rebuilt = DominanceDag(dag.nodes)
         assert dag.chain_order == rebuilt.chain_order
         assert sorted(zip(dag.chain_order, dag.chain_order[1:])) == list(rebuilt.cover_edges)
+        assert rebuilt.cover_edges == dag.cover_edges
         assert [dag.nodes[i][0] for i in dag.chain_order] == sorted(p[0] for p in pts)
         assert list(dag.cover_edges) == sorted(dag.cover_edges)
 
