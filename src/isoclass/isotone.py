@@ -27,6 +27,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from ._numeric import ValidationError, all_exact, check_finite, finite_array, is_exact
 from .order import DEFAULT_NODE_LIMIT, DominanceDag, iter_up_set_masks
@@ -128,15 +129,12 @@ class _Dinic:
 
 
 def _chain_best_up_set(order, weights):
-    """Longest suffix of the chain maximizing its weight (empty suffix allowed)."""
-    best_sum = 0
-    best_pos = len(order)
-    running = 0
-    for pos in range(len(order) - 1, -1, -1):
-        running += weights[order[pos]]
-        if running >= best_sum:
-            best_sum, best_pos = running, pos
-    return set(order[best_pos:])
+    """Longest suffix of the chain maximizing its weight (empty suffix allowed), and that weight."""
+    # sums[k] is the weight of the suffix of length k
+    sums = [0, *accumulate(map(weights.__getitem__, reversed(order)))]
+    best = max(sums)
+    length = len(sums) - 1 - sums[::-1].index(best)
+    return order[len(order) - length :], best
 
 
 def _min_cut_best_up_set(dag: DominanceDag, weights):
@@ -223,6 +221,8 @@ def _integer_weights(coeffs):
     else (numpy scalars included) through Fraction; each is exact for its type.
     """
     weights, denominators, exact = list(coeffs), set(), True
+    if set(map(type, weights)) <= {int}:
+        return weights, 1, True
     for i, c in enumerate(weights):
         if type(c) is int:
             continue
@@ -253,13 +253,13 @@ def solve(problem: IsotoneProblem):
     dag = problem.dag
     order = dag.chain_order
     if order is not None:
-        plus_set = _chain_best_up_set(order, weights)
-    elif dag.dim == 2:
-        plus_set = _staircase_best_up_set(dag, weights)
+        plus_set, plus_weight = _chain_best_up_set(order, weights)
     else:
-        plus_set = _min_cut_best_up_set(dag, weights)
+        best_up_set = _staircase_best_up_set if dag.dim == 2 else _min_cut_best_up_set
+        plus_set = best_up_set(dag, weights)
+        plus_weight = sum(map(weights.__getitem__, plus_set))
     # sum c_i v_i = 2 * (weight of the +1-set) - (total weight)
-    objective = Fraction(2 * sum(weights[i] for i in plus_set) - sum(weights), scale)
+    objective = Fraction(2 * plus_weight - sum(weights), scale)
     return _solution(dag.n, plus_set, objective, exact)
 
 

@@ -1,15 +1,17 @@
 """Hinge-risk-minimizing monotone classification over the componentwise order.
 
-Fitting deduplicates covariate points, aggregates the per-point objective
-coefficient sum(w_i y_i), and solves the isotone linear program exactly.  The
-fitted values are the +/-1 extreme-point solution; out-of-sample labels follow
-the optimistic rule: the sign of the minimum fitted value over support points
-dominating the query, and +1 when nothing dominates it.  Only the maximal -1
-support points (the -1 frontier) decide that rule, so a query is -1 exactly
-when a frontier point dominates it.  ``predict_batch`` labels many points at
-once: it ranks each coordinate column jointly with the frontier's, which is
-exact for any mix of int, Fraction and float, and tests dominance in rank
-space with numpy.
+Fitting ranks the sample's rows once, exactly for any mix of int, Fraction
+and float; that one ranking gives the distinct covariate points, their
+lexicographic order and the per-point objective coefficients sum(w_i y_i)
+(exact for int and Fraction weights), and the isotone linear program is then
+solved exactly.  The fitted values are the +/-1 extreme-point solution;
+out-of-sample labels follow the optimistic rule: the sign of the minimum
+fitted value over support points dominating the query, and +1 when nothing
+dominates it.  Only the maximal -1 support points (the -1 frontier) decide
+that rule, so a query is -1 exactly when a frontier point dominates it.
+``predict_batch`` labels many points at once: it ranks each coordinate column
+jointly with the frontier's, which is exact for any mix of int, Fraction and
+float, and tests dominance in rank space with numpy.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -40,6 +43,9 @@ class MonotoneClassifier:
         object.__setattr__(self, "values", tuple(map(int, self.values)))
         if len(self.support) != len(self.values):
             raise ValidationError("support and values must have equal length")
+        dims = set(map(len, self.support))
+        if len(dims) > 1:
+            raise ValidationError(f"support points have mixed dimensions: {sorted(dims)}")
         if not set(self.values) <= {-1, 1}:
             raise ValidationError("fitted values must be -1 or +1")
 
@@ -91,10 +97,12 @@ class MonotoneClassifier:
 def _maximal(points, lower: bool = False) -> tuple:
     """The distinct ``points`` lying below no other one (above none, if ``lower``), in order.
 
-    A point's dominators come after it in lexicographic order, so a sweep from
-    the lexicographically largest point tests each block only against itself
-    and the maximal points already found; the cost grows with the frontier,
-    not with the square of the number of points.
+    A point's dominators come after it in lexicographic order.  In two
+    dimensions, walking that order from the largest point, a point is maximal
+    exactly when its second rank exceeds every second rank walked before it.
+    Otherwise a sweep from the lexicographically largest point tests each
+    block only against itself and the maximal points already found; the cost
+    grows with the frontier, not with the square of the number of points.
     """
     if not points:
         return ()
@@ -103,14 +111,19 @@ def _maximal(points, lower: bool = False) -> tuple:
         ranks = -ranks
     order = np.lexsort(ranks.T[::-1])[::-1]
     keep = np.zeros(len(points), dtype=bool)
-    found = ranks[:0]
-    for start in range(0, len(order), _SWEEP_BLOCK):
-        idx = order[start : start + _SWEEP_BLOCK]
-        block = ranks[idx]
-        # every point dominates itself once; a second dominator makes it non-maximal
-        top = (dominator_counts(block, block) == 1) & (dominator_counts(block, found) == 0)
-        keep[idx[top]] = True
-        found = np.concatenate((found, block[top]))
+    if ranks.shape[1] == 2:
+        high = ranks[order, 1]
+        keep[order[0]] = True
+        keep[order[1:]] = high[1:] > np.maximum.accumulate(high)[:-1]
+    else:
+        found = ranks[:0]
+        for start in range(0, len(order), _SWEEP_BLOCK):
+            idx = order[start : start + _SWEEP_BLOCK]
+            block = ranks[idx]
+            # every point dominates itself once; a second dominator makes it non-maximal
+            top = (dominator_counts(block, block) == 1) & (dominator_counts(block, found) == 0)
+            keep[idx[top]] = True
+            found = np.concatenate((found, block[top]))
     return tuple(p for p, k in zip(points, keep) if k)
 
 
@@ -127,19 +140,26 @@ def _parse_number(v):
 
 
 def fit(sample: WeightedSample) -> MonotoneClassifier:
-    """Empirical weighted hinge risk minimizer over monotone [-1,1] classifiers."""
+    """Empirical weighted hinge risk minimizer over monotone [-1,1] classifiers.
+
+    One ranking of the sample's rows gives the support, its order and its
+    coefficients: a stable lexicographic sort of the rank rows lists the
+    distinct points in the order ``sorted`` would give, each as the object
+    of its first row, and the per-point sums of w_i y_i are added in row
+    order (exact for int and Fraction products).
+    """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
-    totals = {}
-    for w, y, p in zip(sample.weights, sample.labels, sample.points):
-        totals[p] = totals.get(p, 0) + w * y
-    # the lexicographic order sorted() would give, found on exact column ranks, which the DAG reuses
-    points = list(totals)
-    ranks = rank_matrix(points)
+    ranks = rank_matrix(sample.points)
     by_lex = np.lexsort(ranks.T[::-1])
-    support = [points[i] for i in by_lex.tolist()]
-    dag = build_dag(support, ranks[by_lex])
-    values, _ = solve(IsotoneProblem(dag, [totals[p] for p in support]))
+    ranks = ranks[by_lex]
+    # a row starts a new point when its ranks differ from the row before
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(ranks, axis=0).any(axis=1))))
+    products = np.fromiter(map(mul, sample.weights, sample.labels), dtype=object, count=sample.n)
+    coeffs = np.add.reduceat(products[by_lex], starts).tolist()
+    points = sample.points
+    dag = build_dag([points[i] for i in by_lex[starts].tolist()], ranks[starts])
+    values, _ = solve(IsotoneProblem(dag, coeffs))
     return MonotoneClassifier(dag.nodes, tuple(values))
 
 

@@ -64,7 +64,13 @@ class DominanceDag:
 
     @cached_property
     def lex_order(self) -> np.ndarray:
-        """Node indices in lexicographic order of their ranks (that of the nodes themselves)."""
+        """Node indices in lexicographic order of their ranks (that of the nodes themselves).
+
+        Nodes that already come in strictly increasing order, as ``fit`` passes
+        them, are not sorted again.
+        """
+        if _rising(self.ranks):
+            return np.arange(self.n)
         return np.lexsort(self.ranks.T[::-1])
 
     @cached_property
@@ -113,6 +119,16 @@ def dense_ranks(column) -> np.ndarray:
         return np.unique(np.asarray(column, dtype=float), return_inverse=True)[1]
     rank = {v: r for r, v in enumerate(sorted(set(column)))}
     return np.fromiter((rank[v] for v in column), dtype=np.int64, count=len(column))
+
+
+def _rising(ranks: np.ndarray) -> bool:
+    """True iff each rank row is lexicographically greater than the row before it."""
+    step = np.diff(ranks, axis=0)
+    # from the last coordinate back: greater here, or equal here and greater after
+    up = step[:, -1] > 0
+    for v in range(ranks.shape[1] - 2, -1, -1):
+        up = (step[:, v] > 0) | ((step[:, v] == 0) & up)
+    return bool(up.all())
 
 
 def rank_matrix(points) -> np.ndarray:
@@ -172,11 +188,11 @@ def build_dag(points, ranks=None) -> DominanceDag:
     """Order DAG of distinct points under the componentwise order.
 
     ``ranks`` is passed on to ``DominanceDag``; cover edges are computed on
-    first access.
+    first access.  Distinctness is checked on the rank rows, which are equal
+    exactly when the points are equal (so ``(1,)`` and ``(1.0,)`` are one
+    point): no two rows may be equal in the DAG's lexicographic order.
     """
     points = list(map(tuple, points))
-    if len(set(points)) != len(points):
-        raise ValidationError("points must be distinct (deduplicate before building)")
     dims = set(map(len, points))
     if len(dims) > 1:
         raise ValidationError(f"points have mixed dimensions: {sorted(dims)}")
@@ -188,7 +204,10 @@ def build_dag(points, ranks=None) -> DominanceDag:
             for v in p:
                 check_finite(v, "coordinate")
     # only the order within a coordinate matters: the DAG works on dense ranks
-    return DominanceDag(points, ranks=rank_matrix(points) if ranks is None else ranks)
+    dag = DominanceDag(points, ranks=rank_matrix(points) if ranks is None else ranks)
+    if not np.diff(dag.ranks[dag.lex_order], axis=0).any(axis=1).all():
+        raise ValidationError("points must be distinct (deduplicate before building)")
+    return dag
 
 
 def lattice_dag(orders) -> DominanceDag:

@@ -214,6 +214,16 @@ def test_predict_rejects_bad_query_points_with_exit_2(tmp_path, plain_csv, capsy
     capsys.readouterr()
 
 
+def test_predict_with_a_model_of_mixed_dimensions_exits_2(tmp_path, capsys):
+    model_path = write(tmp_path / "m.json", json.dumps(
+        {"type": "monotone", "dim": 2, "support": [[0, 1], [2]], "values": [-1, 1]}))
+    points = write(tmp_path / "pts.csv", "x1,x2\n0.5,0.5\n")
+    out = str(tmp_path / "p.csv")
+    assert main(["predict", "--model", model_path, "--in", points, "--out", out]) == 2
+    assert "mixed dimensions" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_coordinates_beyond_float_range_exit_2(tmp_path, plain_csv, capsys):
     big = write(tmp_path / "big.csv", "y,x1\n1,1e400\n-1,0.5\n")
     model_path = str(tmp_path / "b.json")

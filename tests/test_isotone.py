@@ -213,6 +213,35 @@ def test_brute_force_equals_solve_on_int64_fraction_float_mixes():
         assert brute_force_solve(problem) == solve(problem)
 
 
+def test_chain_scan_equals_brute_force_on_huge_and_zero_suffix_coefficients():
+    # coefficients near 1e30 overflow int64 and float's 53 bits, and trailing
+    # zero weights tie several suffixes: the longest optimal one must win
+    rng = random.Random(709)
+    big = 10**30
+    makers = (
+        lambda k: k * big + rng.randint(-3, 3),
+        lambda k: Fraction(k * big, 7),
+        lambda k: k * 1e30,
+        lambda k: k,
+    )
+    for trial in range(80):
+        n = rng.randint(1, 12)
+        zeros = rng.randint(0, min(3, n))
+        make = makers[trial % len(makers)]
+        raw = [make(rng.randint(-2, 2)) for _ in range(n - zeros)] + [make(0)] * zeros
+        # nodes in shuffled order, so the chain order is a permutation of them
+        perm = list(range(n))
+        rng.shuffle(perm)
+        dag = build_dag([(i,) for i in perm])
+        coeffs = [raw[i] for i in perm]
+        problem = IsotoneProblem(dag, coeffs)
+        assert dag.chain_order is not None
+        assert solve(problem) == brute_force_solve(problem)
+    # every suffix ties at weight 0: all nodes take +1
+    assert solve(IsotoneProblem(chain(4), (big, -big, 0, 0))) == ([1, 1, 1, 1], 0)
+    assert solve(IsotoneProblem(chain(3), (-big, big, 0))) == ([-1, 1, 1], 2 * big)
+
+
 def _linprog_optimum(points, coeffs):
     """max sum c_i v_i over -1 <= v <= 1 with v_i <= v_j whenever point i <= point j, by HiGHS."""
     optimize = pytest.importorskip("scipy.optimize")

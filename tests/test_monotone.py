@@ -8,6 +8,7 @@ import pytest
 from helpers import random_small_sample
 
 from isoclass import (
+    IsotoneProblem,
     MonotoneClassifier,
     ValidationError,
     WeightedSample,
@@ -20,6 +21,7 @@ from isoclass import (
     monotone_predict,
     zero_one,
 )
+import isoclass.monotone as monotone
 from isoclass.monotone import predict_batch
 
 
@@ -155,6 +157,54 @@ def test_model_rejects_fractional_values():
         MonotoneClassifier(((0,),), (0,))
 
 
+def test_model_rejects_support_points_of_unequal_dimension():
+    for support in (((0, 1), (2,)), ((0,), (1, 2), (3,))):
+        with pytest.raises(ValidationError, match="mixed dimensions"):
+            MonotoneClassifier(support, (-1,) * len(support))
+    payload = {"type": "monotone", "dim": 2, "support": [[0, 1], [2]], "values": [-1, 1]}
+    with pytest.raises(ValidationError):
+        MonotoneClassifier.from_dict(payload)
+
+
+def _dict_fit_problem(sample):
+    """The support and coefficients of a fit, from a dict keyed by point tuples.
+
+    The dict keeps each point as the object of its first row and adds w * y in
+    row order; ``sorted`` gives the lexicographic order of the support.
+    """
+    totals = {}
+    for w, y, p in zip(sample.weights, sample.labels, sample.points):
+        totals[p] = totals.get(p, 0) + w * y
+    support = sorted(totals)
+    return support, [totals[p] for p in support]
+
+
+def test_fit_equals_a_dict_aggregation_of_the_rows(monkeypatch):
+    problems = []
+    real_solve = monotone.solve
+    monkeypatch.setattr(monotone, "solve", lambda problem: problems.append(problem) or real_solve(problem))
+    rng = random.Random(223)
+    # equal values of every type, so duplicates arrive as 1, 1.0 and Fraction(1)
+    values = (0, 0.0, -0.0, Fraction(0), 1, 1.0, Fraction(1), Fraction(1, 2), 0.5, 2, Fraction(7, 3))
+    weights = (1, 2, 0, 0.0, -0.0, Fraction(1, 3), Fraction(5, 2), 0.25, 0.1, 3.5)
+    for trial in range(300):
+        d = 1 + trial % 3
+        n = rng.randint(1, 40)
+        pool = [tuple(rng.choice(values) for _ in range(d)) for _ in range(rng.randint(1, 8))]
+        points = [rng.choice(pool) for _ in range(n)]
+        row_weights = [rng.choice(weights) for _ in range(n)] if trial % 2 else [1] * n
+        sample = WeightedSample(row_weights, [rng.choice((-1, 1)) for _ in range(n)], points)
+        support, coeffs = _dict_fit_problem(sample)
+        model = fit_monotone(sample)
+        assert list(model.support) == support
+        assert [list(map(type, p)) for p in model.support] == [list(map(type, p)) for p in support]
+        assert list(problems[-1].coeffs) == coeffs
+        assert list(map(type, problems[-1].coeffs)) == list(map(type, coeffs))
+        want = MonotoneClassifier(support, real_solve(IsotoneProblem(build_dag(support), coeffs))[0])
+        assert model == want
+        assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
+
+
 def _brute_force_label(model, q):
     """-1 iff some -1-valued support point dominates q (all support points scanned)."""
     dominated = any(
@@ -232,9 +282,11 @@ def test_predict_rejects_non_finite_queries():
 
 def test_compact_frontiers_equal_pure_python_definition():
     rng = random.Random(211)
-    for trial in range(30):
+    for trial in range(60):
         d = 1 + trial % 3
-        points = [tuple(_mixed_value(rng, 3) for _ in range(d)) for _ in range(rng.randint(1, 30))]
+        # every fourth trial is 2-d on a coarse grid: many points tie in one coordinate
+        top = 1 if trial % 4 == 1 else 3
+        points = [tuple(_mixed_value(rng, top) for _ in range(d)) for _ in range(rng.randint(1, 30))]
         labels = [rng.choice((-1, 1)) for _ in points]
         model = fit_monotone(WeightedSample.unweighted(labels, points))
         pos = [p for p, v in zip(model.support, model.values) if v > 0]
@@ -249,9 +301,17 @@ def test_compact_frontiers_equal_pure_python_definition():
 def test_frontier_of_a_large_model_equals_quadratic_definition():
     # thousands of -1 points make the frontier sweep span several blocks
     rng = np.random.default_rng(23)
-    for d, grid in ((1, 10**6), (2, 300), (3, 40)):
+    # k stands for k/2, written as an int, a Fraction or a float at random
+    kinds = (lambda k: k // 2 if k % 2 == 0 else Fraction(k, 2), lambda k: Fraction(k, 2), lambda k: k / 2)
+    for d, grid in ((1, 10**6), (2, 300), (2, 25), (3, 40)):
         cloud = np.unique(rng.integers(0, grid, size=(2600, d)), axis=0)
         cloud = cloud[rng.permutation(len(cloud))]
-        model = MonotoneClassifier(tuple(map(tuple, cloud.tolist())), (-1,) * len(cloud))
         below = (cloud[:, None, :] <= cloud[None, :, :]).all(axis=2).sum(axis=1)
-        assert list(model.frontier) == [tuple(p) for p in cloud[below == 1].tolist()]
+        above = (cloud[:, None, :] >= cloud[None, :, :]).all(axis=2).sum(axis=1)
+        for mixed in (False, True):
+            support = [tuple(kinds[rng.integers(3)](k) if mixed else k for k in p) for p in cloud.tolist()]
+            model = MonotoneClassifier(support, (-1,) * len(support))
+            assert list(model.frontier) == [p for p, b in zip(support, below) if b == 1]
+            lowest = MonotoneClassifier(support, (1,) * len(support)).to_compact_dict()["min_positive"]
+            want = [p for p, a in zip(support, above) if a == 1]
+            assert lowest == MonotoneClassifier(want, (1,) * len(want)).to_dict()["support"]

@@ -43,8 +43,30 @@ def test_build_dag_square_removes_diagonal():
 
 
 def test_build_dag_rejects_duplicates():
-    with pytest.raises(ValidationError):
-        build_dag([(0, 0), (0, 0)])
+    # equal values of different types are one point; duplicates need not be neighbours
+    for pts in ([(0, 0), (0, 0)], [(1,), (1.0,)], [(Fraction(1),), (2,), (1.0,)],
+                [(0.0,), (-0.0,)], [(3, Fraction(1, 2)), (1, 2), (3.0, 0.5)],
+                [(0, 1, 2), (2, 1, 0), (1, 1, 1), (2.0, Fraction(1), 0)],
+                [(0, 1), (0, 0), (0, 1.0)]):
+        with pytest.raises(ValidationError):
+            build_dag(pts)
+        with pytest.raises(ValidationError):
+            build_dag(pts[::-1])
+    assert build_dag([(1,), (1.5,)]).n == 2
+
+
+def test_lex_order_is_the_sorted_order_of_the_nodes():
+    # nodes come sorted (taken as they are), shuffled, or sorted on the first
+    # coordinate alone, where later coordinates fall within ties
+    rng = random.Random(53)
+    for _ in range(60):
+        pts = random_distinct_points(rng, rng.randint(1, 30), rng.randint(1, 3), grid=3)
+        shuffled = rng.sample(pts, len(pts))
+        for nodes in (pts, shuffled, sorted(shuffled, key=lambda p: p[0])):
+            dag = build_dag(nodes)
+            assert [nodes[i] for i in dag.lex_order.tolist()] == pts
+            chain = dag.chain_order
+            assert chain is None or [nodes[i] for i in chain] == pts
 
 
 def test_build_dag_handles_rational_coordinates():
