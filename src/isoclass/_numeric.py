@@ -1,8 +1,9 @@
-"""Shared numeric helpers: sign convention, exactness checks, Halton points."""
+"""Shared numeric helpers: sign convention, exactness checks, exact parsing, Halton points."""
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,27 @@ def all_exact(values) -> bool:
 def check_finite(value, what: str) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
+
+
+_PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+
+
+def parse_exact(token: str) -> Fraction:
+    """``Fraction(token)``, with plain integers, decimals and ratios built from two ints.
+
+    A token spelled ``[+-]digits``, ``[+-]digits.digits`` or
+    ``[+-]digits/digits`` becomes ``Fraction(int, int)``; any other token
+    (exponents, underscores, whitespace, non-ASCII digits, errors) is left to
+    ``Fraction(token)``.  The value, the type and the exception raised are
+    those of ``Fraction(token)``.
+    """
+    match = _PLAIN_RATIONAL.fullmatch(token)
+    if match is None:
+        return Fraction(token)
+    whole, decimals, denominator = match.groups()
+    if decimals is not None:
+        return Fraction(int(whole + decimals), 10 ** len(decimals))
+    return Fraction(int(whole), 1 if denominator is None else int(denominator))
 
 
 def finite_array(values, count: int):

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import bench, bernstein, io, monotone, policy
-from ._numeric import ValidationError
+from ._numeric import ValidationError, parse_exact
 from .bernstein import BernsteinClassifier
 from .losses import parse_loss
 from .monotone import MonotoneClassifier
@@ -40,7 +40,7 @@ def _parse_orders(text: str):
 
 def _parse_const(text: str, rational: bool):
     try:
-        return Fraction(text) if rational else float(text)
+        return parse_exact(text) if rational else float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse number {text!r}") from exc
 

@@ -9,9 +9,11 @@ Supported tabular schemas (header row required):
 * dist:     ``mass,eta,x1,...,xd[,wplus,wminus]``
 * points:   ``x1,...,xd``
 
-In rational mode (the default) decimal literals parse exactly as fractions;
-float mode parses binary64.  Models are stored as JSON and written
-atomically (temp file + rename) so failed runs leave nothing partial behind.
+In rational mode (the default) every number parses exactly as a Fraction
+(``_numeric.parse_exact``: plain integers, decimals and ratios are read as
+two ints, anything else as ``Fraction(token)``); float mode parses binary64.
+Models are stored as JSON and written atomically (temp file + rename) so
+failed runs leave nothing partial behind.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from ._numeric import ValidationError, check_finite
+from ._numeric import ValidationError, check_finite, parse_exact
 from .bernstein import BernsteinClassifier
 from .monotone import MonotoneClassifier
 from .policy import TrialRecord
@@ -33,7 +35,7 @@ def _parse_number(token: str, where: str, rational: bool):
     token = token.strip()
     try:
         if rational:
-            return Fraction(token)
+            return parse_exact(token)
         value = float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{where}: cannot parse number {token!r}") from exc

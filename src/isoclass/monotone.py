@@ -23,7 +23,7 @@ from operator import mul
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite
+from ._numeric import ValidationError, check_finite, parse_exact
 from .isotone import IsotoneProblem, solve
 from .order import build_dag, dense_ranks, dominator_counts, rank_matrix
 from .risks import WeightedSample
@@ -95,7 +95,9 @@ class MonotoneClassifier:
 
 
 def _maximal(points, lower: bool = False) -> tuple:
-    """The distinct ``points`` lying below no other one (above none, if ``lower``), in order.
+    """The ``points`` lying below no other one (above none, if ``lower``), in order.
+
+    Of repeated points, only the last one given is kept.
 
     A point's dominators come after it in lexicographic order.  In two
     dimensions, walking that order from the largest point, a point is maximal
@@ -116,6 +118,8 @@ def _maximal(points, lower: bool = False) -> tuple:
         keep[order[0]] = True
         keep[order[1:]] = high[1:] > np.maximum.accumulate(high)[:-1]
     else:
+        # copies of a point would count as each other's dominators: keep the first in sweep order
+        order = order[np.concatenate(([True], np.diff(ranks[order], axis=0).any(axis=1)))]
         found = ranks[:0]
         for start in range(0, len(order), _SWEEP_BLOCK):
             idx = order[start : start + _SWEEP_BLOCK]
@@ -135,7 +139,7 @@ def _json_number(v):
 
 def _parse_number(v):
     if isinstance(v, str):
-        return Fraction(v)
+        return parse_exact(v)
     return v
 
 

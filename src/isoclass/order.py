@@ -7,7 +7,11 @@ edges forward -- are the feasible prediction sets of monotone classification.
 Dominance only depends on the order within each coordinate, so a DAG keeps
 its nodes' dense integer ranks, exact for any mix of int, Fraction and float
 coordinates, and derives its chain order and (on first access) its cover
-edges from them.
+edges from them.  ``dense_ranks`` takes one of three paths: numpy ranks a
+float column; an int/Fraction column whose values fit int64 on one common
+denominator is ranked by numpy as integers; anything else, including such a
+column once its common denominator or a scaled value leaves int64, is sorted
+with Python's exact comparisons.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from itertools import chain, product, repeat
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite, finite_array
+from ._numeric import EXACT_TYPES, ValidationError, check_finite, finite_array
 from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
 _BLOCK_ENTRIES = 1 << 22
+_INT64_MAX = (1 << 63) - 1
 
 
 def dominates(a, b) -> bool:
@@ -109,16 +114,46 @@ class DominanceDag:
 def dense_ranks(column) -> np.ndarray:
     """Dense rank of each value among the distinct values of ``column`` (int64).
 
-    A column of floats is ranked by numpy, whose float comparisons are exact;
-    any other column by sorting its distinct values with Python's exact
-    comparisons, so any mix of int, Fraction and float ranks exactly.
+    A column of floats is ranked by numpy, whose float comparisons are exact.
+    A column of exact ``int`` and ``Fraction`` values (by type, so bools and
+    numpy scalars do not qualify) is ranked by numpy on its ``_int64_keys``.
+    Any other column, or one whose keys leave int64, is ranked by sorting its
+    distinct values with Python's exact comparisons, so any mix of int,
+    Fraction and float ranks exactly.
     """
     if (isinstance(column, np.ndarray) and column.dtype.kind == "f") or all(
         map(isinstance, column, repeat(float))
     ):
         return np.unique(np.asarray(column, dtype=float), return_inverse=True)[1]
+    keys = _int64_keys(column)
+    if keys is not None:
+        return np.unique(keys, return_inverse=True)[1]
     rank = {v: r for r, v in enumerate(sorted(set(column)))}
     return np.fromiter((rank[v] for v in column), dtype=np.int64, count=len(column))
+
+
+def _int64_keys(column):
+    """Keys numerator * (L // denominator) of an all-int/Fraction column, L the lcm of its denominators.
+
+    The keys are the values times L, so they order and tie exactly as the
+    values do.  None when another type occurs, or as soon as L (built one
+    distinct denominator at a time) or a key leaves int64.
+    """
+    if not set(map(type, column)).issubset(EXACT_TYPES):
+        return None
+    denominators = {v.denominator for v in column}
+    lcm = 1
+    for den in denominators:
+        lcm = math.lcm(lcm, den)
+        if lcm > _INT64_MAX:
+            return None
+    scale = {den: lcm // den for den in denominators}
+    try:
+        return np.fromiter(
+            (v.numerator * scale[v.denominator] for v in column), dtype=np.int64, count=len(column)
+        )
+    except OverflowError:
+        return None
 
 
 def _rising(ranks: np.ndarray) -> bool:

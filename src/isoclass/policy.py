@@ -39,19 +39,20 @@ class TrialRecord:
 
     @property
     def denominator(self):
-        # d = +1 gives e, d = -1 gives 1 - e; (1-d)//2 is exactly 0 or 1
-        return self.d * self.e + (1 - self.d) // 2
+        """Probability of the treatment received: e if d = +1, 1 - e if d = -1."""
+        return self.e if self.d > 0 else 1 - self.e
 
 
 def _check_overlap(records, kappa) -> None:
     if not (0 < kappa < 0.5):
         raise ValidationError(f"overlap bound kappa must lie in (0, 1/2), got {kappa!r}")
-    bad = [i for i, r in enumerate(records) if not (kappa < r.e < 1 - kappa)]
+    high = 1 - kappa
+    bad = [i for i, r in enumerate(records) if not (kappa < r.e < high)]
     if bad:
         shown = ", ".join(str(i) for i in bad[:10])
         more = "" if len(bad) <= 10 else f" (and {len(bad) - 10} more)"
         raise ValidationError(
-            f"propensity outside ({kappa}, {1 - kappa}) for record(s) {shown}{more}"
+            f"propensity outside ({kappa}, {high}) for record(s) {shown}{more}"
         )
 
 

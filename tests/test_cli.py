@@ -260,3 +260,54 @@ def test_fit_bernstein_default_orders_name_the_dimension_limit(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "20 covariates" in err and "at most 19 covariates" in err
     assert not os.path.exists(model_path)
+
+
+HALF_SPELLINGS = ("0.5", "0.50", "1/2", "+.5", "5e-1")
+
+
+def _spell_half(template, spelling):
+    """``template`` with each H replaced by a spelling of 1/2: ``spelling``, or all of them in turn."""
+    if spelling is not None:
+        return template.replace("H", spelling)
+    parts = template.split("H")
+    return parts[0] + "".join(HALF_SPELLINGS[i % len(HALF_SPELLINGS)] + part for i, part in enumerate(parts[1:]))
+
+
+def test_every_spelling_of_one_half_writes_the_same_files(tmp_path, capsys):
+    sample = "y,x1,x2\n1,H,0.25\n-1,0.25,H\n1,0.75,H\n-1,H,H\n1,H,H\n-1,1,0.75\n-1,0.75,0.25\n1,H,0.25\n"
+    points = "x1,x2\nH,H\n0.25,H\nH,1\n0,0\n"
+    trials = "z,d,x1,e\n2,1,H,H\n3,-1,0.25,H\n1.5,1,0.75,0.25\n-1,1,H,H\nH,-1,0.75,H\n-2,-1,H,0.75\n"
+    pinned_model = {
+        "type": "monotone",
+        "dim": 2,
+        "support": [["1/4", "1/2"], ["1/2", "1/4"], ["1/2", "1/2"], ["3/4", "1/4"], ["3/4", "1/2"], ["1", "3/4"]],
+        "values": [-1, 1, 1, 1, 1, 1],
+    }
+    pinned_policy = {"type": "monotone", "dim": 1, "support": [["1/4"], ["1/2"], ["3/4"]], "values": [-1, 1, 1]}
+    outputs = set()
+    for spelling in HALF_SPELLINGS + (None,):
+        sample_path = write(tmp_path / "s.csv", _spell_half(sample, spelling))
+        points_path = write(tmp_path / "p.csv", _spell_half(points, spelling))
+        trials_path = write(tmp_path / "t.csv", _spell_half(trials, spelling))
+        model_path, preds_path, policy_path = (str(tmp_path / name) for name in ("m.json", "l.csv", "pol.json"))
+        assert main(["fit-monotone", "--in", sample_path, "--out", model_path]) == 0
+        assert main(["predict", "--model", model_path, "--in", points_path, "--out", preds_path]) == 0
+        assert main(["policy-fit", "--in", trials_path, "--kappa", "1/10", "--out", policy_path]) == 0
+        files = tuple(Path(p).read_text() for p in (model_path, preds_path, policy_path))
+        assert json.loads(files[0]) == pinned_model
+        assert files[1] == "x1,x2,label\n1/2,1/2,1\n1/4,1/2,-1\n1/2,1,1\n0,0,-1\n"
+        assert json.loads(files[2]) == pinned_policy
+        outputs.add(files)
+    capsys.readouterr()
+    assert len(outputs) == 1
+
+
+def test_predict_on_a_model_with_a_repeated_support_point(tmp_path, capsys):
+    # both copies of (1,) are -1, so 0 and 1 lie below a -1 point and 2 lies below none
+    model_path = write(tmp_path / "m.json", json.dumps(
+        {"type": "monotone", "dim": 1, "support": [[1], [1], [0]], "values": [-1, -1, -1]}))
+    points = write(tmp_path / "pts.csv", "x1\n0\n1\n2\n")
+    out = str(tmp_path / "p.csv")
+    assert main(["predict", "--model", model_path, "--in", points, "--out", out]) == 0
+    capsys.readouterr()
+    assert Path(out).read_text() == "x1,label\n0,-1\n1,-1\n2,1\n"

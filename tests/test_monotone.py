@@ -315,3 +315,32 @@ def test_frontier_of_a_large_model_equals_quadratic_definition():
             lowest = MonotoneClassifier(support, (1,) * len(support)).to_compact_dict()["min_positive"]
             want = [p for p, a in zip(support, above) if a == 1]
             assert lowest == MonotoneClassifier(want, (1,) * len(want)).to_dict()["support"]
+
+
+def test_repeated_support_points_count_once_in_the_frontiers():
+    for d in (1, 2, 3):
+        zero, one, two = (0,) * d, (1,) * d, (2,) * d
+        repeated = MonotoneClassifier((one, one, zero), (-1, -1, -1))
+        assert repeated.frontier == MonotoneClassifier((one, zero), (-1, -1)).frontier == (one,)
+        assert predict_batch(repeated, (zero, one, two)).tolist() == [-1, -1, 1]
+        assert repeated.to_compact_dict()["max_negative"] == [[1] * d]
+        rising = MonotoneClassifier((zero, one, zero, two), (1, 1, 1, 1))
+        assert rising.to_compact_dict()["min_positive"] == [[0] * d]
+        # of equal points, the last one given is kept, on both sides
+        assert MonotoneClassifier(((1.0,) * d, one, zero), (-1, -1, -1)).frontier == (one,)
+        assert MonotoneClassifier((one, (1.0,) * d, zero), (-1, -1, -1)).frontier == ((1.0,) * d,)
+        lowest = MonotoneClassifier(((0.0,) * d, one, zero), (1, 1, 1)).to_compact_dict()["min_positive"]
+        assert lowest == [[0] * d] and all(type(v) is int for v in lowest[0])
+    rng = random.Random(307)
+    for trial in range(60):
+        d = 1 + trial % 3
+        pool = [tuple(_mixed_value(rng, 2) for _ in range(d)) for _ in range(rng.randint(1, 8))]
+        support = [rng.choice(pool) for _ in range(rng.randint(1, 20))]
+        # the last copy of each point, then the quadratic definition
+        last = {p: i for i, p in enumerate(support)}
+        distinct = [p for i, p in enumerate(support) if last[p] == i]
+        model = MonotoneClassifier(support, (-1,) * len(support))
+        assert list(model.frontier) == [p for p in distinct if not any(q != p and dominates(p, q) for q in distinct)]
+        lowest = MonotoneClassifier(support, (1,) * len(support)).to_compact_dict()["min_positive"]
+        want = [p for p in distinct if not any(q != p and dominates(q, p) for q in distinct)]
+        assert lowest == MonotoneClassifier(want, (1,) * len(want)).to_dict()["support"]

@@ -1,14 +1,18 @@
+import gc
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from helpers import random_distinct_points
 
 from isoclass import ValidationError, build_dag, dominates, enumerate_up_sets, lattice_dag
 from isoclass.order import DominanceDag
-from isoclass.order import iter_up_set_masks
+from isoclass.order import _int64_keys, dense_ranks, iter_up_set_masks
 
 
 def test_dominates_basics():
@@ -207,3 +211,82 @@ def test_cover_edges_equal_the_definition_on_clouds_grids_and_lattices():
     for orders in ((3,), (2, 3), (1, 2, 2)):
         lat = lattice_dag(orders)
         assert list(lat.cover_edges) == _brute_cover_edges(lat.nodes)
+
+
+def _rank_oracle(column):
+    rank = {v: r for r, v in enumerate(sorted(set(column)))}
+    return [rank[v] for v in column]
+
+
+def test_dense_ranks_of_int_and_fraction_columns_equal_a_sorted_set_oracle():
+    rng = random.Random(41)
+    near = 1 << 62
+    # every key fits int64: one common denominator per pool, numerators up to about 2**62
+    fitting = (
+        (0, 1, -1, 2, -7, 10**12, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(0), Fraction(4, 2)),
+        (near, -near, near - 1, 1 - near, 0, Fraction(near), Fraction(3 - near)),
+        (Fraction(near + 1, 3), Fraction(-near - 1, 3), Fraction(1, 3), Fraction(-2, 3), Fraction(0, 3)),
+        (2**63 - 1, -(2**63), 0, 1, -1),
+    )
+    # the lcm of the denominators times a numerator, or the lcm itself, leaves int64
+    leaving = (
+        (near, Fraction(1, 3), 0, -1),
+        (Fraction(near + 1, 3), Fraction(1, 2), Fraction(-1, 6)),
+        (2**63, 0, 1),
+        (-(2**63) - 1, 0, 1),
+        (Fraction(1, 999983), Fraction(2, 999979), Fraction(-3, 999961), Fraction(4, 999959), Fraction(5, 999953)),
+    )
+    for pools, fits in ((fitting, True), (leaving, False)):
+        for pool in pools:
+            for n in (0, 1, 2, 5, 30):
+                column = [rng.choice(pool) for _ in range(n)]
+                ranks = dense_ranks(column)
+                assert ranks.dtype == np.int64 and ranks.shape == (n,)
+                assert ranks.tolist() == _rank_oracle(column)
+            full = list(pool) * 2
+            rng.shuffle(full)
+            assert dense_ranks(full).tolist() == _rank_oracle(full)
+            assert (_int64_keys(full) is not None) == fits
+
+
+def test_dense_ranks_of_other_types_take_the_exact_sort():
+    columns = (
+        [True, 0, 1, Fraction(1, 2), False],
+        [np.int64(3), 1, 2, Fraction(5, 2), 3],
+        [0.5, Fraction(1, 2), Fraction(1, 3), 2, 0.25],
+        [Fraction(1, 3), 1.0, 1, -0.0, 0],
+    )
+    for column in columns:
+        assert _int64_keys(column) is None
+        for trial in range(6):
+            shuffled = random.Random(trial).sample(column, len(column))
+            assert dense_ranks(shuffled).tolist() == _rank_oracle(shuffled)
+    floats = [0.5, -0.0, 0.0, 2.5, 0.5]
+    assert dense_ranks(floats).tolist() == _rank_oracle(floats)
+
+
+def test_dense_ranks_gives_up_on_a_growing_common_denominator_early(monkeypatch):
+    # random 6-digit denominators: their lcm leaves int64 after a few of them,
+    # so ranking must cost about what the exact sort costs (not an lcm of 10**4 of them)
+    rng = random.Random(59)
+    column = [Fraction(rng.randint(-(10**6), 10**6), rng.randint(10**5, 10**6 - 1)) for _ in range(10**4)]
+    steps, lcm = [], math.lcm
+    monkeypatch.setattr(math, "lcm", lambda a, b: steps.append(b) or lcm(a, b))
+    assert _int64_keys(column) is None
+    assert len(steps) <= 10
+    monkeypatch.undo()
+
+    def best_of_five(run):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert dense_ranks(column).tolist() == _rank_oracle(column)
+    gc.disable()
+    try:
+        assert best_of_five(lambda: dense_ranks(column)) < 2 * best_of_five(lambda: _rank_oracle(column))
+    finally:
+        gc.enable()
