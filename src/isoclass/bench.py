@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._numeric import ValidationError, halton, is_exact
+from ._numeric import ValidationError, all_exact, halton, is_exact
 from .bernstein import BernsteinClassifier, evaluate as bernstein_value
 from .bernstein import fit as fit_bernstein, predict_batch as bernstein_labels, suggest_orders
 from .losses import exponential, hinge, truncated_quadratic, zero_one
@@ -226,6 +226,22 @@ class CalibrationReport:
     agreements: dict  # (name, name) -> PairAgreement
 
 
+def _exact_orders_agree(risks_a, risks_b) -> bool:
+    """True iff all risks are exact and every pair of sets compares alike under both.
+
+    That holds exactly when b is a strictly increasing function of a: sorted
+    by (a, b), equal a must have equal b and b must rise wherever a does.
+    Float risks give False: ``_cmp``'s tolerance is not transitive, so only
+    the pairwise scan decides them.
+    """
+    if not (all_exact(risks_a) and all_exact(risks_b)):
+        return False
+    pairs = sorted(zip(risks_a, risks_b))
+    return all(
+        b1 > b0 if a1 > a0 else b1 == b0 for (a0, b0), (a1, b1) in zip(pairs, pairs[1:])
+    )
+
+
 def calibration_table(dist: DiscreteDistribution, losses, node_limit: int = 15) -> CalibrationReport:
     """Set risks over all up-sets plus pairwise loss-ordering agreement."""
     dag = build_dag(dist.points)
@@ -243,10 +259,13 @@ def calibration_table(dist: DiscreteDistribution, losses, node_limit: int = 15) 
     for name_a, name_b in combinations(names, 2):
         risks_a, risks_b = surrogate[name_a], surrogate[name_b]
         verdict = PairAgreement(True)
-        for i, j in combinations(range(len(sets)), 2):
-            if _cmp(risks_a[i], risks_a[j]) != _cmp(risks_b[i], risks_b[j]):
-                verdict = PairAgreement(False, (sets[i].indices, sets[j].indices))
-                break
+        # the pairwise scan finds the first disagreeing pair; it runs only when
+        # one sort cannot vouch for agreement
+        if not _exact_orders_agree(risks_a, risks_b):
+            for i, j in combinations(range(len(sets)), 2):
+                if _cmp(risks_a[i], risks_a[j]) != _cmp(risks_b[i], risks_b[j]):
+                    verdict = PairAgreement(False, (sets[i].indices, sets[j].indices))
+                    break
         agreements[(name_a, name_b)] = verdict
     return CalibrationReport(
         tuple(g.indices for g in sets), classification, surrogate, agreements

@@ -90,7 +90,7 @@ def _cmd_predict(args) -> int:
     points = io.load_points(args.input, rational=not args.float)
     kind = monotone if isinstance(model, MonotoneClassifier) else bernstein
     labels = kind.predict_batch(model, points).tolist()
-    d = len(points[0]) if points else 0
+    d = len(points[0]) if points else model.dim
     header = [f"x{i + 1}" for i in range(d)] + ["label"]
     io.write_csv(args.out, header, [list(p) + [y] for p, y in zip(points, labels)])
     print(f"wrote {len(labels)} predictions -> {args.out}")

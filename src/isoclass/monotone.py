@@ -49,6 +49,13 @@ class MonotoneClassifier:
         if not set(self.values) <= {-1, 1}:
             raise ValidationError("fitted values must be -1 or +1")
 
+    @classmethod
+    def _of_fit(cls, support: tuple, values: tuple) -> "MonotoneClassifier":
+        """``fit``'s model, skipping ``__post_init__``: its sample and ``solve`` made those checks."""
+        model = object.__new__(cls)
+        model.__dict__.update(support=support, values=values)
+        return model
+
     @property
     def dim(self) -> int:
         return len(self.support[0]) if self.support else 0
@@ -150,7 +157,9 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     coefficients: a stable lexicographic sort of the rank rows lists the
     distinct points in the order ``sorted`` would give, each as the object
     of its first row, and the per-point sums of w_i y_i are added in row
-    order (exact for int and Fraction products).
+    order (exact for int and Fraction products; in int64 if every weight is
+    an ``int`` and n * max(w) < 2**62).  The sample has checked its rows (one
+    dimension, finite): the DAG checks only that the support is distinct.
     """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
@@ -159,12 +168,15 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     ranks = ranks[by_lex]
     # a row starts a new point when its ranks differ from the row before
     starts = np.flatnonzero(np.concatenate(([True], np.diff(ranks, axis=0).any(axis=1))))
-    products = np.fromiter(map(mul, sample.weights, sample.labels), dtype=object, count=sample.n)
+    n, weights, labels, points = sample.n, sample.weights, sample.labels, sample.points
+    if set(map(type, weights)) == {int} and n * max(weights) < 2**62:  # |sums| <= n * max(w)
+        products = np.fromiter(weights, np.int64, n) * np.fromiter(labels, np.int64, n)
+    else:
+        products = np.fromiter(map(mul, weights, labels), dtype=object, count=n)
     coeffs = np.add.reduceat(products[by_lex], starts).tolist()
-    points = sample.points
-    dag = build_dag([points[i] for i in by_lex[starts].tolist()], ranks[starts])
+    dag = build_dag(tuple(map(points.__getitem__, by_lex[starts].tolist())), ranks[starts])
     values, _ = solve(IsotoneProblem(dag, coeffs))
-    return MonotoneClassifier(dag.nodes, tuple(values))
+    return MonotoneClassifier._of_fit(dag.nodes, tuple(values))
 
 
 def _query_columns(points, dim: int):

@@ -7,11 +7,11 @@ edges forward -- are the feasible prediction sets of monotone classification.
 Dominance only depends on the order within each coordinate, so a DAG keeps
 its nodes' dense integer ranks, exact for any mix of int, Fraction and float
 coordinates, and derives its chain order and (on first access) its cover
-edges from them.  ``dense_ranks`` takes one of three paths: numpy ranks a
+edges from them.  ``dense_ranks`` takes one of four paths: numpy ranks a
 float column; an int/Fraction column whose values fit int64 on one common
-denominator is ranked by numpy as integers; anything else, including such a
-column once its common denominator or a scaled value leaves int64, is sorted
-with Python's exact comparisons.
+denominator is ranked by numpy as integers; such a column whose scaled values
+leave int64, with a common denominator below 2**128, is ranked by sorting
+those integers; anything else is sorted with Python's exact comparisons.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
 _BLOCK_ENTRIES = 1 << 22
-_INT64_MAX = (1 << 63) - 1
+_KEY_DENOMINATOR_LIMIT = 1 << 128
 
 
 def dominates(a, b) -> bool:
@@ -46,11 +46,11 @@ class DominanceDag:
     access, which neither the chain scan nor the 2-d sweep makes; so the edges
     and the ranks that ``solve`` picks its algorithm from describe one order.
     ``ranks``, the nodes' ``rank_matrix`` when the caller already has it,
-    spares ranking them again.
+    spares ranking them again; given with it, a tuple of tuples is kept as is.
     """
 
     def __init__(self, nodes, ranks=None):
-        self.nodes = tuple(map(tuple, nodes))
+        self.nodes = nodes if ranks is not None and type(nodes) is tuple else tuple(map(tuple, nodes))
         if ranks is not None:
             self.ranks = ranks
 
@@ -116,28 +116,35 @@ def dense_ranks(column) -> np.ndarray:
 
     A column of floats is ranked by numpy, whose float comparisons are exact.
     A column of exact ``int`` and ``Fraction`` values (by type, so bools and
-    numpy scalars do not qualify) is ranked by numpy on its ``_int64_keys``.
-    Any other column, or one whose keys leave int64, is ranked by sorting its
-    distinct values with Python's exact comparisons, so any mix of int,
-    Fraction and float ranks exactly.
+    numpy scalars do not qualify) is ranked on its ``_exact_keys``: by numpy
+    when they fit int64, else by sorting the distinct keys as Python ints.
+    Any other column, or one whose common denominator reaches 2**128, is
+    ranked by sorting its distinct values with Python's exact comparisons, so
+    any mix of int, Fraction and float ranks exactly.
     """
     if (isinstance(column, np.ndarray) and column.dtype.kind == "f") or all(
         map(isinstance, column, repeat(float))
     ):
         return np.unique(np.asarray(column, dtype=float), return_inverse=True)[1]
-    keys = _int64_keys(column)
-    if keys is not None:
-        return np.unique(keys, return_inverse=True)[1]
-    rank = {v: r for r, v in enumerate(sorted(set(column)))}
-    return np.fromiter((rank[v] for v in column), dtype=np.int64, count=len(column))
+    keys = _exact_keys(column)
+    if keys is None:
+        keys = column
+    else:
+        try:
+            return np.unique(np.fromiter(keys, np.int64, len(keys)), return_inverse=True)[1]
+        except OverflowError:
+            pass
+    rank = {v: r for r, v in enumerate(sorted(set(keys)))}
+    return np.fromiter((rank[v] for v in keys), dtype=np.int64, count=len(keys))
 
 
-def _int64_keys(column):
+def _exact_keys(column):
     """Keys numerator * (L // denominator) of an all-int/Fraction column, L the lcm of its denominators.
 
-    The keys are the values times L, so they order and tie exactly as the
-    values do.  None when another type occurs, or as soon as L (built one
-    distinct denominator at a time) or a key leaves int64.
+    The keys are the values times L, as Python ints, so they order and tie
+    exactly as the values do.  None when another type occurs, or as soon as
+    L (built one distinct denominator at a time) reaches 2**128, where
+    sorting the keys would cost about what sorting the Fractions does.
     """
     if not set(map(type, column)).issubset(EXACT_TYPES):
         return None
@@ -145,15 +152,10 @@ def _int64_keys(column):
     lcm = 1
     for den in denominators:
         lcm = math.lcm(lcm, den)
-        if lcm > _INT64_MAX:
+        if lcm >= _KEY_DENOMINATOR_LIMIT:
             return None
     scale = {den: lcm // den for den in denominators}
-    try:
-        return np.fromiter(
-            (v.numerator * scale[v.denominator] for v in column), dtype=np.int64, count=len(column)
-        )
-    except OverflowError:
-        return None
+    return [v.numerator * scale[v.denominator] for v in column]
 
 
 def _rising(ranks: np.ndarray) -> bool:
@@ -222,24 +224,27 @@ def _cover_edges(ranks: np.ndarray) -> tuple:
 def build_dag(points, ranks=None) -> DominanceDag:
     """Order DAG of distinct points under the componentwise order.
 
-    ``ranks`` is passed on to ``DominanceDag``; cover edges are computed on
-    first access.  Distinctness is checked on the rank rows, which are equal
-    exactly when the points are equal (so ``(1,)`` and ``(1.0,)`` are one
-    point): no two rows may be equal in the DAG's lexicographic order.
+    Without ``ranks`` the points are checked (one dimension, finite) and
+    ranked; only ``monotone.fit`` passes ``ranks``, with a validated
+    ``WeightedSample``'s tuples, which are trusted.  Cover edges are computed
+    on first access.  Distinctness is always checked on the rank rows, which
+    are equal exactly when the points are equal (so ``(1,)`` and ``(1.0,)``
+    are one point): no two rows may be equal in the DAG's lexicographic order.
     """
-    points = list(map(tuple, points))
-    dims = set(map(len, points))
-    if len(dims) > 1:
-        raise ValidationError(f"points have mixed dimensions: {sorted(dims)}")
-    n = len(points)
-    if n == 0:
-        return DominanceDag(())
-    if finite_array(chain.from_iterable(points), n * len(points[0])) is None:
-        for p in points:
-            for v in p:
-                check_finite(v, "coordinate")
-    # only the order within a coordinate matters: the DAG works on dense ranks
-    dag = DominanceDag(points, ranks=rank_matrix(points) if ranks is None else ranks)
+    if ranks is None:
+        points = tuple(map(tuple, points))
+        dims = set(map(len, points))
+        if len(dims) > 1:
+            raise ValidationError(f"points have mixed dimensions: {sorted(dims)}")
+        if not points:
+            return DominanceDag(())
+        if finite_array(chain.from_iterable(points), len(points) * len(points[0])) is None:
+            for p in points:
+                for v in p:
+                    check_finite(v, "coordinate")
+        # only the order within a coordinate matters: the DAG works on dense ranks
+        ranks = rank_matrix(points)
+    dag = DominanceDag(points, ranks)
     if not np.diff(dag.ranks[dag.lex_order], axis=0).any(axis=1).all():
         raise ValidationError("points must be distinct (deduplicate before building)")
     return dag

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,19 +9,24 @@ import pytest
 from helpers import random_rational_distribution
 
 from isoclass import (
+    DiscreteDistribution,
     ValidationError,
     calibration_table,
     exponential,
     fit_monotone,
     hinge,
+    logistic,
     monotone_predict_batch,
+    quadratic,
     reproduce_example_1,
     reproduce_example_2,
     simulate_regret,
+    truncated_quadratic,
     zero_one,
 )
+import isoclass.bench as bench
 from isoclass._numeric import halton
-from isoclass.bench import DGPS, StepDgp, Step2dDgp, example_distribution_1, _threshold_1d
+from isoclass.bench import DGPS, PairAgreement, StepDgp, Step2dDgp, example_distribution_1, _threshold_1d
 from isoclass import MonotoneClassifier, fit_bernstein, WeightedSample
 
 
@@ -71,6 +78,72 @@ def test_calibration_single_point_always_agrees():
     dist = DiscreteDistribution(((0,),), (1,), (Fraction(7, 10),))
     report = calibration_table(dist, [zero_one(), exponential(), hinge(1)])
     assert all(v.agree for v in report.agreements.values())
+
+
+def _scan_agreement(sets, risks_a, risks_b):
+    """The first pair of sets whose risks compare differently; floats tie within 1e-12."""
+    def cmp(x, y):
+        if isinstance(x, float) or isinstance(y, float):
+            return 0 if abs(float(x) - float(y)) <= 1e-12 else (1 if x > y else -1)
+        return (x > y) - (x < y)
+
+    for i, j in combinations(range(len(sets)), 2):
+        if cmp(risks_a[i], risks_a[j]) != cmp(risks_b[i], risks_b[j]):
+            return False, (sets[i], sets[j])
+    return True, None
+
+
+def test_calibration_agreement_equals_the_pairwise_scan():
+    rng = random.Random(71)
+    losses = [zero_one(), hinge(1), hinge(Fraction(5, 2)), quadratic(), truncated_quadratic(), exponential(), logistic()]
+    verdicts = set()
+    for trial in range(80):
+        dist = random_rational_distribution(rng, max_points=6, d=rng.randint(1, 3), grid=3)
+        if trial % 2:
+            # equal masses and eta in quarters: many sets tie under one loss and not the other
+            dist = DiscreteDistribution(dist.points, (Fraction(1, dist.n),) * dist.n,
+                                        tuple(Fraction(rng.randint(0, 4), 4) for _ in dist.points))
+        report = calibration_table(dist, rng.sample(losses, 3))
+        for (a, b), verdict in report.agreements.items():
+            want = _scan_agreement(report.sets, report.surrogate[a], report.surrogate[b])
+            assert (verdict.agree, verdict.witness) == want, (a, b)
+            exact = not any(isinstance(r, float) for r in report.surrogate[a] + report.surrogate[b])
+            verdicts.add((exact, verdict.agree))
+    # both verdicts occur among exact pairs, and float risks are compared too
+    assert {(True, True), (True, False), (False, True)} <= verdicts
+
+
+def test_calibration_compares_float_risks_with_the_tolerant_scan(monkeypatch):
+    # loss a's float risks rise by 1e-13 per set, within the tie tolerance, while loss b's
+    # rise by 1: sorted exactly the two orders agree, but the scan sees ties against rises
+    def risk(dist, g, loss):
+        step = 1e-13 if loss.kind == "zero_one" else 1.0
+        return step * int("".join("1" if m else "0" for m in g.members), 2)
+
+    monkeypatch.setattr(bench, "surrogate_risk_at_set", risk)
+    report = calibration_table(example_distribution_1(), [zero_one(), hinge(1)])
+    want = _scan_agreement(report.sets, report.surrogate["zero-one"], report.surrogate["hinge:1"])
+    assert want[0] is False
+    assert report.agreements[("zero-one", "hinge:1")] == PairAgreement(*want)
+
+
+def test_calibration_of_a_12_point_antichain_takes_seconds(monkeypatch):
+    # 4096 up-sets: the pairwise scan would make about 8.4 million comparisons per pair of losses
+    k = 12
+    dist = DiscreteDistribution(
+        tuple((i, k - 1 - i) for i in range(k)),
+        (Fraction(1, k),) * k,
+        tuple(Fraction(i + 1, k + 2) for i in range(k)),
+    )
+    calls = []
+    real_cmp = bench._cmp
+    monkeypatch.setattr(bench, "_cmp", lambda a, b: calls.append(1) or real_cmp(a, b))
+    start = time.perf_counter()
+    report = calibration_table(dist, [zero_one(), hinge(1), hinge(2)])
+    assert time.perf_counter() - start < 30
+    assert len(report.sets) == 2**k
+    assert all(v == PairAgreement(True) for v in report.agreements.values())
+    assert not calls
 
 
 def test_step_dgp_exact_threshold_risk():

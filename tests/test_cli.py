@@ -311,3 +311,23 @@ def test_predict_on_a_model_with_a_repeated_support_point(tmp_path, capsys):
     assert main(["predict", "--model", model_path, "--in", points, "--out", out]) == 0
     capsys.readouterr()
     assert Path(out).read_text() == "x1,label\n0,-1\n1,-1\n2,1\n"
+
+
+def test_predict_on_a_points_file_with_no_rows_writes_the_model_header(tmp_path, capsys):
+    # the header names one column per model coordinate, as it does when there are rows
+    one_d = write(tmp_path / "one.csv", "y,x1\n1,0.2\n-1,0.8\n")
+    two_d = write(tmp_path / "two.csv", "y,x1,x2\n1,0.2,0.5\n-1,0.8,0.1\n1,0.9,0.9\n")
+    models = (
+        ("fit-monotone", one_d, [], "x1,label\n"),
+        ("fit-monotone", two_d, [], "x1,x2,label\n"),
+        ("fit-bernstein", two_d, ["--orders", "2,2"], "x1,x2,label\n"),
+    )
+    for command, data, extra, header in models:
+        model_path = str(tmp_path / "m.json")
+        assert main([command, "--in", data, *extra, "--out", model_path]) == 0
+        empty = write(tmp_path / "empty.csv", header.replace(",label", ""))
+        for flags in ([], ["--float"]):
+            out = str(tmp_path / "p.csv")
+            assert main(["predict", "--model", model_path, "--in", empty, "--out", out, *flags]) == 0
+            assert Path(out).read_text() == header
+    capsys.readouterr()

@@ -205,6 +205,52 @@ def test_fit_equals_a_dict_aggregation_of_the_rows(monkeypatch):
         assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
 
 
+def test_fit_builds_the_model_the_public_constructor_would(monkeypatch):
+    # the fit trusts its validated sample; the checked constructor must give the same model
+    problems = []
+    real_solve = monotone.solve
+    monkeypatch.setattr(monotone, "solve", lambda problem: problems.append(problem) or real_solve(problem))
+    rng = random.Random(307)
+    values = (0, 0.0, -0.0, Fraction(0), 1, 1.0, Fraction(1), Fraction(-1, 2), -0.5, 3, Fraction(7, 3))
+    guard = 1 << 62
+    sides = set()
+    for trial in range(400):
+        d = 1 + trial % 3
+        n = rng.randint(1, 30)
+        pool = [tuple(rng.choice(values) for _ in range(d)) for _ in range(rng.randint(1, 8))]
+        points = [rng.choice(pool) for _ in range(n)]
+        kind = trial % 4
+        if kind == 0:
+            row_weights = [rng.randint(0, 9) for _ in range(n)]
+        elif kind == 1:
+            # n * max(w) just below, at or just above 2**62, or near 2**63, where int64 sums overflow
+            top = rng.choice((guard, 2 * guard)) // n + rng.choice((-1, 0, 1))
+            row_weights = [rng.choice((top, top - rng.randint(0, 3))) for _ in range(n)]
+        elif kind == 2:
+            row_weights = [rng.choice((1, 10**18, 10**30, 3 * 10**29)) for _ in range(n)]
+        else:
+            row_weights = [rng.choice((0, 2, Fraction(1, 3), Fraction(5, 2))) for _ in range(n)]
+        signs = (-1, 1)
+        if kind == 1 and trial % 8 == 1:
+            # one point and one label: the sum of the large weights reaches n * max(w)
+            points, signs = [points[0]] * n, (rng.choice(signs),)
+        sample = WeightedSample(row_weights, [rng.choice(signs) for _ in range(n)], points)
+        if set(map(type, row_weights)) == {int}:
+            sides.add(n * max(row_weights) < guard)
+        model = fit_monotone(sample)
+        support, coeffs = _dict_fit_problem(sample)
+        assert list(problems[-1].coeffs) == coeffs
+        assert list(map(type, problems[-1].coeffs)) == list(map(type, coeffs))
+        checked = MonotoneClassifier(model.support, model.values)
+        assert model == checked
+        assert type(model.support) is tuple and type(model.values) is tuple
+        assert [list(map(type, p)) for p in model.support] == [list(map(type, p)) for p in checked.support]
+        assert all(type(p) is tuple for p in model.support)
+        assert all(type(v) is int for v in model.values)
+        assert json.dumps(model.to_dict()) == json.dumps(checked.to_dict())
+    assert sides == {True, False}
+
+
 def _brute_force_label(model, q):
     """-1 iff some -1-valued support point dominates q (all support points scanned)."""
     dominated = any(

@@ -11,8 +11,9 @@ import pytest
 from helpers import random_distinct_points
 
 from isoclass import ValidationError, build_dag, dominates, enumerate_up_sets, lattice_dag
+from isoclass._numeric import parse_exact
 from isoclass.order import DominanceDag
-from isoclass.order import _int64_keys, dense_ranks, iter_up_set_masks
+from isoclass.order import _exact_keys, dense_ranks, iter_up_set_masks
 
 
 def test_dominates_basics():
@@ -57,6 +58,23 @@ def test_build_dag_rejects_duplicates():
         with pytest.raises(ValidationError):
             build_dag(pts[::-1])
     assert build_dag([(1,), (1.5,)]).n == 2
+
+
+def test_build_dag_without_ranks_checks_its_points():
+    # only fit passes ranks, for a validated sample; every other caller's points are checked
+    bad = (
+        ([(0.0,), (math.nan,)], "finite"),
+        ([(0, 1), (math.inf, 2)], "finite"),
+        ([(0, 1), (2,)], "mixed dimensions"),
+        ([(0,), (1, 2), (3,)], "mixed dimensions"),
+        ([(0, 1), (Fraction(1, 2), 1), (0.0, 1.0)], "distinct"),
+    )
+    for pts, message in bad:
+        for given in (pts, tuple(pts), iter(pts), [list(p) for p in pts]):
+            with pytest.raises(ValidationError, match=message):
+                build_dag(given)
+    dag = build_dag([[1, 2], (0, Fraction(1, 2))])
+    assert dag.nodes == ((1, 2), (0, Fraction(1, 2))) and all(type(p) is tuple for p in dag.nodes)
 
 
 def test_lex_order_is_the_sorted_order_of_the_nodes():
@@ -246,7 +264,9 @@ def test_dense_ranks_of_int_and_fraction_columns_equal_a_sorted_set_oracle():
             full = list(pool) * 2
             rng.shuffle(full)
             assert dense_ranks(full).tolist() == _rank_oracle(full)
-            assert (_int64_keys(full) is not None) == fits
+            # every pool's common denominator stays below 2**128: keys exist, int64 holds them or not
+            keys = _exact_keys(full)
+            assert keys is not None and (-(2**63) <= min(keys) and max(keys) < 2**63) == fits
 
 
 def test_dense_ranks_of_other_types_take_the_exact_sort():
@@ -257,7 +277,7 @@ def test_dense_ranks_of_other_types_take_the_exact_sort():
         [Fraction(1, 3), 1.0, 1, -0.0, 0],
     )
     for column in columns:
-        assert _int64_keys(column) is None
+        assert _exact_keys(column) is None
         for trial in range(6):
             shuffled = random.Random(trial).sample(column, len(column))
             assert dense_ranks(shuffled).tolist() == _rank_oracle(shuffled)
@@ -265,14 +285,36 @@ def test_dense_ranks_of_other_types_take_the_exact_sort():
     assert dense_ranks(floats).tolist() == _rank_oracle(floats)
 
 
+def test_dense_ranks_of_long_decimals_sorts_integer_keys():
+    # decimals written as a float's repr carry up to 17 significant digits: their common
+    # denominator leaves int64 but stays below 2**128, so they rank on Python-int keys
+    rng = random.Random(67)
+    for trial in range(40):
+        n = rng.choice((1, 2, 7, 200))
+        column = [parse_exact(repr(rng.uniform(-5, 5) / 10 ** rng.randint(0, 4))) for _ in range(n)]
+        column += [rng.choice(column) for _ in range(n // 2)] + [rng.choice((-5, 5)), parse_exact("1e-19")]
+        rng.shuffle(column)
+        keys = _exact_keys(column)
+        assert keys is not None and len(keys) == len(column)
+        assert max(map(abs, keys)) >= 2**63
+        assert dense_ranks(column).tolist() == _rank_oracle(column)
+        # the same values beside one float take the exact sort, and rank alike
+        mixed = column + [0.5]
+        assert _exact_keys(mixed) is None
+        assert dense_ranks(mixed).tolist() == _rank_oracle(mixed)
+    wide = [Fraction(1, 2**127), Fraction(1, 3), Fraction(-1, 5)]
+    assert _exact_keys(wide) is None
+    assert dense_ranks(wide).tolist() == _rank_oracle(wide) == [1, 2, 0]
+
+
 def test_dense_ranks_gives_up_on_a_growing_common_denominator_early(monkeypatch):
-    # random 6-digit denominators: their lcm leaves int64 after a few of them,
+    # random 6-digit denominators: their lcm reaches 2**128 after a few of them,
     # so ranking must cost about what the exact sort costs (not an lcm of 10**4 of them)
     rng = random.Random(59)
     column = [Fraction(rng.randint(-(10**6), 10**6), rng.randint(10**5, 10**6 - 1)) for _ in range(10**4)]
     steps, lcm = [], math.lcm
     monkeypatch.setattr(math, "lcm", lambda a, b: steps.append(b) or lcm(a, b))
-    assert _int64_keys(column) is None
+    assert _exact_keys(column) is None
     assert len(steps) <= 10
     monkeypatch.undo()
 
