@@ -1,10 +1,11 @@
-"""Shared numeric helpers: sign convention, exactness checks, exact parsing, Halton points."""
+"""Shared numeric helpers: sign convention, exactness and point checks, exact parsing, Halton points."""
 
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -65,6 +66,25 @@ def finite_array(values, count: int):
     except (OverflowError, TypeError, ValueError):
         return None
     return out if np.isfinite(out).all() else None
+
+
+def check_points(points, noun: str) -> tuple:
+    """``points`` as a tuple of tuples, checked to share one dimension and to have finite coordinates.
+
+    All coordinates go through one ``finite_array`` pass; only when it fails
+    does a loop run, to name the first non-finite float ("covariate of
+    {noun} i must be finite").  Values that float() rejects or that lie
+    beyond float range are left to the caller.
+    """
+    points = tuple(map(tuple, points))
+    dims = set(map(len, points))
+    if len(dims) > 1:
+        raise ValidationError(f"{noun}s have mixed dimensions: {sorted(dims)}")
+    if points and finite_array(chain.from_iterable(points), len(points) * len(points[0])) is None:
+        for i, p in enumerate(points):
+            for v in p:
+                check_finite(v, f"covariate of {noun} {i}")
+    return points
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)

@@ -27,14 +27,8 @@ from .bernstein import BernsteinClassifier, evaluate as bernstein_value
 from .bernstein import fit as fit_bernstein, predict_batch as bernstein_labels, suggest_orders
 from .losses import exponential, hinge, truncated_quadratic, zero_one
 from .monotone import MonotoneClassifier, fit as fit_monotone
-from .order import build_dag, enumerate_up_sets
-from .risks import (
-    DiscreteDistribution,
-    PredictionSet,
-    WeightedSample,
-    classification_risk_at_set,
-    surrogate_risk_at_set,
-)
+from .order import DEFAULT_NODE_LIMIT, build_dag, enumerate_up_sets
+from .risks import DiscreteDistribution, PredictionSet, WeightedSample, set_risk, surrogate_terms
 
 _TIE_TOL = 1e-12
 
@@ -61,24 +55,19 @@ def _argmin(values) -> int:
 # worked examples
 
 
+def _uniform_on_0_1_2(*eta_tenths) -> DiscreteDistribution:
+    eta = tuple(Fraction(e, 10) for e in eta_tenths)
+    return DiscreteDistribution(((0,), (1,), (2,)), (Fraction(1, 3),) * 3, eta)
+
+
 def example_distribution_1() -> DiscreteDistribution:
     """Uniform support {0, 1, 2} with eta = (0.9, 0.3, 0.2)."""
-    third = Fraction(1, 3)
-    return DiscreteDistribution(
-        ((0,), (1,), (2,)),
-        (third, third, third),
-        (Fraction(9, 10), Fraction(3, 10), Fraction(2, 10)),
-    )
+    return _uniform_on_0_1_2(9, 3, 2)
 
 
 def example_distribution_2() -> DiscreteDistribution:
     """Uniform support {0, 1, 2} with eta = (0.6, 0.2, 0.8)."""
-    third = Fraction(1, 3)
-    return DiscreteDistribution(
-        ((0,), (1,), (2,)),
-        (third, third, third),
-        (Fraction(6, 10), Fraction(2, 10), Fraction(8, 10)),
-    )
+    return _uniform_on_0_1_2(6, 2, 8)
 
 
 @dataclass(frozen=True)
@@ -116,16 +105,18 @@ def reproduce_example_1() -> ExampleOneResult:
     dag = build_dag(dist.points)
     sets = tuple(enumerate_up_sets(dag))
     losses = (zero_one(), hinge(1), exponential(), truncated_quadratic())
+    classification = surrogate_terms(dist, zero_one())
     rows = []
     for loss in losses:
-        risks = [surrogate_risk_at_set(dist, g, loss) for g in sets]
+        terms = surrogate_terms(dist, loss)
+        risks = [set_risk(terms, g) for g in sets]
         best = _argmin(risks)
         rows.append(
             LossReproduction(
                 loss.name,
                 _set_points(dist, sets[best]),
                 risks[best],
-                classification_risk_at_set(dist, sets[best]),
+                set_risk(classification, sets[best]),
             )
         )
     result = ExampleOneResult(tuple(_set_points(dist, g) for g in sets), tuple(rows))
@@ -186,13 +177,14 @@ def reproduce_example_2() -> ExampleTwoResult:
     dist = example_distribution_2()
     dag = build_dag(dist.points)
     sets = tuple(enumerate_up_sets(dag))
-    risks = [classification_risk_at_set(dist, g) for g in sets]
+    classification = surrogate_terms(dist, zero_one())
+    risks = [set_risk(classification, g) for g in sets]
     best = _argmin(risks)
 
     c0, c1 = _linear_hinge_vertex(dist)
     members = tuple(c0 + c1 * p[0] >= 0 for p in dist.points)
     linear_set = PredictionSet(members)
-    linear_risk = classification_risk_at_set(dist, linear_set)
+    linear_risk = set_risk(classification, linear_set)
 
     result = ExampleTwoResult(
         _set_points(dist, sets[best]),
@@ -242,19 +234,24 @@ def _exact_orders_agree(risks_a, risks_b) -> bool:
     )
 
 
-def calibration_table(dist: DiscreteDistribution, losses, node_limit: int = 15) -> CalibrationReport:
-    """Set risks over all up-sets plus pairwise loss-ordering agreement."""
+def calibration_table(dist: DiscreteDistribution, losses, node_limit: int = DEFAULT_NODE_LIMIT) -> CalibrationReport:
+    """Set risks over all up-sets plus pairwise loss-ordering agreement.
+
+    Each loss's per-point terms are computed once, for all up-sets; the
+    classification column comes from the 0-1 terms.
+    """
     dag = build_dag(dist.points)
     sets = tuple(enumerate_up_sets(dag, node_limit))
     losses = tuple(losses)
     names = [loss.name for loss in losses]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate losses requested")
-    classification = tuple(classification_risk_at_set(dist, g) for g in sets)
-    surrogate = {
-        loss.name: tuple(surrogate_risk_at_set(dist, g, loss) for g in sets)
-        for loss in losses
-    }
+    columns = {loss.name: loss for loss in (zero_one(), *losses)}
+    for name, loss in columns.items():
+        terms = surrogate_terms(dist, loss)
+        columns[name] = tuple(set_risk(terms, g) for g in sets)
+    classification = columns["zero-one"]
+    surrogate = {name: columns[name] for name in names}
     agreements = {}
     for name_a, name_b in combinations(names, 2):
         risks_a, risks_b = surrogate[name_a], surrogate[name_b]
@@ -277,10 +274,18 @@ def calibration_table(dist: DiscreteDistribution, losses, node_limit: int = 15) 
 
 
 def _draw(dgp, rng, n: int):
-    """n rows: X uniform on [0,1]^dim (float tuples), then Y = +1 with probability eta(X) (ints)."""
+    """n rows: X uniform on [0,1]^dim (float tuples), then Y = +1 with probability eta(X) (ints).
+
+    Every design's ``sample``.
+    """
     xs = rng.random((n, dgp.dim))
     ys = np.where(rng.random(n) < dgp.eta(xs), 1, -1)
     return list(zip(*xs.T.tolist())), ys.tolist()
+
+
+def _threshold_risk(dgp, model) -> float:
+    """A 1-d design's ``population_risk``: its closed-form risk at the model's threshold."""
+    return dgp.risk_of_threshold(_threshold_1d(model))
 
 
 class StepDgp:
@@ -298,15 +303,13 @@ class StepDgp:
     def eta(self, x: np.ndarray) -> np.ndarray:
         return np.where(x[:, 0] >= 0.5, 0.75, 0.25)
 
-    def sample(self, rng, n: int):
-        return _draw(self, rng, n)
+    sample = _draw
 
     def risk_of_threshold(self, a: float) -> float:
         a = min(1.0, max(0.0, a))
         return 0.5 - 0.5 * a if a <= 0.5 else 0.5 * a
 
-    def population_risk(self, model) -> float:
-        return self.risk_of_threshold(_threshold_1d(model))
+    population_risk = _threshold_risk
 
 
 class SmoothDgp:
@@ -319,15 +322,13 @@ class SmoothDgp:
     def eta(self, x: np.ndarray) -> np.ndarray:
         return x[:, 0]
 
-    def sample(self, rng, n: int):
-        return _draw(self, rng, n)
+    sample = _draw
 
     def risk_of_threshold(self, a: float) -> float:
         a = min(1.0, max(0.0, a))
         return a * a - a + 0.5
 
-    def population_risk(self, model) -> float:
-        return self.risk_of_threshold(_threshold_1d(model))
+    population_risk = _threshold_risk
 
 
 class Step2dDgp:
@@ -347,8 +348,7 @@ class Step2dDgp:
     def eta(self, x: np.ndarray) -> np.ndarray:
         return np.where(x.sum(axis=1) >= 1.0, 0.75, 0.25)
 
-    def sample(self, rng, n: int):
-        return _draw(self, rng, n)
+    sample = _draw
 
     @cached_property
     def _quadrature(self):

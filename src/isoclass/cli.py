@@ -14,11 +14,15 @@ import sys
 from fractions import Fraction
 
 from . import bench, bernstein, io, monotone, policy
-from ._numeric import ValidationError, parse_exact
+from ._numeric import ValidationError
 from .bernstein import BernsteinClassifier
 from .losses import parse_loss
 from .monotone import MonotoneClassifier
+from .order import DEFAULT_NODE_LIMIT
 from .risks import WeightedSample
+
+# the overlap bound's text, so that it parses exactly unless --float is given
+DEFAULT_KAPPA = str(policy.DEFAULT_KAPPA)
 
 
 def _parse_ints(text: str, flag: str):
@@ -38,13 +42,6 @@ def _parse_orders(text: str):
     return orders
 
 
-def _parse_const(text: str, rational: bool):
-    try:
-        return parse_exact(text) if rational else float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse number {text!r}") from exc
-
-
 def _set_label(indices) -> str:
     return "|".join(str(i) for i in indices) if indices else "-"
 
@@ -61,9 +58,12 @@ def _rescale_sample(sample: WeightedSample):
     return WeightedSample(sample.weights, sample.labels, mapped), tuple(map(tuple, scale))
 
 
+def _load_sample(args) -> WeightedSample:
+    return io.load_sample(args.input, "weighted" if args.weighted else "plain", rational=not args.float)
+
+
 def _cmd_fit_monotone(args) -> int:
-    schema = "weighted" if args.weighted else "plain"
-    sample = io.load_sample(args.input, schema, rational=not args.float)
+    sample = _load_sample(args)
     model = monotone.fit(sample)
     io.save_model(args.out, model, compact=args.compact)
     print(f"fitted monotone classifier on {sample.n} rows -> {args.out}")
@@ -71,8 +71,7 @@ def _cmd_fit_monotone(args) -> int:
 
 
 def _cmd_fit_bernstein(args) -> int:
-    schema = "weighted" if args.weighted else "plain"
-    sample = io.load_sample(args.input, schema, rational=not args.float)
+    sample = _load_sample(args)
     orders = _parse_orders(args.orders) if args.orders else bernstein.suggest_orders(sample.n, sample.dim)
     scale = None
     if args.rescale:
@@ -97,15 +96,17 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _load_trials(args):
-    propensity = _parse_const(args.propensity, not args.float) if args.propensity else None
-    return io.load_trials(args.input, rational=not args.float, propensity=propensity)
+def _trial_sample(args):
+    """The trial records of ``--in``, the overlap bound ``--kappa`` and their IPW-weighted sample."""
+    rational = not args.float
+    propensity = io.parse_number(args.propensity, "--propensity", rational) if args.propensity else None
+    records = io.load_trials(args.input, rational=rational, propensity=propensity)
+    kappa = io.parse_number(args.kappa, "--kappa", rational)
+    return records, kappa, policy.to_weighted_sample(records, kappa)
 
 
 def _cmd_policy_weights(args) -> int:
-    records = _load_trials(args)
-    kappa = _parse_const(args.kappa, not args.float)
-    sample = policy.to_weighted_sample(records, kappa)
+    records, kappa, sample = _trial_sample(args)
     d = sample.dim
     header = ["w", "y"] + [f"x{i + 1}" for i in range(d)]
     rows = [
@@ -119,9 +120,7 @@ def _cmd_policy_weights(args) -> int:
 
 
 def _cmd_policy_fit(args) -> int:
-    records = _load_trials(args)
-    kappa = _parse_const(args.kappa, not args.float)
-    sample = policy.to_weighted_sample(records, kappa)
+    records, _, sample = _trial_sample(args)
     model = monotone.fit(sample)
     io.save_model(args.out, model, compact=args.compact)
     welfare = policy.welfare_estimate(model, records)
@@ -249,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out=True):
-        if needs_out:
-            p.add_argument("--out", required=True, help="output path")
+    def add_common(p):
+        p.add_argument("--out", required=True, help="output path")
         p.add_argument("--float", action="store_true", help="parse numbers as binary64 instead of exact rationals")
 
     p = sub.add_parser("fit-monotone", help="fit the monotone hinge-LP classifier")
@@ -277,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("policy-weights", help="turn trial records into a weighted sample")
     p.add_argument("--in", dest="input", required=True, help="CSV (z,d,x1,..[,e])")
-    p.add_argument("--kappa", default="0.01", help="strict overlap bound (default 0.01)")
+    p.add_argument("--kappa", default=DEFAULT_KAPPA, help="strict overlap bound (default %(default)s)")
     p.add_argument("--propensity", help="constant propensity when the e column is absent")
     add_common(p)
     p.set_defaults(run=_cmd_policy_weights)
 
     p = sub.add_parser("policy-fit", help="trial records -> IPW weights -> monotone policy")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--kappa", default="0.01")
+    p.add_argument("--kappa", default=DEFAULT_KAPPA)
     p.add_argument("--propensity")
     p.add_argument("--compact", action="store_true")
     add_common(p)
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibration-table", help="set risks and loss-ordering agreement")
     p.add_argument("--dist", required=True, help="CSV distribution (mass,eta,x1,..)")
     p.add_argument("--losses", required=True, help="comma-separated losses, e.g. zero-one,hinge:1,exp")
-    p.add_argument("--node-limit", type=int, default=15)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--summary", help="optional JSON summary path")
     add_common(p)
     p.set_defaults(run=_cmd_calibration_table)

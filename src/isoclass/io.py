@@ -22,7 +22,6 @@ import csv
 import json
 import os
 import tempfile
-from fractions import Fraction
 
 from ._numeric import ValidationError, check_finite, parse_exact
 from .bernstein import BernsteinClassifier
@@ -31,7 +30,8 @@ from .policy import TrialRecord
 from .risks import DiscreteDistribution, WeightedSample
 
 
-def _parse_number(token: str, where: str, rational: bool):
+def parse_number(token: str, where: str, rational: bool):
+    """``token`` as an exact Fraction, or as a finite float when not ``rational``; errors name ``where``."""
     token = token.strip()
     try:
         if rational:
@@ -44,7 +44,7 @@ def _parse_number(token: str, where: str, rational: bool):
 
 
 def _parse_label(token: str, where: str) -> int:
-    value = _parse_number(token, where, rational=True)
+    value = parse_number(token, where, rational=True)
     if value == 1:
         return 1
     if value == -1:
@@ -78,7 +78,7 @@ def _read_rows(path: str, expect_prefix, schema: str):
                 raise ValidationError(
                     f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            rows.append((lineno, row))
+            rows.append((f"{path}, line {lineno}", row))
         return header, rows
 
 
@@ -92,11 +92,10 @@ def load_sample(path: str, schema: str = "plain", rational: bool = True):
     if d < 1:
         raise ValidationError(f"{path}: no covariate columns found")
     weights, labels, points = [], [], []
-    for lineno, row in rows:
-        where = f"{path}, line {lineno}"
+    for where, row in rows:
         cursor = 0
         if schema == "weighted":
-            w = _parse_number(row[0], where, rational)
+            w = parse_number(row[0], where, rational)
             if w < 0:
                 raise ValidationError(f"{where}: negative weight {row[0]!r}")
             weights.append(w)
@@ -104,7 +103,7 @@ def load_sample(path: str, schema: str = "plain", rational: bool = True):
         else:
             weights.append(1)
         labels.append(_parse_label(row[cursor], where))
-        points.append(tuple(_parse_number(t, where, rational) for t in row[cursor + 1 :]))
+        points.append(tuple(parse_number(t, where, rational) for t in row[cursor + 1 :]))
     return WeightedSample(tuple(weights), tuple(labels), tuple(points))
 
 
@@ -120,12 +119,11 @@ def load_trials(path: str, rational: bool = True, propensity=None) -> list:
             f"{path}: no e column; supply a constant propensity (e.g. --propensity 0.5)"
         )
     records = []
-    for lineno, row in rows:
-        where = f"{path}, line {lineno}"
-        z = _parse_number(row[0], where, rational)
+    for where, row in rows:
+        z = parse_number(row[0], where, rational)
         treat = _parse_label(row[1], where)
-        xs = tuple(_parse_number(t, where, rational) for t in row[2 : 2 + d])
-        e = _parse_number(row[-1], where, rational) if has_e else propensity
+        xs = tuple(parse_number(t, where, rational) for t in row[2 : 2 + d])
+        e = parse_number(row[-1], where, rational) if has_e else propensity
         try:
             records.append(TrialRecord(z, treat, xs, e))
         except ValidationError as exc:
@@ -141,14 +139,13 @@ def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
     if d < 1:
         raise ValidationError(f"{path}: no covariate columns found")
     mass, eta, points, wp, wm = [], [], [], [], []
-    for lineno, row in rows:
-        where = f"{path}, line {lineno}"
-        mass.append(_parse_number(row[0], where, rational))
-        eta.append(_parse_number(row[1], where, rational))
-        points.append(tuple(_parse_number(t, where, rational) for t in row[2 : 2 + d]))
+    for where, row in rows:
+        mass.append(parse_number(row[0], where, rational))
+        eta.append(parse_number(row[1], where, rational))
+        points.append(tuple(parse_number(t, where, rational) for t in row[2 : 2 + d]))
         if has_w:
-            wp.append(_parse_number(row[-2], where, rational))
-            wm.append(_parse_number(row[-1], where, rational))
+            wp.append(parse_number(row[-2], where, rational))
+            wm.append(parse_number(row[-1], where, rational))
     return DiscreteDistribution(
         tuple(points),
         tuple(mass),
@@ -161,10 +158,7 @@ def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
 def load_points(path: str, rational: bool = True) -> list:
     """Load bare covariate rows: x1,...,xd."""
     header, rows = _read_rows(path, ["x1"], "points")
-    return [
-        tuple(_parse_number(t, f"{path}, line {lineno}", rational) for t in row)
-        for lineno, row in rows
-    ]
+    return [tuple(parse_number(t, where, rational) for t in row) for where, row in rows]
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -202,24 +196,22 @@ def load_model(path: str):
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: model file is not a JSON object")
     kind = payload.get("type")
-    if kind == "monotone":
-        return MonotoneClassifier.from_dict(payload)
-    if kind == "bernstein":
-        return BernsteinClassifier.from_dict(payload)
+    try:
+        if kind == "monotone":
+            return MonotoneClassifier.from_dict(payload)
+        if kind == "bernstein":
+            return BernsteinClassifier.from_dict(payload)
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"{path}: malformed {kind} model ({type(exc).__name__}: {exc})") from exc
     raise ValidationError(f"{path}: unknown model type {kind!r}")
 
 
 def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(str(h) for h in header)]
+    """Header and rows as CSV text, each cell written with ``str`` (a float's shortest round-trip form)."""
+    lines = [",".join(map(str, header))]
     for row in rows:
-        lines.append(",".join(_format_cell(c) for c in row))
+        lines.append(",".join(map(str, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _format_cell(cell) -> str:
-    if isinstance(cell, Fraction):
-        return str(cell)
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)

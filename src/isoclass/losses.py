@@ -232,7 +232,7 @@ def delta_c_weighted(loss: Loss, w_plus, w_minus, eta):
         total = mu_p + mu_m
         if total == 0:
             return 0 if is_exact(total) else 0.0
-        gap = (mu_p - mu_m) ** 2 / total
+        gap = Fraction((mu_p - mu_m) ** 2, total) if is_exact(total) else (mu_p - mu_m) ** 2 / total
         return gap if mu_p <= mu_m else -gap
     if kind == "exponential":
         gap = (math.sqrt(mu_p) - math.sqrt(mu_m)) ** 2

@@ -23,7 +23,7 @@ from operator import mul
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite, parse_exact
+from ._numeric import ValidationError, check_points, parse_exact
 from .isotone import IsotoneProblem, solve
 from .order import build_dag, dense_ranks, dominator_counts, rank_matrix
 from .risks import WeightedSample
@@ -39,13 +39,10 @@ class MonotoneClassifier:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(map(tuple, self.support)))
+        object.__setattr__(self, "support", check_points(self.support, "support point"))
         object.__setattr__(self, "values", tuple(map(int, self.values)))
         if len(self.support) != len(self.values):
             raise ValidationError("support and values must have equal length")
-        dims = set(map(len, self.support))
-        if len(dims) > 1:
-            raise ValidationError(f"support points have mixed dimensions: {sorted(dims)}")
         if not set(self.values) <= {-1, 1}:
             raise ValidationError("fitted values must be -1 or +1")
 
@@ -64,7 +61,7 @@ class MonotoneClassifier:
         return {
             "type": "monotone",
             "dim": self.dim,
-            "support": [list(_json_number(v) for v in p) for p in self.support],
+            "support": _json_points(self.support),
             "values": list(self.values),
         }
 
@@ -85,8 +82,8 @@ class MonotoneClassifier:
             "type": "monotone",
             "dim": self.dim,
             "compact": True,
-            "min_positive": [list(_json_number(v) for v in p) for p in _maximal(pos, lower=True)],
-            "max_negative": [list(_json_number(v) for v in p) for p in self.frontier],
+            "min_positive": _json_points(_maximal(pos, lower=True)),
+            "max_negative": _json_points(self.frontier),
         }
 
     @classmethod
@@ -94,11 +91,10 @@ class MonotoneClassifier:
         if payload.get("type") != "monotone":
             raise ValidationError("not a monotone model payload")
         if payload.get("compact"):
-            neg = [tuple(_parse_number(v) for v in p) for p in payload["max_negative"]]
-            pos = [tuple(_parse_number(v) for v in p) for p in payload["min_positive"]]
-            return cls(tuple(neg + pos), tuple([-1] * len(neg) + [1] * len(pos)))
-        support = [tuple(_parse_number(v) for v in p) for p in payload["support"]]
-        return cls(tuple(support), tuple(payload["values"]))
+            neg = _parse_points(payload["max_negative"])
+            pos = _parse_points(payload["min_positive"])
+            return cls(neg + pos, (-1,) * len(neg) + (1,) * len(pos))
+        return cls(_parse_points(payload["support"]), tuple(payload["values"]))
 
 
 def _maximal(points, lower: bool = False) -> tuple:
@@ -138,16 +134,13 @@ def _maximal(points, lower: bool = False) -> tuple:
     return tuple(p for p, k in zip(points, keep) if k)
 
 
-def _json_number(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
+def _json_points(points) -> list:
+    """Points as JSON lists, a Fraction coordinate as its string, which ``_parse_points`` reads back."""
+    return [[str(v) if isinstance(v, Fraction) else v for v in p] for p in points]
 
 
-def _parse_number(v):
-    if isinstance(v, str):
-        return parse_exact(v)
-    return v
+def _parse_points(rows) -> list:
+    return [[parse_exact(v) if isinstance(v, str) else v for v in p] for p in rows]
 
 
 def fit(sample: WeightedSample) -> MonotoneClassifier:
@@ -187,12 +180,9 @@ def _query_columns(points, dim: int):
         if not np.isfinite(points).all():
             raise ValidationError("coordinates must be finite")
         return len(points), list(points.T)
-    points = [tuple(p) for p in points]
-    for p in points:
-        if dim and len(p) != dim:
-            raise ValidationError(f"point has dimension {len(p)}, model expects {dim}")
-        for v in p:
-            check_finite(v, "coordinate")
+    points = check_points(points, "point")
+    if points and dim and len(points[0]) != dim:
+        raise ValidationError(f"point has dimension {len(points[0])}, model expects {dim}")
     return len(points), list(zip(*points))
 
 

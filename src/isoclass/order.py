@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import product, repeat
 
 import numpy as np
 
-from ._numeric import EXACT_TYPES, ValidationError, check_finite, finite_array
+from ._numeric import EXACT_TYPES, ValidationError, check_points
 from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
@@ -232,16 +232,9 @@ def build_dag(points, ranks=None) -> DominanceDag:
     are one point): no two rows may be equal in the DAG's lexicographic order.
     """
     if ranks is None:
-        points = tuple(map(tuple, points))
-        dims = set(map(len, points))
-        if len(dims) > 1:
-            raise ValidationError(f"points have mixed dimensions: {sorted(dims)}")
+        points = check_points(points, "point")
         if not points:
             return DominanceDag(())
-        if finite_array(chain.from_iterable(points), len(points) * len(points[0])) is None:
-            for p in points:
-                for v in p:
-                    check_finite(v, "coordinate")
         # only the order within a coordinate matters: the DAG works on dense ranks
         ranks = rank_matrix(points)
     dag = DominanceDag(points, ranks)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite, finite_array, is_exact, sign
-from .losses import Loss, c_plus_minus, phi
+from ._numeric import ValidationError, check_finite, check_points, finite_array, is_exact, sign
+from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
 
@@ -37,7 +36,7 @@ class WeightedSample:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "labels", tuple(map(int, self.labels)))
-        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
+        object.__setattr__(self, "points", check_points(self.points, "row"))
         n = len(self.points)
         if len(self.weights) != n or len(self.labels) != n:
             raise ValidationError("weights, labels and points must have equal length")
@@ -53,13 +52,6 @@ class WeightedSample:
             for i, y in enumerate(self.labels):
                 if y not in (-1, 1):
                     raise ValidationError(f"row {i}: label must be -1 or +1, got {y!r}")
-        dims = set(map(len, self.points))
-        if len(dims) > 1:
-            raise ValidationError(f"covariate dimension varies across rows: {sorted(dims)}")
-        if finite_array(chain.from_iterable(self.points), n * self.dim) is None:
-            for i, p in enumerate(self.points):
-                for v in p:
-                    check_finite(v, f"covariate of row {i}")
 
     @classmethod
     def unweighted(cls, labels, points) -> "WeightedSample":
@@ -88,7 +80,7 @@ class DiscreteDistribution:
     w_minus: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
+        object.__setattr__(self, "points", check_points(self.points, "support point"))
         object.__setattr__(self, "mass", tuple(self.mass))
         object.__setattr__(self, "eta", tuple(self.eta))
         n = len(self.points)
@@ -143,40 +135,48 @@ class PredictionSet:
         return len(self.members)
 
 
-def _check_conformal(dist: DiscreteDistribution, g: PredictionSet) -> None:
-    if len(g) != dist.n:
-        raise ValidationError(
-            f"prediction set has {len(g)} flags for {dist.n} support points"
-        )
+def set_risk(terms, g: PredictionSet):
+    """Risk of a prediction set: the sum over support points of their mass-weighted (inside, outside) terms.
+
+    ``terms`` holds one pair per support point: its mass times its risk term
+    when it lies in ``g``, and when it does not.  Callers that score many sets
+    compute the terms once and pass them to every call.  The sum runs in
+    point order from the int 0, so exact terms give an exact risk.
+    """
+    if len(g) != len(terms):
+        raise ValidationError(f"prediction set has {len(g)} flags for {len(terms)} support points")
+    total = 0
+    for (inside, outside), member in zip(terms, g.members):
+        total += inside if member else outside
+    return total
+
+
+def surrogate_terms(dist: DiscreteDistribution, loss: Loss) -> tuple:
+    """``set_risk`` terms of ``loss``: mass times the minimal conditional risks ``c_plus_minus``.
+
+    For the 0-1 loss they are m (1 - eta) and m eta, the classification terms.
+    """
+    pairs = (c_plus_minus(loss, eta) for eta in dist.eta)
+    return tuple((m * plus, m * minus) for m, (plus, minus) in zip(dist.mass, pairs))
 
 
 def classification_risk_at_set(dist: DiscreteDistribution, g: PredictionSet):
     """P(sign error) of labeling the set +1: sum of [eta outside + (1-eta) inside]."""
-    _check_conformal(dist, g)
-    total = 0
-    for m, eta, inside in zip(dist.mass, dist.eta, g.members):
-        total += m * ((1 - eta) if inside else eta)
-    return total
+    return set_risk(surrogate_terms(dist, zero_one()), g)
 
 
 def surrogate_risk_at_set(dist: DiscreteDistribution, g: PredictionSet, loss: Loss):
     """Minimal surrogate risk over classifiers in [-1,1] with prediction set g."""
-    _check_conformal(dist, g)
-    total = 0
-    for m, eta, inside in zip(dist.mass, dist.eta, g.members):
-        plus, minus = c_plus_minus(loss, eta)
-        total += m * (plus if inside else minus)
-    return total
+    return set_risk(surrogate_terms(dist, loss), g)
 
 
 def weighted_risk_at_set(dist: DiscreteDistribution, g: PredictionSet):
     """Weighted classification risk at g with per-point conditional weights."""
-    _check_conformal(dist, g)
-    total = 0
-    for m, eta, wp, wm, inside in zip(dist.mass, dist.eta, dist.w_plus, dist.w_minus, g.members):
+    terms = []
+    for m, eta, wp, wm in zip(dist.mass, dist.eta, dist.w_plus, dist.w_minus):
         gap = -wp * eta + wm * (1 - eta)
-        total += m * ((gap if inside else 0) + wp * eta)
-    return total
+        terms.append((m * (gap + wp * eta), m * (wp * eta)))
+    return set_risk(terms, g)
 
 
 def empirical_risk(values, sample: WeightedSample, loss: Loss):
@@ -202,7 +202,4 @@ def empirical_risk(values, sample: WeightedSample, loss: Loss):
                     )
         for w, y, f in zip(sample.weights, sample.labels, values):
             total += w * phi(loss, y * f)
-    n = sample.n
-    if is_exact(total):
-        return Fraction(total, n) if isinstance(total, int) else total / n
-    return total / n
+    return Fraction(total, sample.n) if is_exact(total) else total / sample.n

@@ -25,6 +25,7 @@ from isoclass import (
     zero_one,
 )
 import isoclass.bench as bench
+import isoclass.risks as risks
 from isoclass._numeric import halton
 from isoclass.bench import DGPS, PairAgreement, StepDgp, Step2dDgp, example_distribution_1, _threshold_1d
 from isoclass import MonotoneClassifier, fit_bernstein, WeightedSample
@@ -116,15 +117,33 @@ def test_calibration_agreement_equals_the_pairwise_scan():
 def test_calibration_compares_float_risks_with_the_tolerant_scan(monkeypatch):
     # loss a's float risks rise by 1e-13 per set, within the tie tolerance, while loss b's
     # rise by 1: sorted exactly the two orders agree, but the scan sees ties against rises
-    def risk(dist, g, loss):
+    # a set's risk is step times the number its membership flags spell in binary
+    def terms(dist, loss):
         step = 1e-13 if loss.kind == "zero_one" else 1.0
-        return step * int("".join("1" if m else "0" for m in g.members), 2)
+        return tuple((step * 2 ** (dist.n - 1 - i), 0.0) for i in range(dist.n))
 
-    monkeypatch.setattr(bench, "surrogate_risk_at_set", risk)
+    monkeypatch.setattr(bench, "surrogate_terms", terms)
     report = calibration_table(example_distribution_1(), [zero_one(), hinge(1)])
     want = _scan_agreement(report.sets, report.surrogate["zero-one"], report.surrogate["hinge:1"])
     assert want[0] is False
     assert report.agreements[("zero-one", "hinge:1")] == PairAgreement(*want)
+
+
+def test_calibration_computes_each_loss_terms_once(monkeypatch):
+    # one c_plus_minus call per point per loss, not per point per up-set; the
+    # classification column reuses the requested zero-one terms
+    k = 6
+    dist = DiscreteDistribution(
+        tuple((i, k - 1 - i) for i in range(k)), (Fraction(1, k),) * k, tuple(Fraction(i, k) for i in range(k))
+    )
+    calls = []
+    real = risks.c_plus_minus
+    monkeypatch.setattr(risks, "c_plus_minus", lambda loss, eta: calls.append(loss.name) or real(loss, eta))
+    for losses in ([zero_one(), hinge(1), hinge(2)], [hinge(1), exponential()]):
+        calls.clear()
+        report = calibration_table(dist, losses)
+        assert len(report.sets) == 2**k
+        assert sorted(calls) == sorted(name for name in {"zero-one", *report.surrogate} for _ in range(k))
 
 
 def test_calibration_of_a_12_point_antichain_takes_seconds(monkeypatch):

@@ -331,3 +331,26 @@ def test_predict_on_a_points_file_with_no_rows_writes_the_model_header(tmp_path,
             assert main(["predict", "--model", model_path, "--in", empty, "--out", out, *flags]) == 0
             assert Path(out).read_text() == header
     capsys.readouterr()
+
+
+MALFORMED_MODELS = {
+    "not an object": [1, 2],
+    "no support": {"type": "monotone", "values": [1]},
+    "no values": {"type": "monotone", "support": [[0]]},
+    "no min_positive": {"type": "monotone", "compact": True, "max_negative": [[0]]},
+    "no orders": {"type": "bernstein", "theta": [0.5, -0.5]},
+    "no scale max": {"type": "bernstein", "orders": [1], "theta": [0.5, -0.5], "scale": {"min": [0]}},
+    "value not a number": {"type": "monotone", "support": [[0]], "values": ["a"]},
+    "coordinate not a number": {"type": "monotone", "support": [["abc"]], "values": [1]},
+    "coordinate NaN": {"type": "monotone", "support": [[float("nan")]], "values": [-1]},
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+def test_predict_with_a_malformed_model_file_exits_2(tmp_path, capsys, payload):
+    model_path = write(tmp_path / "m.json", json.dumps(payload))
+    points = write(tmp_path / "pts.csv", "x1\n0.5\n")
+    out = str(tmp_path / "p.csv")
+    assert main(["predict", "--model", model_path, "--in", points, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {model_path}: ")
+    assert not os.path.exists(out)

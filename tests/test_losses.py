@@ -208,6 +208,19 @@ def test_delta_c_weighted_examples(loss, w_plus, w_minus, eta, expected):
         assert got == expected
 
 
+@pytest.mark.parametrize("loss", [quadratic(), truncated_quadratic()])
+def test_delta_c_weighted_quadratic_stays_exact_on_exact_input(loss):
+    rng = random.Random(11)
+    cases = [(1, 1, 0), (2, 1, 1), (0, 3, Fraction(1, 2))]
+    cases += [(rng.randint(0, 5), Fraction(rng.randint(0, 9), rng.randint(1, 9)), Fraction(rng.randint(0, 8), 8))
+              for _ in range(200)]
+    for w_plus, w_minus, eta in cases:
+        mu_p, mu_m = Fraction(w_plus) * eta, Fraction(w_minus) * (1 - eta)
+        want = 0 if mu_p + mu_m == 0 else (mu_p - mu_m) ** 2 / (mu_p + mu_m) * (1 if mu_p <= mu_m else -1)
+        got = delta_c_weighted(loss, w_plus, w_minus, eta)
+        assert type(got) in (int, Fraction) and got == want
+
+
 def test_delta_c_weighted_hinge_closed_form():
     rng = random.Random(3)
     for _ in range(1000):

@@ -166,6 +166,12 @@ def test_model_rejects_support_points_of_unequal_dimension():
         MonotoneClassifier.from_dict(payload)
 
 
+def test_model_rejects_non_finite_support_points():
+    for support in (((0, 1), (float("nan"), 2)), ((float("inf"),),)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            MonotoneClassifier(support, (-1,) * len(support))
+
+
 def _dict_fit_problem(sample):
     """The support and coefficients of a fit, from a dict keyed by point tuples.
 

@@ -215,3 +215,13 @@ def test_distribution_validation():
         DiscreteDistribution(((0,), (1,)), (THIRD, THIRD), (0, 1))
     with pytest.raises(ValidationError):
         DiscreteDistribution(((0,),), (1,), (Fraction(3, 2),))
+
+
+def test_distribution_rejects_mixed_dimensions_and_non_finite_points():
+    for points, message in (
+        (((0,), (1, 2)), "mixed dimensions"),
+        (((0, 1), (1, float("nan"))), "covariate of support point 1 must be finite"),
+        (((float("-inf"),), (1,)), "covariate of support point 0 must be finite"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            DiscreteDistribution(points, (THIRD, 2 * THIRD), (0, 1))
