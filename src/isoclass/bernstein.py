@@ -5,9 +5,14 @@ the multi-index lattice j in {0..k_1} x ... x {0..k_d}, with theta confined to
 [-1, 1] and monotone along the lattice order.  Fitting solves the hinge
 linear program over that polytope (an isotone problem on the lattice DAG);
 binarization snaps coefficients to their signs, which preserves optimality.
-``evaluate_batch`` computes B(theta, x) at many points by contracting one
-basis matrix per dimension against the coefficient grid; the single-point
-functions call it.
+
+Fitting and evaluation share one basis step and one contraction.  A row of
+log features [1, log u, log1p(-u)] per coordinate, times a cached (3, k + 1)
+matrix [log C(k, j); j; k - j], gives the log of that coordinate's basis
+row; one ``exp`` makes the basis matrix.  ``evaluate_batch`` contracts the
+matrices against the coefficient grid in row chunks of about 2^16 entries;
+``evaluate`` checks its one point in Python floats and hands its one feature
+row to the same contraction.
 """
 
 from __future__ import annotations
@@ -21,13 +26,14 @@ from itertools import chain, product
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite
+from ._numeric import ValidationError, check_finite, finite_array
 from .isotone import IsotoneProblem, solve
 from .order import lattice_dag
 from .risks import WeightedSample
 
 MAX_ORDER_PER_DIM = 500
 MAX_LATTICE_SIZE = 10**6
+_LOG_ZERO = -1e300  # log 0 as a finite number: times j = 0 it gives 0, so end-point basis rows are one-hot
 
 
 def basis(k: int, j: int, x) -> float:
@@ -42,32 +48,50 @@ def basis(k: int, j: int, x) -> float:
 
 
 @lru_cache(maxsize=64)
-def _log_comb(k: int):
-    """log C(k, j) for j = 0..k (from the exact integers), j, and k - j."""
+def _basis_rows(k: int) -> np.ndarray:
+    """(3, k + 1) rows [log C(k, j); j; k - j] for j = 0..k, log C from the exact integers."""
     j = np.arange(k + 1)
-    return np.array([math.log(math.comb(k, i)) for i in range(k + 1)]), j, k - j
+    rows = np.array([[math.log(math.comb(k, i)) for i in range(k + 1)], j, k - j], dtype=float)
+    rows.flags.writeable = False
+    return rows
 
 
-def _basis_matrices(orders, u: np.ndarray) -> list:
-    """One basis matrix per column v of ``u`` (n, d), in [0, 1]: C(k_v, j) u^j (1 - u)^(k_v - j).
+def _log_features(u: np.ndarray) -> np.ndarray:
+    """(n, d, 3) features [1, log u, log1p(-u)] of ``u`` (n, d) in [0, 1]; a log of 0 is ``_LOG_ZERO``."""
+    features = np.full(u.shape + (3,), _LOG_ZERO)
+    features[..., 0] = 1.0
+    np.log(u, out=features[..., 1], where=u > 0.0)
+    np.log1p(-u, out=features[..., 2], where=u < 1.0)
+    return features
 
-    Entries are exp(log C(k, j) + j log u + (k - j) log1p(-u)), within 1e-12 of
-    the power form, whose float powers are slow near underflow.  A log of 0
-    (u = 0 or 1) is -1e300 instead of -inf, so those rows are exactly one-hot.
+
+def _basis_matrices(orders, features: np.ndarray) -> list:
+    """One basis matrix C(k_v, j) u^j (1 - u)^(k_v - j) per dimension v of the (n, d, 3) ``features``.
+
+    Entries are exp(features[:, v] @ _basis_rows(k_v)), that is
+    exp(log C(k, j) + j log u + (k - j) log1p(-u)), within 1e-12 of the power
+    form, whose float powers are slow near underflow.  The ``_LOG_ZERO`` log at
+    u = 0 or 1 makes those rows exactly one-hot.
     """
-    # the masked form costs microseconds per call, which single-point calls feel: only blocks
-    # holding an end point take it
-    if (u * (1.0 - u)).all():
-        log_u, log_1mu = np.log(u), np.log1p(-u)
-    else:
-        log_u = np.log(u, out=np.full_like(u, -1e300), where=u > 0.0)
-        log_1mu = np.log1p(-u, out=np.full_like(u, -1e300), where=u < 1.0)
     out = []
     for v, k in enumerate(orders):
-        log_comb, j, rest = _log_comb(k)
-        b = log_comb + log_u[:, v, None] * j + log_1mu[:, v, None] * rest
+        b = features[:, v] @ _basis_rows(k)
         out.append(np.exp(b, out=b))
     return out
+
+
+def _values(model: "BernsteinClassifier", features: np.ndarray) -> np.ndarray:
+    """B(theta, x) at each row of the (n, d, 3) log ``features``.
+
+    The basis matrices are contracted against the coefficient grid, first
+    dimension first.
+    """
+    grid = model.theta_grid
+    first, *rest = _basis_matrices(model.orders, features)
+    value = first @ grid.reshape(grid.shape[0], -1)
+    for b in rest:
+        value = (b[:, None, :] @ value.reshape(len(b), b.shape[1], -1))[:, 0]
+    return value[:, 0]
 
 
 def _lattice_shape(orders) -> tuple:
@@ -79,9 +103,9 @@ def _lattice_shape(orders) -> tuple:
 
 
 def _chunk_rows(orders) -> int:
-    """Rows per chunk so its basis matrices and partial products stay near 2^18 entries (in cache)."""
+    """Rows per chunk so its basis matrices and partial products stay near 2^16 entries (in L2 cache)."""
     shape = _lattice_shape(orders)
-    return max(1, (1 << 18) // (math.prod(shape[1:]) + sum(shape)))
+    return max(1, (1 << 16) // (math.prod(shape[1:]) + sum(shape)))
 
 
 @dataclass(frozen=True)
@@ -90,7 +114,8 @@ class BernsteinClassifier:
 
     ``theta`` is stored in row-major multi-index order (last index fastest).
     ``scale`` optionally records per-dimension (min, max) training ranges for
-    prediction-time rescaling into the unit cube.
+    prediction-time rescaling into the unit cube: ``dim`` finite numbers each,
+    kept as floats.
     """
 
     orders: tuple
@@ -114,8 +139,11 @@ class BernsteinClassifier:
         if self.binarized and any(t not in (-1, 1) for t in self.theta):
             raise ValidationError("binarized model must have theta in {-1, +1}")
         if self.scale is not None:
-            mins, maxs = self.scale
-            object.__setattr__(self, "scale", (tuple(mins), tuple(maxs)))
+            mins, maxs = map(tuple, self.scale)
+            bounds = finite_array(mins + maxs, 2 * self.dim)
+            if len(mins) != self.dim or len(maxs) != self.dim or bounds is None:
+                raise ValidationError(f"scale needs {self.dim} finite min and {self.dim} finite max values")
+            object.__setattr__(self, "scale", tuple(map(tuple, bounds.reshape(2, -1).tolist())))
 
     @property
     def dim(self) -> int:
@@ -214,21 +242,12 @@ def _warn_at_caller(message: str) -> None:
 
 
 def evaluate_batch(model: BernsteinClassifier, points) -> np.ndarray:
-    """Tensor-product polynomial values at many points (float array).
-
-    One basis matrix per dimension is contracted against the coefficient grid,
-    first dimension first, in row chunks (see ``_chunk_rows``).
-    """
+    """Tensor-product polynomial values at many points (float array), in row chunks (see ``_chunk_rows``)."""
     u = _to_unit_cube(model, points)
-    grid = model.theta_grid
     out = np.empty(len(u))
     step = _chunk_rows(model.orders)
     for start in range(0, len(u), step):
-        first, *rest = _basis_matrices(model.orders, u[start : start + step])
-        value = first @ grid.reshape(grid.shape[0], -1)
-        for b in rest:
-            value = (b[:, None, :] @ value.reshape(len(b), b.shape[1], -1))[:, 0]
-        out[start : start + step] = value[:, 0]
+        out[start : start + step] = _values(model, _log_features(u[start : start + step]))
     return out
 
 
@@ -238,8 +257,31 @@ def predict_batch(model: BernsteinClassifier, points) -> np.ndarray:
 
 
 def evaluate(model: BernsteinClassifier, x) -> float:
-    """Tensor-product polynomial value at x in the unit cube."""
-    return float(evaluate_batch(model, (tuple(x),))[0])
+    """Tensor-product polynomial value at one point x.
+
+    The point gets the checks, rescaling and clamping of ``evaluate_batch`` in
+    Python floats, and its one feature row the same contraction.
+    """
+    x = tuple(x)
+    if len(x) != model.dim:
+        raise ValidationError(f"point has dimension {len(x)}, model expects {model.dim}")
+    try:
+        u = [float(v) for v in x]
+    except OverflowError:
+        raise _beyond_float_range("coordinate", x) from None
+    if not all(map(math.isfinite, u)):
+        raise ValidationError("coordinates must be finite")
+    if model.scale is not None:
+        u = [(v - lo) / (hi - lo) if hi > lo else 0.5 for v, lo, hi in zip(u, *model.scale)]
+    clipped = [min(max(v, 0.0), 1.0) for v in u]
+    if clipped != u:
+        _warn_at_caller("coordinates outside [0,1] were clamped")
+    # numpy's logs, bit-identical to the batch path's; math.log1p differs from them in the last
+    # bit on some inputs, which moves the thresholds that bench bisects with this function
+    row = [
+        (1.0, np.log(v) if v > 0.0 else _LOG_ZERO, np.log1p(-v) if v < 1.0 else _LOG_ZERO) for v in clipped
+    ]
+    return float(_values(model, np.array([row]))[0])
 
 
 def predict(model: BernsteinClassifier, x) -> int:
@@ -285,7 +327,7 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     coeff = np.zeros((shape[0], size // shape[0]))
     step = _chunk_rows(orders)
     for start in range(0, sample.n, step):
-        first, *rest = _basis_matrices(orders, pts[start : start + step])
+        first, *rest = _basis_matrices(orders, _log_features(pts[start : start + step]))
         rows = signed[start : start + step, None]
         for b in reversed(rest):
             rows = (b[:, :, None] * rows[:, None, :]).reshape(len(b), -1)

@@ -40,11 +40,12 @@ class MonotoneClassifier:
 
     def __post_init__(self):
         object.__setattr__(self, "support", check_points(self.support, "support point"))
-        object.__setattr__(self, "values", tuple(map(int, self.values)))
+        values = tuple(self.values)
+        if not all(v in (-1, 1) and not isinstance(v, bool) for v in values):
+            raise ValidationError("fitted values must be -1 or +1")
+        object.__setattr__(self, "values", tuple(map(int, values)))
         if len(self.support) != len(self.values):
             raise ValidationError("support and values must have equal length")
-        if not set(self.values) <= {-1, 1}:
-            raise ValidationError("fitted values must be -1 or +1")
 
     @classmethod
     def _of_fit(cls, support: tuple, values: tuple) -> "MonotoneClassifier":

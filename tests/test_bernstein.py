@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from isoclass import bench, bernstein
 from isoclass import (
     BernsteinClassifier,
     IsotoneProblem,
@@ -28,6 +29,7 @@ from isoclass.bernstein import (
     MAX_ORDER_PER_DIM,
     _basis_matrices,
     _chunk_rows,
+    _log_features,
     empirical_hinge_risk,
     evaluate_batch,
     predict_batch,
@@ -65,6 +67,22 @@ def test_evaluate_constant_one():
     for _ in range(50):
         x = (rng.random(), rng.random())
         assert bernstein_evaluate(model, x) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_predict_calls_evaluate_through_the_module_attribute(monkeypatch):
+    # span tracers wrap bernstein.evaluate and bench.bernstein_value by name
+    seen = []
+    real = bernstein.evaluate
+
+    def spy(model, x):
+        seen.append(tuple(x))
+        return real(model, x)
+
+    monkeypatch.setattr(bernstein, "evaluate", spy)
+    model = BernsteinClassifier((1,), (-1.0, 1.0))
+    assert [bernstein.predict(model, (x,)) for x in (0.25, 0.75)] == [-1, 1]
+    assert seen == [(0.25,), (0.75,)]
+    assert bench.bernstein_value is real
 
 
 def test_evaluate_clamps_with_warning():
@@ -276,6 +294,12 @@ def test_suggest_orders_stops_at_its_caps_without_searching_past_them():
     assert time.perf_counter() - start < 1.0
 
 
+def _error(call, *args) -> str:
+    with pytest.raises(ValidationError) as info:
+        call(*args)
+    return str(info.value)
+
+
 def test_coordinates_beyond_float_range_are_validation_errors():
     huge = Fraction(10**400)
     with pytest.raises(ValidationError, match="beyond float range"):
@@ -284,6 +308,12 @@ def test_coordinates_beyond_float_range_are_validation_errors():
     for points in ([(Fraction(1, 2),), (-(10**400),)], np.array([[huge]], dtype=object)):
         with pytest.raises(ValidationError, match="beyond float range"):
             evaluate_batch(model, points)
+    # the single-point path names the coordinate as the batch path does
+    for bad in (10**400, -(10**400), huge):
+        message = _error(evaluate_batch, model, [(bad,)])
+        assert "beyond float range" in message
+        assert _error(bernstein_evaluate, model, (bad,)) == message
+        assert _error(bernstein_predict, model, (bad,)) == message
 
 
 def test_weights_beyond_float_range_are_validation_errors():
@@ -350,6 +380,11 @@ def test_evaluate_batch_empty_and_dimension_checks():
         evaluate_batch(model, [(0.5,)])
     with pytest.raises(ValidationError):
         evaluate_batch(model, np.zeros((3, 3)))
+    for point in ((0.5,), (0.5, 0.5, 0.5), ()):
+        message = _error(evaluate_batch, model, [point])
+        assert message == f"point has dimension {len(point)}, model expects 2"
+        assert _error(bernstein_evaluate, model, point) == message
+        assert _error(bernstein_predict, model, point) == message
 
 
 def test_predict_rejects_non_finite_queries():
@@ -361,6 +396,9 @@ def test_predict_rejects_non_finite_queries():
             predict_batch(model, [(0.5, 0.5), (0.5, bad)])
         with pytest.raises(ValidationError):
             evaluate_batch(model, np.array([[bad, 0.5]]))
+        message = _error(evaluate_batch, model, [(0.5, bad)])
+        assert message == "coordinates must be finite"
+        assert _error(bernstein_evaluate, model, (0.5, bad)) == message
 
 
 def test_empirical_hinge_risk_matches_per_point_sum():
@@ -382,9 +420,9 @@ def test_basis_matrices_match_basis_at_interior_and_end_points():
     for k in (1, 4, 80, 147, 500):
         xs = np.array(special + rng.random(40).tolist())
         # one call for all rows, one call per row, and a two-column block
-        batch = _basis_matrices((k,), xs[:, None])[0]
-        rows = np.vstack([_basis_matrices((k,), np.array([[x]]))[0] for x in xs])
-        pair = _basis_matrices((k, 3), np.stack([xs, xs[::-1]], axis=1))
+        batch = _basis_matrices((k,), _log_features(xs[:, None]))[0]
+        rows = np.vstack([_basis_matrices((k,), _log_features(np.array([[x]])))[0] for x in xs])
+        pair = _basis_matrices((k, 3), _log_features(np.stack([xs, xs[::-1]], axis=1)))
         want = np.array([[basis(k, j, x) for j in range(k + 1)] for x in xs.tolist()])
         for got in (batch, rows, pair[0]):
             assert np.max(np.abs(got - want)) <= 1e-12

@@ -343,13 +343,21 @@ MALFORMED_MODELS = {
     "value not a number": {"type": "monotone", "support": [[0]], "values": ["a"]},
     "coordinate not a number": {"type": "monotone", "support": [["abc"]], "values": [1]},
     "coordinate NaN": {"type": "monotone", "support": [[float("nan")]], "values": [-1]},
+    "value not -1 or +1": {"type": "monotone", "support": [[0], [1]], "values": [1.7, -1]},
+    "scale min NaN": {"type": "bernstein", "orders": [1, 1], "theta": [-1, 0, 0, 1],
+                      "scale": {"min": [float("nan"), 0], "max": [1, 1]}},
+    "scale of one entry": {"type": "bernstein", "orders": [1, 1], "theta": [-1, 0, 0, 1],
+                           "scale": {"min": [0], "max": [1]}},
 }
 
 
 @pytest.mark.parametrize("payload", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
 def test_predict_with_a_malformed_model_file_exits_2(tmp_path, capsys, payload):
     model_path = write(tmp_path / "m.json", json.dumps(payload))
-    points = write(tmp_path / "pts.csv", "x1\n0.5\n")
+    # points of the model's dimension, so only the model file can be at fault
+    dim = len(payload.get("orders", [0])) if isinstance(payload, dict) else 1
+    header, row = ",".join(f"x{i + 1}" for i in range(dim)), ",".join(["0.5"] * dim)
+    points = write(tmp_path / "pts.csv", f"{header}\n{row}\n")
     out = str(tmp_path / "p.csv")
     assert main(["predict", "--model", model_path, "--in", points, "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: {model_path}: ")
