@@ -68,23 +68,36 @@ def finite_array(values, count: int):
     return out if np.isfinite(out).all() else None
 
 
-def check_points(points, noun: str) -> tuple:
+def validated_points(points, noun: str) -> tuple:
     """``points`` as a tuple of tuples, checked to share one dimension and to have finite coordinates.
 
     All coordinates go through one ``finite_array`` pass; only when it fails
     does a loop run, to name the first non-finite float ("covariate of
     {noun} i must be finite").  Values that float() rejects or that lie
-    beyond float range are left to the caller.
+    beyond float range are left to the caller.  Returned with the points:
+    that pass's read-only (n, d) float array (None when it failed or there
+    are no points) and whether every coordinate is exactly a Python float.
     """
     points = tuple(map(tuple, points))
     dims = set(map(len, points))
     if len(dims) > 1:
         raise ValidationError(f"{noun}s have mixed dimensions: {sorted(dims)}")
-    if points and finite_array(chain.from_iterable(points), len(points) * len(points[0])) is None:
+    if not points:
+        return points, None, True
+    floats = finite_array(chain.from_iterable(points), len(points) * len(points[0]))
+    if floats is None:
         for i, p in enumerate(points):
             for v in p:
                 check_finite(v, f"covariate of {noun} {i}")
-    return points
+        return points, None, False
+    floats = floats.reshape(len(points), -1)
+    floats.flags.writeable = False
+    return points, floats, set(map(type, chain.from_iterable(points))) <= {float}
+
+
+def check_points(points, noun: str) -> tuple:
+    """The checked tuple of ``validated_points``, without what it learned on the way."""
+    return validated_points(points, noun)[0]
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)

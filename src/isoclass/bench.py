@@ -395,8 +395,9 @@ DGPS = {cls.name: cls for cls in (StepDgp, SmoothDgp, Step2dDgp)}
 def _threshold_1d(model) -> float:
     """Left endpoint a of the prediction set (a, 1] of a 1-d monotone model."""
     if isinstance(model, MonotoneClassifier):
-        negs = [p[0] for p, v in zip(model.support, model.values) if v < 0]
-        return float(max(negs)) if negs else 0.0
+        # every -1 point lies below a frontier point, so the frontier holds the greatest first coordinate
+        front = model.frontier
+        return float(max(p[0] for p in front)) if front else 0.0
     if isinstance(model, BernsteinClassifier):
         if bernstein_value(model, (0.0,)) >= 0.0:
             return 0.0

@@ -145,6 +145,13 @@ class BernsteinClassifier:
                 raise ValidationError(f"scale needs {self.dim} finite min and {self.dim} finite max values")
             object.__setattr__(self, "scale", tuple(map(tuple, bounds.reshape(2, -1).tolist())))
 
+    @classmethod
+    def _of_fit(cls, orders: tuple, theta: tuple) -> "BernsteinClassifier":
+        """``fit``'s binarized model, skipping ``__post_init__``: ``fit`` checked the orders and ``solve`` returned +/-1."""
+        model = object.__new__(cls)
+        model.__dict__.update(orders=orders, theta=theta, binarized=True, scale=None)
+        return model
+
     @property
     def dim(self) -> int:
         return len(self.orders)
@@ -213,12 +220,21 @@ def _beyond_float_range(what: str, values) -> ValidationError:
     return ValidationError(f"{what} {str(bad)[:20]}... is beyond float range")
 
 
+def _sample_points(sample: WeightedSample, dim: int) -> np.ndarray:
+    """``float_points(sample.points, dim)``, read from the float matrix the sample's checks kept when it can be."""
+    if sample._float_points is None or sample.dim != dim:
+        return float_points(sample.points, dim)
+    return sample._float_points
+
+
 def _float_weights(sample: WeightedSample) -> np.ndarray:
-    """The sample's weights as a float array; a weight beyond float range is a ValidationError."""
-    try:
-        return np.array([float(w) for w in sample.weights])
-    except OverflowError:
-        raise _beyond_float_range("weight", sample.weights) from None
+    """The sample's float weights, kept by its checks; a weight beyond float range is a ValidationError."""
+    if sample._float_weights is None:
+        try:
+            return np.array([float(w) for w in sample.weights])
+        except OverflowError:
+            raise _beyond_float_range("weight", sample.weights) from None
+    return sample._float_weights
 
 
 def _to_unit_cube(model: BernsteinClassifier, points) -> np.ndarray:
@@ -315,7 +331,7 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     size = math.prod(shape)
     if size > MAX_LATTICE_SIZE:
         raise ValidationError(f"coefficient lattice of size {size} exceeds {MAX_LATTICE_SIZE}")
-    pts = float_points(sample.points, sample.dim)
+    pts = _sample_points(sample, sample.dim)
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise ValidationError(
             "covariates must lie in the unit cube [0,1]^d; rescale them first "
@@ -335,12 +351,12 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     coeff = coeff.reshape(-1)
     dag = lattice_dag(orders)
     values, _ = solve(IsotoneProblem(dag, tuple(coeff.tolist())))
-    return BernsteinClassifier(orders, tuple(values), True)
+    return BernsteinClassifier._of_fit(orders, tuple(values))
 
 
 def empirical_hinge_risk(model: BernsteinClassifier, sample: WeightedSample):
     """(1/n) sum w_i (1 - y_i B(theta, x_i)); the box keeps the max inactive."""
-    values = evaluate_batch(model, sample.points)
+    values = evaluate_batch(model, _sample_points(sample, model.dim))
     weights = _float_weights(sample)
     labels = np.asarray(sample.labels, dtype=float)
     return float(weights @ np.maximum(0.0, 1.0 - labels * values)) / sample.n

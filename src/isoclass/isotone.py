@@ -12,8 +12,10 @@ of the DAG's nodes:
 * three or more: Picard's closure <=> min-cut reduction, by Dinic's max-flow
   on the cover edges.
 
-All three run on Python ints: the coefficients are scaled once by their
+All three work on integers: the coefficients are scaled once by their
 common denominator, which is exact for int, Fraction and float input alike.
+The chain scan sums them with numpy, in int64 when n * max|w| < 2**63 bounds
+every partial sum and as Python ints otherwise; the other two use Python ints.
 Among tied optima each path returns the inclusion-maximal up-set, the union
 of all optimal ones: the longest optimal suffix, the smallest optimal
 staircase thresholds, or the sink-unreachable side of the residual graph.
@@ -27,7 +29,8 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+
+import numpy as np
 
 from ._numeric import ValidationError, all_exact, check_finite, finite_array, is_exact
 from .order import DEFAULT_NODE_LIMIT, DominanceDag, iter_up_set_masks
@@ -128,13 +131,24 @@ class _Dinic:
         return seen
 
 
-def _chain_best_up_set(order, weights):
-    """Longest suffix of the chain maximizing its weight (empty suffix allowed), and that weight."""
+def _chain_best_up_set(order: np.ndarray, weights: list):
+    """Longest suffix of the chain ``order`` maximizing its weight (empty suffix allowed), and that weight.
+
+    The suffix sums are one ``np.cumsum``: in int64 when n * max|w| < 2**63
+    bounds every partial sum, else over the same ints as Python objects.
+    """
+    n = len(order)
+    try:
+        w = np.fromiter(weights, dtype=np.int64, count=n)
+        small = n * max(int(w.max()), -int(w.min()), 0) < 1 << 63 if n else True
+    except OverflowError:
+        small = False
+    if not small:
+        w = np.array(weights, dtype=object)
     # sums[k] is the weight of the suffix of length k
-    sums = [0, *accumulate(map(weights.__getitem__, reversed(order)))]
-    best = max(sums)
-    length = len(sums) - 1 - sums[::-1].index(best)
-    return order[len(order) - length :], best
+    sums = np.concatenate((np.zeros(1, w.dtype), np.cumsum(w[order[::-1]])))
+    length = n - int(np.argmax(sums[::-1]))  # the last index of the maximum
+    return order[n - length :], int(sums[length])
 
 
 def _min_cut_best_up_set(dag: DominanceDag, weights):
@@ -241,19 +255,17 @@ def _integer_weights(coeffs):
 
 
 def _solution(n: int, plus_set, objective, exact: bool):
-    values = [-1] * n
-    for i in plus_set:
-        values[i] = 1
-    return values, (objective if exact else float(objective))
+    values = np.full(n, -1)
+    values[plus_set if isinstance(plus_set, np.ndarray) else list(plus_set)] = 1
+    return values.tolist(), (objective if exact else float(objective))
 
 
 def solve(problem: IsotoneProblem):
     """Optimal +/-1 values and objective; +1-set is the maximal optimal up-set."""
     weights, scale, exact = _integer_weights(problem.coeffs)
     dag = problem.dag
-    order = dag.chain_order
-    if order is not None:
-        plus_set, plus_weight = _chain_best_up_set(order, weights)
+    if dag.is_chain:
+        plus_set, plus_weight = _chain_best_up_set(dag.lex_order, weights)
     else:
         best_up_set = _staircase_best_up_set if dag.dim == 2 else _min_cut_best_up_set
         plus_set = best_up_set(dag, weights)

@@ -9,6 +9,7 @@ out-of-sample labels follow the optimistic rule: the sign of the minimum
 fitted value over support points dominating the query, and +1 when nothing
 dominates it.  Only the maximal -1 support points (the -1 frontier) decide
 that rule, so a query is -1 exactly when a frontier point dominates it.
+A fitted model finds its frontiers on the ranks its fit made.
 ``predict_batch`` labels many points at once: it ranks each coordinate column
 jointly with the frontier's, which is exact for any mix of int, Fraction and
 float, and tests dominance in rank space with numpy.
@@ -25,7 +26,7 @@ import numpy as np
 
 from ._numeric import ValidationError, check_points, parse_exact
 from .isotone import IsotoneProblem, solve
-from .order import build_dag, dense_ranks, dominator_counts, rank_matrix
+from .order import build_dag, dense_ranks, dominator_counts, lex_argsort, rank_matrix
 from .risks import WeightedSample
 
 _SWEEP_BLOCK = 1024
@@ -37,6 +38,7 @@ class MonotoneClassifier:
 
     support: tuple
     values: tuple
+    _ranks = None  # not a field: the support's rank matrix, kept by ``_of_fit`` so the frontiers rank nothing again
 
     def __post_init__(self):
         object.__setattr__(self, "support", check_points(self.support, "support point"))
@@ -48,10 +50,10 @@ class MonotoneClassifier:
             raise ValidationError("support and values must have equal length")
 
     @classmethod
-    def _of_fit(cls, support: tuple, values: tuple) -> "MonotoneClassifier":
+    def _of_fit(cls, support: tuple, values: tuple, ranks: np.ndarray) -> "MonotoneClassifier":
         """``fit``'s model, skipping ``__post_init__``: its sample and ``solve`` made those checks."""
         model = object.__new__(cls)
-        model.__dict__.update(support=support, values=values)
+        model.__dict__.update(support=support, values=values, _ranks=ranks)
         return model
 
     @property
@@ -69,7 +71,18 @@ class MonotoneClassifier:
     @cached_property
     def frontier(self) -> tuple:
         """Maximal -1 support points; they alone decide the out-of-sample rule."""
-        return _maximal([p for p, v in zip(self.support, self.values) if v < 0])
+        return self._extremes(-1)
+
+    def _extremes(self, value: int) -> tuple:
+        """Support points fitted ``value`` that are maximal (-1) or minimal (+1) among those, in support order."""
+        rows = np.flatnonzero(np.fromiter(self.values, dtype=np.int64, count=len(self.values)) == value)
+        if not len(rows):
+            return ()
+        if self._ranks is None:
+            ranks = rank_matrix(list(map(self.support.__getitem__, rows.tolist())))
+        else:
+            ranks = self._ranks[rows]
+        return tuple(map(self.support.__getitem__, rows[_maximal(ranks, lower=value > 0)].tolist()))
 
     def to_compact_dict(self) -> dict:
         """Frontier-only form: minimal +1 points plus maximal -1 points.
@@ -78,12 +91,11 @@ class MonotoneClassifier:
         -1 exactly when some -1-valued support point dominates it); the +1
         frontier records the fitted up-set's minimal elements.
         """
-        pos = [p for p, v in zip(self.support, self.values) if v > 0]
         return {
             "type": "monotone",
             "dim": self.dim,
             "compact": True,
-            "min_positive": _json_points(_maximal(pos, lower=True)),
+            "min_positive": _json_points(self._extremes(1)),
             "max_negative": _json_points(self.frontier),
         }
 
@@ -98,41 +110,42 @@ class MonotoneClassifier:
         return cls(_parse_points(payload["support"]), tuple(payload["values"]))
 
 
-def _maximal(points, lower: bool = False) -> tuple:
-    """The ``points`` lying below no other one (above none, if ``lower``), in order.
+def _maximal(ranks: np.ndarray, lower: bool = False) -> np.ndarray:
+    """Sorted indices of the rank rows lying below no other one (above none, if ``lower``).
 
-    Of repeated points, only the last one given is kept.
+    Of repeated rows, only the last one is kept.
 
-    A point's dominators come after it in lexicographic order.  In two
-    dimensions, walking that order from the largest point, a point is maximal
-    exactly when its second rank exceeds every second rank walked before it.
-    Otherwise a sweep from the lexicographically largest point tests each
-    block only against itself and the maximal points already found; the cost
-    grows with the frontier, not with the square of the number of points.
+    In one dimension that is the greatest row.  A row's dominators come after
+    it in lexicographic order.  In two dimensions, walking that order from the
+    largest row, a row is maximal exactly when its second rank exceeds every
+    second rank walked before it.  Otherwise a sweep from the
+    lexicographically largest row tests each block only against itself and
+    the maximal rows already found; the cost grows with the frontier, not
+    with the square of the number of rows.
     """
-    if not points:
-        return ()
-    ranks = rank_matrix(points)
     if lower:
-        ranks = -ranks
-    order = np.lexsort(ranks.T[::-1])[::-1]
-    keep = np.zeros(len(points), dtype=bool)
-    if ranks.shape[1] == 2:
+        ranks = ranks.max(axis=0) - ranks
+    n, d = ranks.shape
+    if d == 1:
+        return np.array([n - 1 - int(np.argmax(ranks[::-1, 0]))])
+    order = lex_argsort(ranks)[::-1]
+    keep = np.zeros(n, dtype=bool)
+    if d == 2:
         high = ranks[order, 1]
         keep[order[0]] = True
         keep[order[1:]] = high[1:] > np.maximum.accumulate(high)[:-1]
     else:
-        # copies of a point would count as each other's dominators: keep the first in sweep order
+        # copies of a row would count as each other's dominators: keep the first in sweep order
         order = order[np.concatenate(([True], np.diff(ranks[order], axis=0).any(axis=1)))]
         found = ranks[:0]
         for start in range(0, len(order), _SWEEP_BLOCK):
             idx = order[start : start + _SWEEP_BLOCK]
             block = ranks[idx]
-            # every point dominates itself once; a second dominator makes it non-maximal
+            # every row dominates itself once; a second dominator makes it non-maximal
             top = (dominator_counts(block, block) == 1) & (dominator_counts(block, found) == 0)
             keep[idx[top]] = True
             found = np.concatenate((found, block[top]))
-    return tuple(p for p, k in zip(points, keep) if k)
+    return np.flatnonzero(keep)
 
 
 def _json_points(points) -> list:
@@ -148,17 +161,20 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     """Empirical weighted hinge risk minimizer over monotone [-1,1] classifiers.
 
     One ranking of the sample's rows gives the support, its order and its
-    coefficients: a stable lexicographic sort of the rank rows lists the
-    distinct points in the order ``sorted`` would give, each as the object
-    of its first row, and the per-point sums of w_i y_i are added in row
-    order (exact for int and Fraction products; in int64 if every weight is
-    an ``int`` and n * max(w) < 2**62).  The sample has checked its rows (one
-    dimension, finite): the DAG checks only that the support is distinct.
+    coefficients: a stable lexicographic sort of the rank rows
+    (``lex_argsort``) lists the distinct points in the order ``sorted`` would
+    give, each as the object of its first row, and the per-point sums of
+    w_i y_i are added in row order (exact for int and Fraction products; in
+    int64 if every weight is an ``int`` and n * max(w) < 2**62).  The sample
+    has checked its rows (one dimension, finite) and kept their float matrix:
+    when every coordinate is a float, its columns are ranked, else the
+    coordinates themselves.  The DAG checks only that the support is
+    distinct, and the model keeps its ranks for the frontiers.
     """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
-    ranks = rank_matrix(sample.points)
-    by_lex = np.lexsort(ranks.T[::-1])
+    ranks = rank_matrix(sample.points, sample._float_points if sample._all_float else None)
+    by_lex = lex_argsort(ranks)
     ranks = ranks[by_lex]
     # a row starts a new point when its ranks differ from the row before
     starts = np.flatnonzero(np.concatenate(([True], np.diff(ranks, axis=0).any(axis=1))))
@@ -170,7 +186,7 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     coeffs = np.add.reduceat(products[by_lex], starts).tolist()
     dag = build_dag(tuple(map(points.__getitem__, by_lex[starts].tolist())), ranks[starts])
     values, _ = solve(IsotoneProblem(dag, coeffs))
-    return MonotoneClassifier._of_fit(dag.nodes, tuple(values))
+    return MonotoneClassifier._of_fit(dag.nodes, tuple(values), dag.ranks)
 
 
 def _query_columns(points, dim: int):

@@ -12,6 +12,7 @@ float column; an int/Fraction column whose values fit int64 on one common
 denominator is ranked by numpy as integers; such a column whose scaled values
 leave int64, with a common denominator below 2**128, is ranked by sorting
 those integers; anything else is sorted with Python's exact comparisons.
+``lex_argsort`` puts rank rows in lexicographic order by one int64 key each.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ class DominanceDag:
         Nodes that already come in strictly increasing order, as ``fit`` passes
         them, are not sorted again.
         """
-        if _rising(self.ranks):
+        if self.n <= 1 or _rising(self.ranks):
             return np.arange(self.n)
-        return np.lexsort(self.ranks.T[::-1])
+        return lex_argsort(self.ranks)
 
     @cached_property
     def cover_edges(self) -> tuple:
@@ -90,18 +91,14 @@ class DominanceDag:
         return tuple(masks)
 
     @cached_property
-    def chain_order(self):
-        """Indices ordered from least to greatest if the nodes form a chain, else None.
+    def is_chain(self) -> bool:
+        """True iff the nodes form a chain: in lexicographic order, no coordinate's rank ever falls."""
+        return self.n <= 1 or not (np.diff(self.ranks[self.lex_order], axis=0) < 0).any()
 
-        In lexicographic order, the nodes are a chain exactly when no
-        coordinate's rank ever falls.
-        """
-        if self.n <= 1:
-            return tuple(range(self.n))
-        lex = self.lex_order
-        if (np.diff(self.ranks[lex], axis=0) < 0).any():
-            return None
-        return tuple(lex.tolist())
+    @cached_property
+    def chain_order(self):
+        """Indices ordered from least to greatest if the nodes form a chain, else None."""
+        return tuple(self.lex_order.tolist()) if self.is_chain else None
 
     def is_up_set(self, members) -> bool:
         """Independent membership check: i in S and i -> j implies j in S."""
@@ -168,9 +165,35 @@ def _rising(ranks: np.ndarray) -> bool:
     return bool(up.all())
 
 
-def rank_matrix(points) -> np.ndarray:
-    """Dense ranks of each coordinate column of ``points``, as an (n, d) int64 array."""
-    return np.stack([dense_ranks([p[v] for p in points]) for v in range(len(points[0]))], axis=1)
+def rank_matrix(points, floats=None) -> np.ndarray:
+    """Dense ranks of each coordinate column of ``points``, as an (n, d) int64 array.
+
+    ``floats``, the points' (n, d) float array when every coordinate is a
+    Python float, is ranked column by column instead of building the columns.
+    """
+    columns = floats.T if floats is not None else ([p[v] for p in points] for v in range(len(points[0])))
+    return np.stack([dense_ranks(column) for column in columns], axis=1)
+
+
+def lex_argsort(ranks: np.ndarray) -> np.ndarray:
+    """Row indices of nonnegative integer ``ranks`` in lexicographic order, equal rows by index.
+
+    That is ``np.lexsort(ranks.T[::-1])``.  Each row is sorted by one int64
+    key, the mixed-radix number of (its ranks, its index); keys are unique,
+    so any sort gives that stable order.  When the key would leave int64,
+    ``np.lexsort`` runs.
+    """
+    n = len(ranks)
+    sizes = (ranks.max(axis=0) + 1).tolist() if n else []
+    if math.prod(sizes) * n >= 1 << 63:
+        return np.lexsort(ranks.T[::-1])
+    key = np.zeros(n, dtype=np.int64)
+    for v, size in enumerate(sizes):
+        key *= size
+        key += ranks[:, v]
+    key *= n
+    key += np.arange(n)
+    return np.argsort(key)
 
 
 def _below(queries: np.ndarray, tops: np.ndarray) -> np.ndarray:

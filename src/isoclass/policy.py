@@ -29,11 +29,12 @@ class TrialRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "d", int(self.d))
         check_finite(self.z, "outcome z")
         check_finite(self.e, "propensity e")
+        # checked before int() maps it, so 1.5 is refused rather than truncated to 1
         if self.d not in (-1, 1):
             raise ValidationError(f"treatment must be -1 or +1, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
         if not (0 < self.e < 1):
             raise ValidationError(f"propensity must lie strictly in (0, 1), got {self.e!r}")
 

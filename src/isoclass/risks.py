@@ -9,12 +9,12 @@ and hinge losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite, check_points, finite_array, is_exact, sign
+from ._numeric import ValidationError, check_finite, check_points, finite_array, is_exact, sign, validated_points
 from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
@@ -32,13 +32,20 @@ class WeightedSample:
     weights: tuple
     labels: tuple
     points: tuple
+    # read-only float arrays kept from the checks, for fits that work in floats: the (n, d)
+    # coordinates (None for an empty sample) and the weights, each None when float() fails
+    # on a value or one lies beyond float range
+    _float_points: np.ndarray = field(init=False, repr=False, compare=False)
+    _float_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # True when every coordinate is a Python float, so ranking ``_float_points`` is exact
+    _all_float: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "labels", tuple(map(int, self.labels)))
-        object.__setattr__(self, "points", check_points(self.points, "row"))
-        n = len(self.points)
-        if len(self.weights) != n or len(self.labels) != n:
+        labels = tuple(self.labels)
+        points, floats, all_float = validated_points(self.points, "row")
+        n = len(points)
+        if len(self.weights) != n or len(labels) != n:
             raise ValidationError("weights, labels and points must have equal length")
         # one pass per column; the loops run only to name the first bad row (a negative
         # weight that float() rounds to -0.0 keeps its sign bit)
@@ -48,10 +55,20 @@ class WeightedSample:
                 check_finite(w, f"weight of row {i}")
                 if w < 0:
                     raise ValidationError(f"row {i}: weight must be nonnegative, got {w!r}")
-        if not set(self.labels) <= {-1, 1}:
-            for i, y in enumerate(self.labels):
+        # labels are checked before int() maps them, so 1.7 is refused, not truncated to 1
+        if not set(labels) <= {-1, 1}:
+            for i, y in enumerate(labels):
                 if y not in (-1, 1):
                     raise ValidationError(f"row {i}: label must be -1 or +1, got {y!r}")
+        if not set(map(type, labels)) <= {int}:
+            labels = tuple(map(int, labels))
+        if weights is not None:
+            weights.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_float_points", floats)
+        object.__setattr__(self, "_float_weights", weights)
+        object.__setattr__(self, "_all_float", all_float)
 
     @classmethod
     def unweighted(cls, labels, points) -> "WeightedSample":

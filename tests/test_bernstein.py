@@ -490,3 +490,37 @@ def test_clamp_warning_names_the_callers_line(call):
     with pytest.warns(UserWarning, match="clamped") as record:
         call(model, sample)
     assert [w.filename for w in record] == [__file__]
+
+
+def test_fit_builds_the_model_the_public_constructor_would():
+    # the fit skips the constructor's per-entry checks; the checked model must be the same
+    rng = random.Random(439)
+    for orders in ((1,), (7,), (3, 4), (2, 1, 3)):
+        sample = random_cube_sample(rng, 60, len(orders))
+        model = fit_bernstein(sample, orders)
+        checked = BernsteinClassifier(orders, model.theta, True)
+        assert model == checked and model.to_dict() == checked.to_dict()
+        assert type(model.orders) is tuple and type(model.theta) is tuple
+        assert all(type(t) is int for t in model.theta)
+        assert model.binarized is True and model.scale is None
+        assert bernstein_evaluate(model, (0.5,) * len(orders)) == bernstein_evaluate(checked, (0.5,) * len(orders))
+
+
+def test_fit_and_risk_read_the_samples_kept_float_arrays():
+    # the kept arrays hold float(v) for every coordinate and weight, as float_points and
+    # float(w) give, so an exact sample and its float copy fit the same thetas
+    rng = random.Random(443)
+    for orders in ((9,), (4, 3)):
+        d = len(orders)
+        points = [tuple(Fraction(rng.randint(0, 24), 24) for _ in range(d)) for _ in range(80)]
+        labels = [rng.choice((-1, 1)) for _ in points]
+        weights = [Fraction(rng.randint(0, 9), 7) for _ in points]
+        exact = WeightedSample(weights, labels, points)
+        floats = WeightedSample([float(w) for w in weights], labels, [tuple(map(float, p)) for p in points])
+        assert np.array_equal(exact._float_points, bernstein.float_points(points, d))
+        model = fit_bernstein(exact, orders)
+        assert model.theta == fit_bernstein(floats, orders).theta
+        assert empirical_hinge_risk(model, exact) == empirical_hinge_risk(model, floats)
+        assert empirical_hinge_risk(model, exact) == float(
+            np.dot([float(w) for w in weights], np.maximum(0.0, 1.0 - np.array(labels) * evaluate_batch(model, points)))
+        ) / len(points)

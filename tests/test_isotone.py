@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from isoclass import (
     lattice_dag,
     solve,
 )
+from isoclass.isotone import _chain_best_up_set
 
 
 def chain(n):
@@ -276,3 +278,42 @@ def test_solve_objective_equals_the_isotone_linear_program():
         lp = _linprog_optimum(dag.nodes, coeffs)
         assert abs(lp - round(lp)) < 1e-6
         assert solve(IsotoneProblem(dag, coeffs))[1] == round(lp)
+
+
+def _accumulate_chain_scan(order, weights):
+    """The suffix scan over Python ints that the numpy scan replaced, kept as its reference."""
+    sums = [0, *accumulate(map(weights.__getitem__, reversed(order)))]
+    best = max(sums)
+    length = len(sums) - 1 - sums[::-1].index(best)
+    return order[len(order) - length :], best
+
+
+def test_numpy_chain_scan_equals_the_accumulate_loop():
+    rng = random.Random(431)
+    int64_top = (1 << 63) - 1
+    sides = set()
+    for trial in range(400):
+        n = rng.randint(1, 40)
+        kind = trial % 5
+        if kind == 0:  # small values with ties: zeros and cancelling pairs tie several suffixes
+            weights = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)]
+        elif kind == 1:
+            weights = [-rng.randint(0, 5) for _ in range(n)]
+        elif kind == 2:
+            weights = [rng.randint(0, 5) for _ in range(n)]
+        elif kind == 3:  # n * max|w| just below, at and just above 2**63
+            top = (1 << 63) // n + rng.choice((-1, 0, 1))
+            weights = [rng.choice((top, -top, top - 1, 0)) for _ in range(n)]
+        else:  # beyond int64 itself
+            weights = [rng.choice((-1, 1)) * rng.randint(0, 3 * int64_top) for _ in range(n)]
+        sides.add(n * max(map(abs, weights)) < 1 << 63)
+        order = list(range(n))
+        rng.shuffle(order)
+        plus, best = _chain_best_up_set(np.array(order), weights)
+        want_plus, want_best = _accumulate_chain_scan(order, weights)
+        assert plus.tolist() == want_plus and best == want_best and type(best) is int
+    assert sides == {True, False}
+    # every suffix ties at weight 0: the longest one, the whole chain, wins
+    assert _chain_best_up_set(np.arange(4), [0, 0, 0, 0])[0].tolist() == [0, 1, 2, 3]
+    assert _chain_best_up_set(np.arange(3), [-1, -1, -1])[0].tolist() == []
+    assert _chain_best_up_set(np.arange(0), [])[0].tolist() == []

@@ -396,3 +396,48 @@ def test_repeated_support_points_count_once_in_the_frontiers():
         lowest = MonotoneClassifier(support, (1,) * len(support)).to_compact_dict()["min_positive"]
         want = [p for p in distinct if not any(q != p and dominates(q, p) for q in distinct)]
         assert lowest == MonotoneClassifier(want, (1,) * len(want)).to_dict()["support"]
+
+
+def test_float_sample_fits_as_its_exact_rational_copy():
+    # a float sample ranks its kept float matrix; the Fraction copy of every coordinate takes
+    # the exact ranking path: both must give the same values in the same support order
+    rng = np.random.default_rng(419)
+    for d in (1, 2, 3):
+        for grid in (None, 4):
+            n = 300
+            x = rng.random((n, d)) if grid is None else rng.integers(grid, size=(n, d)) / grid
+            floats = [tuple(p) for p in x.tolist()]
+            labels = rng.choice((-1, 1), size=n).tolist()
+            for weights in (
+                [1] * n,
+                rng.integers(0, 5, size=n).tolist(),
+                [Fraction(int(k), 3) for k in rng.integers(0, 7, size=n)],
+                (rng.random(n) * 2).tolist(),
+            ):
+                by_float = WeightedSample(weights, labels, floats)
+                exact = WeightedSample(weights, labels, [tuple(map(Fraction, p)) for p in floats])
+                assert by_float._all_float and not exact._all_float
+                a, b = fit_monotone(by_float), fit_monotone(exact)
+                assert a.support == b.support and a.values == b.values
+                assert all(type(v) is float for p in a.support for v in p)
+                # each support point is the object of its first row
+                first = {}
+                for p in reversed(floats):
+                    first[p] = p
+                assert all(p is first[p] for p in a.support)
+                assert a.frontier == b.frontier and a._extremes(1) == b._extremes(1)
+
+
+def test_fitted_frontiers_equal_those_of_the_round_trip():
+    # a fitted model finds its frontiers on the fit's ranks, a loaded one ranks its points
+    rng = random.Random(421)
+    for d in (1, 2, 3):
+        for trial in range(20):
+            top = 2 if trial % 2 else 6
+            points = [tuple(_mixed_value(rng, top) for _ in range(d)) for _ in range(rng.randint(1, 80))]
+            labels = [rng.choice((-1, 1)) for _ in points]
+            model = fit_monotone(WeightedSample.unweighted(labels, points))
+            loaded = MonotoneClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
+            assert model._ranks is not None and loaded._ranks is None
+            assert model.frontier == loaded.frontier
+            assert model.to_compact_dict() == loaded.to_compact_dict()

@@ -13,7 +13,7 @@ from helpers import random_distinct_points
 from isoclass import ValidationError, build_dag, dominates, enumerate_up_sets, lattice_dag
 from isoclass._numeric import parse_exact
 from isoclass.order import DominanceDag
-from isoclass.order import _exact_keys, dense_ranks, iter_up_set_masks
+from isoclass.order import _exact_keys, dense_ranks, iter_up_set_masks, lex_argsort
 
 
 def test_dominates_basics():
@@ -332,3 +332,24 @@ def test_dense_ranks_gives_up_on_a_growing_common_denominator_early(monkeypatch)
         assert best_of_five(lambda: dense_ranks(column)) < 2 * best_of_five(lambda: _rank_oracle(column))
     finally:
         gc.enable()
+
+
+def test_lex_argsort_equals_lexsort_on_both_sides_of_the_int64_key():
+    rng = np.random.default_rng(433)
+    sides = set()
+    for trial in range(200):
+        d = 1 + trial % 4
+        n = int(rng.integers(1, 300))
+        if trial % 2:
+            # ranks in [0, k) with k^d * n near 2**63, so the mixed-radix key just fits or leaves int64
+            k = int(round((2**63 / n) ** (1 / d))) + int(rng.integers(-2, 3))
+            ranks = rng.integers(0, k, size=(n, d), dtype=np.int64)
+            ranks[rng.integers(n), :] = k - 1  # the column sizes are k
+        else:
+            # few distinct rows, many repeats: equal rows must keep their index order
+            ranks = rng.integers(0, 3, size=(n, d), dtype=np.int64)
+        sizes = (ranks.max(axis=0) + 1).tolist()
+        sides.add(math.prod(sizes) * n < 2**63)
+        assert lex_argsort(ranks).tolist() == np.lexsort(ranks.T[::-1]).tolist()
+    assert sides == {True, False}
+    assert lex_argsort(np.zeros((0, 2), dtype=np.int64)).tolist() == []

@@ -138,3 +138,13 @@ def test_fitted_policy_is_usable_as_classifier():
     model = fit_monotone(sample)
     assert monotone_predict(model, (0.9,)) in (-1, 1)
     assert isinstance(welfare_estimate(model, records), float)
+
+
+def test_treatment_is_checked_before_int_maps_it():
+    for d in (1.5, 0.9, -1.2, Fraction(1, 2)):
+        with pytest.raises(ValidationError) as caught:
+            TrialRecord(1, d, (0.1,), 0.5)
+        assert str(caught.value) == f"treatment must be -1 or +1, got {d!r}"
+    for d, want in ((1.0, 1), (Fraction(-1), -1), (-1.0, -1)):
+        record = TrialRecord(1, d, (0.1,), 0.5)
+        assert record.d == want and type(record.d) is int

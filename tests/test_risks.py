@@ -225,3 +225,34 @@ def test_distribution_rejects_mixed_dimensions_and_non_finite_points():
     ):
         with pytest.raises(ValidationError, match=message):
             DiscreteDistribution(points, (THIRD, 2 * THIRD), (0, 1))
+
+
+def test_labels_are_checked_before_int_maps_them():
+    def message(labels):
+        with pytest.raises(ValidationError) as caught:
+            WeightedSample((1,) * len(labels), labels, [(0.1,)] * len(labels))
+        return str(caught.value)
+
+    # int() would have truncated 1.7 and -1.2 to a valid (1, -1), and 0.9 to 0
+    assert message((1.7, -1.2)) == "row 0: label must be -1 or +1, got 1.7"
+    assert message((1, 0.9)) == "row 1: label must be -1 or +1, got 0.9"
+    assert message((-1, Fraction(3, 2))) == "row 1: label must be -1 or +1, got Fraction(3, 2)"
+    # values equal to -1 or +1 stay accepted and become ints
+    sample = WeightedSample((1,) * 4, (1.0, Fraction(-1), -1.0, Fraction(1)), [(0.1,)] * 4)
+    assert sample.labels == (1, -1, -1, 1) and all(type(y) is int for y in sample.labels)
+
+
+def test_sample_keeps_its_float_coordinates_and_weights_read_only():
+    big = 2**53 + 1  # float() rounds it; the kept matrix holds float(v), as float_points would
+    sample = WeightedSample((1, Fraction(1, 3), 0.25), (1, -1, 1), [(0.5, big), (Fraction(1, 3), 2), (0.1, 0.2)])
+    assert sample._float_points.tolist() == [[0.5, float(big)], [float(Fraction(1, 3)), 2.0], [0.1, 0.2]]
+    assert sample._float_weights.tolist() == [1.0, float(Fraction(1, 3)), 0.25]
+    assert not sample._float_points.flags.writeable and not sample._float_weights.flags.writeable
+    assert not sample._all_float
+    assert WeightedSample((1, 1), (1, -1), [(0.5, 0.25), (-0.0, 3.0)])._all_float
+    # beyond float range the arrays are not kept; the fits that need floats then raise
+    huge = WeightedSample((10**400, 1), (1, -1), [(10**400,), (1,)])
+    assert huge._float_points is None and huge._float_weights is None and not huge._all_float
+    # equality and the repr look at the three given fields only
+    assert WeightedSample((1,), (1,), [(0.5,)]) == WeightedSample((1,), (1,), [(0.5,)])
+    assert "_float" not in repr(sample)
