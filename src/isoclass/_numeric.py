@@ -77,8 +77,12 @@ def validated_points(points, noun: str) -> tuple:
     beyond float range are left to the caller.  Returned with the points:
     that pass's read-only (n, d) float array (None when it failed or there
     are no points) and whether every coordinate is exactly a Python float.
+    A float numpy array of points is checked in numpy (``_validated_array``).
     """
-    points = tuple(map(tuple, points))
+    if isinstance(points, np.ndarray) and points.dtype.kind == "f" and points.dtype.itemsize <= 8:
+        return _validated_array(points, noun)
+    # built through a list: a tuple grown in place is traversed by every GC pass while it grows
+    points = tuple(list(map(tuple, points)))
     dims = set(map(len, points))
     if len(dims) > 1:
         raise ValidationError(f"{noun}s have mixed dimensions: {sorted(dims)}")
@@ -93,6 +97,28 @@ def validated_points(points, noun: str) -> tuple:
     floats = floats.reshape(len(points), -1)
     floats.flags.writeable = False
     return points, floats, set(map(type, chain.from_iterable(points))) <= {float}
+
+
+def _validated_array(points: np.ndarray, noun: str) -> tuple:
+    """``validated_points`` of an (n, d) float array: its rows as tuples of Python floats.
+
+    Shape and finiteness are checked in numpy, with the messages of the
+    sequence path, and the rows are built once from the columns.  The kept
+    float64 array is a copy, so it matches the rows bit for bit (-0.0 too).
+    """
+    if points.ndim != 2:
+        raise ValidationError(f"an array of {noun}s must have shape (n, d), got {points.shape}")
+    floats = points.astype(np.float64)
+    finite = np.isfinite(floats).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        for v in floats[i].tolist():
+            check_finite(v, f"covariate of {noun} {i}")
+    n, d = floats.shape
+    if not n:
+        return (), None, True
+    floats.flags.writeable = False
+    return (tuple(list(zip(*floats.T.tolist()))) if d else ((),) * n), floats, True
 
 
 def check_points(points, noun: str) -> tuple:

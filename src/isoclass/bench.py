@@ -274,13 +274,13 @@ def calibration_table(dist: DiscreteDistribution, losses, node_limit: int = DEFA
 
 
 def _draw(dgp, rng, n: int):
-    """n rows: X uniform on [0,1]^dim (float tuples), then Y = +1 with probability eta(X) (ints).
+    """n rows: X uniform on [0,1]^dim, then Y = +1 with probability eta(X).
 
-    Every design's ``sample``.
+    Every design's ``sample``.  X is the (n, dim) float64 array and Y the
+    int64 array of labels; ``WeightedSample`` checks both in numpy.
     """
     xs = rng.random((n, dgp.dim))
-    ys = np.where(rng.random(n) < dgp.eta(xs), 1, -1)
-    return list(zip(*xs.T.tolist())), ys.tolist()
+    return xs, np.where(rng.random(n) < dgp.eta(xs), 1, -1).astype(np.int64)
 
 
 def _threshold_risk(dgp, model) -> float:

@@ -13,9 +13,10 @@ of the DAG's nodes:
   on the cover edges.
 
 All three work on integers: the coefficients are scaled once by their
-common denominator, which is exact for int, Fraction and float input alike.
-The chain scan sums them with numpy, in int64 when n * max|w| < 2**63 bounds
-every partial sum and as Python ints otherwise; the other two use Python ints.
+common denominator, which is exact for int, Fraction and float input alike;
+an int64 array of coefficients needs no scaling.  The chain scan sums them
+with numpy, in int64 when n * max|w| < 2**63 bounds every partial sum and as
+Python ints otherwise; the other two use Python ints.
 Among tied optima each path returns the inclusion-maximal up-set, the union
 of all optimal ones: the longest optimal suffix, the smallest optimal
 staircase thresholds, or the sink-unreachable side of the residual graph.
@@ -38,17 +39,29 @@ from .order import DEFAULT_NODE_LIMIT, DominanceDag, iter_up_set_masks
 
 @dataclass(frozen=True)
 class IsotoneProblem:
+    """One coefficient per node of ``dag``.
+
+    A 1-d numpy array of signed integers is kept as a read-only int64 copy,
+    checked by its dtype alone.  Any other ``coeffs`` is kept as a tuple
+    (an object array's tuple holds its Python objects), whose floats must be
+    finite.
+    """
+
     dag: DominanceDag
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.dag.n:
-            raise ValidationError(
-                f"{len(self.coeffs)} coefficients for {self.dag.n} nodes"
-            )
-        if finite_array(self.coeffs, len(self.coeffs)) is None:
-            for i, c in enumerate(self.coeffs):
+        coeffs = self.coeffs
+        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1 and coeffs.dtype.kind == "i":
+            coeffs = coeffs.astype(np.int64)
+            coeffs.flags.writeable = False
+        else:
+            coeffs = tuple(coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != self.dag.n:
+            raise ValidationError(f"{len(coeffs)} coefficients for {self.dag.n} nodes")
+        if type(coeffs) is tuple and finite_array(coeffs, len(coeffs)) is None:
+            for i, c in enumerate(coeffs):
                 check_finite(c, f"coefficient {i}")
 
 
@@ -131,15 +144,16 @@ class _Dinic:
         return seen
 
 
-def _chain_best_up_set(order: np.ndarray, weights: list):
-    """Longest suffix of the chain ``order`` maximizing its weight (empty suffix allowed), and that weight.
+def _chain_best_up_set(order: np.ndarray, weights):
+    """Longest suffix of the chain ``order`` maximizing its weight (empty suffix allowed), that weight, and the total.
 
-    The suffix sums are one ``np.cumsum``: in int64 when n * max|w| < 2**63
-    bounds every partial sum, else over the same ints as Python objects.
+    ``weights`` is a list of ints or an int64 array.  The suffix sums are one
+    ``np.cumsum``: in int64 when n * max|w| < 2**63 bounds every partial sum,
+    else over the same ints as Python objects.
     """
     n = len(order)
     try:
-        w = np.fromiter(weights, dtype=np.int64, count=n)
+        w = weights if isinstance(weights, np.ndarray) else np.fromiter(weights, dtype=np.int64, count=n)
         small = n * max(int(w.max()), -int(w.min()), 0) < 1 << 63 if n else True
     except OverflowError:
         small = False
@@ -148,7 +162,7 @@ def _chain_best_up_set(order: np.ndarray, weights: list):
     # sums[k] is the weight of the suffix of length k
     sums = np.concatenate((np.zeros(1, w.dtype), np.cumsum(w[order[::-1]])))
     length = n - int(np.argmax(sums[::-1]))  # the last index of the maximum
-    return order[n - length :], int(sums[length])
+    return order[n - length :], int(sums[length]), int(sums[n])
 
 
 def _min_cut_best_up_set(dag: DominanceDag, weights):
@@ -231,9 +245,12 @@ def _staircase_best_up_set(dag: DominanceDag, weights):
 def _integer_weights(coeffs):
     """Coefficients times their common denominator, as ints; that denominator; and exactness.
 
-    Ints pass through, floats go through ``as_integer_ratio`` and anything
-    else (numpy scalars included) through Fraction; each is exact for its type.
+    An int64 array (as ``IsotoneProblem`` keeps int coefficients) and ints
+    pass through, floats go through ``as_integer_ratio`` and anything else
+    (numpy scalars included) through Fraction; each is exact for its type.
     """
+    if isinstance(coeffs, np.ndarray):
+        return coeffs, 1, True
     weights, denominators, exact = list(coeffs), set(), True
     if set(map(type, weights)) <= {int}:
         return weights, 1, True
@@ -265,20 +282,23 @@ def solve(problem: IsotoneProblem):
     weights, scale, exact = _integer_weights(problem.coeffs)
     dag = problem.dag
     if dag.is_chain:
-        plus_set, plus_weight = _chain_best_up_set(dag.lex_order, weights)
+        plus_set, plus_weight, total = _chain_best_up_set(dag.lex_order, weights)
     else:
+        if isinstance(weights, np.ndarray):
+            weights = weights.tolist()
         best_up_set = _staircase_best_up_set if dag.dim == 2 else _min_cut_best_up_set
         plus_set = best_up_set(dag, weights)
-        plus_weight = sum(map(weights.__getitem__, plus_set))
+        plus_weight, total = sum(map(weights.__getitem__, plus_set)), sum(weights)
     # sum c_i v_i = 2 * (weight of the +1-set) - (total weight)
-    objective = Fraction(2 * plus_weight - sum(weights), scale)
+    objective = Fraction(2 * plus_weight - total, scale)
     return _solution(dag.n, plus_set, objective, exact)
 
 
 def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LIMIT):
     """Oracle for solve: exhaustive up-set enumeration with the same tie-break."""
+    coeffs = problem.coeffs.tolist() if isinstance(problem.coeffs, np.ndarray) else problem.coeffs
     # numpy integers as Python ints: Fraction would keep an int64 numerator, which overflows
-    weights = [Fraction(int(c) if isinstance(c, numbers.Integral) else c) for c in problem.coeffs]
+    weights = [Fraction(int(c) if isinstance(c, numbers.Integral) else c) for c in coeffs]
     best_weight = None
     union_mask = 0
     for mask in iter_up_set_masks(problem.dag, node_limit):
@@ -294,4 +314,4 @@ def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LI
             union_mask |= mask
     plus_set = {i for i in range(problem.dag.n) if union_mask >> i & 1}
     objective = 2 * best_weight - sum(weights, Fraction(0))
-    return _solution(problem.dag.n, plus_set, objective, all_exact(problem.coeffs))
+    return _solution(problem.dag.n, plus_set, objective, all_exact(coeffs))

@@ -165,11 +165,12 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     (``lex_argsort``) lists the distinct points in the order ``sorted`` would
     give, each as the object of its first row, and the per-point sums of
     w_i y_i are added in row order (exact for int and Fraction products; in
-    int64 if every weight is an ``int`` and n * max(w) < 2**62).  The sample
-    has checked its rows (one dimension, finite) and kept their float matrix:
-    when every coordinate is a float, its columns are ranked, else the
-    coordinates themselves.  The DAG checks only that the support is
-    distinct, and the model keeps its ranks for the frontiers.
+    int64, from the sample's ``_signed_weights``, if every weight is an
+    ``int`` and n * max(w) < 2**62, and those int64 sums go to ``solve`` as
+    one array).  The sample has checked its rows (one dimension, finite) and
+    kept their float matrix: when every coordinate is a float, its columns
+    are ranked, else the coordinates themselves.  The DAG checks only that
+    the support is distinct, and the model keeps its ranks for the frontiers.
     """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
@@ -178,13 +179,12 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     ranks = ranks[by_lex]
     # a row starts a new point when its ranks differ from the row before
     starts = np.flatnonzero(np.concatenate(([True], np.diff(ranks, axis=0).any(axis=1))))
-    n, weights, labels, points = sample.n, sample.weights, sample.labels, sample.points
-    if set(map(type, weights)) == {int} and n * max(weights) < 2**62:  # |sums| <= n * max(w)
-        products = np.fromiter(weights, np.int64, n) * np.fromiter(labels, np.int64, n)
-    else:
-        products = np.fromiter(map(mul, weights, labels), dtype=object, count=n)
-    coeffs = np.add.reduceat(products[by_lex], starts).tolist()
-    dag = build_dag(tuple(map(points.__getitem__, by_lex[starts].tolist())), ranks[starts])
+    products = sample._signed_weights
+    if products is None:
+        products = np.fromiter(map(mul, sample.weights, sample.labels), dtype=object, count=sample.n)
+    coeffs = np.add.reduceat(products[by_lex], starts)
+    points = sample.points
+    dag = build_dag(tuple([points[i] for i in by_lex[starts].tolist()]), ranks[starts])
     values, _ = solve(IsotoneProblem(dag, coeffs))
     return MonotoneClassifier._of_fit(dag.nodes, tuple(values), dag.ranks)
 

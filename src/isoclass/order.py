@@ -51,7 +51,7 @@ class DominanceDag:
     """
 
     def __init__(self, nodes, ranks=None):
-        self.nodes = nodes if ranks is not None and type(nodes) is tuple else tuple(map(tuple, nodes))
+        self.nodes = nodes if ranks is not None and type(nodes) is tuple else tuple(list(map(tuple, nodes)))
         if ranks is not None:
             self.ranks = ranks
 

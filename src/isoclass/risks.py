@@ -20,13 +20,23 @@ from .losses import Loss, c_plus_minus, phi, zero_one
 _MASS_TOL = Fraction(1, 10**12)
 
 
+def _is_vector(values, kinds: str) -> bool:
+    """True for a 1-d numpy array whose dtype is one of ``kinds`` (numpy's one-letter kind codes)."""
+    return isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in kinds
+
+
 @dataclass(frozen=True)
 class WeightedSample:
     """Rows (weight, label, covariates); the canonical input to every fit.
 
     Unweighted data is represented with unit weights.  Labels are -1/+1 and
     weights are finite and nonnegative; all covariate vectors share one
-    dimension.
+    dimension.  Labels, and weights that are ints (numpy integers too), are
+    stored as Python ints.  Numpy arrays are checked in numpy: an (n, d)
+    float array of points, a 1-d int or float array of labels and a 1-d int
+    array of weights give the sample the same values, as Python floats and
+    ints, and the same errors, as those values given one by one.  Any other
+    array is read as a sequence.
     """
 
     weights: tuple
@@ -39,40 +49,74 @@ class WeightedSample:
     _float_weights: np.ndarray = field(init=False, repr=False, compare=False)
     # True when every coordinate is a Python float, so ranking ``_float_points`` is exact
     _all_float: bool = field(init=False, repr=False, compare=False)
+    # w_i * y_i as a read-only int64 array when every weight is an int and n * max(w) < 2**62,
+    # which bounds every sum of them, else None
+    _signed_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        labels = tuple(self.labels)
         points, floats, all_float = validated_points(self.points, "row")
         n = len(points)
-        if len(self.weights) != n or len(labels) != n:
+        weights, weight_array = self.weights, None
+        if _is_vector(weights, "iu"):
+            weights, weight_array = tuple(weights.tolist()), weights
+        else:
+            weights = tuple(weights)
+        labels, label_array = self.labels, None
+        if _is_vector(labels, "if") and ((labels == 1) | (labels == -1)).all():
+            label_array = labels.astype(np.int64)
+            labels = tuple(label_array.tolist())
+        else:
+            labels = tuple(labels.tolist() if _is_vector(labels, "if") else labels)
+        if len(weights) != n or len(labels) != n:
             raise ValidationError("weights, labels and points must have equal length")
         # one pass per column; the loops run only to name the first bad row (a negative
         # weight that float() rounds to -0.0 keeps its sign bit)
-        weights = finite_array(self.weights, n)
-        if weights is None or np.signbit(weights).any():
-            for i, w in enumerate(self.weights):
+        float_weights = finite_array(weights, n) if weight_array is None else weight_array.astype(np.float64)
+        if float_weights is None or np.signbit(float_weights).any():
+            for i, w in enumerate(weights):
                 check_finite(w, f"weight of row {i}")
                 if w < 0:
                     raise ValidationError(f"row {i}: weight must be nonnegative, got {w!r}")
-        # labels are checked before int() maps them, so 1.7 is refused, not truncated to 1
-        if not set(labels) <= {-1, 1}:
-            for i, y in enumerate(labels):
-                if y not in (-1, 1):
-                    raise ValidationError(f"row {i}: label must be -1 or +1, got {y!r}")
-        if not set(map(type, labels)) <= {int}:
-            labels = tuple(map(int, labels))
-        if weights is not None:
-            weights.flags.writeable = False
+        if label_array is None:
+            # labels are checked before int() maps them, so 1.7 is refused, not truncated to 1
+            if not set(labels) <= {-1, 1}:
+                for i, y in enumerate(labels):
+                    if y not in (-1, 1):
+                        raise ValidationError(f"row {i}: label must be -1 or +1, got {y!r}")
+            if not set(map(type, labels)) <= {int}:
+                labels = tuple(map(int, labels))
+        # int weights as an int64 array, when n * max(w) < 2**62 bounds every sum of w * y
+        if weight_array is None:
+            types = set(map(type, weights))
+            # numpy integers as Python ints, which do not overflow
+            if any(issubclass(t, np.integer) for t in types):
+                weights = tuple(int(w) if isinstance(w, np.integer) else w for w in weights)
+                types = set(map(type, weights))
+            if types == {int} and n * max(weights) < 2**62:
+                weight_array = np.fromiter(weights, np.int64, n)
+        elif not n or n * int(weight_array.max()) >= 2**62:
+            weight_array = None
+        signed = None
+        if weight_array is not None:
+            if label_array is None:
+                label_array = np.fromiter(labels, np.int64, n)
+            signed = weight_array.astype(np.int64) * label_array
+            signed.flags.writeable = False
+        if float_weights is not None:
+            float_weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "_float_points", floats)
-        object.__setattr__(self, "_float_weights", weights)
+        object.__setattr__(self, "_float_weights", float_weights)
         object.__setattr__(self, "_all_float", all_float)
+        object.__setattr__(self, "_signed_weights", signed)
 
     @classmethod
     def unweighted(cls, labels, points) -> "WeightedSample":
-        return cls((1,) * len(tuple(labels)), tuple(labels), tuple(points))
+        if not isinstance(labels, np.ndarray):
+            labels = tuple(labels)
+        return cls(np.ones(len(labels), dtype=np.int64), labels, points)
 
     @property
     def n(self) -> int:

@@ -355,18 +355,18 @@ def _reference_draws(name, rng, n):
     if name == "step2d":
         xs = rng.random((n, 2))
         etas = np.where(xs.sum(axis=1) >= 1.0, 0.75, 0.25)
-        ys = np.where(rng.random(n) < etas, 1, -1)
-        return [(float(a), float(b)) for a, b in xs], [int(y) for y in ys]
+        return xs, np.where(rng.random(n) < etas, 1, -1)
     xs = rng.random(n)
     etas = np.where(xs >= 0.5, 0.75, 0.25) if name == "step" else xs
-    ys = np.where(rng.random(n) < etas, 1, -1)
-    return [(float(x),) for x in xs], [int(y) for y in ys]
+    return xs[:, None], np.where(rng.random(n) < etas, 1, -1)
 
 
 def test_dgp_draws_are_bit_identical_to_the_written_out_formulas():
     for name, cls in DGPS.items():
         for n in (0, 1, 257):
             points, labels = cls().sample(np.random.default_rng([11, n]), n)
-            assert (points, labels) == _reference_draws(name, np.random.default_rng([11, n]), n)
-            assert all(type(v) is float for p in points for v in p)
-            assert all(type(y) is int for y in labels)
+            want_points, want_labels = _reference_draws(name, np.random.default_rng([11, n]), n)
+            assert points.dtype == np.float64 and points.shape == (n, cls.dim)
+            assert labels.dtype == np.int64 and labels.shape == (n,)
+            assert points.tobytes() == want_points.tobytes()
+            assert labels.tobytes() == want_labels.astype(np.int64).tobytes()

@@ -191,6 +191,31 @@ def test_coefficient_types_give_the_fraction_route_result():
             assert (values, objective) == brute_force_solve(IsotoneProblem(dag, coeffs))
 
 
+def test_int64_array_coefficients_solve_as_their_python_ints():
+    # solve on the chain, the 2-d staircase and the min-cut: the array and its ints agree
+    rng = random.Random(709)
+    top = (1 << 63) - 1
+    dags = [chain(1), chain(9), lattice_dag((3, 4)), lattice_dag((2, 2, 2))]
+    for trial in range(120):
+        d = 1 + trial % 3
+        dags.append(build_dag(random_distinct_points(rng, rng.randint(1, 14), d, grid=rng.randint(2, 5))))
+    paths = set()
+    for dag in dags:
+        bound = rng.choice((3, 10**6, top // max(dag.n, 1), top))  # the last leaves the int64 scan
+        ints = [rng.randint(-bound, bound) for _ in range(dag.n)]
+        problem = IsotoneProblem(dag, np.array(ints, dtype=np.int32 if bound == 3 else np.int64))
+        paths.add("chain" if dag.is_chain else dag.dim)
+        assert problem.coeffs.dtype == np.int64 and not problem.coeffs.flags.writeable
+        values, objective = solve(problem)
+        assert (values, objective) == solve(IsotoneProblem(dag, ints))
+        assert type(objective) is Fraction and all(type(v) is int for v in values)
+        if dag.n <= 12:
+            assert brute_force_solve(problem) == (values, objective)
+    assert paths == {"chain", 2, 3}
+    with pytest.raises(ValidationError, match="2 coefficients for 3 nodes"):
+        IsotoneProblem(chain(3), np.array([1, 2]))
+
+
 def test_numpy_integer_coefficients_beside_a_large_common_denominator():
     # numpy integers must be scaled as Python ints: int64 would wrap or overflow past 2**63
     dag = chain(3)
@@ -309,9 +334,14 @@ def test_numpy_chain_scan_equals_the_accumulate_loop():
         sides.add(n * max(map(abs, weights)) < 1 << 63)
         order = list(range(n))
         rng.shuffle(order)
-        plus, best = _chain_best_up_set(np.array(order), weights)
         want_plus, want_best = _accumulate_chain_scan(order, weights)
-        assert plus.tolist() == want_plus and best == want_best and type(best) is int
+        given = [weights]
+        if max(map(abs, weights)) <= int64_top:  # as an int64 array too, as IsotoneProblem keeps one
+            given.append(np.array(weights, dtype=np.int64))
+        for w in given:
+            plus, best, total = _chain_best_up_set(np.array(order), w)
+            assert plus.tolist() == want_plus and best == want_best and type(best) is int
+            assert total == sum(weights) and type(total) is int
     assert sides == {True, False}
     # every suffix ties at weight 0: the longest one, the whole chain, wins
     assert _chain_best_up_set(np.arange(4), [0, 0, 0, 0])[0].tolist() == [0, 1, 2, 3]

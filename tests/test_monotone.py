@@ -185,6 +185,14 @@ def _dict_fit_problem(sample):
     return support, [totals[p] for p in support]
 
 
+def _assert_coefficient_types(given, coeffs, sample):
+    """``solve`` gets one int64 array when every weight is an int and n * max(w) < 2**62, else the dict's types."""
+    if set(map(type, sample.weights)) == {int} and sample.n * max(sample.weights) < 2**62:
+        assert isinstance(given, np.ndarray) and given.dtype == np.int64
+    else:
+        assert type(given) is tuple and list(map(type, given)) == list(map(type, coeffs))
+
+
 def test_fit_equals_a_dict_aggregation_of_the_rows(monkeypatch):
     problems = []
     real_solve = monotone.solve
@@ -205,7 +213,7 @@ def test_fit_equals_a_dict_aggregation_of_the_rows(monkeypatch):
         assert list(model.support) == support
         assert [list(map(type, p)) for p in model.support] == [list(map(type, p)) for p in support]
         assert list(problems[-1].coeffs) == coeffs
-        assert list(map(type, problems[-1].coeffs)) == list(map(type, coeffs))
+        _assert_coefficient_types(problems[-1].coeffs, coeffs, sample)
         want = MonotoneClassifier(support, real_solve(IsotoneProblem(build_dag(support), coeffs))[0])
         assert model == want
         assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
@@ -246,7 +254,7 @@ def test_fit_builds_the_model_the_public_constructor_would(monkeypatch):
         model = fit_monotone(sample)
         support, coeffs = _dict_fit_problem(sample)
         assert list(problems[-1].coeffs) == coeffs
-        assert list(map(type, problems[-1].coeffs)) == list(map(type, coeffs))
+        _assert_coefficient_types(problems[-1].coeffs, coeffs, sample)
         checked = MonotoneClassifier(model.support, model.values)
         assert model == checked
         assert type(model.support) is tuple and type(model.values) is tuple
@@ -426,6 +434,23 @@ def test_float_sample_fits_as_its_exact_rational_copy():
                     first[p] = p
                 assert all(p is first[p] for p in a.support)
                 assert a.frontier == b.frontier and a._extremes(1) == b._extremes(1)
+
+
+def test_array_sample_fits_as_its_tuple_built_copy():
+    # the array path builds new row tuples and hands solve an int64 array: same model, same JSON
+    rng = np.random.default_rng(433)
+    for d in (1, 2, 3):
+        for grid in (None, 3):
+            n = 400
+            x = rng.random((n, d)) if grid is None else rng.integers(-grid, grid, size=(n, d)) / grid
+            labels = rng.choice((-1, 1), size=n)
+            for weights in (np.ones(n, dtype=np.int64), rng.integers(0, 5, size=n)):
+                by_array = fit_monotone(WeightedSample(weights, labels, x))
+                by_tuple = fit_monotone(WeightedSample(weights.tolist(), labels.tolist(), [tuple(p) for p in x.tolist()]))
+                assert by_array == by_tuple
+                assert json.dumps(by_array.to_dict()) == json.dumps(by_tuple.to_dict())
+                assert json.dumps(by_array.to_compact_dict()) == json.dumps(by_tuple.to_compact_dict())
+                assert all(type(v) is float for p in by_array.support for v in p)
 
 
 def test_fitted_frontiers_equal_those_of_the_round_trip():

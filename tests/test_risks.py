@@ -1,6 +1,8 @@
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import random_rational_distribution, rational_eta
@@ -22,6 +24,7 @@ from isoclass import (
     zero_one,
 )
 from isoclass.bench import example_distribution_1
+from isoclass.monotone import fit as fit_monotone
 
 THIRD = Fraction(1, 3)
 
@@ -256,3 +259,82 @@ def test_sample_keeps_its_float_coordinates_and_weights_read_only():
     # equality and the repr look at the three given fields only
     assert WeightedSample((1,), (1,), [(0.5,)]) == WeightedSample((1,), (1,), [(0.5,)])
     assert "_float" not in repr(sample)
+
+
+def _bits(array):
+    return None if array is None else (array.dtype, array.shape, array.tobytes())
+
+
+def test_array_sample_equals_its_tuple_built_copy():
+    rng = np.random.default_rng(41)
+    values = np.array([-0.0, 0.0, 0.5, -1.25, 5e-324, 1e300, 0.1, 2.0])
+    for d in (1, 2, 3):
+        for n in (0, 1, 2, 9, 300):
+            points = rng.choice(values, size=(n, d))
+            labels = rng.choice((-1, 1), size=n)
+            weights = rng.integers(0, 4, size=n)
+            copy = WeightedSample(tuple(weights.tolist()), tuple(labels.tolist()), [tuple(p) for p in points.tolist()])
+            for sample in (
+                WeightedSample(weights, labels, points),
+                WeightedSample(weights, labels.astype(float), points),
+                WeightedSample(weights.astype(np.uint8), labels.astype(np.int8), points),
+            ):
+                assert sample == copy and type(sample.points) is tuple
+                assert all(type(p) is tuple for p in sample.points)
+                assert all(type(v) is float for p in sample.points for v in p)
+                assert all(type(y) is int for y in sample.labels) and all(type(w) is int for w in sample.weights)
+                assert [[str(v) for v in p] for p in sample.points] == [[str(v) for v in p] for p in copy.points]
+                assert sample._all_float and copy._all_float
+                for name in ("_float_points", "_float_weights", "_signed_weights"):
+                    assert _bits(getattr(sample, name)) == _bits(getattr(copy, name)), name
+                assert n == 0 or not sample._float_points.flags.writeable
+    # the kept matrix is a copy: changing the caller's array afterwards changes nothing
+    points = np.array([[0.5], [0.25]])
+    sample = WeightedSample.unweighted(np.array([1, -1]), points)
+    points[0, 0] = 9.0
+    assert sample.points == ((0.5,), (0.25,)) and sample._float_points.tolist() == [[0.5], [0.25]]
+    # float32 coordinates become the float64 values they equal
+    narrow = WeightedSample.unweighted(np.array([1]), np.array([[0.1]], dtype=np.float32))
+    assert narrow.points == ((float(np.float32(0.1)),),)
+
+
+def test_array_sample_errors_are_those_of_the_tuple_path():
+    def message(weights, labels, points):
+        with pytest.raises(ValidationError) as caught:
+            WeightedSample(weights, labels, points)
+        return str(caught.value)
+
+    nan, inf = float("nan"), float("inf")
+    ones = np.ones(3, dtype=np.int64)
+    for bad in ([[0.0, 1.0], [0.5, nan], [inf, 0.0]], [[0.0, -inf], [0.5, 1.0], [nan, 0.0]], [[0.0, 1.0], [0.5, 1.0], [1.0, inf]]):
+        want = message((1,) * 3, (1,) * 3, [tuple(p) for p in bad])
+        assert message(ones, ones, np.array(bad)) == want and "must be finite" in want
+    points = np.zeros((3, 1))
+    for labels in ([1, 0, -1], [1, -1, 2], [1.0, 1.5, -1.0], [-1.0, 1.0, nan]):
+        want = message((1,) * 3, tuple(labels), [(0.0,)] * 3)
+        assert message(ones, np.array(labels), points) == want and "label must be -1 or +1" in want
+    assert message(np.array([1, -3, 2]), ones, points) == message((1, -3, 2), (1,) * 3, [(0.0,)] * 3)
+    assert message(np.ones(2, dtype=int), ones, points) == "weights, labels and points must have equal length"
+    for shape in ((3,), (3, 1, 1)):
+        assert "must have shape (n, d)" in message(ones, ones, np.zeros(shape))
+
+
+def test_non_float_point_arrays_are_read_as_sequences():
+    for points in (np.array([[1, 2], [3, 4]]), np.array([[Fraction(1, 3)], [1]], dtype=object)):
+        sample = WeightedSample((1, 1), (1, -1), points)
+        copy = WeightedSample((1, 1), (1, -1), [tuple(p) for p in points])
+        assert sample == copy and not sample._all_float
+        assert [list(map(type, p)) for p in sample.points] == [list(map(type, p)) for p in copy.points]
+
+
+def test_numpy_integer_weights_become_python_ints():
+    # int64 sums of these weights overflow; as Python ints they do not
+    points, labels = [(0.0,), (0.0,), (1.0,)], [1, 1, -1]
+    big = np.array([2**62, 2**62, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights in (big, tuple(big), (np.int64(2**62), 2**62, np.uint8(1))):
+            sample = WeightedSample(weights, labels, points)
+            assert sample.weights == (2**62, 2**62, 1) and all(type(w) is int for w in sample.weights)
+            assert sample._signed_weights is None
+            assert fit_monotone(sample).values == (1, 1)
