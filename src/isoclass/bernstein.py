@@ -317,7 +317,14 @@ def binarize(model: BernsteinClassifier) -> BernsteinClassifier:
 
 
 def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
-    """Hinge-LP fit over the lattice-monotone coefficient polytope."""
+    """Hinge-LP fit over the lattice-monotone coefficient polytope.
+
+    The objective coefficients are summed in floats, chunk by chunk, into one
+    float64 array; ``solve`` takes that array as it is and scales it to
+    integers exactly, so the +/-1 values are exact for those floats.
+    ``lattice_dag`` and ``solve`` are called through this module's names,
+    which the benchmark's tracer (``perfbench/tracing.py``) wraps.
+    """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
     shape = _lattice_shape(orders)
@@ -350,7 +357,7 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
         coeff += first.T @ rows
     coeff = coeff.reshape(-1)
     dag = lattice_dag(orders)
-    values, _ = solve(IsotoneProblem(dag, tuple(coeff.tolist())))
+    values, _ = solve(IsotoneProblem(dag, coeff))
     return BernsteinClassifier._of_fit(orders, tuple(values))
 
 

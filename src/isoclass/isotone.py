@@ -3,23 +3,26 @@
 The problem  max sum c_i v_i  s.t.  v_i <= v_j on each cover edge i -> j and
 -1 <= v_i <= 1  always attains its optimum at a +/-1 vertex whose +1-set is an
 up-set of the DAG.  It therefore reduces to a maximum-weight up-set (closure)
-problem, which ``solve`` answers on one of three paths, picked from the ranks
+problem, which ``solve`` answers on one of four paths, picked from the ranks
 of the DAG's nodes:
 
 * a chain (any dimension): one suffix scan;
-* two dimensions: one sweep over the staircase that an up-set of 2-d points
+* two dimensions, nodes that fill their rank grid (every 2-d lattice, and
+  grid data): one dynamic program over the grid's rows, in numpy;
+* other 2-d nodes: one sweep over the staircase that an up-set of 2-d points
   is, in O(n log n), without building cover edges;
 * three or more: Picard's closure <=> min-cut reduction, by Dinic's max-flow
   on the cover edges.
 
-All three work on integers: the coefficients are scaled once by their
+All four work on integers: the coefficients are scaled once by their
 common denominator, which is exact for int, Fraction and float input alike;
-an int64 array of coefficients needs no scaling.  The chain scan sums them
-with numpy, in int64 when n * max|w| < 2**63 bounds every partial sum and as
-Python ints otherwise; the other two use Python ints.
+an int64 array of coefficients needs no scaling, and float coefficients are
+scaled in numpy.  The chain scan and the grid program sum them with numpy, in
+int64 when n * max|w| < 2**63 bounds every partial sum and as Python ints
+otherwise; the other two use Python ints.
 Among tied optima each path returns the inclusion-maximal up-set, the union
-of all optimal ones: the longest optimal suffix, the smallest optimal
-staircase thresholds, or the sink-unreachable side of the residual graph.
+of all optimal ones: the longest optimal suffix, the smallest optimal row
+or staircase thresholds, or the sink-unreachable side of the residual graph.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ class IsotoneProblem:
     """One coefficient per node of ``dag``.
 
     A 1-d numpy array of signed integers is kept as a read-only int64 copy,
-    checked by its dtype alone.  Any other ``coeffs`` is kept as a tuple
-    (an object array's tuple holds its Python objects), whose floats must be
-    finite.
+    and one of floats with itemsize at most 8 as a read-only float64 copy;
+    both are checked by their dtype, and the floats for finiteness in numpy.
+    Any other ``coeffs`` is kept as a tuple (an object array's tuple holds its
+    Python objects, a longdouble array's its numpy scalars, never rounded to
+    float64), whose floats must be finite.
     """
 
     dag: DominanceDag
@@ -52,17 +57,22 @@ class IsotoneProblem:
 
     def __post_init__(self):
         coeffs = self.coeffs
-        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1 and coeffs.dtype.kind == "i":
-            coeffs = coeffs.astype(np.int64)
+        kind = coeffs.dtype.kind if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1 else None
+        if kind == "i" or (kind == "f" and coeffs.dtype.itemsize <= 8):
+            coeffs = coeffs.astype(np.int64 if kind == "i" else np.float64)
             coeffs.flags.writeable = False
         else:
             coeffs = tuple(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != self.dag.n:
             raise ValidationError(f"{len(coeffs)} coefficients for {self.dag.n} nodes")
-        if type(coeffs) is tuple and finite_array(coeffs, len(coeffs)) is None:
-            for i, c in enumerate(coeffs):
-                check_finite(c, f"coefficient {i}")
+        if type(coeffs) is tuple:
+            if finite_array(coeffs, len(coeffs)) is None:
+                for i, c in enumerate(coeffs):
+                    check_finite(c, f"coefficient {i}")
+        elif coeffs.dtype.kind == "f" and not (finite := np.isfinite(coeffs)).all():
+            i = int(np.argmin(finite))
+            check_finite(coeffs[i].item(), f"coefficient {i}")
 
 
 class _Dinic:
@@ -144,21 +154,29 @@ class _Dinic:
         return seen
 
 
+def _summable(weights) -> np.ndarray:
+    """Integer ``weights`` (a list, an int64 or an object array) as an array to sum.
+
+    int64 when n * max|w| < 2**63, which bounds every partial sum, else the
+    same ints as Python objects; an object array stays one.
+    """
+    if not (isinstance(weights, np.ndarray) and weights.dtype == object):
+        try:
+            w = np.asarray(weights, dtype=np.int64)
+            if not len(w) or len(w) * max(int(w.max()), -int(w.min())) < 1 << 63:
+                return w
+        except OverflowError:
+            pass
+    return np.asarray(weights, dtype=object)
+
+
 def _chain_best_up_set(order: np.ndarray, weights):
     """Longest suffix of the chain ``order`` maximizing its weight (empty suffix allowed), that weight, and the total.
 
-    ``weights`` is a list of ints or an int64 array.  The suffix sums are one
-    ``np.cumsum``: in int64 when n * max|w| < 2**63 bounds every partial sum,
-    else over the same ints as Python objects.
+    The suffix sums are one ``np.cumsum`` over the ``_summable`` weights.
     """
     n = len(order)
-    try:
-        w = weights if isinstance(weights, np.ndarray) else np.fromiter(weights, dtype=np.int64, count=n)
-        small = n * max(int(w.max()), -int(w.min()), 0) < 1 << 63 if n else True
-    except OverflowError:
-        small = False
-    if not small:
-        w = np.array(weights, dtype=object)
+    w = _summable(weights)
     # sums[k] is the weight of the suffix of length k
     sums = np.concatenate((np.zeros(1, w.dtype), np.cumsum(w[order[::-1]])))
     length = n - int(np.argmax(sums[::-1]))  # the last index of the maximum
@@ -181,6 +199,35 @@ def _min_cut_best_up_set(dag: DominanceDag, weights):
     net.max_flow(source, sink)
     sink_side = net.reaches_sink(sink)
     return {i for i in range(n) if not sink_side[i]}
+
+
+def _grid_best_up_set(dag: DominanceDag, weights):
+    """Maximal maximum-weight up-set of 2-d nodes that fill their rank grid, that weight, and the total.
+
+    On the (R, C) grid an up-set keeps the cells of row i = r1 with r2 >= t_i,
+    for thresholds t_i that never increase with i.  Counting s = C - t cells
+    from the right of each row, P_i(s) is the weight of row i's last s cells
+    (one ``np.cumsum`` per row), and the best weight of rows 0..i with s_i = s
+    is best_i(s) = P_i(s) + max over s' <= s of best_{i-1}(s'): one running
+    maximum per row.  Backtracking from the last row, each row takes the
+    largest maximizing s up to the next row's: the smallest optimal
+    thresholds, so the union of all optimal up-sets.  Sums run over the
+    ``_summable`` weights.
+    """
+    rows, cols = dag.grid_shape
+    r1, r2 = dag.ranks.T
+    w = _summable(weights)
+    best = np.zeros((rows, cols + 1), w.dtype)
+    best[r1, cols - r2] = w
+    np.cumsum(best, axis=1, out=best)
+    for i in range(1, rows):
+        best[i] += np.maximum.accumulate(best[i - 1])
+    kept = np.empty(rows, dtype=np.int64)
+    s = cols
+    for i in range(rows - 1, -1, -1):
+        s -= int(np.argmax(best[i, s::-1]))  # the last maximum of best_i(0..s)
+        kept[i] = s
+    return np.flatnonzero(cols - r2 <= kept[r1]), int(best[-1, kept[-1]]), int(w.sum())
 
 
 def _staircase_best_up_set(dag: DominanceDag, weights):
@@ -246,43 +293,78 @@ def _integer_weights(coeffs):
     """Coefficients times their common denominator, as ints; that denominator; and exactness.
 
     An int64 array (as ``IsotoneProblem`` keeps int coefficients) and ints
-    pass through, floats go through ``as_integer_ratio`` and anything else
-    (numpy scalars included) through Fraction; each is exact for its type.
+    pass through; a float64 array, or a tuple of floats alone, is scaled in
+    numpy (``_scaled_floats``); any other mix goes through Fraction, numpy
+    scalars included.  Each is exact for its type.
     """
     if isinstance(coeffs, np.ndarray):
-        return coeffs, 1, True
-    weights, denominators, exact = list(coeffs), set(), True
-    if set(map(type, weights)) <= {int}:
+        return (coeffs, 1, True) if coeffs.dtype.kind == "i" else _scaled_floats(coeffs)
+    weights = list(coeffs)
+    types = set(map(type, weights))
+    if types <= {int}:
         return weights, 1, True
+    if types == {float}:
+        return _scaled_floats(np.array(weights))
+    denominators, exact = set(), True
     for i, c in enumerate(weights):
-        if type(c) is int:
-            continue
-        if type(c) is float:
-            exact = False
-            weights[i] = c.as_integer_ratio()
-        else:
+        if type(c) is not int:
             exact = exact and is_exact(c)
             f = Fraction(c)
             weights[i] = (int(f.numerator), f.denominator)
-        denominators.add(weights[i][1])
+            denominators.add(f.denominator)
     scale = math.lcm(*denominators)
-    if denominators:
-        weights = [w * scale if type(w) is int else w[0] * (scale // w[1]) for w in weights]
+    weights = [w * scale if type(w) is int else w[0] * (scale // w[1]) for w in weights]
     return weights, scale, exact
 
 
+def _scaled_floats(coeffs: np.ndarray):
+    """``_integer_weights`` of float64 coefficients: the ints ``Fraction`` gives, in numpy.
+
+    Each float is m * 2**e with an odd int64 mantissa m, |m| < 2**53
+    (``np.frexp``, then its trailing zero bits stripped; 0 is 0).  The scale
+    is 2**-min(e, 0) over the nonzero floats, so float m * 2**e becomes
+    m << (e + log2 scale): in int64 when each |m| * 2**shift < 2**62, else as
+    Python ints in an object array.
+    """
+    fraction, exponent = np.frexp(coeffs)
+    mantissa = np.ldexp(fraction, 53).astype(np.int64)
+    nonzero = mantissa != 0
+    # m & -m is the lowest set bit of m, a power of two that float holds exactly
+    zeros = np.where(nonzero, np.frexp(mantissa & -mantissa)[1] - 1, 0)
+    mantissa >>= zeros
+    exponent = exponent + (zeros - 53)
+    low = int(exponent.min(initial=0, where=nonzero))
+    shift = np.where(nonzero, exponent - low, 0)
+    if (np.frexp(np.abs(mantissa))[1] + shift <= 62).all():
+        return mantissa << shift, 1 << -low, False
+    return mantissa.astype(object) << shift.astype(object), 1 << -low, False
+
+
 def _solution(n: int, plus_set, objective, exact: bool):
+    """+/-1 values and the objective: exact, or the nearest float (+/-inf beyond float range)."""
     values = np.full(n, -1)
     values[plus_set if isinstance(plus_set, np.ndarray) else list(plus_set)] = 1
-    return values.tolist(), (objective if exact else float(objective))
+    if not exact:
+        try:
+            objective = float(objective)
+        except OverflowError:
+            objective = math.inf if objective > 0 else -math.inf
+    return values.tolist(), objective
 
 
 def solve(problem: IsotoneProblem):
-    """Optimal +/-1 values and objective; +1-set is the maximal optimal up-set."""
+    """Optimal +/-1 values and objective; +1-set is the maximal optimal up-set.
+
+    The path follows the DAG: the suffix scan for a chain, the grid program
+    for 2-d nodes that fill their rank grid, the staircase sweep for other
+    2-d nodes and the min-cut in three or more dimensions.
+    """
     weights, scale, exact = _integer_weights(problem.coeffs)
     dag = problem.dag
     if dag.is_chain:
         plus_set, plus_weight, total = _chain_best_up_set(dag.lex_order, weights)
+    elif dag.dim == 2 and dag.grid_shape is not None:
+        plus_set, plus_weight, total = _grid_best_up_set(dag, weights)
     else:
         if isinstance(weights, np.ndarray):
             weights = weights.tolist()

@@ -80,8 +80,18 @@ class DominanceDag:
         return lex_argsort(self.ranks)
 
     @cached_property
+    def grid_shape(self):
+        """Ranks per coordinate, (max rank + 1, ...), when the nodes fill that whole grid, else None.
+
+        Distinct nodes fill it exactly when there are as many as it has
+        cells: every lattice, grid data, distinct points on a line.
+        """
+        shape = tuple((self.ranks.max(axis=0) + 1).tolist()) if self.n else ()
+        return shape if math.prod(shape) == self.n else None
+
+    @cached_property
     def cover_edges(self) -> tuple:
-        return _cover_edges(self.ranks) if self.n > 1 else ()
+        return _cover_edges(self.ranks, self.grid_shape) if self.n > 1 else ()
 
     @cached_property
     def successor_masks(self) -> tuple:
@@ -217,16 +227,16 @@ def dominator_counts(queries: np.ndarray, tops: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _cover_edges(ranks: np.ndarray) -> tuple:
+def _cover_edges(ranks: np.ndarray, shape) -> tuple:
     """Cover relation of distinct rank rows, as sorted (i, j) pairs.
 
-    Rows that fill their whole rank grid (a lattice, or any distinct points on
-    a line) are covered by their unit steps in one coordinate; otherwise every
-    edge implied by a 2-path is removed from the dense strict order.
+    Rows that fill their whole rank grid, of ``shape`` (see
+    ``DominanceDag.grid_shape``), are covered by their unit steps in one
+    coordinate; otherwise (``shape`` None) every edge implied by a 2-path is
+    removed from the dense strict order.
     """
     n = len(ranks)
-    shape = tuple((ranks.max(axis=0) + 1).tolist())
-    if math.prod(shape) == n:
+    if shape is not None:
         cells = np.empty(n, dtype=np.int64)
         cells[np.ravel_multi_index(tuple(ranks.T), shape)] = np.arange(n)
         cells = cells.reshape(shape)

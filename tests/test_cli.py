@@ -166,6 +166,23 @@ def test_negative_weight_is_rejected_by_row(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["fit-monotone"], ["fit-bernstein", "--orders", "3"]])
+def test_fit_whose_objective_leaves_float_range_writes_its_model(tmp_path, command, capsys):
+    # the weights are floats, but the fit's objective, near 2e308, is not; scaled by 2**-10,
+    # exactly, the same data must give the same model
+    rows = [(1e308, 1, 0.2), (1e308, 1, 0.25), (1.0, -1, 0.9)]
+    models = []
+    for scale in (1.0, 2.0**-10):
+        data = write(tmp_path / "big.csv", "w,y,x1\n" + "".join(f"{w * scale!r},{y},{x}\n" for w, y, x in rows))
+        out = str(tmp_path / "m.json")
+        assert main([*command, "--in", data, "--weighted", "--float", "--out", out]) == 0
+        models.append(Path(out).read_bytes())
+    assert "error" not in capsys.readouterr().err
+    assert models[0] == models[1]
+    if command[0] == "fit-monotone":
+        assert load_model(out).values == (1, 1, 1)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

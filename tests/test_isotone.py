@@ -15,7 +15,7 @@ from isoclass import (
     lattice_dag,
     solve,
 )
-from isoclass.isotone import _chain_best_up_set
+from isoclass.isotone import _chain_best_up_set, _integer_weights
 
 
 def chain(n):
@@ -164,6 +164,56 @@ def test_lattice_problems_use_exact_solver():
 def test_rejects_non_finite_coefficients():
     with pytest.raises(ValidationError):
         IsotoneProblem(chain(1), (float("nan"),))
+
+
+def test_non_finite_float_array_coefficients_are_named():
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(ValidationError, match="coefficient 1 must be finite"):
+            IsotoneProblem(chain(2), np.array([1.0, np.nan], dtype=dtype))
+    with pytest.raises(ValidationError, match="coefficient 2 must be finite"):
+        IsotoneProblem(chain(3), np.array([0.0, -1.5, -np.inf]))
+
+
+def test_float_array_weights_equal_the_fraction_loop():
+    # numpy's scaling of float64 coefficients gives the ints and the scale of the Fraction loop
+    rng = np.random.default_rng(811)
+    arrays = [
+        np.array([5e-324, 1e300, -3.5, 0.0]),
+        np.array([-0.0]),
+        np.zeros(6),
+        np.array([0.1, -2.5, 3.0, 1e-8], dtype=np.float32),
+        np.ldexp(rng.uniform(-1.0, 1.0, 3000), rng.integers(-1070, 1020, 3000)),
+        np.array([2.0**61, -(2.0**61), 1.0, 0.5]),  # int64 holds these scaled
+        np.array([2.0**62, 0.5]),  # these not: 2**63 needs Python ints
+        np.array([]),
+    ]
+    for array in arrays:
+        problem = IsotoneProblem(chain(len(array)), array)
+        assert problem.coeffs.dtype == np.float64 and not problem.coeffs.flags.writeable
+        weights, scale, exact = _integer_weights(problem.coeffs)
+        want, want_scale, _ = _integer_weights(tuple(Fraction(c) for c in array.tolist()))
+        assert weights.tolist() == want and scale == want_scale and not exact
+        assert all(type(w) is int for w in weights.tolist())
+        wide = max(map(abs, want), default=0) >= 1 << 62
+        assert weights.dtype == (object if wide else np.int64)
+        # a tuple of floats alone takes the same path
+        from_tuple, tuple_scale, _ = _integer_weights(tuple(array.tolist()))
+        assert list(from_tuple) == want and tuple_scale == scale
+
+
+def test_longdouble_array_coefficients_keep_the_tuple_path():
+    third = np.longdouble(1) / 3
+    problem = IsotoneProblem(chain(2), np.array([third, -third]))
+    assert type(problem.coeffs) is tuple and problem.coeffs == (third, -third)
+    assert all(type(c) is np.longdouble for c in problem.coeffs)
+
+
+def test_objective_beyond_float_range_is_infinite():
+    # the +/-1 values are exact; only the float objective, 2e308 - 1, leaves float range
+    problem = IsotoneProblem(chain(3), (1e308, 1e308, -1.0))
+    assert solve(problem) == ([1, 1, 1], float("inf"))
+    assert brute_force_solve(problem) == ([1, 1, 1], float("inf"))
+    assert solve(IsotoneProblem(chain(3), np.array([1e308, 1e308, -1.0]))) == ([1, 1, 1], float("inf"))
 
 
 def test_coefficient_types_give_the_fraction_route_result():

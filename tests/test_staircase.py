@@ -1,9 +1,10 @@
-"""Differential tests of the 2-d staircase sweep behind ``solve``.
+"""Differential tests of the 2-d paths behind ``solve``: the staircase sweep and the grid program.
 
-The sweep must give the same +1 set (the inclusion-maximal optimal up-set)
-as exhaustive enumeration, as the min-cut it replaces in two dimensions, and
-as an independent networkx max-closure; fits and regret curves must come out
-byte-identical to the min-cut path, which the tests force for the reference.
+Both must give the same +1 set (the inclusion-maximal optimal up-set) as
+exhaustive enumeration, as the min-cut they replace in two dimensions, and
+as an independent networkx max-closure; the grid program must also equal the
+sweep, and fits and regret curves must come out byte-identical to the
+min-cut path, which the tests force for the reference.
 """
 
 import json
@@ -11,6 +12,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import random_distinct_points
@@ -28,13 +30,30 @@ from isoclass import (
 )
 from isoclass import isotone, order
 from isoclass.cli import main
-from isoclass.isotone import _integer_weights, _min_cut_best_up_set, _staircase_best_up_set
+from isoclass.isotone import (
+    _grid_best_up_set,
+    _integer_weights,
+    _min_cut_best_up_set,
+    _staircase_best_up_set,
+)
+
+
+def _min_cut_as_grid_program(dag, weights):
+    """The min-cut's +1 set, with the weight and total that ``_grid_best_up_set`` also returns."""
+    weights = weights.tolist() if isinstance(weights, np.ndarray) else weights
+    plus = _min_cut_best_up_set(dag, weights)
+    return sorted(plus), sum(weights[i] for i in plus), sum(weights)
 
 
 @pytest.fixture
 def min_cut_path(monkeypatch):
-    """Call to route 2-d problems through the min-cut, the reference for the sweep."""
-    return lambda: monkeypatch.setattr(isotone, "_staircase_best_up_set", _min_cut_best_up_set)
+    """Call to route 2-d problems (the sweep's and the grid program's) through the min-cut, their reference."""
+
+    def route():
+        monkeypatch.setattr(isotone, "_staircase_best_up_set", _min_cut_best_up_set)
+        monkeypatch.setattr(isotone, "_grid_best_up_set", _min_cut_as_grid_program)
+
+    return route
 
 
 def _plus_set(values):
@@ -78,8 +97,67 @@ def test_sweep_equals_min_cut_on_point_sets_and_lattices(min_cut_path):
     assert got == [solve(problem) for problem in problems]
 
 
+def test_grid_program_equals_the_sweep_on_tied_lattices():
+    # weights -2..2 tie many up-sets: both must pick the union of the optimal ones
+    rng = random.Random(608)
+    for _ in range(1500):
+        dag = lattice_dag((rng.randint(0, 7), rng.randint(0, 7)))
+        weights = [rng.randint(-2, 2) for _ in range(dag.n)]
+        plus, best, total = _grid_best_up_set(dag, weights)
+        want = set(_staircase_best_up_set(dag, weights))
+        assert set(plus.tolist()) == want
+        assert (best, total) == (sum(weights[i] for i in want), sum(weights))
+
+
+def test_grid_program_equals_the_sweep_on_full_grids_of_mixed_points():
+    # every cell of an R x C grid, in shuffled order, with int, Fraction and float coordinates;
+    # an integer value is spelled as any of its three types, point by point
+    rng = random.Random(609)
+
+    def axis(size):
+        values = {}
+        while len(values) < size:
+            v = _coordinate(rng, rng.randrange(60))
+            values.setdefault(Fraction(v), v)
+        return list(values.values())
+
+    def spelled(v):
+        return rng.choice((int(v), Fraction(v), float(v))) if v == int(v) else v
+
+    for _ in range(200):
+        rows, cols = rng.randint(2, 12), rng.randint(2, 12)
+        xs, ys = axis(rows), axis(cols)
+        pts = [(spelled(x), spelled(y)) for x in xs for y in ys]
+        rng.shuffle(pts)
+        dag = build_dag(pts)
+        assert dag.grid_shape == (rows, cols)
+        weights, _, _ = _integer_weights([_coefficient(rng) for _ in pts])
+        plus, best, total = _grid_best_up_set(dag, weights)
+        want = set(_staircase_best_up_set(dag, list(weights)))
+        assert set(plus.tolist()) == want
+        assert (best, total) == (sum(weights[i] for i in want), sum(weights))
+
+
+def test_grid_program_sums_past_int64_as_python_ints():
+    # each weight fits int64, but n * max|w| does not: int64 sums would wrap
+    rng = random.Random(610)
+    big = (1 << 62) - 1
+    for shape in ((3, 3), (5, 2), (6, 7)):
+        dag = lattice_dag(shape)
+        ints = [rng.choice((1, -1)) * (big - rng.randint(0, 9)) for _ in range(dag.n)]
+        plus, best, total = _grid_best_up_set(dag, np.array(ints, dtype=np.int64))
+        want = set(_staircase_best_up_set(dag, ints))
+        assert set(plus.tolist()) == want
+        assert (best, total) == (sum(ints[i] for i in want), sum(ints))
+        assert solve(IsotoneProblem(dag, np.array(ints))) == solve(IsotoneProblem(dag, [Fraction(c) for c in ints]))
+
+
 def _networkx_max_closure(nx, dag, weights):
-    """Maximal maximum-weight up-set and cut value, from networkx's residual graph."""
+    """Maximal maximum-weight up-set and cut value, from networkx's residual graph.
+
+    Boykov-Kolmogorov is networkx's fastest max-flow on lattices; every max
+    flow leaves the same nodes able to reach the sink.
+    """
     graph = nx.DiGraph()
     graph.add_nodes_from(("s", "t"))
     for i, w in enumerate(weights):
@@ -89,7 +167,7 @@ def _networkx_max_closure(nx, dag, weights):
             graph.add_edge(i, "t", capacity=-w)
     # edges without a capacity attribute are infinite in networkx
     graph.add_edges_from(dag.cover_edges)
-    residual = nx.algorithms.flow.edmonds_karp(graph, "s", "t")
+    residual = nx.algorithms.flow.boykov_kolmogorov(graph, "s", "t")
     sink_side, stack = {"t"}, ["t"]
     while stack:
         v = stack.pop()
@@ -106,7 +184,8 @@ def test_every_path_equals_networkx_max_closure():
     rng = random.Random(603)
     dags = [build_dag(random_distinct_points(rng, rng.randint(50, 200), 2, grid=30)) for _ in range(8)]
     dags += [build_dag(random_distinct_points(rng, rng.randint(50, 150), 3, grid=8)) for _ in range(4)]
-    dags += [lattice_dag((19, 14)), lattice_dag((4, 5, 3)), build_dag([(i, 2 * i) for i in range(60)])]
+    dags += [lattice_dag((19, 14)), lattice_dag((80, 80)), lattice_dag((12, 40)), lattice_dag((4, 5, 3))]
+    dags += [build_dag([(i, 2 * i) for i in range(60)])]
     for dag in dags:
         coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dag.n)]
         values, objective = solve(IsotoneProblem(dag, coeffs))
