@@ -31,7 +31,8 @@ def all_exact(values) -> bool:
 
 
 def check_finite(value, what: str) -> None:
-    if isinstance(value, float) and not math.isfinite(value):
+    # numpy floats (longdouble too) by numpy: math.isfinite would round a longdouble to a float first
+    if isinstance(value, float) and not math.isfinite(value) or isinstance(value, np.floating) and not np.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
 
 
@@ -69,61 +70,55 @@ def finite_array(values, count: int):
 
 
 def validated_points(points, noun: str) -> tuple:
-    """``points`` as a tuple of tuples, checked to share one dimension and to have finite coordinates.
+    """``points`` checked to share one dimension and to have finite coordinates: (rows, matrix).
 
-    All coordinates go through one ``finite_array`` pass; only when it fails
-    does a loop run, to name the first non-finite float ("covariate of
-    {noun} i must be finite").  Values that float() rejects or that lie
-    beyond float range are left to the caller.  Returned with the points:
-    that pass's read-only (n, d) float array (None when it failed or there
-    are no points) and whether every coordinate is exactly a Python float.
-    A float numpy array of points is checked in numpy (``_validated_array``).
+    A float array (itemsize at most 8) is checked in numpy, with the messages
+    of the sequence path, and gives (None, its read-only float64 copy), or
+    ((), None) when empty.  Other points become a tuple of tuples, checked in
+    one ``finite_array`` pass (a loop then names the first non-finite float;
+    values that float() rejects or puts out of range are left to the caller),
+    whose array is the read-only matrix if every coordinate is a Python
+    float, so that it orders and ties as they do, else None.
     """
     if isinstance(points, np.ndarray) and points.dtype.kind == "f" and points.dtype.itemsize <= 8:
-        return _validated_array(points, noun)
+        if points.ndim != 2:
+            raise ValidationError(f"an array of {noun}s must have shape (n, d), got {points.shape}")
+        matrix = points.astype(np.float64)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            for v in matrix[i].tolist():
+                check_finite(v, f"covariate of {noun} {i}")
+        matrix.flags.writeable = False
+        return (None, matrix) if len(matrix) else ((), None)
     # built through a list: a tuple grown in place is traversed by every GC pass while it grows
     points = tuple(list(map(tuple, points)))
     dims = set(map(len, points))
     if len(dims) > 1:
         raise ValidationError(f"{noun}s have mixed dimensions: {sorted(dims)}")
     if not points:
-        return points, None, True
+        return points, None
     floats = finite_array(chain.from_iterable(points), len(points) * len(points[0]))
     if floats is None:
         for i, p in enumerate(points):
             for v in p:
                 check_finite(v, f"covariate of {noun} {i}")
-        return points, None, False
-    floats = floats.reshape(len(points), -1)
-    floats.flags.writeable = False
-    return points, floats, set(map(type, chain.from_iterable(points))) <= {float}
+    elif set(map(type, chain.from_iterable(points))) <= {float}:
+        floats = floats.reshape(len(points), -1)
+        floats.flags.writeable = False
+        return points, floats
+    return points, None
 
 
-def _validated_array(points: np.ndarray, noun: str) -> tuple:
-    """``validated_points`` of an (n, d) float array: its rows as tuples of Python floats.
-
-    Shape and finiteness are checked in numpy, with the messages of the
-    sequence path, and the rows are built once from the columns.  The kept
-    float64 array is a copy, so it matches the rows bit for bit (-0.0 too).
-    """
-    if points.ndim != 2:
-        raise ValidationError(f"an array of {noun}s must have shape (n, d), got {points.shape}")
-    floats = points.astype(np.float64)
-    finite = np.isfinite(floats).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        for v in floats[i].tolist():
-            check_finite(v, f"covariate of {noun} {i}")
-    n, d = floats.shape
-    if not n:
-        return (), None, True
-    floats.flags.writeable = False
-    return (tuple(list(zip(*floats.T.tolist()))) if d else ((),) * n), floats, True
+def matrix_rows(matrix: np.ndarray) -> tuple:
+    """The rows of a float matrix as a tuple of tuples of Python floats, built from its columns through a list."""
+    return tuple(list(zip(*matrix.T.tolist()))) if matrix.shape[1] else ((),) * len(matrix)
 
 
 def check_points(points, noun: str) -> tuple:
-    """The checked tuple of ``validated_points``, without what it learned on the way."""
-    return validated_points(points, noun)[0]
+    """The checked rows of ``validated_points``, built from its matrix when it kept none."""
+    rows, matrix = validated_points(points, noun)
+    return matrix_rows(matrix) if rows is None else rows
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)

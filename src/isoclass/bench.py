@@ -357,7 +357,7 @@ class Step2dDgp:
 
     def population_risk(self, model) -> float:
         if isinstance(model, MonotoneClassifier):
-            if model.support and model.dim != self.dim:
+            if model.values and model.dim != self.dim:
                 raise ValidationError(f"model has dimension {model.dim}, design expects {self.dim}")
             return _staircase_risk(model.frontier)
         if not isinstance(model, BernsteinClassifier):

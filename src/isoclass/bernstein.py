@@ -220,23 +220,6 @@ def _beyond_float_range(what: str, values) -> ValidationError:
     return ValidationError(f"{what} {str(bad)[:20]}... is beyond float range")
 
 
-def _sample_points(sample: WeightedSample, dim: int) -> np.ndarray:
-    """``float_points(sample.points, dim)``, read from the float matrix the sample's checks kept when it can be."""
-    if sample._float_points is None or sample.dim != dim:
-        return float_points(sample.points, dim)
-    return sample._float_points
-
-
-def _float_weights(sample: WeightedSample) -> np.ndarray:
-    """The sample's float weights, kept by its checks; a weight beyond float range is a ValidationError."""
-    if sample._float_weights is None:
-        try:
-            return np.array([float(w) for w in sample.weights])
-        except OverflowError:
-            raise _beyond_float_range("weight", sample.weights) from None
-    return sample._float_weights
-
-
 def _to_unit_cube(model: BernsteinClassifier, points) -> np.ndarray:
     """Validated (n, d) float array of the points, rescaled and clamped into [0, 1]."""
     x = float_points(points, model.dim)
@@ -338,13 +321,13 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     size = math.prod(shape)
     if size > MAX_LATTICE_SIZE:
         raise ValidationError(f"coefficient lattice of size {size} exceeds {MAX_LATTICE_SIZE}")
-    pts = _sample_points(sample, sample.dim)
+    pts = float_points(sample.points, sample.dim) if sample._matrix is None else sample._matrix
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise ValidationError(
             "covariates must lie in the unit cube [0,1]^d; rescale them first "
             "(the CLI offers --rescale min-max normalization)"
         )
-    signed = _float_weights(sample) * np.asarray(sample.labels, dtype=float)
+    signed = _float_weights(sample) * sample._labels
     # objective coefficient per multi-index: sum_i w_i y_i prod_v b_{k_v j_v}(x_iv), as one matrix
     # product per row chunk: the first basis matrix against the weighted row-wise products of the rest
     coeff = np.zeros((shape[0], size // shape[0]))
@@ -363,10 +346,15 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
 
 def empirical_hinge_risk(model: BernsteinClassifier, sample: WeightedSample):
     """(1/n) sum w_i (1 - y_i B(theta, x_i)); the box keeps the max inactive."""
-    values = evaluate_batch(model, _sample_points(sample, model.dim))
-    weights = _float_weights(sample)
-    labels = np.asarray(sample.labels, dtype=float)
-    return float(weights @ np.maximum(0.0, 1.0 - labels * values)) / sample.n
+    values = evaluate_batch(model, sample.points if sample._matrix is None else sample._matrix)
+    return float(_float_weights(sample) @ np.maximum(0.0, 1.0 - sample._labels * values)) / sample.n
+
+
+def _float_weights(sample: WeightedSample) -> np.ndarray:
+    """The sample's weights as float64; one beyond float range, where it keeps none, is a ValidationError."""
+    if sample._weights is None:
+        raise _beyond_float_range("weight", sample.weights)
+    return sample._weights.astype(float)
 
 
 def suggest_orders(n: int, d: int):

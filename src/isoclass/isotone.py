@@ -45,34 +45,32 @@ class IsotoneProblem:
     """One coefficient per node of ``dag``.
 
     A 1-d numpy array of signed integers is kept as a read-only int64 copy,
-    and one of floats with itemsize at most 8 as a read-only float64 copy;
-    both are checked by their dtype, and the floats for finiteness in numpy.
+    and one of floats with itemsize at most 8 as a read-only float64 copy.
     Any other ``coeffs`` is kept as a tuple (an object array's tuple holds its
     Python objects, a longdouble array's its numpy scalars, never rounded to
-    float64), whose floats must be finite.
+    float64).  Floats must be finite: in numpy for a float array of any size.
     """
 
     dag: DominanceDag
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = self.coeffs
-        kind = coeffs.dtype.kind if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1 else None
-        if kind == "i" or (kind == "f" and coeffs.dtype.itemsize <= 8):
-            coeffs = coeffs.astype(np.int64 if kind == "i" else np.float64)
+        given = self.coeffs
+        kind = given.dtype.kind if isinstance(given, np.ndarray) and given.ndim == 1 else None
+        if kind == "i" or (kind == "f" and given.dtype.itemsize <= 8):
+            coeffs = given.astype(np.int64 if kind == "i" else np.float64)
             coeffs.flags.writeable = False
         else:
-            coeffs = tuple(coeffs)
+            coeffs = tuple(given)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != self.dag.n:
             raise ValidationError(f"{len(coeffs)} coefficients for {self.dag.n} nodes")
-        if type(coeffs) is tuple:
-            if finite_array(coeffs, len(coeffs)) is None:
-                for i, c in enumerate(coeffs):
-                    check_finite(c, f"coefficient {i}")
-        elif coeffs.dtype.kind == "f" and not (finite := np.isfinite(coeffs)).all():
+        if kind == "f" and not (finite := np.isfinite(given)).all():
             i = int(np.argmin(finite))
-            check_finite(coeffs[i].item(), f"coefficient {i}")
+            check_finite(float(given[i]), f"coefficient {i}")
+        if kind != "f" and type(coeffs) is tuple and finite_array(coeffs, len(coeffs)) is None:
+            for i, c in enumerate(coeffs):
+                check_finite(c, f"coefficient {i}")
 
 
 class _Dinic:
@@ -294,8 +292,8 @@ def _integer_weights(coeffs):
 
     An int64 array (as ``IsotoneProblem`` keeps int coefficients) and ints
     pass through; a float64 array, or a tuple of floats alone, is scaled in
-    numpy (``_scaled_floats``); any other mix goes through Fraction, numpy
-    scalars included.  Each is exact for its type.
+    numpy (``_scaled_floats``); any other mix goes through ``_fraction``,
+    numpy scalars included.  Each is exact for its type.
     """
     if isinstance(coeffs, np.ndarray):
         return (coeffs, 1, True) if coeffs.dtype.kind == "i" else _scaled_floats(coeffs)
@@ -309,12 +307,17 @@ def _integer_weights(coeffs):
     for i, c in enumerate(weights):
         if type(c) is not int:
             exact = exact and is_exact(c)
-            f = Fraction(c)
+            f = _fraction(c)
             weights[i] = (int(f.numerator), f.denominator)
             denominators.add(f.denominator)
     scale = math.lcm(*denominators)
     weights = [w * scale if type(w) is int else w[0] * (scale // w[1]) for w in weights]
     return weights, scale, exact
+
+
+def _fraction(c) -> Fraction:
+    """``c`` exactly: numpy integers as Python ints, numpy floats (longdouble too) by their integer ratio."""
+    return Fraction(*c.as_integer_ratio()) if isinstance(c, np.floating) else Fraction(int(c) if isinstance(c, numbers.Integral) else c)
 
 
 def _scaled_floats(coeffs: np.ndarray):
@@ -340,8 +343,8 @@ def _scaled_floats(coeffs: np.ndarray):
     return mantissa.astype(object) << shift.astype(object), 1 << -low, False
 
 
-def _solution(n: int, plus_set, objective, exact: bool):
-    """+/-1 values and the objective: exact, or the nearest float (+/-inf beyond float range)."""
+def _solution(n: int, plus_set, objective, exact: bool, array: bool = False):
+    """+/-1 values (a list, or if ``array`` an int64 array) and the objective: exact, or the nearest float (+/-inf beyond float range)."""
     values = np.full(n, -1)
     values[plus_set if isinstance(plus_set, np.ndarray) else list(plus_set)] = 1
     if not exact:
@@ -349,15 +352,16 @@ def _solution(n: int, plus_set, objective, exact: bool):
             objective = float(objective)
         except OverflowError:
             objective = math.inf if objective > 0 else -math.inf
-    return values.tolist(), objective
+    return values if array else values.tolist(), objective
 
 
-def solve(problem: IsotoneProblem):
+def solve(problem: IsotoneProblem, *, array: bool = False):
     """Optimal +/-1 values and objective; +1-set is the maximal optimal up-set.
 
     The path follows the DAG: the suffix scan for a chain, the grid program
     for 2-d nodes that fill their rank grid, the staircase sweep for other
-    2-d nodes and the min-cut in three or more dimensions.
+    2-d nodes and the min-cut in three or more dimensions.  The values are a
+    list, or with ``array`` the int64 array they were made in.
     """
     weights, scale, exact = _integer_weights(problem.coeffs)
     dag = problem.dag
@@ -373,14 +377,14 @@ def solve(problem: IsotoneProblem):
         plus_weight, total = sum(map(weights.__getitem__, plus_set)), sum(weights)
     # sum c_i v_i = 2 * (weight of the +1-set) - (total weight)
     objective = Fraction(2 * plus_weight - total, scale)
-    return _solution(dag.n, plus_set, objective, exact)
+    return _solution(dag.n, plus_set, objective, exact, array)
 
 
 def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LIMIT):
     """Oracle for solve: exhaustive up-set enumeration with the same tie-break."""
     coeffs = problem.coeffs.tolist() if isinstance(problem.coeffs, np.ndarray) else problem.coeffs
     # numpy integers as Python ints: Fraction would keep an int64 numerator, which overflows
-    weights = [Fraction(int(c) if isinstance(c, numbers.Integral) else c) for c in coeffs]
+    weights = list(map(_fraction, coeffs))
     best_weight = None
     union_mask = 0
     for mask in iter_up_set_masks(problem.dag, node_limit):

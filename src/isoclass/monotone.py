@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import mul
 
 import numpy as np
@@ -34,11 +34,17 @@ _SWEEP_BLOCK = 1024
 
 @dataclass(frozen=True)
 class MonotoneClassifier:
-    """Distinct training points with fitted +/-1 values respecting the order."""
+    """Distinct training points with fitted +/-1 values respecting the order.
+
+    A fitted model keeps its sample, the first row of each support point in
+    it, their ranks and the int64 values from ``solve``.  It builds
+    ``support`` (those rows, as ``WeightedSample._rows`` gives them) and
+    ``values`` on first read, and its frontiers from their own rows only.
+    """
 
     support: tuple
     values: tuple
-    _ranks = None  # not a field: the support's rank matrix, kept by ``_of_fit`` so the frontiers rank nothing again
+    _ranks = _values = None  # not fields: kept by ``_of_fit``
 
     def __post_init__(self):
         object.__setattr__(self, "support", check_points(self.support, "support point"))
@@ -50,15 +56,22 @@ class MonotoneClassifier:
             raise ValidationError("support and values must have equal length")
 
     @classmethod
-    def _of_fit(cls, support: tuple, values: tuple, ranks: np.ndarray) -> "MonotoneClassifier":
+    def _of_fit(cls, sample: WeightedSample, first: np.ndarray, ranks: np.ndarray, values: np.ndarray):
         """``fit``'s model, skipping ``__post_init__``: its sample and ``solve`` made those checks."""
         model = object.__new__(cls)
-        model.__dict__.update(support=support, values=values, _ranks=ranks)
+        model.__dict__.update(_sample=sample, _first=first, _ranks=ranks, _values=values)
         return model
+
+    def __getattr__(self, name):
+        if name not in ("support", "values"):
+            raise AttributeError(name)
+        value = self._sample._rows(self._first) if name == "support" else tuple(self._values.tolist())
+        self.__dict__[name] = value
+        return value
 
     @property
     def dim(self) -> int:
-        return len(self.support[0]) if self.support else 0
+        return (len(self.support[0]) if self.support else 0) if self._ranks is None else self._ranks.shape[1]
 
     def to_dict(self) -> dict:
         return {
@@ -75,14 +88,14 @@ class MonotoneClassifier:
 
     def _extremes(self, value: int) -> tuple:
         """Support points fitted ``value`` that are maximal (-1) or minimal (+1) among those, in support order."""
-        rows = np.flatnonzero(np.fromiter(self.values, dtype=np.int64, count=len(self.values)) == value)
+        values = np.fromiter(self.values, dtype=np.int64, count=len(self.values)) if self._values is None else self._values
+        rows = np.flatnonzero(values == value)
         if not len(rows):
             return ()
-        if self._ranks is None:
-            ranks = rank_matrix(list(map(self.support.__getitem__, rows.tolist())))
-        else:
-            ranks = self._ranks[rows]
-        return tuple(map(self.support.__getitem__, rows[_maximal(ranks, lower=value > 0)].tolist()))
+        if self._ranks is not None:
+            return self._sample._rows(self._first[rows[_maximal(self._ranks[rows], lower=value > 0)]])
+        points = tuple(map(self.support.__getitem__, rows.tolist()))
+        return tuple(map(points.__getitem__, _maximal(rank_matrix(points), lower=value > 0).tolist()))
 
     def to_compact_dict(self) -> dict:
         """Frontier-only form: minimal +1 points plus maximal -1 points.
@@ -163,30 +176,30 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     One ranking of the sample's rows gives the support, its order and its
     coefficients: a stable lexicographic sort of the rank rows
     (``lex_argsort``) lists the distinct points in the order ``sorted`` would
-    give, each as the object of its first row, and the per-point sums of
-    w_i y_i are added in row order (exact for int and Fraction products; in
-    int64, from the sample's ``_signed_weights``, if every weight is an
-    ``int`` and n * max(w) < 2**62, and those int64 sums go to ``solve`` as
-    one array).  The sample has checked its rows (one dimension, finite) and
-    kept their float matrix: when every coordinate is a float, its columns
-    are ranked, else the coordinates themselves.  The DAG checks only that
-    the support is distinct, and the model keeps its ranks for the frontiers.
+    give, each as its first row, and the per-point sums of w_i y_i are added
+    in row order (exact for int and Fraction products; in int64 when the
+    sample keeps int64 ``_weights``, and those sums go to ``solve`` as one
+    array).  The sample has checked its rows (one dimension, finite); its
+    ``_matrix`` is ranked if it keeps one, else the coordinates.  The DAG
+    checks only that the support is distinct; it and the model build their
+    point tuples when read.
     """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
-    ranks = rank_matrix(sample.points, sample._float_points if sample._all_float else None)
+    ranks = rank_matrix(sample.points if sample._matrix is None else sample._matrix)
     by_lex = lex_argsort(ranks)
     ranks = ranks[by_lex]
     # a row starts a new point when its ranks differ from the row before
     starts = np.flatnonzero(np.concatenate(([True], np.diff(ranks, axis=0).any(axis=1))))
-    products = sample._signed_weights
-    if products is None:
+    if sample._weights is not None and sample._weights.dtype == np.int64:
+        products = sample._weights * sample._labels
+    else:
         products = np.fromiter(map(mul, sample.weights, sample.labels), dtype=object, count=sample.n)
     coeffs = np.add.reduceat(products[by_lex], starts)
-    points = sample.points
-    dag = build_dag(tuple([points[i] for i in by_lex[starts].tolist()]), ranks[starts])
-    values, _ = solve(IsotoneProblem(dag, coeffs))
-    return MonotoneClassifier._of_fit(dag.nodes, tuple(values), dag.ranks)
+    first = by_lex[starts]
+    dag = build_dag(partial(sample._rows, first), ranks[starts])
+    values, _ = solve(IsotoneProblem(dag, coeffs), array=True)
+    return MonotoneClassifier._of_fit(sample, first, dag.ranks, values)
 
 
 def _query_columns(points, dim: int):

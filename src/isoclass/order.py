@@ -47,21 +47,29 @@ class DominanceDag:
     access, which neither the chain scan nor the 2-d sweep makes; so the edges
     and the ranks that ``solve`` picks its algorithm from describe one order.
     ``ranks``, the nodes' ``rank_matrix`` when the caller already has it,
-    spares ranking them again; given with it, a tuple of tuples is kept as is.
+    spares ranking them again; given with it, a tuple of tuples is kept as
+    is, and a function (``fit`` passes one) is called for the nodes on their
+    first read.
     """
 
     def __init__(self, nodes, ranks=None):
-        self.nodes = nodes if ranks is not None and type(nodes) is tuple else tuple(list(map(tuple, nodes)))
+        if ranks is None or not (type(nodes) is tuple or callable(nodes)):
+            nodes = tuple(list(map(tuple, nodes)))
+        self._nodes = nodes
         if ranks is not None:
             self.ranks = ranks
 
+    @cached_property
+    def nodes(self) -> tuple:
+        return self._nodes() if callable(self._nodes) else self._nodes
+
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.ranks)
 
     @property
     def dim(self) -> int:
-        return len(self.nodes[0]) if self.nodes else 0
+        return self.ranks.shape[1]
 
     @cached_property
     def ranks(self) -> np.ndarray:
@@ -175,13 +183,11 @@ def _rising(ranks: np.ndarray) -> bool:
     return bool(up.all())
 
 
-def rank_matrix(points, floats=None) -> np.ndarray:
-    """Dense ranks of each coordinate column of ``points``, as an (n, d) int64 array.
-
-    ``floats``, the points' (n, d) float array when every coordinate is a
-    Python float, is ranked column by column instead of building the columns.
-    """
-    columns = floats.T if floats is not None else ([p[v] for p in points] for v in range(len(points[0])))
+def rank_matrix(points) -> np.ndarray:
+    """Dense ranks of each coordinate column of ``points`` (or of an (n, d) float array), as (n, d) int64."""
+    if not len(points):
+        return np.zeros((0, 0), dtype=np.int64)
+    columns = points.T if isinstance(points, np.ndarray) else ([p[v] for p in points] for v in range(len(points[0])))
     return np.stack([dense_ranks(column) for column in columns], axis=1)
 
 
@@ -258,16 +264,14 @@ def build_dag(points, ranks=None) -> DominanceDag:
     """Order DAG of distinct points under the componentwise order.
 
     Without ``ranks`` the points are checked (one dimension, finite) and
-    ranked; only ``monotone.fit`` passes ``ranks``, with a validated
-    ``WeightedSample``'s tuples, which are trusted.  Cover edges are computed
-    on first access.  Distinctness is always checked on the rank rows, which
-    are equal exactly when the points are equal (so ``(1,)`` and ``(1.0,)``
-    are one point): no two rows may be equal in the DAG's lexicographic order.
+    ranked; only ``monotone.fit`` passes ``ranks``, with a function that
+    builds a validated sample's rows, which are trusted.  Cover edges are
+    computed on first access.  Distinctness is always checked on the rank
+    rows, which are equal exactly when the points are equal (so ``(1,)`` and
+    ``(1.0,)`` are one point): no two rows may be equal in lexicographic order.
     """
     if ranks is None:
         points = check_points(points, "point")
-        if not points:
-            return DominanceDag(())
         # only the order within a coordinate matters: the DAG works on dense ranks
         ranks = rank_matrix(points)
     dag = DominanceDag(points, ranks)
@@ -286,7 +290,7 @@ def lattice_dag(orders) -> DominanceDag:
     if any(k < 0 for k in orders):
         raise ValidationError("lattice orders must be nonnegative")
     shape = tuple(k + 1 for k in orders)
-    nodes = tuple(product(*(range(size) for size in shape)))
+    nodes = tuple(list(product(*(range(size) for size in shape))))
     return DominanceDag(nodes, ranks=np.indices(shape).reshape(len(shape), len(nodes)).T)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite, check_points, finite_array, is_exact, sign, validated_points
+from ._numeric import ValidationError, check_finite, check_points, finite_array, is_exact, matrix_rows, sign, validated_points
 from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
@@ -31,86 +31,72 @@ class WeightedSample:
 
     Unweighted data is represented with unit weights.  Labels are -1/+1 and
     weights are finite and nonnegative; all covariate vectors share one
-    dimension.  Labels, and weights that are ints (numpy integers too), are
-    stored as Python ints.  Numpy arrays are checked in numpy: an (n, d)
-    float array of points, a 1-d int or float array of labels and a 1-d int
-    array of weights give the sample the same values, as Python floats and
-    ints, and the same errors, as those values given one by one.  Any other
-    array is read as a sequence.
+    dimension.  Labels, and int weights (numpy integers too), are Python ints.
+    An (n, d) float array of points, a 1-d int or float array of labels and a
+    1-d int array of weights are checked in numpy, with the values and errors
+    of the same values given one by one; other arrays are read as sequences.
+    Kept read-only: ``_matrix``, the float64 points if all are floats (else
+    None); ``_labels`` in int64; ``_weights`` in int64 if all are ints and
+    n * max(w) < 2**62, which bounds every sum of w * y, else float(w) (None
+    beyond float range).  Fields kept so are built as tuples on first read.
     """
 
     weights: tuple
     labels: tuple
     points: tuple
-    # read-only float arrays kept from the checks, for fits that work in floats: the (n, d)
-    # coordinates (None for an empty sample) and the weights, each None when float() fails
-    # on a value or one lies beyond float range
-    _float_points: np.ndarray = field(init=False, repr=False, compare=False)
-    _float_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    # True when every coordinate is a Python float, so ranking ``_float_points`` is exact
-    _all_float: bool = field(init=False, repr=False, compare=False)
-    # w_i * y_i as a read-only int64 array when every weight is an int and n * max(w) < 2**62,
-    # which bounds every sum of them, else None
-    _signed_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        points, floats, all_float = validated_points(self.points, "row")
-        n = len(points)
-        weights, weight_array = self.weights, None
-        if _is_vector(weights, "iu"):
-            weights, weight_array = tuple(weights.tolist()), weights
+        points, matrix = validated_points(self.points, "row")
+        n = len(matrix) if points is None else len(points)
+        weights, labels, weight_array = self.weights, self.labels, None
+        if _is_vector(weights, "iu") and len(weights) and (weights >= 0).all() and n * int(weights.max()) < 2**62:
+            weights, weight_array = None, weights.astype(np.int64)
         else:
-            weights = tuple(weights)
-        labels, label_array = self.labels, None
+            weights = tuple(weights.tolist() if _is_vector(weights, "iu") else weights)
         if _is_vector(labels, "if") and ((labels == 1) | (labels == -1)).all():
-            label_array = labels.astype(np.int64)
-            labels = tuple(label_array.tolist())
+            labels = labels.astype(np.int64)
         else:
             labels = tuple(labels.tolist() if _is_vector(labels, "if") else labels)
-        if len(weights) != n or len(labels) != n:
+        if len(weight_array if weights is None else weights) != n or len(labels) != n:
             raise ValidationError("weights, labels and points must have equal length")
-        # one pass per column; the loops run only to name the first bad row (a negative
-        # weight that float() rounds to -0.0 keeps its sign bit)
-        float_weights = finite_array(weights, n) if weight_array is None else weight_array.astype(np.float64)
-        if float_weights is None or np.signbit(float_weights).any():
-            for i, w in enumerate(weights):
-                check_finite(w, f"weight of row {i}")
-                if w < 0:
-                    raise ValidationError(f"row {i}: weight must be nonnegative, got {w!r}")
-        if label_array is None:
+        if weights is not None:
+            # one pass; the loop runs only to name the first bad row (a negative weight that
+            # float() rounds to -0.0 keeps its sign bit)
+            weight_array = finite_array(weights, n)
+            if weight_array is None or np.signbit(weight_array).any():
+                for i, w in enumerate(weights):
+                    check_finite(w, f"weight of row {i}")
+                    if w < 0:
+                        raise ValidationError(f"row {i}: weight must be nonnegative, got {w!r}")
+            # numpy integers as Python ints, which do not overflow
+            weights = tuple(int(w) if isinstance(w, np.integer) else w for w in weights)
+            if set(map(type, weights)) == {int} and n * max(weights) < 2**62:
+                weights, weight_array = None, np.fromiter(weights, np.int64, n)
+        if type(labels) is tuple:
             # labels are checked before int() maps them, so 1.7 is refused, not truncated to 1
             if not set(labels) <= {-1, 1}:
                 for i, y in enumerate(labels):
                     if y not in (-1, 1):
                         raise ValidationError(f"row {i}: label must be -1 or +1, got {y!r}")
-            if not set(map(type, labels)) <= {int}:
-                labels = tuple(map(int, labels))
-        # int weights as an int64 array, when n * max(w) < 2**62 bounds every sum of w * y
-        if weight_array is None:
-            types = set(map(type, weights))
-            # numpy integers as Python ints, which do not overflow
-            if any(issubclass(t, np.integer) for t in types):
-                weights = tuple(int(w) if isinstance(w, np.integer) else w for w in weights)
-                types = set(map(type, weights))
-            if types == {int} and n * max(weights) < 2**62:
-                weight_array = np.fromiter(weights, np.int64, n)
-        elif not n or n * int(weight_array.max()) >= 2**62:
-            weight_array = None
-        signed = None
+            labels = np.fromiter(map(int, labels), np.int64, n)
+        labels.flags.writeable = False
         if weight_array is not None:
-            if label_array is None:
-                label_array = np.fromiter(labels, np.int64, n)
-            signed = weight_array.astype(np.int64) * label_array
-            signed.flags.writeable = False
-        if float_weights is not None:
-            float_weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_float_points", floats)
-        object.__setattr__(self, "_float_weights", float_weights)
-        object.__setattr__(self, "_all_float", all_float)
-        object.__setattr__(self, "_signed_weights", signed)
+            weight_array.flags.writeable = False
+        self.__dict__.update(points=points, weights=weights, labels=None, _matrix=matrix, _weights=weight_array, _labels=labels)
+        # a field kept only as an array (None here) is built as a tuple on its first read, by ``__getattr__``
+        for name in ("points", "weights", "labels"):
+            if self.__dict__[name] is None:
+                del self.__dict__[name]
+
+    def __getattr__(self, name):
+        if name not in ("points", "weights", "labels"):
+            raise AttributeError(name)
+        value = matrix_rows(self._matrix) if name == "points" else tuple(self.__dict__["_" + name].tolist())
+        self.__dict__[name] = value
+        return value
 
     @classmethod
     def unweighted(cls, labels, points) -> "WeightedSample":
@@ -120,11 +106,18 @@ class WeightedSample:
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self._labels)
 
     @property
     def dim(self) -> int:
+        if self._matrix is not None:
+            return self._matrix.shape[1]
         return len(self.points[0]) if self.points else 0
+
+    def _rows(self, index: np.ndarray) -> tuple:
+        """The points of rows ``index``: the objects given, or new tuples from ``_matrix`` while ``points`` is unbuilt."""
+        points = self.__dict__.get("points")
+        return matrix_rows(self._matrix[index]) if points is None else tuple(map(points.__getitem__, index.tolist()))
 
     def scaled(self, factor) -> "WeightedSample":
         return WeightedSample(tuple(w * factor for w in self.weights), self.labels, self.points)

@@ -223,6 +223,25 @@ def test_simulate_regret_2d_bernstein_curve_pinned():
     assert curve.negative_count == 0
 
 
+# monotone curves on the closed-form risks, bit for bit, up to the sizes the benchmark fits; 1-d
+# Bernstein curves are not pinned, as their thresholds follow the last bits of numpy's vectorized
+# logs, which may differ between machines
+PINNED_CURVES = {
+    ("step", 3): "RegretCurve(dgp='step', estimator='monotone', sample_sizes=(100, 4000, 64000), mean_regret=(0.016541765532203462, 1.1590422141383172e-05, 6.466778218944258e-06), std_error=(0.007161116623379343, 4.085056979463708e-06, 4.189447617902742e-06), reps=2, seed=3, negative_count=0)",
+    ("smooth", 3): "RegretCurve(dgp='smooth', estimator='monotone', sample_sizes=(100, 4000, 64000), mean_regret=(0.022147619864389012, 0.0015300575225760393, 1.2466426370122408e-05), std_error=(0.018973879726430106, 7.363797374673742e-05, 1.139544560954664e-05), reps=2, seed=3, negative_count=0)",
+    ("step2d", 3): "RegretCurve(dgp='step2d', estimator='monotone', sample_sizes=(100, 400), mean_regret=(0.05783967533372203, 0.0314969773522778), std_error=(0.0021979187474151507, 0.006386848150449708), reps=2, seed=3, negative_count=0)",
+    ("step", 11): "RegretCurve(dgp='step', estimator='monotone', sample_sizes=(100, 4000, 64000), mean_regret=(0.011043828077278217, 0.00047281276558527874, 4.045835215071847e-06), std_error=(0.00028446162713813283, 0.00014237026328364763, 3.1517059297381245e-06), reps=2, seed=11, negative_count=0)",
+    ("smooth", 11): "RegretCurve(dgp='smooth', estimator='monotone', sample_sizes=(100, 4000, 64000), mean_regret=(0.01482128992674095, 0.0003497813765140634, 1.5293282395967278e-05), std_error=(0.0064795208302320375, 0.00025147135224276584, 9.538623946869771e-06), reps=2, seed=11, negative_count=0)",
+    ("step2d", 11): "RegretCurve(dgp='step2d', estimator='monotone', sample_sizes=(100, 400), mean_regret=(0.07531011923188383, 0.02848147419204372), std_error=(0.010358630844712197, 0.0004140976372714044), reps=2, seed=11, negative_count=0)",
+}
+
+
+def test_monotone_regret_curves_are_pinned():
+    for (dgp, seed), want in PINNED_CURVES.items():
+        ns = (100, 400) if dgp == "step2d" else (100, 4000, 64000)
+        assert repr(simulate_regret(dgp, ns, 2, seed)) == want
+
+
 def test_dgp_registry():
     assert set(DGPS) == {"step", "smooth", "step2d"}
     with pytest.raises(Exception):

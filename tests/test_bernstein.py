@@ -507,8 +507,8 @@ def test_fit_builds_the_model_the_public_constructor_would():
 
 
 def test_fit_and_risk_read_the_samples_kept_float_arrays():
-    # the kept arrays hold float(v) for every coordinate and weight, as float_points and
-    # float(w) give, so an exact sample and its float copy fit the same thetas
+    # the float copy's kept matrix holds float(v) for every coordinate, as float_points gives
+    # for the exact sample, which keeps none; so both fit the same thetas
     rng = random.Random(443)
     for orders in ((9,), (4, 3)):
         d = len(orders)
@@ -517,7 +517,7 @@ def test_fit_and_risk_read_the_samples_kept_float_arrays():
         weights = [Fraction(rng.randint(0, 9), 7) for _ in points]
         exact = WeightedSample(weights, labels, points)
         floats = WeightedSample([float(w) for w in weights], labels, [tuple(map(float, p)) for p in points])
-        assert np.array_equal(exact._float_points, bernstein.float_points(points, d))
+        assert exact._matrix is None and np.array_equal(floats._matrix, bernstein.float_points(points, d))
         model = fit_bernstein(exact, orders)
         assert model.theta == fit_bernstein(floats, orders).theta
         assert empirical_hinge_risk(model, exact) == empirical_hinge_risk(model, floats)

@@ -208,6 +208,30 @@ def test_longdouble_array_coefficients_keep_the_tuple_path():
     assert all(type(c) is np.longdouble for c in problem.coeffs)
 
 
+def test_non_finite_longdouble_coefficients_are_named():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="coefficient 1 must be finite"):
+            IsotoneProblem(chain(3), np.array([1, bad, 0], dtype=np.longdouble))
+        with pytest.raises(ValidationError, match="coefficient 1 must be finite"):
+            IsotoneProblem(chain(3), (1.0, np.longdouble(bad), 0))
+
+
+def test_longdouble_array_coefficients_are_read_exactly():
+    problem = IsotoneProblem(chain(2), np.array([-1, 1], dtype=np.longdouble))
+    assert solve(problem) == brute_force_solve(problem) == ([-1, 1], 2.0)
+    third = np.longdouble(1) / 3
+    problem = IsotoneProblem(chain(3), np.array([third, -third, third], dtype=np.longdouble))
+    want = solve(IsotoneProblem(chain(3), tuple(Fraction(*c.as_integer_ratio()) for c in problem.coeffs)))
+    assert solve(problem) == brute_force_solve(problem) == (want[0], float(want[1]))
+    if np.finfo(np.longdouble).nmant == np.finfo(np.float64).nmant:
+        pytest.skip("longdouble is float64 here: no value beyond float64's precision to test")
+    # 1 + 2**-60 rounds to 1.0 in float64, where the full set would tie the empty one and win
+    tiny = np.longdouble(2) ** -60
+    problem = IsotoneProblem(chain(2), np.array([1, -(1 + tiny)], dtype=np.longdouble))
+    assert solve(problem) == brute_force_solve(problem) == ([-1, -1], 2.0**-60)
+    assert solve(IsotoneProblem(chain(2), np.array([1, -(1 + tiny)], dtype=np.float64))) == ([1, 1], 0.0)
+
+
 def test_objective_beyond_float_range_is_infinite():
     # the +/-1 values are exact; only the float objective, 2e308 - 1, leaves float range
     problem = IsotoneProblem(chain(3), (1e308, 1e308, -1.0))

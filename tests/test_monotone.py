@@ -196,7 +196,7 @@ def _assert_coefficient_types(given, coeffs, sample):
 def test_fit_equals_a_dict_aggregation_of_the_rows(monkeypatch):
     problems = []
     real_solve = monotone.solve
-    monkeypatch.setattr(monotone, "solve", lambda problem: problems.append(problem) or real_solve(problem))
+    monkeypatch.setattr(monotone, "solve", lambda problem, **options: problems.append(problem) or real_solve(problem, **options))
     rng = random.Random(223)
     # equal values of every type, so duplicates arrive as 1, 1.0 and Fraction(1)
     values = (0, 0.0, -0.0, Fraction(0), 1, 1.0, Fraction(1), Fraction(1, 2), 0.5, 2, Fraction(7, 3))
@@ -223,7 +223,7 @@ def test_fit_builds_the_model_the_public_constructor_would(monkeypatch):
     # the fit trusts its validated sample; the checked constructor must give the same model
     problems = []
     real_solve = monotone.solve
-    monkeypatch.setattr(monotone, "solve", lambda problem: problems.append(problem) or real_solve(problem))
+    monkeypatch.setattr(monotone, "solve", lambda problem, **options: problems.append(problem) or real_solve(problem, **options))
     rng = random.Random(307)
     values = (0, 0.0, -0.0, Fraction(0), 1, 1.0, Fraction(1), Fraction(-1, 2), -0.5, 3, Fraction(7, 3))
     guard = 1 << 62
@@ -424,7 +424,7 @@ def test_float_sample_fits_as_its_exact_rational_copy():
             ):
                 by_float = WeightedSample(weights, labels, floats)
                 exact = WeightedSample(weights, labels, [tuple(map(Fraction, p)) for p in floats])
-                assert by_float._all_float and not exact._all_float
+                assert by_float._matrix is not None and exact._matrix is None
                 a, b = fit_monotone(by_float), fit_monotone(exact)
                 assert a.support == b.support and a.values == b.values
                 assert all(type(v) is float for p in a.support for v in p)
@@ -451,6 +451,24 @@ def test_array_sample_fits_as_its_tuple_built_copy():
                 assert json.dumps(by_array.to_dict()) == json.dumps(by_tuple.to_dict())
                 assert json.dumps(by_array.to_compact_dict()) == json.dumps(by_tuple.to_compact_dict())
                 assert all(type(v) is float for p in by_array.support for v in p)
+
+
+def test_array_sample_and_its_fit_build_rows_only_when_read():
+    rng = np.random.default_rng(467)
+    for d in (1, 2, 3):
+        x = rng.random((500, d))
+        labels = rng.choice((-1, 1), size=500)
+        sample = WeightedSample.unweighted(labels, x)
+        model = fit_monotone(sample)
+        frontier, lowest = model.frontier, model._extremes(1)
+        assert not {"points", "weights", "labels"} & set(vars(sample))
+        assert not {"support", "values"} & set(vars(model)) and model.dim == d
+        checked = MonotoneClassifier(model.support, model.values)
+        assert model == checked and (frontier, lowest) == (checked.frontier, checked._extremes(1))
+        assert all(type(v) is float for p in frontier + lowest for v in p)
+        assert {"support", "values"} <= set(vars(model)) and "points" not in vars(sample)
+        assert sample.points == tuple(map(tuple, x.tolist())) and sample.labels == tuple(labels.tolist())
+        assert sample.weights == (1,) * 500 and {"points", "weights", "labels"} <= set(vars(sample))
 
 
 def test_fitted_frontiers_equal_those_of_the_round_trip():

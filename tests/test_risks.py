@@ -24,6 +24,7 @@ from isoclass import (
     zero_one,
 )
 from isoclass.bench import example_distribution_1
+from isoclass.bernstein import float_points
 from isoclass.monotone import fit as fit_monotone
 
 THIRD = Fraction(1, 3)
@@ -246,19 +247,23 @@ def test_labels_are_checked_before_int_maps_them():
 
 
 def test_sample_keeps_its_float_coordinates_and_weights_read_only():
-    big = 2**53 + 1  # float() rounds it; the kept matrix holds float(v), as float_points would
+    # a mixed sample keeps no float matrix (it is ranked from its coordinates); the floats a
+    # Bernstein fit reads are float(v), as float_points gives; its weights are kept as float(w)
+    big = 2**53 + 1
     sample = WeightedSample((1, Fraction(1, 3), 0.25), (1, -1, 1), [(0.5, big), (Fraction(1, 3), 2), (0.1, 0.2)])
-    assert sample._float_points.tolist() == [[0.5, float(big)], [float(Fraction(1, 3)), 2.0], [0.1, 0.2]]
-    assert sample._float_weights.tolist() == [1.0, float(Fraction(1, 3)), 0.25]
-    assert not sample._float_points.flags.writeable and not sample._float_weights.flags.writeable
-    assert not sample._all_float
-    assert WeightedSample((1, 1), (1, -1), [(0.5, 0.25), (-0.0, 3.0)])._all_float
-    # beyond float range the arrays are not kept; the fits that need floats then raise
+    assert sample._matrix is None
+    assert float_points(sample.points, 2).tolist() == [[0.5, float(big)], [float(Fraction(1, 3)), 2.0], [0.1, 0.2]]
+    assert sample._weights.tolist() == [1.0, float(Fraction(1, 3)), 0.25] and sample._labels.tolist() == [1, -1, 1]
+    assert not sample._weights.flags.writeable and not sample._labels.flags.writeable
+    floats = WeightedSample((1, 1), (1, -1), [(0.5, 0.25), (-0.0, 3.0)])
+    assert floats._matrix.tolist() == [[0.5, 0.25], [-0.0, 3.0]] and np.signbit(floats._matrix[1, 0])
+    assert not floats._matrix.flags.writeable
+    # beyond float range no float weights are kept; the fits that need floats then raise
     huge = WeightedSample((10**400, 1), (1, -1), [(10**400,), (1,)])
-    assert huge._float_points is None and huge._float_weights is None and not huge._all_float
+    assert huge._matrix is None and huge._weights is None
     # equality and the repr look at the three given fields only
     assert WeightedSample((1,), (1,), [(0.5,)]) == WeightedSample((1,), (1,), [(0.5,)])
-    assert "_float" not in repr(sample)
+    assert not any(name in repr(sample) for name in ("_matrix", "_weights", "_labels"))
 
 
 def _bits(array):
@@ -284,15 +289,15 @@ def test_array_sample_equals_its_tuple_built_copy():
                 assert all(type(v) is float for p in sample.points for v in p)
                 assert all(type(y) is int for y in sample.labels) and all(type(w) is int for w in sample.weights)
                 assert [[str(v) for v in p] for p in sample.points] == [[str(v) for v in p] for p in copy.points]
-                assert sample._all_float and copy._all_float
-                for name in ("_float_points", "_float_weights", "_signed_weights"):
+                assert (sample._matrix is None) == (copy._matrix is None) == (n == 0)
+                for name in ("_matrix", "_weights", "_labels"):
                     assert _bits(getattr(sample, name)) == _bits(getattr(copy, name)), name
-                assert n == 0 or not sample._float_points.flags.writeable
+                assert n == 0 or not sample._matrix.flags.writeable
     # the kept matrix is a copy: changing the caller's array afterwards changes nothing
     points = np.array([[0.5], [0.25]])
     sample = WeightedSample.unweighted(np.array([1, -1]), points)
     points[0, 0] = 9.0
-    assert sample.points == ((0.5,), (0.25,)) and sample._float_points.tolist() == [[0.5], [0.25]]
+    assert sample.points == ((0.5,), (0.25,)) and sample._matrix.tolist() == [[0.5], [0.25]]
     # float32 coordinates become the float64 values they equal
     narrow = WeightedSample.unweighted(np.array([1]), np.array([[0.1]], dtype=np.float32))
     assert narrow.points == ((float(np.float32(0.1)),),)
@@ -323,7 +328,7 @@ def test_non_float_point_arrays_are_read_as_sequences():
     for points in (np.array([[1, 2], [3, 4]]), np.array([[Fraction(1, 3)], [1]], dtype=object)):
         sample = WeightedSample((1, 1), (1, -1), points)
         copy = WeightedSample((1, 1), (1, -1), [tuple(p) for p in points])
-        assert sample == copy and not sample._all_float
+        assert sample == copy and sample._matrix is None
         assert [list(map(type, p)) for p in sample.points] == [list(map(type, p)) for p in copy.points]
 
 
@@ -336,5 +341,5 @@ def test_numpy_integer_weights_become_python_ints():
         for weights in (big, tuple(big), (np.int64(2**62), 2**62, np.uint8(1))):
             sample = WeightedSample(weights, labels, points)
             assert sample.weights == (2**62, 2**62, 1) and all(type(w) is int for w in sample.weights)
-            assert sample._signed_weights is None
+            assert sample._weights.dtype == np.float64
             assert fit_monotone(sample).values == (1, 1)

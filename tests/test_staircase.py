@@ -209,6 +209,24 @@ def test_two_dimensional_fits_build_no_cover_edges_and_no_flow_network(monkeypat
     assert fit_bernstein(sample, (30, 30)).theta
 
 
+def test_lifted_fits_take_the_min_cut_and_equal_the_2d_fits(monkeypatch):
+    # a constant third coordinate keeps the order of 2-d points but sends their fit to the
+    # min-cut: an oracle for the 2-d paths at sizes far past brute force
+    cuts = []
+    real = isotone._min_cut_best_up_set
+    monkeypatch.setattr(isotone, "_min_cut_best_up_set", lambda dag, weights: cuts.append(dag.n) or real(dag, weights))
+    rng = np.random.default_rng(617)
+    for n in (50, 500, 2000):
+        x = rng.random((n, 2))
+        labels = np.where(rng.random(n) < np.where(x.sum(axis=1) >= 1.0, 0.75, 0.25), 1, -1)
+        weights = rng.integers(0, 5, size=n)
+        flat = fit_monotone(WeightedSample(weights, labels, x))
+        lifted = fit_monotone(WeightedSample(weights, labels, np.column_stack((x, np.full(n, 0.5)))))
+        assert cuts[-1] == len(flat.support) and len(cuts) == 1 + (50, 500, 2000).index(n)
+        assert [p[:2] for p in lifted.support] == list(flat.support)
+        assert lifted.values == flat.values and -1 in flat.values and 1 in flat.values
+
+
 def _csv(path: Path, header: str, rows) -> str:
     path.write_text("\n".join([header] + [",".join(map(str, r)) for r in rows]) + "\n")
     return str(path)
