@@ -1,11 +1,12 @@
-"""Shared numeric helpers: sign convention, exactness and point checks, exact parsing, Halton points."""
+"""Shared numeric helpers: sign convention, exactness and point checks, exact parsing (by token, or by column into ``ScaledInts``), Halton points."""
 
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, index, mul
 
 import numpy as np
 
@@ -57,13 +58,132 @@ def parse_exact(token: str) -> Fraction:
     return Fraction(int(whole), 1 if denominator is None else int(denominator))
 
 
+# _PLAIN_RATIONAL without its groups, once per line; then the digits after each line's point ('' for none)
+_COLUMN = re.compile(r"(?:[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?\n)*")
+_CELL = re.compile(_PLAIN_RATIONAL.pattern + "\n")
+_DECIMALS = re.compile(r"(?:\.([0-9]+))?\n")
+
+
+def common_numerators(numerators, denominators, limit: int):
+    """(keys, L): L the lcm of ``denominators``, keys[i] = numerators[i] * (L // denominators[i]), as Python ints.
+
+    The keys are the values numerators[i] / denominators[i] times L, so they
+    order and tie exactly as the values do.  None as soon as L (built one
+    distinct denominator at a time) reaches ``limit``.
+    """
+    distinct = set(denominators)
+    lcm = 1
+    for den in distinct:
+        lcm = math.lcm(lcm, den)
+        if lcm >= limit:
+            return None
+    if len(distinct) <= 1:
+        return numerators, lcm
+    scale = {den: lcm // den for den in distinct}
+    return list(map(mul, numerators, map(scale.__getitem__, denominators))), lcm
+
+
+def parse_column(tokens):
+    """A column of tokens as (int64 numerators, denominator): the values times the lcm of their denominators.
+
+    Every token must be spelled as ``parse_exact`` reads it with two ints
+    (``[+-]digits``, ``[+-]digits.digits`` or ``[+-]digits/digits``, no
+    whitespace), no denominator may be 0, and the denominator and every
+    numerator must fit int64.  Otherwise the result is None, and the caller
+    parses the column token by token.  Numerator i over the denominator
+    equals ``parse_exact(tokens[i])``.  A column of integers and decimals, or
+    of ratios only, is split by ``str`` methods; a mix of decimals and ratios
+    is matched token by token.
+    """
+    text = "\n".join(tokens) + "\n"
+    # the count fails for a token holding a line break
+    if not tokens or _COLUMN.fullmatch(text) is None or text.count("\n") != len(tokens):
+        return None
+    if "/" not in text:
+        numerators = text.replace(".", "").split()
+        places = list(map(len, _DECIMALS.findall(text)))
+        powers = [10**k for k in range(max(places) + 1)]
+        denominators = list(map(powers.__getitem__, places))
+    elif "." not in text and text.count("/") == len(tokens):
+        parts = text.replace("/", "\n").split()
+        numerators, denominators = parts[::2], parts[1::2]
+        lookup = {den: int(den) for den in set(denominators)}
+        denominators = list(map(lookup.__getitem__, denominators))
+    else:
+        wholes, decimals, ratios = zip(*_CELL.findall(text))
+        numerators = list(map(add, wholes, decimals))
+        denominators = [int(r) if r else 10 ** len(d) for d, r in zip(decimals, ratios)]
+    if 0 in denominators:
+        return None
+    keyed = common_numerators(list(map(int, numerators)), denominators, 1 << 63)
+    if keyed is None:
+        return None
+    try:
+        return np.fromiter(keyed[0], np.int64, len(tokens)), keyed[1]
+    except OverflowError:
+        return None
+
+
+class ScaledInts:
+    """Rows of exact rationals: an (n, d) int64 matrix of numerators over one positive int denominator per column.
+
+    As a sequence (length, indexing, iteration) it holds the rows as tuples
+    of Fractions, built when read.  ``io`` keeps the numeric columns of a
+    file that ``parse_column`` reads in this form, and ``WeightedSample``
+    keeps such points (and weights, as one column) as they are.
+    """
+
+    __slots__ = ("numerators", "denominators")
+
+    def __init__(self, numerators: np.ndarray, denominators):
+        numerators.flags.writeable = False
+        self.numerators, self.denominators = numerators, tuple(denominators)
+
+    @classmethod
+    def of_columns(cls, columns) -> "ScaledInts":
+        """The rows of ``parse_column`` pairs, one pair per coordinate."""
+        return cls(np.stack([numerators for numerators, _ in columns], axis=1), [den for _, den in columns])
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i) -> tuple:
+        return tuple(map(Fraction, self.numerators[index(i)].tolist(), self.denominators))
+
+    def __iter__(self):
+        return iter(self._rows())
+
+    def _rows(self, rows=None) -> tuple:
+        """Rows ``rows`` (an index array; all by default) as a tuple of tuples of Fractions, built column by column."""
+        numerators = self.numerators if rows is None else self.numerators[rows]
+        columns = [map(Fraction, column, repeat(den)) for column, den in zip(numerators.T.tolist(), self.denominators)]
+        return tuple(list(zip(*columns))) if columns else ((),) * len(numerators)
+
+    def _texts(self, rows=None) -> list:
+        """Rows ``rows`` (all by default) as lists of the ``str`` of their Fractions, reduced in numpy."""
+        numerators = self.numerators if rows is None else self.numerators[rows]
+        columns = []
+        for column, den in zip(numerators.T, self.denominators):
+            common = np.gcd(column, den)
+            tops, bottoms = column // common, den // common
+            texts = list(map("{}/{}".format, tops.tolist(), bottoms.tolist()))
+            # a whole number is written without its denominator 1, as str(Fraction) does
+            for i in np.flatnonzero(bottoms == 1).tolist():
+                texts[i] = str(tops[i])
+            columns.append(texts)
+        return list(map(list, zip(*columns)))
+
+
 def finite_array(values, count: int):
     """The ``count`` values as a float array if float() takes each and all are finite, else None.
 
-    On None (also for an int beyond float range) callers run their per-value checks.
+    On None (also for an int or a wider numpy float beyond float range) callers
+    run their per-value checks.
     """
     try:
-        out = np.fromiter(values, dtype=float, count=count)
+        # a longdouble beyond float range casts to inf: the check below rejects it, without a warning
+        with np.errstate(over="ignore"):
+            out = np.fromiter(values, dtype=float, count=count)
     except (OverflowError, TypeError, ValueError):
         return None
     return out if np.isfinite(out).all() else None

@@ -354,6 +354,8 @@ def _float_weights(sample: WeightedSample) -> np.ndarray:
     """The sample's weights as float64; one beyond float range, where it keeps none, is a ValidationError."""
     if sample._weights is None:
         raise _beyond_float_range("weight", sample.weights)
+    if sample._weight_scale is not None:
+        return np.fromiter(map(float, sample.weights), dtype=float, count=sample.n)
     return sample._weights.astype(float)
 
 

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import bench, bernstein, io, monotone, policy
-from ._numeric import ValidationError
+from ._numeric import ScaledInts, ValidationError
 from .bernstein import BernsteinClassifier
 from .losses import parse_loss
 from .monotone import MonotoneClassifier
@@ -91,7 +91,8 @@ def _cmd_predict(args) -> int:
     labels = kind.predict_batch(model, points).tolist()
     d = len(points[0]) if points else model.dim
     header = [f"x{i + 1}" for i in range(d)] + ["label"]
-    io.write_csv(args.out, header, [list(p) + [y] for p, y in zip(points, labels)])
+    cells = points._texts() if isinstance(points, ScaledInts) else map(list, points)
+    io.write_csv(args.out, header, [p + [y] for p, y in zip(cells, labels)])
     print(f"wrote {len(labels)} predictions -> {args.out}")
     return 0
 

@@ -9,9 +9,19 @@ Supported tabular schemas (header row required):
 * dist:     ``mass,eta,x1,...,xd[,wplus,wminus]``
 * points:   ``x1,...,xd``
 
-In rational mode (the default) every number parses exactly as a Fraction
-(``_numeric.parse_exact``: plain integers, decimals and ratios are read as
-two ints, anything else as ``Fraction(token)``); float mode parses binary64.
+In rational mode (the default) every number parses exactly as a Fraction.
+Samples, trials and points take the column path first: each column is
+parsed in one pass (``_numeric.parse_column``) into int64 numerators over
+the lcm of its denominators, kept as ``ScaledInts`` (``TrialColumns`` for
+trials), and Fractions are built only when read.  A file takes it when
+every token is a plain integer, decimal or ratio (``[+-]digits``,
+``[+-]digits.digits``, ``[+-]digits/digits``, no whitespace), no
+denominator is 0, each column's common denominator and numerators fit
+int64, and every label, weight and propensity passes its check.  Otherwise
+the whole file is read token by token as before (``_numeric.parse_exact``:
+those spellings as two ints, anything else as ``Fraction(token)``), which
+also names the first bad cell in row order.  Model files read their
+support through the same column parser.  Float mode parses binary64.
 Models are stored as JSON and written atomically (temp file + rename) so
 failed runs leave nothing partial behind.
 """
@@ -23,10 +33,12 @@ import json
 import os
 import tempfile
 
-from ._numeric import ValidationError, check_finite, parse_exact
+import numpy as np
+
+from ._numeric import ScaledInts, ValidationError, check_finite, is_exact, parse_column, parse_exact
 from .bernstein import BernsteinClassifier
 from .monotone import MonotoneClassifier
-from .policy import TrialRecord
+from .policy import TrialColumns, TrialRecord
 from .risks import DiscreteDistribution, WeightedSample
 
 
@@ -70,20 +82,38 @@ def _read_rows(path: str, expect_prefix, schema: str):
                 f"{path}: header {header} does not match the {schema} schema "
                 f"(expected it to start with {prefix})"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append((f"{path}, line {lineno}", row))
-        return header, rows
+        # blank rows are skipped; a first cell that is not blank spares testing the others
+        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row and (row[0].strip() or any(map(str.strip, row)))]
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise ValidationError(f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}")
+    return header, rows
+
+
+def _located(path: str, rows):
+    """(where, row) for each of ``rows``, where naming the file and line in error messages."""
+    return ((f"{path}, line {lineno}", row) for lineno, row in rows)
+
+
+def _exact_columns(rows):
+    """Every column of ``rows`` (from ``_read_rows``) as a ``parse_column`` pair, or None if one falls back or none are read."""
+    columns = []
+    for column in zip(*(row for _, row in rows)):
+        parsed = parse_column(column)
+        if parsed is None:
+            return None
+        columns.append(parsed)
+    return columns or None
+
+
+def _exact_labels(column):
+    """A parsed label column as an int64 array of -1/+1, or None if some value is neither."""
+    numerators, den = column
+    return numerators // den if (np.abs(numerators) == den).all() else None
 
 
 def load_sample(path: str, schema: str = "plain", rational: bool = True):
-    """Load a classification sample in the plain or weighted schema."""
+    """Load a classification sample in the plain or weighted schema (points and weights as ``ScaledInts`` on the column path)."""
     if schema not in ("plain", "weighted"):
         raise ValidationError(f"unknown sample schema {schema!r}")
     prefix = ["y"] if schema == "plain" else ["w", "y"]
@@ -91,8 +121,13 @@ def load_sample(path: str, schema: str = "plain", rational: bool = True):
     d = len(header) - len(prefix)
     if d < 1:
         raise ValidationError(f"{path}: no covariate columns found")
+    if rational and (columns := _exact_columns(rows)) is not None:
+        labels = _exact_labels(columns[len(prefix) - 1])
+        if labels is not None and (schema == "plain" or (columns[0][0] >= 0).all()):
+            weights = np.ones(len(rows), np.int64) if schema == "plain" else ScaledInts.of_columns(columns[:1])
+            return WeightedSample(weights, labels, ScaledInts.of_columns(columns[len(prefix) :]))
     weights, labels, points = [], [], []
-    for where, row in rows:
+    for where, row in _located(path, rows):
         cursor = 0
         if schema == "weighted":
             w = parse_number(row[0], where, rational)
@@ -107,8 +142,8 @@ def load_sample(path: str, schema: str = "plain", rational: bool = True):
     return WeightedSample(tuple(weights), tuple(labels), tuple(points))
 
 
-def load_trials(path: str, rational: bool = True, propensity=None) -> list:
-    """Load trial records; ``propensity`` supplies a constant if no e column."""
+def load_trials(path: str, rational: bool = True, propensity=None):
+    """Load trial records, as a list or as ``TrialColumns``; ``propensity`` supplies a constant if no e column."""
     header, rows = _read_rows(path, ["z", "d"], "trial")
     has_e = header[-1] == "e"
     d = len(header) - 2 - (1 if has_e else 0)
@@ -118,8 +153,12 @@ def load_trials(path: str, rational: bool = True, propensity=None) -> list:
         raise ValidationError(
             f"{path}: no e column; supply a constant propensity (e.g. --propensity 0.5)"
         )
+    if rational and (columns := _exact_columns(rows)) is not None:
+        trials = _trial_columns(columns, d, propensity)
+        if trials is not None:
+            return trials
     records = []
-    for where, row in rows:
+    for where, row in _located(path, rows):
         z = parse_number(row[0], where, rational)
         treat = _parse_label(row[1], where)
         xs = tuple(parse_number(t, where, rational) for t in row[2 : 2 + d])
@@ -131,6 +170,20 @@ def load_trials(path: str, rational: bool = True, propensity=None) -> list:
     return records
 
 
+def _trial_columns(columns, d: int, propensity):
+    """``TrialColumns`` of parsed columns z, d, x1..xd[, e], or None if a value fails the ``TrialRecord`` checks."""
+    treat = _exact_labels(columns[1])
+    if len(columns) > 2 + d:
+        e = columns[-1]
+    elif is_exact(propensity) and 0 < propensity.numerator < propensity.denominator < 1 << 63:
+        e = (np.full(len(columns[0][0]), propensity.numerator, np.int64), propensity.denominator)
+    else:
+        return None
+    if treat is None or not ((e[0] > 0) & (e[0] < e[1])).all():
+        return None
+    return TrialColumns(columns[0], treat, ScaledInts.of_columns(columns[2 : 2 + d]), e)
+
+
 def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
     """Load a finite distribution: mass,eta,x1..xd with optional wplus,wminus."""
     header, rows = _read_rows(path, ["mass", "eta"], "dist")
@@ -139,7 +192,7 @@ def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
     if d < 1:
         raise ValidationError(f"{path}: no covariate columns found")
     mass, eta, points, wp, wm = [], [], [], [], []
-    for where, row in rows:
+    for where, row in _located(path, rows):
         mass.append(parse_number(row[0], where, rational))
         eta.append(parse_number(row[1], where, rational))
         points.append(tuple(parse_number(t, where, rational) for t in row[2 : 2 + d]))
@@ -155,10 +208,12 @@ def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
     )
 
 
-def load_points(path: str, rational: bool = True) -> list:
-    """Load bare covariate rows: x1,...,xd."""
+def load_points(path: str, rational: bool = True):
+    """Load bare covariate rows: x1,...,xd, as a list of tuples or as ``ScaledInts``."""
     header, rows = _read_rows(path, ["x1"], "points")
-    return [tuple(parse_number(t, where, rational) for t in row) for where, row in rows]
+    if rational and (columns := _exact_columns(rows)) is not None:
+        return ScaledInts.of_columns(columns)
+    return [tuple(parse_number(t, where, rational) for t in row) for where, row in _located(path, rows)]
 
 
 def atomic_write_text(path: str, text: str) -> None:

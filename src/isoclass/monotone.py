@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import repeat
 from operator import mul
 
 import numpy as np
 
-from ._numeric import ValidationError, check_points, parse_exact
+from ._numeric import EXACT_TYPES, ScaledInts, ValidationError, check_points, common_numerators, parse_column, parse_exact
 from .isotone import IsotoneProblem, solve
 from .order import build_dag, dense_ranks, dominator_counts, lex_argsort, rank_matrix
 from .risks import WeightedSample
@@ -49,15 +50,20 @@ class MonotoneClassifier:
     def __post_init__(self):
         object.__setattr__(self, "support", check_points(self.support, "support point"))
         values = tuple(self.values)
-        if not all(v in (-1, 1) and not isinstance(v, bool) for v in values):
+        if not _plus_minus(values):
             raise ValidationError("fitted values must be -1 or +1")
         object.__setattr__(self, "values", tuple(map(int, values)))
         if len(self.support) != len(self.values):
             raise ValidationError("support and values must have equal length")
 
     @classmethod
-    def _of_fit(cls, sample: WeightedSample, first: np.ndarray, ranks: np.ndarray, values: np.ndarray):
-        """``fit``'s model, skipping ``__post_init__``: its sample and ``solve`` made those checks."""
+    def _of_fit(cls, sample, first: np.ndarray, ranks: np.ndarray, values: np.ndarray):
+        """``fit``'s model, skipping ``__post_init__``: its sample and ``solve`` made those checks.
+
+        ``sample`` is anything whose ``_rows(index)`` gives points: the
+        ``WeightedSample``, or the ``ScaledInts`` it keeps (also those of a
+        loaded model), whose rows are written from their numerators.
+        """
         model = object.__new__(cls)
         model.__dict__.update(_sample=sample, _first=first, _ranks=ranks, _values=values)
         return model
@@ -74,10 +80,13 @@ class MonotoneClassifier:
         return (len(self.support[0]) if self.support else 0) if self._ranks is None else self._ranks.shape[1]
 
     def to_dict(self) -> dict:
+        sample = self.__dict__.get("_sample")
+        # support kept as numerators is written from them, as the str of each Fraction
+        exact = "support" not in self.__dict__ and isinstance(sample, ScaledInts)
         return {
             "type": "monotone",
             "dim": self.dim,
-            "support": _json_points(self.support),
+            "support": sample._texts(self._first) if exact else _json_points(self.support),
             "values": list(self.values),
         }
 
@@ -117,10 +126,20 @@ class MonotoneClassifier:
         if payload.get("type") != "monotone":
             raise ValidationError("not a monotone model payload")
         if payload.get("compact"):
-            neg = _parse_points(payload["max_negative"])
-            pos = _parse_points(payload["min_positive"])
-            return cls(neg + pos, (-1,) * len(neg) + (1,) * len(pos))
-        return cls(_parse_points(payload["support"]), tuple(payload["values"]))
+            neg, pos = payload["max_negative"], payload["min_positive"]
+            rows, values = neg + pos, (-1,) * len(neg) + (1,) * len(pos)
+        else:
+            rows, values = payload["support"], tuple(payload["values"])
+        support = _exact_points(rows)
+        if support is None or len(values) != len(support) or not _plus_minus(values):
+            return cls(_parse_points(rows), values)
+        # the checks of __post_init__ passed, and ScaledInts rows are finite and of one dimension
+        return cls._of_fit(support, np.arange(len(support)), rank_matrix(support), np.array(values, dtype=np.int64))
+
+
+def _plus_minus(values) -> bool:
+    """True iff every value is -1 or +1 (a bool is neither)."""
+    return all(v in (-1, 1) and not isinstance(v, bool) for v in values)
 
 
 def _maximal(ranks: np.ndarray, lower: bool = False) -> np.ndarray:
@@ -170,6 +189,17 @@ def _parse_points(rows) -> list:
     return [[parse_exact(v) if isinstance(v, str) else v for v in p] for p in rows]
 
 
+def _exact_points(rows):
+    """Nonempty JSON rows of strings of one length as ``ScaledInts``, if ``parse_column`` takes each column, else None."""
+    if not (isinstance(rows, list) and rows and all(type(p) is list and len(p) == len(rows[0]) for p in rows) and rows[0]):
+        return None
+    columns = list(zip(*rows))
+    if not all(type(v) is str for column in columns for v in column):
+        return None
+    parsed = list(map(parse_column, columns))
+    return None if None in parsed else ScaledInts.of_columns(parsed)
+
+
 def fit(sample: WeightedSample) -> MonotoneClassifier:
     """Empirical weighted hinge risk minimizer over monotone [-1,1] classifiers.
 
@@ -178,15 +208,17 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     (``lex_argsort``) lists the distinct points in the order ``sorted`` would
     give, each as its first row, and the per-point sums of w_i y_i are added
     in row order (exact for int and Fraction products; in int64 when the
-    sample keeps int64 ``_weights``, and those sums go to ``solve`` as one
-    array).  The sample has checked its rows (one dimension, finite); its
-    ``_matrix`` is ranked if it keeps one, else the coordinates.  The DAG
-    checks only that the support is distinct; it and the model build their
-    point tuples when read.
+    sample keeps int64 ``_weights``, whose one positive scale moves no
+    optimum, and those sums go to ``solve`` as one array).  The sample has
+    checked its rows (one dimension, finite); its ``_matrix``, or the
+    numerators of its ``_exact`` points, are ranked if it keeps them, else
+    the coordinates.  The DAG checks only that the support is distinct; it
+    and the model build their point tuples when read.
     """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
-    ranks = rank_matrix(sample.points if sample._matrix is None else sample._matrix)
+    kept = sample._matrix if sample._matrix is not None else sample._exact
+    ranks = rank_matrix(sample.points if kept is None else kept)
     by_lex = lex_argsort(ranks)
     ranks = ranks[by_lex]
     # a row starts a new point when its ranks differ from the row before
@@ -199,17 +231,21 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     first = by_lex[starts]
     dag = build_dag(partial(sample._rows, first), ranks[starts])
     values, _ = solve(IsotoneProblem(dag, coeffs), array=True)
-    return MonotoneClassifier._of_fit(sample, first, dag.ranks, values)
+    return MonotoneClassifier._of_fit(sample if sample._exact is None else sample._exact, first, dag.ranks, values)
 
 
 def _query_columns(points, dim: int):
-    """Validated coordinate columns of a batch: float arrays for a float array, else tuples."""
+    """Validated coordinate columns of a batch: float arrays for a float array, (numerators, denominator) for ``ScaledInts``, else tuples."""
     if isinstance(points, np.ndarray) and points.dtype.kind == "f":
         if points.ndim != 2 or (dim and points.shape[1] != dim):
             raise ValidationError(f"points have shape {points.shape}, model expects dimension {dim}")
         if not np.isfinite(points).all():
             raise ValidationError("coordinates must be finite")
         return len(points), list(points.T)
+    if isinstance(points, ScaledInts):
+        if len(points) and dim and points.numerators.shape[1] != dim:
+            raise ValidationError(f"point has dimension {points.numerators.shape[1]}, model expects {dim}")
+        return len(points), list(zip(points.numerators.T, points.denominators))
     points = check_points(points, "point")
     if points and dim and len(points[0]) != dim:
         raise ValidationError(f"point has dimension {len(points[0])}, model expects {dim}")
@@ -231,13 +267,34 @@ def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:
     m = len(frontier)
     joint = []
     for front, query in zip(zip(*frontier), columns):
-        if isinstance(query, np.ndarray) and all(isinstance(v, float) for v in front):
+        if isinstance(points, ScaledInts):
+            joint.append(_scaled_joint_ranks(front, *query))
+        elif isinstance(query, np.ndarray) and all(isinstance(v, float) for v in front):
             joint.append(dense_ranks(np.concatenate((np.asarray(front, dtype=float), query))))
         else:
             joint.append(dense_ranks(list(front) + list(query)))
     ranks = np.stack(joint, axis=1)
     labels[dominator_counts(ranks[m:], ranks[:m]) > 0] = -1
     return labels
+
+
+def _scaled_joint_ranks(front, numerators: np.ndarray, den: int) -> np.ndarray:
+    """Dense ranks of the values ``front`` followed by ``numerators`` / ``den``.
+
+    When ``front`` is all int and Fraction and both fit int64 over the lcm of
+    every denominator, numpy ranks those keys; otherwise the query column is
+    built as Fractions and ranked with ``front`` by ``dense_ranks``.
+    """
+    if set(map(type, front)) <= set(EXACT_TYPES):
+        keyed = common_numerators([v.numerator for v in front] + [0], [v.denominator for v in front] + [den], 1 << 63)
+        if keyed is not None:
+            scale = keyed[1] // den
+            if max(-int(numerators.min()), int(numerators.max())) * scale < 1 << 63:
+                try:
+                    return dense_ranks(np.concatenate((np.fromiter(keyed[0][:-1], np.int64, len(front)), numerators * scale)))
+                except OverflowError:
+                    pass
+    return dense_ranks(list(front) + list(map(Fraction, numerators.tolist(), repeat(den))))
 
 
 def predict(model: MonotoneClassifier, x) -> int:

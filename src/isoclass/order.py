@@ -8,10 +8,12 @@ Dominance only depends on the order within each coordinate, so a DAG keeps
 its nodes' dense integer ranks, exact for any mix of int, Fraction and float
 coordinates, and derives its chain order and (on first access) its cover
 edges from them.  ``dense_ranks`` takes one of four paths: numpy ranks a
-float column; an int/Fraction column whose values fit int64 on one common
-denominator is ranked by numpy as integers; such a column whose scaled values
-leave int64, with a common denominator below 2**128, is ranked by sorting
-those integers; anything else is sorted with Python's exact comparisons.
+float column or an int array (such as a ``ScaledInts`` column of numerators
+over one denominator); an int/Fraction column whose values fit int64 on one
+common denominator is ranked by numpy as integers; such a column whose scaled
+values leave int64, with a common denominator below 2**128, is ranked by
+sorting those integers; anything else is sorted with Python's exact
+comparisons.
 ``lex_argsort`` puts rank rows in lexicographic order by one int64 key each.
 """
 
@@ -23,7 +25,7 @@ from itertools import product, repeat
 
 import numpy as np
 
-from ._numeric import EXACT_TYPES, ValidationError, check_points
+from ._numeric import EXACT_TYPES, ScaledInts, ValidationError, check_points, common_numerators
 from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
@@ -129,14 +131,17 @@ class DominanceDag:
 def dense_ranks(column) -> np.ndarray:
     """Dense rank of each value among the distinct values of ``column`` (int64).
 
-    A column of floats is ranked by numpy, whose float comparisons are exact.
-    A column of exact ``int`` and ``Fraction`` values (by type, so bools and
-    numpy scalars do not qualify) is ranked on its ``_exact_keys``: by numpy
-    when they fit int64, else by sorting the distinct keys as Python ints.
+    A column of floats, or an int array, is ranked by numpy, whose
+    comparisons of those are exact.  A column of exact ``int`` and
+    ``Fraction`` values (by type, so bools and numpy scalars do not qualify)
+    is ranked on its ``_exact_keys``: by numpy when they fit int64, else by
+    sorting the distinct keys as Python ints.
     Any other column, or one whose common denominator reaches 2**128, is
     ranked by sorting its distinct values with Python's exact comparisons, so
     any mix of int, Fraction and float ranks exactly.
     """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "i":
+        return np.unique(column, return_inverse=True)[1]
     if (isinstance(column, np.ndarray) and column.dtype.kind == "f") or all(
         map(isinstance, column, repeat(float))
     ):
@@ -154,23 +159,15 @@ def dense_ranks(column) -> np.ndarray:
 
 
 def _exact_keys(column):
-    """Keys numerator * (L // denominator) of an all-int/Fraction column, L the lcm of its denominators.
+    """``common_numerators`` keys of an all-int/Fraction column: its values times the lcm of their denominators.
 
-    The keys are the values times L, as Python ints, so they order and tie
-    exactly as the values do.  None when another type occurs, or as soon as
-    L (built one distinct denominator at a time) reaches 2**128, where
+    None when another type occurs, or when that lcm reaches 2**128, where
     sorting the keys would cost about what sorting the Fractions does.
     """
     if not set(map(type, column)).issubset(EXACT_TYPES):
         return None
-    denominators = {v.denominator for v in column}
-    lcm = 1
-    for den in denominators:
-        lcm = math.lcm(lcm, den)
-        if lcm >= _KEY_DENOMINATOR_LIMIT:
-            return None
-    scale = {den: lcm // den for den in denominators}
-    return [v.numerator * scale[v.denominator] for v in column]
+    keyed = common_numerators([v.numerator for v in column], [v.denominator for v in column], _KEY_DENOMINATOR_LIMIT)
+    return None if keyed is None else keyed[0]
 
 
 def _rising(ranks: np.ndarray) -> bool:
@@ -184,9 +181,14 @@ def _rising(ranks: np.ndarray) -> bool:
 
 
 def rank_matrix(points) -> np.ndarray:
-    """Dense ranks of each coordinate column of ``points`` (or of an (n, d) float array), as (n, d) int64."""
+    """Dense ranks of each coordinate column of ``points`` (an (n, d) float array or ``ScaledInts`` too), as (n, d) int64.
+
+    A ``ScaledInts`` column shares one denominator, so its numerators rank as its values do.
+    """
     if not len(points):
         return np.zeros((0, 0), dtype=np.int64)
+    if isinstance(points, ScaledInts):
+        points = points.numerators
     columns = points.T if isinstance(points, np.ndarray) else ([p[v] for p in points] for v in range(len(points[0])))
     return np.stack([dense_ranks(column) for column in columns], axis=1)
 
@@ -285,13 +287,13 @@ def lattice_dag(orders) -> DominanceDag:
 
     Nodes are multi-indices in row-major order (last coordinate fastest), and
     are their own ranks; cover edges are unit steps in a single coordinate.
+    The node tuples are built on their first read.
     """
     orders = tuple(int(k) for k in orders)
     if any(k < 0 for k in orders):
         raise ValidationError("lattice orders must be nonnegative")
     shape = tuple(k + 1 for k in orders)
-    nodes = tuple(list(product(*(range(size) for size in shape))))
-    return DominanceDag(nodes, ranks=np.indices(shape).reshape(len(shape), len(nodes)).T)
+    return DominanceDag(lambda: tuple(list(product(*map(range, shape)))), ranks=np.indices(shape).reshape(len(shape), math.prod(shape)).T)
 
 
 def iter_up_set_masks(dag: DominanceDag, node_limit: int = DEFAULT_NODE_LIMIT):

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite, check_points, finite_array, is_exact, matrix_rows, sign, validated_points
+from ._numeric import ScaledInts, ValidationError, check_finite, check_points, finite_array, is_exact, matrix_rows, sign, validated_points
 from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
@@ -35,8 +36,12 @@ class WeightedSample:
     An (n, d) float array of points, a 1-d int or float array of labels and a
     1-d int array of weights are checked in numpy, with the values and errors
     of the same values given one by one; other arrays are read as sequences.
+    Points and (as one column) weights may also come as ``ScaledInts``, exact
+    Fractions kept as int64 numerators, which need no further check.
     Kept read-only: ``_matrix``, the float64 points if all are floats (else
-    None); ``_labels`` in int64; ``_weights`` in int64 if all are ints and
+    None); ``_exact``, the ``ScaledInts`` points (else None); ``_labels`` in
+    int64; ``_weights`` in int64 if all are ints, or are Fractions given as
+    ``ScaledInts`` numerators over ``_weight_scale`` (None for ints), and
     n * max(w) < 2**62, which bounds every sum of w * y, else float(w) (None
     beyond float range).  Fields kept so are built as tuples on first read.
     """
@@ -45,16 +50,25 @@ class WeightedSample:
     labels: tuple
     points: tuple
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _exact: ScaledInts = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _weight_scale: int = field(init=False, repr=False, compare=False)
     _labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        points, matrix = validated_points(self.points, "row")
-        n = len(matrix) if points is None else len(points)
-        weights, labels, weight_array = self.weights, self.labels, None
+        exact = self.points if isinstance(self.points, ScaledInts) else None
+        points, matrix = (None, None) if exact is not None else validated_points(self.points, "row")
+        n = len(points if points is not None else matrix if matrix is not None else exact)
+        weights, labels, weight_array, scale = self.weights, self.labels, None, None
+        if isinstance(weights, ScaledInts):
+            numerators = weights.numerators[:, 0]
+            if len(numerators) and (numerators >= 0).all() and n * int(numerators.max()) < 2**62:
+                weights, weight_array, scale = None, numerators, weights.denominators[0]
+            else:
+                weights = tuple(w for (w,) in weights)
         if _is_vector(weights, "iu") and len(weights) and (weights >= 0).all() and n * int(weights.max()) < 2**62:
             weights, weight_array = None, weights.astype(np.int64)
-        else:
+        elif weights is not None:
             weights = tuple(weights.tolist() if _is_vector(weights, "iu") else weights)
         if _is_vector(labels, "if") and ((labels == 1) | (labels == -1)).all():
             labels = labels.astype(np.int64)
@@ -85,7 +99,10 @@ class WeightedSample:
         labels.flags.writeable = False
         if weight_array is not None:
             weight_array.flags.writeable = False
-        self.__dict__.update(points=points, weights=weights, labels=None, _matrix=matrix, _weights=weight_array, _labels=labels)
+        self.__dict__.update(
+            points=points, weights=weights, labels=None,
+            _matrix=matrix, _exact=exact, _weights=weight_array, _weight_scale=scale, _labels=labels,
+        )
         # a field kept only as an array (None here) is built as a tuple on its first read, by ``__getattr__``
         for name in ("points", "weights", "labels"):
             if self.__dict__[name] is None:
@@ -94,7 +111,12 @@ class WeightedSample:
     def __getattr__(self, name):
         if name not in ("points", "weights", "labels"):
             raise AttributeError(name)
-        value = matrix_rows(self._matrix) if name == "points" else tuple(self.__dict__["_" + name].tolist())
+        if name == "points":
+            value = matrix_rows(self._matrix) if self._exact is None else self._exact._rows()
+        elif name == "weights" and self._weight_scale is not None:
+            value = tuple(map(Fraction, self._weights.tolist(), repeat(self._weight_scale)))
+        else:
+            value = tuple(self.__dict__["_" + name].tolist())
         self.__dict__[name] = value
         return value
 
@@ -112,12 +134,16 @@ class WeightedSample:
     def dim(self) -> int:
         if self._matrix is not None:
             return self._matrix.shape[1]
+        if self._exact is not None:
+            return self._exact.numerators.shape[1]
         return len(self.points[0]) if self.points else 0
 
     def _rows(self, index: np.ndarray) -> tuple:
-        """The points of rows ``index``: the objects given, or new tuples from ``_matrix`` while ``points`` is unbuilt."""
+        """The points of rows ``index``: the objects given, or new tuples from ``_matrix`` or ``_exact`` while ``points`` is unbuilt."""
         points = self.__dict__.get("points")
-        return matrix_rows(self._matrix[index]) if points is None else tuple(map(points.__getitem__, index.tolist()))
+        if points is not None:
+            return tuple(map(points.__getitem__, index.tolist()))
+        return matrix_rows(self._matrix[index]) if self._exact is None else self._exact._rows(index)
 
     def scaled(self, factor) -> "WeightedSample":
         return WeightedSample(tuple(w * factor for w in self.weights), self.labels, self.points)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import os
 from pathlib import Path
 import random
+import sys
 
 import pytest
 
@@ -379,3 +380,121 @@ def test_predict_with_a_malformed_model_file_exits_2(tmp_path, capsys, payload):
     assert main(["predict", "--model", model_path, "--in", points, "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: {model_path}: ")
     assert not os.path.exists(out)
+
+
+# each value spelled in the column grammar, and in forms only the token-by-token path reads
+SPELLINGS = {
+    "Q": ("0.250", "2.5e-1"),
+    "P": ("1/4", " 1/4"),
+    "T": ("-3", "-3e0"),
+    "H": ("0.5", "5e-1"),
+    "E": ("3/4", " 3/4"),
+    "O": ("1", "1e0"),
+    "N": ("-1", "-1e0"),
+}
+if sys.version_info >= (3, 11):  # Fraction reads underscores from Python 3.11 on
+    SPELLINGS["K"] = ("1000", "1_000")
+
+
+def _spell(template, fallback):
+    return "".join(SPELLINGS[c][fallback] if c in SPELLINGS else c for c in template)
+
+
+def test_column_path_and_token_path_write_the_same_bytes(tmp_path, capsys):
+    k = "K" if "K" in SPELLINGS else "T"
+    weighted = f"w,y,x1,x2\nO,O,Q,P\nH,N,E,T\nQ,O,{k},H\nE,N,P,Q\nO,N,H,H\nH,O,T,E\n"
+    plain = "".join(line[2:] + "\n" for line in weighted.splitlines())
+    points = f"x1,x2\nQ,P\nE,T\n{k},H\nP,Q\nT,T\nH,E\n"
+    trials = f"z,d,x1,x2,e\nH,O,Q,P,H\nT,N,E,T,Q\nQ,O,{k},H,E\nO,N,P,Q,H\nN,O,H,H,Q\nE,N,T,E,E\n"
+    from isoclass._numeric import ScaledInts
+    from isoclass.io import load_points, load_sample, load_trials
+    from isoclass.policy import TrialColumns
+
+    results = []
+    for fallback in (0, 1):
+        paths = {name: write(tmp_path / f"{name}.csv", _spell(text, fallback))
+                 for name, text in (("plain", plain), ("sample", weighted), ("points", points), ("trials", trials))}
+        # the grammar spelling takes the column path, the other one the token path
+        assert (load_sample(paths["sample"], "weighted")._exact is None) == bool(fallback)
+        assert (load_sample(paths["plain"])._exact is None) == bool(fallback)
+        assert isinstance(load_points(paths["points"]), ScaledInts) != bool(fallback)
+        assert isinstance(load_trials(paths["trials"]), TrialColumns) != bool(fallback)
+        out = {name: str(tmp_path / name) for name in ("m.json", "w.json", "c.json", "p.csv", "pc.csv", "pol.json", "pw.csv")}
+        runs = [
+            ["fit-monotone", "--in", paths["plain"], "--out", out["m.json"]],
+            ["fit-monotone", "--in", paths["sample"], "--weighted", "--out", out["w.json"]],
+            ["fit-monotone", "--in", paths["sample"], "--weighted", "--compact", "--out", out["c.json"]],
+            ["predict", "--model", out["w.json"], "--in", paths["points"], "--out", out["p.csv"]],
+            ["predict", "--model", out["c.json"], "--in", paths["points"], "--out", out["pc.csv"]],
+            ["policy-fit", "--in", paths["trials"], "--kappa", "1/5", "--out", out["pol.json"]],
+            ["policy-weights", "--in", paths["trials"], "--kappa", "1/5", "--out", out["pw.csv"]],
+        ]
+        codes = []
+        for argv in runs:
+            codes.append(main(argv))
+            codes.append(capsys.readouterr())
+        results.append((codes, {name: Path(p).read_bytes() for name, p in out.items()}))
+    assert results[0] == results[1]
+    assert b"-1" in results[0][1]["p.csv"] and b"1/4" in results[0][1]["w.json"]
+
+
+def test_a_bad_cell_is_named_in_row_order_whichever_column_it_is_in(tmp_path, capsys):
+    # bad tokens at (row 5, column 3) and (row 2, column 4): the error names row 2, line 3
+    rows = [["1", "1", "0.5", "0.5"] for _ in range(6)]
+    rows[4][2], rows[1][3] = "1/0", "abc"
+    body = "\n".join(",".join(r) for r in rows) + "\n"
+    cases = (
+        ("y,x1,x2,x3\n", ["fit-monotone"]),
+        ("x1,x2,x3,x4\n", ["predict", "--model", None]),
+        ("z,d,x1,x2\n", ["policy-fit", "--propensity", "1/2"]),
+    )
+    model = str(tmp_path / "m.json")
+    assert main(["fit-monotone", "--in", write(tmp_path / "ok.csv", "y,x1,x2,x3,x4\n1,0,0,0,0\n"), "--out", model]) == 0
+    for header, command in cases:
+        data = write(tmp_path / "bad.csv", header + body)
+        argv = [model if a is None else a for a in command] + ["--in", data, "--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {data}, line 3: cannot parse number 'abc'\n"
+        assert not os.path.exists(tmp_path / "o")
+
+
+def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path, capsys):
+    from isoclass import TrialRecord, fit_monotone, to_weighted_sample, welfare_estimate
+    from isoclass.risks import WeightedSample
+
+    def reference_model(rows):
+        sample = WeightedSample(tuple(Fraction(r[0]) for r in rows), tuple(int(r[1]) for r in rows),
+                                tuple(tuple(map(Fraction, r[2:])) for r in rows))
+        return json.dumps(fit_monotone(sample).to_dict(), indent=2) + "\n"
+
+    # a 19-digit decimal column (its denominator leaves int64), numerators at and past 2**63
+    rows = [["1", "1", "0.1234567890123456789", "9223372036854775807"],
+            ["2", "-1", "0.5", "9223372036854775808"],
+            ["3", "1", "0.7", "-9223372036854775808"],
+            ["5", "-1", "0.1234567890123456789", "1"]]
+    data = write(tmp_path / "s.csv", "w,y,x1,x2\n" + "".join(",".join(r) + "\n" for r in rows))
+    model = str(tmp_path / "m.json")
+    assert main(["fit-monotone", "--in", data, "--weighted", "--out", model]) == 0
+    assert Path(model).read_text() == reference_model(rows)
+
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    large_primes = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191)
+    files = {
+        # propensities with pairwise-coprime denominators: their lcm leaves int64
+        "coprime": [[str(7 - i), ("1", "-1")[i % 2], f"0.{i % 10}", f"{i % 3}", f"1/{p}"] for i, p in enumerate(primes)],
+        # one denominator, but e or 1 - e over pairwise-coprime numerators: the IPW denominator leaves int64
+        "ipw": [[str(i - 8), "1", f"0.{i % 10}", f"{i % 4}", f"{p}/1000"] for i, p in enumerate(large_primes)],
+        # IPW weights near 2**63: their sums would wrap int64
+        "heavy": [[str(4 * 10**18 + i), ("1", "-1")[i % 2], f"0.{i}", "0", "1/2"] for i in range(6)],
+    }
+    for name, rows in files.items():
+        data = write(tmp_path / f"{name}.csv", "z,d,x1,x2,e\n" + "".join(",".join(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["policy-fit", "--in", data, "--out", model]) == 0
+        welfare_line = capsys.readouterr().out.splitlines()[1]
+        records = [TrialRecord(Fraction(r[0]), int(r[1]), tuple(map(Fraction, r[2:4])), Fraction(r[4])) for r in rows]
+        sample = to_weighted_sample(records)
+        fitted = fit_monotone(sample)
+        assert Path(model).read_text() == json.dumps(fitted.to_dict(), indent=2) + "\n", name
+        assert welfare_line == f"estimated welfare of the fitted policy: {float(welfare_estimate(fitted, records)):.6g}"

@@ -1,8 +1,11 @@
 from fractions import Fraction
+import random
 
+import numpy as np
 import pytest
 
-from isoclass._numeric import ValidationError, check_points, parse_exact
+from isoclass import IsotoneProblem, lattice_dag, solve
+from isoclass._numeric import ScaledInts, ValidationError, check_points, finite_array, parse_column, parse_exact
 
 TOKENS = (
     "0.123", "-0.5", "+1.5", "007", "1/3", "-2/4", "1.", ".5", "1e3", "1_000", "1/0", "-0", "1.0",
@@ -37,3 +40,46 @@ def test_check_points_names_the_first_non_finite_coordinate():
         with pytest.raises(ValidationError) as caught:
             check_points(points, "point")
         assert str(caught.value) == message
+
+
+def test_parse_column_equals_parse_exact_or_falls_back():
+    # the column path takes a column only when every token is in the grammar and fits int64;
+    # what it takes must equal parse_exact token by token
+    in_grammar = ("0.250", "1/4", "-3", "+7", "007", "-0.5", "12/8", "0")
+    outside = ("2.5e-1", " 1/4", "1_0", ".5", "1.", "", "1/0", "٣", "1\n2", "9223372036854775808", "0." + "1" * 19)
+    rng = random.Random(83)
+    for trial in range(400):
+        column = [rng.choice(in_grammar) for _ in range(rng.randint(1, 6))]
+        if trial % 3 == 0:
+            column[rng.randrange(len(column))] = rng.choice(outside)
+        parsed = parse_column(column)
+        if any(token in outside for token in column):
+            assert parsed is None
+            continue
+        numerators, den = parsed
+        assert numerators.dtype == np.int64
+        assert [Fraction(int(v), den) for v in numerators] == [parse_exact(t) for t in column]
+    # one denominator below 2**63 fits; the lcm of pairwise-coprime ones may leave int64
+    assert parse_column(["9223372036854775807", "-9223372036854775808"])[1] == 1
+    assert parse_column([f"1/{p}" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]) is None
+
+
+def test_scaled_ints_read_as_the_fractions_they_hold():
+    rng = np.random.default_rng(89)
+    numerators = rng.integers(-3000, 3001, size=(50, 3))
+    rows = ScaledInts(numerators, (3000, 1, 8))
+    want = [tuple(Fraction(int(a), d) for a, d in zip(row, (3000, 1, 8))) for row in numerators]
+    assert list(rows) == want and rows[7] == want[7] and rows[-1] == want[-1] and len(rows) == 50
+    assert all(type(v) is Fraction for row in rows for v in row)
+    assert rows._texts() == [[str(v) for v in row] for row in want]
+    index = np.array([4, 0, 4])
+    assert rows._rows(index) == tuple(want[i] for i in index)
+    assert rows._texts(index) == [[str(v) for v in want[i]] for i in index]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(np.float64).maxexp, reason="longdouble is float64 here")
+def test_a_finite_longdouble_beyond_float_range_builds_and_solves():
+    big = np.longdouble(2) ** 1100
+    assert finite_array([big], 1) is None
+    values, _ = solve(IsotoneProblem(lattice_dag((1,)), (big, -1.0)))
+    assert list(values) == [1, 1]

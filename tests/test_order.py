@@ -194,6 +194,7 @@ def test_enumeration_refuses_large_inputs():
 
 def test_lattice_dag_matches_build_dag():
     lat = lattice_dag((2, 1))
+    assert "nodes" not in lat.__dict__  # built on first read
     direct = build_dag(list(lat.nodes))
     assert set(lat.cover_edges) == set(direct.cover_edges)
     assert lat.nodes[0] == (0, 0)

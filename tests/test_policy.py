@@ -148,3 +148,31 @@ def test_treatment_is_checked_before_int_maps_it():
     for d, want in ((1.0, 1), (Fraction(-1), -1), (-1.0, -1)):
         record = TrialRecord(1, d, (0.1,), 0.5)
         assert record.d == want and type(record.d) is int
+
+
+def test_trial_columns_read_and_map_as_the_records_they_hold(tmp_path):
+    from isoclass.io import load_trials
+    from isoclass.policy import TrialColumns
+
+    text = "z,d,x1,x2,e\n2,1,0.3,1/3,0.5\n-3,-1,0.8,0,1/4\n1.5,1,0.6,2,0.5\n-1,1,0.1,-1/3,0.75\n0,-1,0.1,1,0.5\n"
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    columns = load_trials(str(path))
+    records = [TrialRecord(Fraction(z), int(d), (Fraction(a), Fraction(b)), Fraction(e))
+               for z, d, a, b, e in (line.split(",") for line in text.splitlines()[1:])]
+    assert isinstance(columns, TrialColumns) and len(columns) == 5
+    assert list(columns) == records and columns[3] == records[3] and columns[-1] == records[-1]
+    mapped, want = to_weighted_sample(columns, kappa=0.1), to_weighted_sample(records, kappa=0.1)
+    assert (mapped.weights, mapped.labels, mapped.points) == (want.weights, want.labels, want.points)
+    assert [type(w) for w in mapped.weights] == [type(w) for w in want.weights]
+    for policy in (lambda x: 1, lambda x: -1, lambda x: 1 if x[0] > 0.5 else -1, fit_monotone(want)):
+        got = welfare_estimate(policy, columns)
+        assert got == welfare_estimate(policy, records) and type(got) is type(welfare_estimate(policy, records))
+    # no record agrees with a policy of 0: the welfare is the float 0.0, as for a list
+    assert welfare_estimate(lambda x: 0, columns) == 0.0 and type(welfare_estimate(lambda x: 0, columns)) is float
+    for kappa in (0.1, Fraction(1, 10)):
+        got = max_weight_bound(columns, kappa)
+        assert got == max_weight_bound(records, kappa) and type(got) is type(max_weight_bound(records, kappa))
+    with pytest.raises(ValidationError) as err:
+        to_weighted_sample(columns, kappa=Fraction(1, 4))
+    assert str(err.value) == "propensity outside (1/4, 3/4) for record(s) 1, 3"
