@@ -1,4 +1,4 @@
-"""Shared numeric helpers: sign convention, exactness and point checks, exact parsing (by token, or by column into ``ScaledInts``), Halton points."""
+"""Shared numeric helpers: sign convention, exactness and point checks, exact columns (``parse_column``, ``ScaledInts``), Halton points."""
 
 from __future__ import annotations
 
@@ -37,30 +37,9 @@ def check_finite(value, what: str) -> None:
         raise ValidationError(f"{what} must be finite, got {value!r}")
 
 
-_PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
-
-
-def parse_exact(token: str) -> Fraction:
-    """``Fraction(token)``, with plain integers, decimals and ratios built from two ints.
-
-    A token spelled ``[+-]digits``, ``[+-]digits.digits`` or
-    ``[+-]digits/digits`` becomes ``Fraction(int, int)``; any other token
-    (exponents, underscores, whitespace, non-ASCII digits, errors) is left to
-    ``Fraction(token)``.  The value, the type and the exception raised are
-    those of ``Fraction(token)``.
-    """
-    match = _PLAIN_RATIONAL.fullmatch(token)
-    if match is None:
-        return Fraction(token)
-    whole, decimals, denominator = match.groups()
-    if decimals is not None:
-        return Fraction(int(whole + decimals), 10 ** len(decimals))
-    return Fraction(int(whole), 1 if denominator is None else int(denominator))
-
-
-# _PLAIN_RATIONAL without its groups, once per line; then the digits after each line's point ('' for none)
+# per line: a plain integer, decimal or ratio; the same with its parts as groups; the digits after the point ('' for none)
 _COLUMN = re.compile(r"(?:[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?\n)*")
-_CELL = re.compile(_PLAIN_RATIONAL.pattern + "\n")
+_CELL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?\n")
 _DECIMALS = re.compile(r"(?:\.([0-9]+))?\n")
 
 
@@ -86,14 +65,13 @@ def common_numerators(numerators, denominators, limit: int):
 def parse_column(tokens):
     """A column of tokens as (int64 numerators, denominator): the values times the lcm of their denominators.
 
-    Every token must be spelled as ``parse_exact`` reads it with two ints
-    (``[+-]digits``, ``[+-]digits.digits`` or ``[+-]digits/digits``, no
-    whitespace), no denominator may be 0, and the denominator and every
-    numerator must fit int64.  Otherwise the result is None, and the caller
-    parses the column token by token.  Numerator i over the denominator
-    equals ``parse_exact(tokens[i])``.  A column of integers and decimals, or
-    of ratios only, is split by ``str`` methods; a mix of decimals and ratios
-    is matched token by token.
+    Every token must be spelled ``[+-]digits``, ``[+-]digits.digits`` or
+    ``[+-]digits/digits`` (no whitespace), no denominator may be 0, and the
+    denominator and every numerator must fit int64.  Otherwise the result is
+    None, and the caller parses the column token by token.  Numerator i over
+    the denominator equals ``Fraction(tokens[i])``.  A column of integers and
+    decimals, or of ratios only, is split by ``str`` methods; a mix of
+    decimals and ratios is matched token by token.
     """
     text = "\n".join(tokens) + "\n"
     # the count fails for a token holding a line break
@@ -125,12 +103,14 @@ def parse_column(tokens):
 
 
 class ScaledInts:
-    """Rows of exact rationals: an (n, d) int64 matrix of numerators over one positive int denominator per column.
+    """Rows of exact rationals: an (n, d) matrix of numerators over one positive int denominator per column.
 
-    As a sequence (length, indexing, iteration) it holds the rows as tuples
-    of Fractions, built when read.  ``io`` keeps the numeric columns of a
-    file that ``parse_column`` reads in this form, and ``WeightedSample``
-    keeps such points (and weights, as one column) as they are.
+    The numerators are int64, or Python ints in an object array where int64
+    cannot hold a column of them.  As a sequence (length, indexing,
+    iteration) it holds the rows as tuples of Fractions, built when read.
+    ``io`` keeps the numeric columns of files in this form, and
+    ``WeightedSample`` keeps such points (and weights, as one column) as they
+    are.
     """
 
     __slots__ = ("numerators", "denominators")
@@ -141,7 +121,7 @@ class ScaledInts:
 
     @classmethod
     def of_columns(cls, columns) -> "ScaledInts":
-        """The rows of ``parse_column`` pairs, one pair per coordinate."""
+        """The rows of (numerators, denominator) column pairs, as ``parse_column`` gives them, one pair per coordinate."""
         return cls(np.stack([numerators for numerators, _ in columns], axis=1), [den for _, den in columns])
 
     def __len__(self) -> int:

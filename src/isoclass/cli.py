@@ -74,7 +74,8 @@ def _cmd_fit_bernstein(args) -> int:
     sample = _load_sample(args)
     orders = _parse_orders(args.orders) if args.orders else bernstein.suggest_orders(sample.n, sample.dim)
     scale = None
-    if args.rescale:
+    # an empty sample is left for fit to refuse
+    if args.rescale and sample.n:
         sample, scale = _rescale_sample(sample)
     model = bernstein.fit(sample, orders)
     if scale is not None:
@@ -108,13 +109,9 @@ def _trial_sample(args):
 
 def _cmd_policy_weights(args) -> int:
     records, kappa, sample = _trial_sample(args)
-    d = sample.dim
-    header = ["w", "y"] + [f"x{i + 1}" for i in range(d)]
-    rows = [
-        [w, y] + list(p)
-        for w, y, p in zip(sample.weights, sample.labels, sample.points)
-    ]
-    io.write_csv(args.out, header, rows)
+    header = ["w", "y"] + [f"x{i + 1}" for i in range(sample.dim)]
+    cells = map(list, sample.points) if sample._exact is None else sample._exact._texts()
+    io.write_csv(args.out, header, [[w, y] + p for w, y, p in zip(sample.weights, sample.labels, cells)])
     bound = policy.max_weight_bound(records, kappa)
     print(f"wrote {sample.n} weighted rows -> {args.out} (weight bound {float(bound):g})")
     return 0

@@ -9,19 +9,19 @@ Supported tabular schemas (header row required):
 * dist:     ``mass,eta,x1,...,xd[,wplus,wminus]``
 * points:   ``x1,...,xd``
 
-In rational mode (the default) every number parses exactly as a Fraction.
-Samples, trials and points take the column path first: each column is
-parsed in one pass (``_numeric.parse_column``) into int64 numerators over
-the lcm of its denominators, kept as ``ScaledInts`` (``TrialColumns`` for
-trials), and Fractions are built only when read.  A file takes it when
-every token is a plain integer, decimal or ratio (``[+-]digits``,
-``[+-]digits.digits``, ``[+-]digits/digits``, no whitespace), no
-denominator is 0, each column's common denominator and numerators fit
-int64, and every label, weight and propensity passes its check.  Otherwise
-the whole file is read token by token as before (``_numeric.parse_exact``:
-those spellings as two ints, anything else as ``Fraction(token)``), which
-also names the first bad cell in row order.  Model files read their
-support through the same column parser.  Float mode parses binary64.
+In rational mode (the default) every number is exact.  Each column of a
+file is read once: by ``_numeric.parse_column`` when every token is a plain
+integer, decimal or ratio (``[+-]digits``, ``[+-]digits.digits``,
+``[+-]digits/digits``, no whitespace) and the column fits int64, else token
+by token with ``Fraction``.  Either way it is kept as numerators over the lcm
+of its denominators: int64 when they fit, else Python ints in an object
+array.  Samples, trials and points keep those columns (``ScaledInts``,
+``TrialColumns``), and Fractions are built only when read.  Float mode
+(``rational=False``) reads each number with ``float``.  Labels and
+treatments are read exactly in both modes.  Labels, weights and propensities
+are checked on whole columns; when a column fails to parse or its check, the
+cells are read again in row order and the first bad one is named.  Model
+files read their support through the same column parser.
 Models are stored as JSON and written atomically (temp file + rename) so
 failed runs leave nothing partial behind.
 """
@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
+from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
-from ._numeric import ScaledInts, ValidationError, check_finite, is_exact, parse_column, parse_exact
+from ._numeric import ScaledInts, ValidationError, check_finite, common_numerators, matrix_rows, parse_column
 from .bernstein import BernsteinClassifier
 from .monotone import MonotoneClassifier
 from .policy import TrialColumns, TrialRecord
@@ -46,22 +49,11 @@ def parse_number(token: str, where: str, rational: bool):
     """``token`` as an exact Fraction, or as a finite float when not ``rational``; errors name ``where``."""
     token = token.strip()
     try:
-        if rational:
-            return parse_exact(token)
-        value = float(token)
+        value = Fraction(token) if rational else float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{where}: cannot parse number {token!r}") from exc
     check_finite(value, where)
     return value
-
-
-def _parse_label(token: str, where: str) -> int:
-    value = parse_number(token, where, rational=True)
-    if value == 1:
-        return 1
-    if value == -1:
-        return -1
-    raise ValidationError(f"{where}: label must be -1 or +1, got {token!r}")
 
 
 def _read_rows(path: str, expect_prefix, schema: str):
@@ -90,30 +82,99 @@ def _read_rows(path: str, expect_prefix, schema: str):
     return header, rows
 
 
-def _located(path: str, rows):
-    """(where, row) for each of ``rows``, where naming the file and line in error messages."""
-    return ((f"{path}, line {lineno}", row) for lineno, row in rows)
+def _exact_column(tokens):
+    """(numerators, denominator): the values of ``tokens`` times the lcm of their denominators, or None if one is no number.
+
+    The numerators are int64 when they and the denominator fit int64, else
+    Python ints in an object array.
+    """
+    parsed = parse_column(tokens)
+    if parsed is not None:
+        return parsed
+    try:
+        values = list(map(Fraction, tokens))
+    except (ValueError, ZeroDivisionError):
+        return None
+    numerators, den = common_numerators([v.numerator for v in values], [v.denominator for v in values], math.inf)
+    try:
+        return np.array(numerators, np.int64 if den < 1 << 63 else object), den
+    except OverflowError:
+        return np.array(numerators, object), den
 
 
-def _exact_columns(rows):
-    """Every column of ``rows`` (from ``_read_rows``) as a ``parse_column`` pair, or None if one falls back or none are read."""
-    columns = []
-    for column in zip(*(row for _, row in rows)):
-        parsed = parse_column(column)
-        if parsed is None:
+def _column(tokens, kind: str, rational: bool):
+    """A column of ``tokens`` read as ``kind``, or None if a token fails to parse or the column its check.
+
+    Kinds: "x" any number, "w" a weight (>= 0), "e" a propensity (strictly
+    between 0 and 1), "y" a label or treatment (-1 or +1), which is read
+    exactly in both modes and given as int64.  Other kinds are
+    ``_exact_column`` pairs, or float arrays when not ``rational``.
+    """
+    if rational or kind == "y":
+        column = _exact_column(tokens)
+        if column is None:
             return None
-        columns.append(parsed)
-    return columns or None
+        values, one = column
+        if kind == "y":
+            return (values // one).astype(np.int64) if (np.abs(values) == one).all() else None
+    else:
+        try:
+            column = values = np.array(list(map(float, tokens)))
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        one = 1
+    if kind == "w" and not (values >= 0).all() or kind == "e" and not ((values > 0) & (values < one)).all():
+        return None
+    return column
 
 
-def _exact_labels(column):
-    """A parsed label column as an int64 array of -1/+1, or None if some value is neither."""
-    numerators, den = column
-    return numerators // den if (np.abs(numerators) == den).all() else None
+def _cell(token: str, kind: str, where: str, rational: bool) -> None:
+    """The checks of ``_column`` on one cell, raising the error that names ``where``."""
+    value = parse_number(token, where, rational or kind == "y")
+    if kind == "y" and value not in (1, -1):
+        raise ValidationError(f"{where}: label must be -1 or +1, got {token!r}")
+    if kind == "w" and value < 0:
+        raise ValidationError(f"{where}: negative weight {token!r}")
+    if kind == "e":
+        _check_propensity(value, where)
 
 
-def load_sample(path: str, schema: str = "plain", rational: bool = True):
-    """Load a classification sample in the plain or weighted schema (points and weights as ``ScaledInts`` on the column path)."""
+def _check_propensity(value, where: str) -> None:
+    """The propensity checks of ``TrialRecord`` on ``value``, raising its error located at ``where``."""
+    try:
+        TrialRecord(0, 1, (), value)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _read_columns(path: str, rows, kinds: str, rational: bool, propensity=None) -> list:
+    """The columns of ``rows`` (from ``_read_rows``), each read by ``_column`` as its letter of ``kinds``.
+
+    When one fails, the cells are read again in row order, and the first that
+    fails raises its error, located by file and line; a constant
+    ``propensity`` is checked as the last cell of the first row.
+    """
+    tokens = list(zip(*(row for _, row in rows))) or [()] * len(kinds)
+    columns = [_column(column, kind, rational) for column, kind in zip(tokens, kinds)]
+    if any(column is None for column in columns) or rows and propensity is not None and not 0 < propensity < 1:
+        for lineno, row in rows:
+            where = f"{path}, line {lineno}"
+            for token, kind in zip(row, kinds):
+                _cell(token, kind, where, rational)
+            if propensity is not None:
+                _check_propensity(propensity, where)
+    return columns
+
+
+def _values(column, rational: bool) -> tuple:
+    """A column of ``_read_columns`` as a tuple of Fractions, or of floats."""
+    return tuple(map(Fraction, column[0].tolist(), repeat(column[1]))) if rational else tuple(column.tolist())
+
+
+def load_sample(path: str, schema: str = "plain", rational: bool = True) -> WeightedSample:
+    """Load a classification sample in the plain or weighted schema; exact points and weights stay ``ScaledInts``."""
     if schema not in ("plain", "weighted"):
         raise ValidationError(f"unknown sample schema {schema!r}")
     prefix = ["y"] if schema == "plain" else ["w", "y"]
@@ -121,29 +182,17 @@ def load_sample(path: str, schema: str = "plain", rational: bool = True):
     d = len(header) - len(prefix)
     if d < 1:
         raise ValidationError(f"{path}: no covariate columns found")
-    if rational and (columns := _exact_columns(rows)) is not None:
-        labels = _exact_labels(columns[len(prefix) - 1])
-        if labels is not None and (schema == "plain" or (columns[0][0] >= 0).all()):
-            weights = np.ones(len(rows), np.int64) if schema == "plain" else ScaledInts.of_columns(columns[:1])
-            return WeightedSample(weights, labels, ScaledInts.of_columns(columns[len(prefix) :]))
-    weights, labels, points = [], [], []
-    for where, row in _located(path, rows):
-        cursor = 0
-        if schema == "weighted":
-            w = parse_number(row[0], where, rational)
-            if w < 0:
-                raise ValidationError(f"{where}: negative weight {row[0]!r}")
-            weights.append(w)
-            cursor = 1
-        else:
-            weights.append(1)
-        labels.append(_parse_label(row[cursor], where))
-        points.append(tuple(parse_number(t, where, rational) for t in row[cursor + 1 :]))
-    return WeightedSample(tuple(weights), tuple(labels), tuple(points))
+    columns = _read_columns(path, rows, "wy"[-len(prefix) :] + "x" * d, rational)
+    labels, points = columns[len(prefix) - 1], columns[len(prefix) :]
+    if schema == "plain":
+        weights = np.ones(len(rows), np.int64)
+    else:
+        weights = ScaledInts.of_columns(columns[:1]) if rational else tuple(columns[0].tolist())
+    return WeightedSample(weights, labels, ScaledInts.of_columns(points) if rational else np.stack(points, axis=1))
 
 
 def load_trials(path: str, rational: bool = True, propensity=None):
-    """Load trial records, as a list or as ``TrialColumns``; ``propensity`` supplies a constant if no e column."""
+    """Load trial records, as ``TrialColumns`` (a list of them when not ``rational``); ``propensity`` supplies a constant if no e column."""
     header, rows = _read_rows(path, ["z", "d"], "trial")
     has_e = header[-1] == "e"
     d = len(header) - 2 - (1 if has_e else 0)
@@ -153,35 +202,14 @@ def load_trials(path: str, rational: bool = True, propensity=None):
         raise ValidationError(
             f"{path}: no e column; supply a constant propensity (e.g. --propensity 0.5)"
         )
-    if rational and (columns := _exact_columns(rows)) is not None:
-        trials = _trial_columns(columns, d, propensity)
-        if trials is not None:
-            return trials
-    records = []
-    for where, row in _located(path, rows):
-        z = parse_number(row[0], where, rational)
-        treat = _parse_label(row[1], where)
-        xs = tuple(parse_number(t, where, rational) for t in row[2 : 2 + d])
-        e = parse_number(row[-1], where, rational) if has_e else propensity
-        try:
-            records.append(TrialRecord(z, treat, xs, e))
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-    return records
-
-
-def _trial_columns(columns, d: int, propensity):
-    """``TrialColumns`` of parsed columns z, d, x1..xd[, e], or None if a value fails the ``TrialRecord`` checks."""
-    treat = _exact_labels(columns[1])
-    if len(columns) > 2 + d:
-        e = columns[-1]
-    elif is_exact(propensity) and 0 < propensity.numerator < propensity.denominator < 1 << 63:
-        e = (np.full(len(columns[0][0]), propensity.numerator, np.int64), propensity.denominator)
-    else:
-        return None
-    if treat is None or not ((e[0] > 0) & (e[0] < e[1])).all():
-        return None
-    return TrialColumns(columns[0], treat, ScaledInts.of_columns(columns[2 : 2 + d]), e)
+    columns = _read_columns(path, rows, "xy" + "x" * d + "e" * has_e, rational, None if has_e else propensity)
+    z, treat, x = columns[0], columns[1], columns[2 : 2 + d]
+    if rational:
+        # a constant propensity (checked by _read_columns if there are rows) is read as a column of its text
+        e = columns[-1] if has_e else _exact_column([str(Fraction(propensity))] * len(rows) if rows else [])
+        return TrialColumns(z, treat, ScaledInts.of_columns(x), e)
+    e = columns[-1].tolist() if has_e else repeat(propensity)
+    return list(map(TrialRecord, z.tolist(), treat.tolist(), matrix_rows(np.stack(x, axis=1)), e))
 
 
 def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
@@ -191,29 +219,15 @@ def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
     d = len(header) - 2 - (2 if has_w else 0)
     if d < 1:
         raise ValidationError(f"{path}: no covariate columns found")
-    mass, eta, points, wp, wm = [], [], [], [], []
-    for where, row in _located(path, rows):
-        mass.append(parse_number(row[0], where, rational))
-        eta.append(parse_number(row[1], where, rational))
-        points.append(tuple(parse_number(t, where, rational) for t in row[2 : 2 + d]))
-        if has_w:
-            wp.append(parse_number(row[-2], where, rational))
-            wm.append(parse_number(row[-1], where, rational))
-    return DiscreteDistribution(
-        tuple(points),
-        tuple(mass),
-        tuple(eta),
-        tuple(wp) if has_w else None,
-        tuple(wm) if has_w else None,
-    )
+    mass, eta, *rest = (_values(column, rational) for column in _read_columns(path, rows, "x" * len(header), rational))
+    return DiscreteDistribution(tuple(zip(*rest[:d])), mass, eta, *(rest[d:] or (None, None)))
 
 
 def load_points(path: str, rational: bool = True):
-    """Load bare covariate rows: x1,...,xd, as a list of tuples or as ``ScaledInts``."""
+    """Load bare covariate rows: x1,...,xd, as ``ScaledInts``, or a list of float tuples when not ``rational``."""
     header, rows = _read_rows(path, ["x1"], "points")
-    if rational and (columns := _exact_columns(rows)) is not None:
-        return ScaledInts.of_columns(columns)
-    return [tuple(parse_number(t, where, rational) for t in row) for where, row in _located(path, rows)]
+    columns = _read_columns(path, rows, "x" * len(header), rational)
+    return ScaledInts.of_columns(columns) if rational else list(matrix_rows(np.stack(columns, axis=1)))
 
 
 def atomic_write_text(path: str, text: str) -> None:

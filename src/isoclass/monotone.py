@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from ._numeric import EXACT_TYPES, ScaledInts, ValidationError, check_points, common_numerators, parse_column, parse_exact
+from ._numeric import EXACT_TYPES, ScaledInts, ValidationError, check_points, common_numerators, parse_column
 from .isotone import IsotoneProblem, solve
 from .order import build_dag, dense_ranks, dominator_counts, lex_argsort, rank_matrix
 from .risks import WeightedSample
@@ -186,7 +186,7 @@ def _json_points(points) -> list:
 
 
 def _parse_points(rows) -> list:
-    return [[parse_exact(v) if isinstance(v, str) else v for v in p] for p in rows]
+    return [[Fraction(v) if isinstance(v, str) else v for v in p] for p in rows]
 
 
 def _exact_points(rows):

@@ -11,6 +11,7 @@ integers over one common denominator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,10 +55,11 @@ class TrialRecord:
 class TrialColumns:
     """Trial records kept as exact columns; a sequence whose indexing builds the ``TrialRecord`` of a row.
 
-    ``io.load_trials`` keeps a file so when every number in it takes the
-    column path: outcomes z and propensities e as (int64 numerators,
-    denominator) pairs, treatments d as an int64 array of -1/+1 and the
-    covariates as ``ScaledInts``, all checked as ``TrialRecord`` checks them.
+    ``io.load_trials`` keeps a file so in rational mode: outcomes z and
+    propensities e as (numerators, denominator) pairs, the numerators int64
+    or Python ints in an object array, treatments d as an int64 array of
+    -1/+1 and the covariates as ``ScaledInts``, all checked as
+    ``TrialRecord`` checks them.
     """
 
     def __init__(self, z: tuple, d: np.ndarray, x: ScaledInts, e: tuple):
@@ -73,7 +75,7 @@ class TrialColumns:
 
     @cached_property
     def _ipw(self):
-        """(int64 numerators of each z / denominator, their common denominator), or None if int64 cannot hold them.
+        """(numerators of each z / denominator, their common denominator): int64 if it holds every term, else Python ints.
 
         With z = Z / Dz and e = E / De, the denominator of a row is q / De,
         q = E if d = +1 else De - E, so z / denominator is Z * (De * L / q)
@@ -81,10 +83,10 @@ class TrialColumns:
         """
         (z, z_den), (e, e_den) = self._z, self._e
         distinct, which = np.unique(np.where(self._d > 0, e, e_den - e), return_inverse=True)
-        keyed = common_numerators([e_den] * len(distinct), distinct.tolist(), 1 << 63)
-        if keyed is None or max(-int(z.min()), int(z.max()), 1) * max(keyed[0]) >= 1 << 63:
-            return None
-        return z * np.array(keyed[0], dtype=np.int64)[which], z_den * keyed[1]
+        factors, lcm = common_numerators([e_den] * len(distinct), distinct.tolist(), math.inf)
+        bound = max(-int(z.min(initial=0)), int(z.max(initial=0)), 1) * max(factors, default=1)
+        fits = z.dtype == np.int64 and bound < 1 << 63
+        return z * np.array(factors, dtype=np.int64 if fits else object)[which], z_den * lcm
 
     def _outside(self, low, high) -> list:
         """Rows whose propensity is not strictly between ``low`` and ``high``, each distinct value compared once."""
@@ -95,8 +97,8 @@ class TrialColumns:
 
 
 def _kept(records):
-    """``TrialColumns`` whose IPW terms fit int64 as they are, any other records as a list."""
-    return records if isinstance(records, TrialColumns) and records._ipw is not None else list(records)
+    """``TrialColumns`` as they are, any other records as a list."""
+    return records if isinstance(records, TrialColumns) else list(records)
 
 
 def _check_overlap(records, kappa) -> None:
@@ -118,8 +120,8 @@ def _check_overlap(records, kappa) -> None:
 def to_weighted_sample(records, kappa=DEFAULT_KAPPA) -> WeightedSample:
     """Map records to rows (|z|/denom, sign(z)*d, x) after checking strict overlap.
 
-    ``TrialColumns`` give their weights as int64 numerators over one
-    denominator (``TrialColumns._ipw``) and their covariates as they keep them.
+    ``TrialColumns`` give their weights as numerators over one denominator
+    (``TrialColumns._ipw``) and their covariates as they keep them.
     """
     records = _kept(records)
     _check_overlap(records, kappa)
@@ -149,8 +151,8 @@ def _labels(classifier, points) -> list:
 def welfare_estimate(classifier, records):
     """IPW welfare: mean of z/denominator over records the policy agrees with.
 
-    ``TrialColumns`` sum their int64 terms (``TrialColumns._ipw``) as Python
-    ints, and make one Fraction of the total.
+    ``TrialColumns`` sum their terms (``TrialColumns._ipw``) as Python ints,
+    and make one Fraction of the total.
     """
     records = _kept(records)
     if not len(records):

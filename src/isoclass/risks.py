@@ -37,11 +37,12 @@ class WeightedSample:
     1-d int array of weights are checked in numpy, with the values and errors
     of the same values given one by one; other arrays are read as sequences.
     Points and (as one column) weights may also come as ``ScaledInts``, exact
-    Fractions kept as int64 numerators, which need no further check.
+    Fractions kept as numerators over one denominator per column, which need
+    no further check.
     Kept read-only: ``_matrix``, the float64 points if all are floats (else
     None); ``_exact``, the ``ScaledInts`` points (else None); ``_labels`` in
     int64; ``_weights`` in int64 if all are ints, or are Fractions given as
-    ``ScaledInts`` numerators over ``_weight_scale`` (None for ints), and
+    int64 ``ScaledInts`` numerators over ``_weight_scale`` (None for ints), and
     n * max(w) < 2**62, which bounds every sum of w * y, else float(w) (None
     beyond float range).  Fields kept so are built as tuples on first read.
     """
@@ -62,7 +63,7 @@ class WeightedSample:
         weights, labels, weight_array, scale = self.weights, self.labels, None, None
         if isinstance(weights, ScaledInts):
             numerators = weights.numerators[:, 0]
-            if len(numerators) and (numerators >= 0).all() and n * int(numerators.max()) < 2**62:
+            if numerators.dtype == np.int64 and len(numerators) and (numerators >= 0).all() and n * int(numerators.max()) < 2**62:
                 weights, weight_array, scale = None, numerators, weights.denominators[0]
             else:
                 weights = tuple(w for (w,) in weights)

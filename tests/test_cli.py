@@ -382,7 +382,7 @@ def test_predict_with_a_malformed_model_file_exits_2(tmp_path, capsys, payload):
     assert not os.path.exists(out)
 
 
-# each value spelled in the column grammar, and in forms only the token-by-token path reads
+# each value spelled in the column grammar, and in forms that parse_column declines, read token by token
 SPELLINGS = {
     "Q": ("0.250", "2.5e-1"),
     "P": ("1/4", " 1/4"),
@@ -414,11 +414,11 @@ def test_column_path_and_token_path_write_the_same_bytes(tmp_path, capsys):
     for fallback in (0, 1):
         paths = {name: write(tmp_path / f"{name}.csv", _spell(text, fallback))
                  for name, text in (("plain", plain), ("sample", weighted), ("points", points), ("trials", trials))}
-        # the grammar spelling takes the column path, the other one the token path
-        assert (load_sample(paths["sample"], "weighted")._exact is None) == bool(fallback)
-        assert (load_sample(paths["plain"])._exact is None) == bool(fallback)
-        assert isinstance(load_points(paths["points"]), ScaledInts) != bool(fallback)
-        assert isinstance(load_trials(paths["trials"]), TrialColumns) != bool(fallback)
+        # both spellings load as exact columns
+        assert isinstance(load_sample(paths["sample"], "weighted")._exact, ScaledInts)
+        assert isinstance(load_sample(paths["plain"])._exact, ScaledInts)
+        assert isinstance(load_points(paths["points"]), ScaledInts)
+        assert isinstance(load_trials(paths["trials"]), TrialColumns)
         out = {name: str(tmp_path / name) for name in ("m.json", "w.json", "c.json", "p.csv", "pc.csv", "pol.json", "pw.csv")}
         runs = [
             ["fit-monotone", "--in", paths["plain"], "--out", out["m.json"]],
@@ -461,6 +461,9 @@ def test_a_bad_cell_is_named_in_row_order_whichever_column_it_is_in(tmp_path, ca
 
 def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path, capsys):
     from isoclass import TrialRecord, fit_monotone, to_weighted_sample, welfare_estimate
+    from isoclass._numeric import ScaledInts
+    from isoclass.io import load_sample, load_trials
+    from isoclass.policy import TrialColumns
     from isoclass.risks import WeightedSample
 
     def reference_model(rows):
@@ -477,6 +480,10 @@ def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path,
     model = str(tmp_path / "m.json")
     assert main(["fit-monotone", "--in", data, "--weighted", "--out", model]) == 0
     assert Path(model).read_text() == reference_model(rows)
+    # still exact columns, whose numerators are Python ints
+    points = load_sample(data, "weighted")._exact
+    assert isinstance(points, ScaledInts) and points.numerators.dtype == object
+    assert list(points) == [tuple(map(Fraction, r[2:])) for r in rows]
 
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
     large_primes = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191)
@@ -490,6 +497,9 @@ def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path,
     }
     for name, rows in files.items():
         data = write(tmp_path / f"{name}.csv", "z,d,x1,x2,e\n" + "".join(",".join(r) + "\n" for r in rows))
+        trials = load_trials(data)
+        # IPW terms past int64 are kept as Python ints
+        assert isinstance(trials, TrialColumns) and (trials._ipw[0].dtype == object) == (name != "heavy")
         capsys.readouterr()
         assert main(["policy-fit", "--in", data, "--out", model]) == 0
         welfare_line = capsys.readouterr().out.splitlines()[1]
@@ -498,3 +508,109 @@ def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path,
         fitted = fit_monotone(sample)
         assert Path(model).read_text() == json.dumps(fitted.to_dict(), indent=2) + "\n", name
         assert welfare_line == f"estimated welfare of the fitted policy: {float(welfare_estimate(fitted, records)):.6g}"
+
+
+# (command, file, expected error after "<path>, ", or (rational error, --float error)): the first
+# bad cell in row order is named; a constant --propensity is checked as the last cell of the first row
+ERROR_CONTRACT = {
+    "bad cell before a later bad label": (
+        ["fit-monotone"], "y,x1,x2\n1,0.5,abc\n0,0.5,0.5\n", "line 2: cannot parse number 'abc'"),
+    "bad label before a later bad cell": (
+        ["fit-monotone"], "y,x1\n1,0.5\n0,0.5\n1,abc\n", "line 3: label must be -1 or +1, got '0'"),
+    "negative weight": (
+        ["fit-monotone", "--weighted"], "w,y,x1\n1,1,0.2\n-2,1,0.3\n", "line 3: negative weight '-2'"),
+    "propensity of 1": (
+        ["policy-fit"], "z,d,x1,e\n2,1,0.5,0.5\n1,1,0.5,1\n",
+        ("line 3: propensity must lie strictly in (0, 1), got Fraction(1, 1)",
+         "line 3: propensity must lie strictly in (0, 1), got 1.0")),
+    "constant propensity after a clean first row": (
+        ["policy-fit", "--propensity", "1.5"], "z,d,x1\n1,1,0.5\n2,-1,0.25\n",
+        ("line 2: propensity must lie strictly in (0, 1), got Fraction(3, 2)",
+         "line 2: propensity must lie strictly in (0, 1), got 1.5")),
+    "constant propensity after a bad first row": (
+        ["policy-weights", "--propensity", "1.5"], "z,d,x1\nabc,1,0.5\n2,-1,0.25\n", "line 2: cannot parse number 'abc'"),
+    "a column past int64 with a bad cell further down": (
+        ["fit-monotone"], "y,x1\n1,9223372036854775808\n-1,0.5\n1,1/0\n", "line 4: cannot parse number '1/0'"),
+    "a points column past int64 with a bad cell further down": (
+        ["predict"], "x1\n0.1234567890123456789\n0.5\n-\n", "line 4: cannot parse number '-'"),
+    "a bad distribution cell": (
+        ["calibration-table", "--losses", "hinge:1"], "mass,eta,x1\n0.5,0.5,0\n0.5,0.5,x\n", "line 3: cannot parse number 'x'"),
+    # 1e400 is a valid exact number
+    "an infinite float": (["fit-monotone"], "y,x1\n1,0.5\n-1,1e400\n", (None, "line 3 must be finite, got inf")),
+}
+ERROR_CASES = [(name, flags) for name, (_, _, expected) in ERROR_CONTRACT.items() for flags in ([], ["--float"])
+               if not isinstance(expected, tuple) or expected[bool(flags)] is not None]
+
+
+@pytest.mark.parametrize("name, flags", ERROR_CASES, ids=[f"{name}{' float' if flags else ''}" for name, flags in ERROR_CASES])
+def test_the_first_bad_cell_in_row_order_is_named(tmp_path, capsys, name, flags):
+    command, text, expected = ERROR_CONTRACT[name]
+    if isinstance(expected, tuple):
+        expected = expected[bool(flags)]
+    data = write(tmp_path / "in.csv", text)
+    if command == ["predict"]:
+        model = str(tmp_path / "m.json")
+        assert main(["fit-monotone", "--in", write(tmp_path / "ok.csv", "y,x1\n1,0.2\n-1,0.8\n"), "--out", model]) == 0
+        command = ["predict", "--model", model]
+    source = "--dist" if command[0] == "calibration-table" else "--in"
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main([*command, source, data, "--out", out, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {data}, {expected}\n"
+    assert not os.path.exists(out)
+
+
+# (command, header): a file with a header and no rows fails as an empty sample, or predicts nothing
+HEADER_ONLY = {
+    "fit-monotone": (["fit-monotone"], "y,x1,x2", "error: cannot fit on an empty sample"),
+    "fit-monotone weighted": (["fit-monotone", "--weighted"], "w,y,x1,x2", "error: cannot fit on an empty sample"),
+    "fit-bernstein": (["fit-bernstein"], "y,x1,x2", "error: need a sample size of at least 2"),
+    "fit-bernstein rescale": (["fit-bernstein", "--rescale"], "y,x1,x2", "error: need a sample size of at least 2"),
+    "fit-bernstein orders": (["fit-bernstein", "--orders", "2,2"], "y,x1,x2", "error: cannot fit on an empty sample"),
+    "fit-bernstein orders rescale": (
+        ["fit-bernstein", "--orders", "2,2", "--rescale"], "y,x1,x2", "error: cannot fit on an empty sample"),
+    "policy-fit": (["policy-fit"], "z,d,x1,e", "error: cannot fit on an empty sample"),
+    "policy-fit constant": (["policy-fit", "--propensity", "0.5"], "z,d,x1", "error: cannot fit on an empty sample"),
+    "policy-fit bad constant": (["policy-fit", "--propensity", "1.5"], "z,d,x1", "error: cannot fit on an empty sample"),
+    "calibration-table": (["calibration-table", "--losses", "hinge:1"], "mass,eta,x1", "error: masses must sum to 1 (got 0)"),
+    "calibration-table wplus": (
+        ["calibration-table", "--losses", "hinge:1"], "mass,eta,x1,wplus,wminus", "error: masses must sum to 1 (got 0)"),
+    # the header of the predictions names the model's coordinates, whatever the points file's header
+    "predict monotone": (["predict", "fit-monotone"], "x1,x2", "x1,x2,label\n"),
+    "predict monotone, one column": (["predict", "fit-monotone"], "x1", "x1,x2,label\n"),
+    "predict bernstein": (["predict", "fit-bernstein"], "x1,x2", "x1,x2,label\n"),
+    "predict bernstein, one column": (["predict", "fit-bernstein"], "x1", "x1,x2,label\n"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--float"]], ids=["rational", "float"])
+@pytest.mark.parametrize("name", HEADER_ONLY)
+def test_a_file_with_no_rows_behaves_as_before_in_every_command(tmp_path, capsys, name, flags):
+    command, header, expected = HEADER_ONLY[name]
+    data = write(tmp_path / "in.csv", header + "\n")
+    out = str(tmp_path / "out")
+    if command[0] == "predict":
+        model = str(tmp_path / "m.json")
+        sample = write(tmp_path / "ok.csv", "y,x1,x2\n1,0.2,0.5\n-1,0.8,0.1\n1,0.9,0.9\n")
+        fit_flags = ["--orders", "2,2"] if command[1] == "fit-bernstein" else []
+        assert main([command[1], "--in", sample, *fit_flags, "--out", model]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", model, "--in", data, "--out", out, *flags]) == 0
+        assert capsys.readouterr() == (f"wrote 0 predictions -> {out}\n", "")
+        assert Path(out).read_text() == expected
+        return
+    source = "--dist" if command[0] == "calibration-table" else "--in"
+    assert main([*command, source, data, "--out", out, *flags]) == 2
+    assert capsys.readouterr() == ("", expected + "\n")
+    assert not os.path.exists(out)
+
+
+def test_policy_weights_on_a_trial_file_with_no_rows_writes_its_covariate_columns(tmp_path, capsys):
+    # the weights file it writes is a weighted sample that fit-monotone reads back
+    trials = write(tmp_path / "t.csv", "z,d,x1,x2\n")
+    weights = str(tmp_path / "w.csv")
+    assert main(["policy-weights", "--in", trials, "--propensity", "1/2", "--out", weights]) == 0
+    assert capsys.readouterr().out == f"wrote 0 weighted rows -> {weights} (weight bound 0)\n"
+    assert Path(weights).read_text() == "w,y,x1,x2\n"
+    assert main(["fit-monotone", "--in", weights, "--weighted", "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == "error: cannot fit on an empty sample\n"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from isoclass import IsotoneProblem, lattice_dag, solve
-from isoclass._numeric import ScaledInts, ValidationError, check_points, finite_array, parse_column, parse_exact
+from isoclass._numeric import ScaledInts, ValidationError, check_points, finite_array, parse_column
+from isoclass.io import load_points
 
 TOKENS = (
     "0.123", "-0.5", "+1.5", "007", "1/3", "-2/4", "1.", ".5", "1e3", "1_000", "1/0", "-0", "1.0",
@@ -14,17 +15,22 @@ TOKENS = (
 
 
 @pytest.mark.parametrize("token", TOKENS)
-def test_parse_exact_equals_fraction_of_the_token(token):
+def test_parse_exact_equals_fraction_of_the_token(tmp_path, token):
+    # a points file reads each token as Fraction(token), or names it; the second column keeps
+    # the row of the empty token from being skipped as blank
+    path = tmp_path / "p.csv"
+    path.write_text(f"x1,x2\n{token},0\n", encoding="utf-8")
     try:
         expected = Fraction(token)
-    except Exception as exc:
-        with pytest.raises(Exception) as raised:
-            parse_exact(token)
-        assert type(raised.value) is type(exc)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValidationError) as raised:
+            load_points(str(path))
+        assert str(raised.value) == f"{path}, line 2: cannot parse number {token.strip()!r}"
         return
-    value = parse_exact(token)
-    assert type(value) is Fraction
-    assert value == expected
+    points = load_points(str(path))
+    assert isinstance(points, ScaledInts)
+    (value, zero), = points
+    assert type(value) is Fraction and zero == 0
     assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
 
 
@@ -44,7 +50,7 @@ def test_check_points_names_the_first_non_finite_coordinate():
 
 def test_parse_column_equals_parse_exact_or_falls_back():
     # the column path takes a column only when every token is in the grammar and fits int64;
-    # what it takes must equal parse_exact token by token
+    # what it takes must equal Fraction token by token
     in_grammar = ("0.250", "1/4", "-3", "+7", "007", "-0.5", "12/8", "0")
     outside = ("2.5e-1", " 1/4", "1_0", ".5", "1.", "", "1/0", "٣", "1\n2", "9223372036854775808", "0." + "1" * 19)
     rng = random.Random(83)
@@ -58,7 +64,7 @@ def test_parse_column_equals_parse_exact_or_falls_back():
             continue
         numerators, den = parsed
         assert numerators.dtype == np.int64
-        assert [Fraction(int(v), den) for v in numerators] == [parse_exact(t) for t in column]
+        assert [Fraction(int(v), den) for v in numerators] == [Fraction(t) for t in column]
     # one denominator below 2**63 fits; the lcm of pairwise-coprime ones may leave int64
     assert parse_column(["9223372036854775807", "-9223372036854775808"])[1] == 1
     assert parse_column([f"1/{p}" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]) is None
