@@ -1,4 +1,4 @@
-"""Shared numeric helpers: sign convention, exactness and point checks, exact columns (``parse_column``, ``ScaledInts``), Halton points."""
+"""Shared numeric helpers: sign convention, exactness and point checks, exact columns (``parse_column``, ``exact_column``, ``ScaledInts``), Halton points."""
 
 from __future__ import annotations
 
@@ -100,6 +100,27 @@ def parse_column(tokens):
         return np.fromiter(keyed[0], np.int64, len(tokens)), keyed[1]
     except OverflowError:
         return None
+
+
+def exact_column(tokens):
+    """(numerators, denominator): the values of ``tokens`` times the lcm of their denominators, or None if one is no number.
+
+    ``parse_column`` reads the column when it can, else each token is read
+    with ``Fraction``.  The numerators are int64 when they and the denominator
+    fit int64, else Python ints in an object array.
+    """
+    parsed = parse_column(tokens)
+    if parsed is not None:
+        return parsed
+    try:
+        values = list(map(Fraction, tokens))
+    except (ValueError, ZeroDivisionError):
+        return None
+    numerators, den = common_numerators([v.numerator for v in values], [v.denominator for v in values], math.inf)
+    try:
+        return np.array(numerators, np.int64 if den < 1 << 63 else object), den
+    except OverflowError:
+        return np.array(numerators, object), den
 
 
 class ScaledInts:

@@ -9,9 +9,9 @@ Exit codes: 0 success, 2 validation failure (bad flags or bad input data),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import bench, bernstein, io, monotone, policy
 from ._numeric import ScaledInts, ValidationError
@@ -111,7 +111,12 @@ def _cmd_policy_weights(args) -> int:
     records, kappa, sample = _trial_sample(args)
     header = ["w", "y"] + [f"x{i + 1}" for i in range(sample.dim)]
     cells = map(list, sample.points) if sample._exact is None else sample._exact._texts()
-    io.write_csv(args.out, header, [[w, y] + p for w, y, p in zip(sample.weights, sample.labels, cells)])
+    # int64 weight numerators over one scale are written from them, as the str of each Fraction
+    if sample._weight_scale is None:
+        weights = [[w] for w in sample.weights]
+    else:
+        weights = ScaledInts(sample._weights[:, None], (sample._weight_scale,))._texts()
+    io.write_csv(args.out, header, [w + [y] + p for w, y, p in zip(weights, sample.labels, cells)])
     bound = policy.max_weight_bound(records, kappa)
     print(f"wrote {sample.n} weighted rows -> {args.out} (weight bound {float(bound):g})")
     return 0
@@ -161,7 +166,7 @@ def _cmd_calibration_table(args) -> int:
                 for (a, b), v in report.agreements.items()
             },
         }
-        io.atomic_write_text(args.summary, json.dumps(payload, indent=2) + "\n")
+        io.write_json(args.summary, payload)
     print(f"wrote calibration table ({len(rows)} sets) -> {args.out}")
     return 0
 
@@ -213,7 +218,7 @@ def _cmd_reproduce_examples(args) -> int:
                 "linear_risk": str(two.linear_risk),
             },
         }
-        io.atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        io.write_json(args.out, payload)
         print(f"wrote report -> {args.out}")
     return 0
 
@@ -230,7 +235,7 @@ def _cmd_simulate_regret(args) -> int:
     ]
     io.write_csv(args.out, ["n", "mean_regret", "se", "reps"], rows)
     if args.summary:
-        io.atomic_write_text(args.summary, json.dumps(curve.as_dict(), indent=2) + "\n")
+        io.write_json(args.summary, curve.as_dict())
     for n, mean, se in zip(curve.sample_sizes, curve.mean_regret, curve.std_error):
         print(f"n={n}: mean regret {mean:.6f} (se {se:.6f})")
     if curve.negative_count:
@@ -239,7 +244,13 @@ def _cmd_simulate_regret(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` leaves it as it is, and help is laid out at the terminal
+    width read when it is printed, so ``main`` can reuse it call after call.
+    """
     parser = argparse.ArgumentParser(
         prog="isoclass",
         description="Hinge-loss constrained classification and policy learning",

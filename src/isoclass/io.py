@@ -22,23 +22,24 @@ treatments are read exactly in both modes.  Labels, weights and propensities
 are checked on whole columns; when a column fails to parse or its check, the
 cells are read again in row order and the first bad one is named.  Model
 files read their support through the same column parser.
-Models are stored as JSON and written atomically (temp file + rename) so
-failed runs leave nothing partial behind.
+Models are stored as the bytes of ``json.dumps(payload, indent=2)``
+(``json_text``) and written atomically (temp file + rename) so failed runs
+leave nothing partial behind.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import tempfile
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ._numeric import ScaledInts, ValidationError, check_finite, common_numerators, matrix_rows, parse_column
+from ._numeric import ScaledInts, ValidationError, check_finite, exact_column, matrix_rows
 from .bernstein import BernsteinClassifier
 from .monotone import MonotoneClassifier
 from .policy import TrialColumns, TrialRecord
@@ -82,36 +83,16 @@ def _read_rows(path: str, expect_prefix, schema: str):
     return header, rows
 
 
-def _exact_column(tokens):
-    """(numerators, denominator): the values of ``tokens`` times the lcm of their denominators, or None if one is no number.
-
-    The numerators are int64 when they and the denominator fit int64, else
-    Python ints in an object array.
-    """
-    parsed = parse_column(tokens)
-    if parsed is not None:
-        return parsed
-    try:
-        values = list(map(Fraction, tokens))
-    except (ValueError, ZeroDivisionError):
-        return None
-    numerators, den = common_numerators([v.numerator for v in values], [v.denominator for v in values], math.inf)
-    try:
-        return np.array(numerators, np.int64 if den < 1 << 63 else object), den
-    except OverflowError:
-        return np.array(numerators, object), den
-
-
 def _column(tokens, kind: str, rational: bool):
     """A column of ``tokens`` read as ``kind``, or None if a token fails to parse or the column its check.
 
     Kinds: "x" any number, "w" a weight (>= 0), "e" a propensity (strictly
     between 0 and 1), "y" a label or treatment (-1 or +1), which is read
     exactly in both modes and given as int64.  Other kinds are
-    ``_exact_column`` pairs, or float arrays when not ``rational``.
+    ``exact_column`` pairs, or float arrays when not ``rational``.
     """
     if rational or kind == "y":
-        column = _exact_column(tokens)
+        column = exact_column(tokens)
         if column is None:
             return None
         values, one = column
@@ -206,7 +187,7 @@ def load_trials(path: str, rational: bool = True, propensity=None):
     z, treat, x = columns[0], columns[1], columns[2 : 2 + d]
     if rational:
         # a constant propensity (checked by _read_columns if there are rows) is read as a column of its text
-        e = columns[-1] if has_e else _exact_column([str(Fraction(propensity))] * len(rows) if rows else [])
+        e = columns[-1] if has_e else exact_column([str(Fraction(propensity))] * len(rows) if rows else [])
         return TrialColumns(z, treat, ScaledInts.of_columns(x), e)
     e = columns[-1].tolist() if has_e else repeat(propensity)
     return list(map(TrialRecord, z.tolist(), treat.tolist(), matrix_rows(np.stack(x, axis=1)), e))
@@ -247,6 +228,56 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _nested(types) -> bool:
+    """True iff one of ``types`` is a JSON container: a list, tuple or dict (or a subclass)."""
+    return any(issubclass(t, (list, tuple, dict)) for t in types)
+
+
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a str, or the quoted JSON text of an int, float, bool or None."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
+
+
+def json_text(value, prefix: str = "") -> str:
+    """``json.dumps(value, indent=2)``, with each list of leaves written by one call of json's C encoder.
+
+    json runs its C encoder only without ``indent``, but it takes any item
+    separator: a list of leaves (str, int, float, bool, None; anything else is
+    json's TypeError) gets the indented separator, and a list of nonempty rows
+    of leaves gets the separator of their cells, and each boundary between
+    rows is then replaced.  That text holds no other such boundary: json
+    escapes a line break inside a string, and no leaf ends with ``]``.
+    Other lists and dicts are laid out here.  ``prefix`` is the indent of the
+    line that holds ``value``.
+    """
+    inner = prefix + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = map("{}: {}".format, map(_key, value), [json_text(v, inner) for v in value.values()])
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + prefix + "}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    types = set(map(type, value))
+    if not _nested(types):
+        return "[\n" + inner + json.dumps(value, separators=(",\n" + inner, ": "))[1:-1] + "\n" + prefix + "]"
+    if types <= {list, tuple} and all(value) and not _nested(set(map(type, chain.from_iterable(value)))):
+        cell = ",\n" + inner + "  "
+        opening, closing = "[" + cell[1:], "\n" + inner + "]"
+        rows = json.dumps(value, separators=(cell, ": "))[2:-2].replace("]" + cell + "[", closing + ",\n" + inner + opening)
+        return "[\n" + inner + opening + rows + closing + "\n" + prefix + "]"
+    return "[\n" + inner + (",\n" + inner).join([json_text(v, inner) for v in value]) + "\n" + prefix + "]"
+
+
+def write_json(path: str, payload) -> None:
+    """``payload`` as 2-space-indented JSON (the bytes of ``json.dumps(payload, indent=2)``) and a line break, written atomically."""
+    atomic_write_text(path, json_text(payload) + "\n")
+
+
 def save_model(path: str, model, compact: bool = False) -> None:
     if isinstance(model, MonotoneClassifier):
         payload = model.to_compact_dict() if compact else model.to_dict()
@@ -254,7 +285,7 @@ def save_model(path: str, model, compact: bool = False) -> None:
         payload = model.to_dict()
     else:
         raise ValidationError(f"cannot serialize model of type {type(model)!r}")
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_json(path, payload)
 
 
 def load_model(path: str):

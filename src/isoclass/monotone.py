@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from ._numeric import EXACT_TYPES, ScaledInts, ValidationError, check_points, common_numerators, parse_column
+from ._numeric import EXACT_TYPES, ScaledInts, ValidationError, check_points, common_numerators, exact_column
 from .isotone import IsotoneProblem, solve
 from .order import build_dag, dense_ranks, dominator_counts, lex_argsort, rank_matrix
 from .risks import WeightedSample
@@ -190,13 +190,13 @@ def _parse_points(rows) -> list:
 
 
 def _exact_points(rows):
-    """Nonempty JSON rows of strings of one length as ``ScaledInts``, if ``parse_column`` takes each column, else None."""
+    """Nonempty JSON rows of strings of one length as ``ScaledInts``, if ``exact_column`` (the reader of CSV columns) reads each column, else None."""
     if not (isinstance(rows, list) and rows and all(type(p) is list and len(p) == len(rows[0]) for p in rows) and rows[0]):
         return None
     columns = list(zip(*rows))
     if not all(type(v) is str for column in columns for v in column):
         return None
-    parsed = list(map(parse_column, columns))
+    parsed = list(map(exact_column, columns))
     return None if None in parsed else ScaledInts.of_columns(parsed)
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from isoclass import bernstein_predict, monotone_predict
-from isoclass.cli import main
+from isoclass.cli import build_parser, main
 from isoclass.io import load_model
 
 
@@ -182,6 +182,55 @@ def test_fit_whose_objective_leaves_float_range_writes_its_model(tmp_path, comma
     assert models[0] == models[1]
     if command[0] == "fit-monotone":
         assert load_model(out).values == (1, 1, 1)
+
+
+def test_main_called_again_and_again_gives_what_a_fresh_parser_gives(tmp_path, capsys, monkeypatch):
+    sample = write(tmp_path / "s.csv", "y,x1,x2\n1,0.5,1/4\n-1,0.25,0.75\n1,1,1\n-1,0,0\n")
+    points = write(tmp_path / "q.csv", "x1,x2\n0,0\n1/2,1/2\n1,1\n0.25,0.75\n")
+    trials = write(tmp_path / "t.csv", "z,d,x1,x2,e\n2.5,1,0.5,1/4,0.5\n-1,-1,0.25,0.75,0.3\n1,1,1,1,0.7\n3,-1,0,0,1/3\n")
+    out = tmp_path / "out"
+    runs = [
+        ["--no-such-flag"],
+        [],
+        ["--help"],
+        ["fit-monotone", "--in", str(tmp_path / "missing.csv"), "--out", str(out / "m.json")],
+        ["fit-monotone", "--in", sample, "--out", str(out / "m.json")],
+        ["predict", "--model", str(out / "m.json"), "--in", points, "--out", str(out / "p.csv")],
+        ["policy-fit", "--in", trials, "--out", str(out / "pol.json")],
+        ["policy-weights", "--in", trials, "--out", str(out / "w.csv")],
+        ["reproduce-examples", "--out", str(out / "ex.json")],
+    ]
+
+    def run_all(fresh):
+        out.mkdir()
+        build_parser.cache_clear()
+        results = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            results.append((main(argv), *capsys.readouterr()))
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        for path in out.iterdir():
+            path.unlink()
+        out.rmdir()
+        return results, files
+
+    monkeypatch.setenv("COLUMNS", "100")
+    reused = run_all(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert reused == run_all(fresh=True)
+    assert [code for code, _, _ in reused[0]] == [2, 2, 0, 2, 0, 0, 0, 0, 0]
+    assert reused[0][0][2].startswith("usage: isoclass") and "the following arguments are required" in reused[0][1][2]
+    assert sorted(reused[1]) == ["ex.json", "m.json", "p.csv", "pol.json", "w.csv"]
+    # help is laid out at the terminal width read when it is printed
+    helps = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["policy-fit", "--help"]) == 0
+        helps.append(capsys.readouterr().out)
+        build_parser.cache_clear()
+        assert main(["policy-fit", "--help"]) == 0 and capsys.readouterr().out == helps[-1]
+    assert helps[0] != helps[1]
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -494,12 +543,16 @@ def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path,
         "ipw": [[str(i - 8), "1", f"0.{i % 10}", f"{i % 4}", f"{p}/1000"] for i, p in enumerate(large_primes)],
         # IPW weights near 2**63: their sums would wrap int64
         "heavy": [[str(4 * 10**18 + i), ("1", "-1")[i % 2], f"0.{i}", "0", "1/2"] for i in range(6)],
+        # IPW numerators near 2**60 over 10, whose sums int64 still holds
+        "light": [["57646075230342348.9", "1", "0.1", "0", "1/2"], ["57646075230342349.3", "-1", "0.2", "1", "1/2"]],
     }
+    weights = str(tmp_path / "w.csv")
     for name, rows in files.items():
         data = write(tmp_path / f"{name}.csv", "z,d,x1,x2,e\n" + "".join(",".join(r) + "\n" for r in rows))
         trials = load_trials(data)
-        # IPW terms past int64 are kept as Python ints
-        assert isinstance(trials, TrialColumns) and (trials._ipw[0].dtype == object) == (name != "heavy")
+        # IPW terms past int64 are kept as Python ints, and only int64 sums keep int64 weights
+        assert isinstance(trials, TrialColumns) and (trials._ipw[0].dtype == object) == (name not in ("heavy", "light"))
+        assert (to_weighted_sample(trials)._weight_scale is not None) == (name == "light")
         capsys.readouterr()
         assert main(["policy-fit", "--in", data, "--out", model]) == 0
         welfare_line = capsys.readouterr().out.splitlines()[1]
@@ -508,6 +561,10 @@ def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path,
         fitted = fit_monotone(sample)
         assert Path(model).read_text() == json.dumps(fitted.to_dict(), indent=2) + "\n", name
         assert welfare_line == f"estimated welfare of the fitted policy: {float(welfare_estimate(fitted, records)):.6g}"
+        # each weight cell is the str of its Fraction
+        assert main(["policy-weights", "--in", data, "--out", weights]) == 0
+        cells = zip(sample.weights, sample.labels, sample.points)
+        assert Path(weights).read_text() == "w,y,x1,x2\n" + "".join(f"{w},{y},{x1},{x2}\n" for w, y, (x1, x2) in cells), name
 
 
 # (command, file, expected error after "<path>, ", or (rational error, --float error)): the first

@@ -139,6 +139,22 @@ def test_serialization_round_trip():
     assert back == model
 
 
+def test_support_strings_beyond_the_column_grammar_load_as_exact_columns():
+    # a 19-digit decimal, an exponent, a numerator past int64 and a blank are read as a CSV column is
+    from isoclass._numeric import ScaledInts
+
+    rows = [["0.1234567890123456789", "1e0"], ["0.5", "1/3"], ["9223372036854775808", "-2"], ["0.7", " 1/3"]]
+    values = [-1, 1, 1, -1]
+    model = MonotoneClassifier.from_dict({"type": "monotone", "dim": 2, "support": rows, "values": values})
+    assert isinstance(model._sample, ScaledInts) and model._ranks is not None
+    checked = MonotoneClassifier(tuple(tuple(map(Fraction, p)) for p in rows), values)
+    axis = [Fraction(v) for v in ("-3", "0", "0.1234567890123456789", "1/3", "1/2", "0.7", "1", "9223372036854775808", "1e20")]
+    queries = [(a, b) for a in axis for b in axis]
+    assert predict_batch(model, queries).tolist() == predict_batch(checked, queries).tolist()
+    assert -1 in predict_batch(model, queries) and model == checked
+    assert model.to_dict() == checked.to_dict() and model.to_compact_dict() == checked.to_compact_dict()
+
+
 def test_compact_serialization_reproduces_predictions():
     rng = random.Random(97)
     for _ in range(20):
