@@ -1,17 +1,19 @@
-"""Shared numeric helpers: sign convention, exactness and point checks, exact columns (``parse_column``, ``exact_column``, ``ScaledInts``), Halton points."""
+"""Shared numeric helpers: sign convention, exactness checks, the one reader of numbers, Halton points.
+
+Every input is read once, where it enters, into one of two forms: float64
+when every value is a float, else exact columns of integer numerators over
+one denominator each (``exact_column``, ``ScaledInts``).
+"""
 
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, index, mul
 
 import numpy as np
-
-#: Types treated as exact; arithmetic over them stays in rational arithmetic.
-EXACT_TYPES = (int, Fraction)
 
 
 class ValidationError(ValueError):
@@ -24,16 +26,20 @@ def sign(value) -> int:
 
 
 def is_exact(value) -> bool:
-    return isinstance(value, EXACT_TYPES) and not isinstance(value, bool)
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
 
 
+def _is_finite(value) -> bool:
+    """False for a NaN or infinite float (numpy floats, longdouble too, checked by numpy); True for anything else."""
+    return not isinstance(value, (float, np.floating)) or bool(np.isfinite(value))
+
+
 def check_finite(value, what: str) -> None:
-    # numpy floats (longdouble too) by numpy: math.isfinite would round a longdouble to a float first
-    if isinstance(value, float) and not math.isfinite(value) or isinstance(value, np.floating) and not np.isfinite(value):
+    if not _is_finite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
 
 
@@ -102,21 +108,35 @@ def parse_column(tokens):
         return None
 
 
-def exact_column(tokens):
-    """(numerators, denominator): the values of ``tokens`` times the lcm of their denominators, or None if one is no number.
+#: A coordinate column whose common denominator reaches this keeps its values, as Fractions over 1.
+WIDE = 1 << 128
 
-    ``parse_column`` reads the column when it can, else each token is read
-    with ``Fraction``.  The numerators are int64 when they and the denominator
-    fit int64, else Python ints in an object array.
+
+def _ratio(value) -> tuple:
+    """(numerator, denominator) of a number, exactly: floats (numpy floats too) by their integer ratio, numpy integers through ``index``, the rest (a number's text too) through ``Fraction``."""
+    if isinstance(value, (float, np.floating)):
+        return value.as_integer_ratio()
+    value = Fraction(index(value) if isinstance(value, np.integer) else value)
+    return value.numerator, value.denominator
+
+
+def exact_column(values, limit=math.inf) -> tuple:
+    """(numerators, denominator): the finite numbers ``values`` (strings as ``Fraction(token)``) times the lcm of their denominators.
+
+    The numerators are int64 when they and the denominator fit it, else
+    Python ints; once the lcm reaches ``limit``, the values as Fractions over 1.
     """
-    parsed = parse_column(tokens)
-    if parsed is not None:
-        return parsed
-    try:
-        values = list(map(Fraction, tokens))
-    except (ValueError, ZeroDivisionError):
-        return None
-    numerators, den = common_numerators([v.numerator for v in values], [v.denominator for v in values], math.inf)
+    values = list(values)
+    if values and set(map(type, values)) == {str}:
+        parsed = parse_column(values)
+        if parsed is not None:
+            return parsed
+        values = list(map(Fraction, values))
+    numerators, denominators = zip(*map(_ratio, values)) if values else ((), ())
+    keyed = common_numerators(numerators, denominators, limit)
+    if keyed is None:
+        return np.array(list(map(Fraction, numerators, denominators)), dtype=object), 1
+    numerators, den = keyed
     try:
         return np.array(numerators, np.int64 if den < 1 << 63 else object), den
     except OverflowError:
@@ -124,14 +144,9 @@ def exact_column(tokens):
 
 
 class ScaledInts:
-    """Rows of exact rationals: an (n, d) matrix of numerators over one positive int denominator per column.
+    """Rows of exact rationals: an (n, d) matrix of ``exact_column`` numerators over one denominator per column.
 
-    The numerators are int64, or Python ints in an object array where int64
-    cannot hold a column of them.  As a sequence (length, indexing,
-    iteration) it holds the rows as tuples of Fractions, built when read.
-    ``io`` keeps the numeric columns of files in this form, and
-    ``WeightedSample`` keeps such points (and weights, as one column) as they
-    are.
+    As a sequence it holds the rows as tuples of Fractions, built when read.
     """
 
     __slots__ = ("numerators", "denominators")
@@ -142,7 +157,7 @@ class ScaledInts:
 
     @classmethod
     def of_columns(cls, columns) -> "ScaledInts":
-        """The rows of (numerators, denominator) column pairs, as ``parse_column`` gives them, one pair per coordinate."""
+        """The rows of (numerators, denominator) column pairs, as ``exact_column`` gives them, one pair per coordinate."""
         return cls(np.stack([numerators for numerators, _ in columns], axis=1), [den for _, den in columns])
 
     def __len__(self) -> int:
@@ -161,10 +176,13 @@ class ScaledInts:
         return tuple(list(zip(*columns))) if columns else ((),) * len(numerators)
 
     def _texts(self, rows=None) -> list:
-        """Rows ``rows`` (all by default) as lists of the ``str`` of their Fractions, reduced in numpy."""
+        """Rows ``rows`` (all by default) as lists of the ``str`` of their Fractions, int64 columns reduced in numpy."""
         numerators = self.numerators if rows is None else self.numerators[rows]
         columns = []
         for column, den in zip(numerators.T, self.denominators):
+            if column.dtype == object:
+                columns.append([str(Fraction(v, den)) for v in column.tolist()])
+                continue
             common = np.gcd(column, den)
             tops, bottoms = column // common, den // common
             texts = list(map("{}/{}".format, tops.tolist(), bottoms.tolist()))
@@ -176,11 +194,7 @@ class ScaledInts:
 
 
 def finite_array(values, count: int):
-    """The ``count`` values as a float array if float() takes each and all are finite, else None.
-
-    On None (also for an int or a wider numpy float beyond float range) callers
-    run their per-value checks.
-    """
+    """The ``count`` values as a float array if float() takes each and all are finite, else None."""
     try:
         # a longdouble beyond float range casts to inf: the check below rejects it, without a warning
         with np.errstate(over="ignore"):
@@ -190,56 +204,84 @@ def finite_array(values, count: int):
     return out if np.isfinite(out).all() else None
 
 
-def validated_points(points, noun: str) -> tuple:
-    """``points`` checked to share one dimension and to have finite coordinates: (rows, matrix).
+def read_column(values, limit=math.inf):
+    """The one form of a column of numbers, or None if one is not finite (the caller names it).
 
-    A float array (itemsize at most 8) is checked in numpy, with the messages
-    of the sequence path, and gives (None, its read-only float64 copy), or
-    ((), None) when empty.  Other points become a tuple of tuples, checked in
-    one ``finite_array`` pass (a loop then names the first non-finite float;
-    values that float() rejects or puts out of range are left to the caller),
-    whose array is the read-only matrix if every coordinate is a Python
-    float, so that it orders and ties as they do, else None.
+    That is float64 when every value is a float (a float array of itemsize at
+    most 8, or Python floats), else an ``exact_column`` pair.
     """
+    if isinstance(values, ScaledInts):
+        return values.numerators[:, 0], values.denominators[0]
+    kind = values.dtype.kind if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.itemsize <= 8 else None
+    if kind in ("b", "i") or kind == "u" and values.max(initial=0) < 1 << 63:
+        return values.astype(np.int64), 1
+    if kind != "f":
+        values = list(values)
+        types = set(map(type, values))
+        if not (values and types <= {float}):
+            # only a float (numpy's too) can be other than finite
+            floats = any(issubclass(t, (float, np.floating)) for t in types)
+            return None if floats and not all(map(_is_finite, values)) else exact_column(values, limit)
+    values = np.array(values, dtype=np.float64)
+    return values if np.isfinite(values).all() else None
+
+
+def read_points(points, noun: str) -> tuple:
+    """``points`` checked to share one dimension and to have finite coordinates, as (rows, form).
+
+    ``form``: a read-only float64 (n, d) matrix when every coordinate is a
+    float, else ``ScaledInts`` (denominators bounded by ``WIDE``).  ``rows``:
+    the tuples given, kept to be read back; None for an array or ``ScaledInts``.
+    """
+    if isinstance(points, ScaledInts):
+        return None, points
     if isinstance(points, np.ndarray) and points.dtype.kind == "f" and points.dtype.itemsize <= 8:
         if points.ndim != 2:
             raise ValidationError(f"an array of {noun}s must have shape (n, d), got {points.shape}")
-        matrix = points.astype(np.float64)
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            for v in matrix[i].tolist():
-                check_finite(v, f"covariate of {noun} {i}")
-        matrix.flags.writeable = False
-        return (None, matrix) if len(matrix) else ((), None)
-    # built through a list: a tuple grown in place is traversed by every GC pass while it grows
-    points = tuple(list(map(tuple, points)))
-    dims = set(map(len, points))
-    if len(dims) > 1:
-        raise ValidationError(f"{noun}s have mixed dimensions: {sorted(dims)}")
-    if not points:
-        return points, None
-    floats = finite_array(chain.from_iterable(points), len(points) * len(points[0]))
-    if floats is None:
-        for i, p in enumerate(points):
+        rows, columns = None, points.T
+    else:
+        # built through a list: a tuple grown in place is traversed by every GC pass while it grows
+        rows = tuple(list(map(tuple, points)))
+        dims = set(map(len, rows))
+        if len(dims) > 1:
+            raise ValidationError(f"{noun}s have mixed dimensions: {sorted(dims)}")
+        columns = list(zip(*rows))
+    if not (len(points) if rows is None else rows):
+        return (), ScaledInts(np.zeros((0, 0), dtype=np.int64), ())
+    columns = [read_column(column, WIDE) for column in columns]
+    if any(column is None for column in columns):
+        for i, p in enumerate(points.tolist() if rows is None else rows):
             for v in p:
                 check_finite(v, f"covariate of {noun} {i}")
-    elif set(map(type, chain.from_iterable(points))) <= {float}:
-        floats = floats.reshape(len(points), -1)
-        floats.flags.writeable = False
-        return points, floats
-    return points, None
+    if all(type(column) is np.ndarray for column in columns):
+        matrix = np.stack(columns, axis=1) if columns else np.zeros((len(points), 0))
+        matrix.flags.writeable = False
+        return rows, matrix
+    return rows, ScaledInts.of_columns([c if type(c) is tuple else exact_column(c.tolist(), WIDE) for c in columns])
 
 
-def matrix_rows(matrix: np.ndarray) -> tuple:
-    """The rows of a float matrix as a tuple of tuples of Python floats, built from its columns through a list."""
+def form_rows(form, rows=None, kept=None) -> tuple:
+    """Rows ``rows`` (an index array; all by default) of a ``read_points`` form as tuples: of the tuples ``kept`` if given, else of Python floats or Fractions."""
+    if kept is not None:
+        return kept if rows is None else tuple(map(kept.__getitem__, rows.tolist()))
+    if isinstance(form, ScaledInts):
+        return form._rows(rows)
+    matrix = form if rows is None else form[rows]
     return tuple(list(zip(*matrix.T.tolist()))) if matrix.shape[1] else ((),) * len(matrix)
 
 
+def exact_columns(form, rows=None) -> list:
+    """The columns of rows ``rows`` (all by default) of a ``read_points`` form as exact (numerators, denominator) pairs, floats exactly."""
+    if isinstance(form, ScaledInts):
+        numerators = form.numerators if rows is None else form.numerators[rows]
+        return list(zip(numerators.T, form.denominators))
+    return [exact_column(column) for column in (form if rows is None else form[rows]).T.tolist()]
+
+
 def check_points(points, noun: str) -> tuple:
-    """The checked rows of ``validated_points``, built from its matrix when it kept none."""
-    rows, matrix = validated_points(points, noun)
-    return matrix_rows(matrix) if rows is None else rows
+    """The checked rows of ``read_points``, built from its form when it kept none."""
+    rows, form = read_points(points, noun)
+    return form_rows(form) if rows is None else rows
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)

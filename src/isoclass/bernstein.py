@@ -21,8 +21,9 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 
 import numpy as np
 
@@ -205,7 +206,8 @@ def float_points(points, dim: int) -> np.ndarray:
         x = np.array(points, dtype=float)
     except OverflowError:
         raise _beyond_float_range("coordinate", chain.from_iterable(points)) from None
-    if isinstance(points, list):
+    # no points are no points, whatever the width of their array
+    if isinstance(points, list) or (x.ndim == 2 and not len(x)):
         x = x.reshape(len(points), dim)
     elif x.ndim != 2 or x.shape[1] != dim:
         raise ValidationError(f"points have shape {x.shape}, model expects dimension {dim}")
@@ -302,9 +304,10 @@ def binarize(model: BernsteinClassifier) -> BernsteinClassifier:
 def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     """Hinge-LP fit over the lattice-monotone coefficient polytope.
 
-    The objective coefficients are summed in floats, chunk by chunk, into one
-    float64 array; ``solve`` takes that array as it is and scales it to
-    integers exactly, so the +/-1 values are exact for those floats.
+    The objective coefficients are summed in floats (exact points and
+    weights correctly rounded), chunk by chunk, into one float64 array;
+    ``solve`` takes that array as it is and scales it to integers exactly,
+    so the +/-1 values are exact for those floats.
     ``lattice_dag`` and ``solve`` are called through this module's names,
     which the benchmark's tracer (``perfbench/tracing.py``) wraps.
     """
@@ -321,7 +324,7 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     size = math.prod(shape)
     if size > MAX_LATTICE_SIZE:
         raise ValidationError(f"coefficient lattice of size {size} exceeds {MAX_LATTICE_SIZE}")
-    pts = float_points(sample.points, sample.dim) if sample._matrix is None else sample._matrix
+    pts = _float_points(sample)
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise ValidationError(
             "covariates must lie in the unit cube [0,1]^d; rescale them first "
@@ -346,17 +349,30 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
 
 def empirical_hinge_risk(model: BernsteinClassifier, sample: WeightedSample):
     """(1/n) sum w_i (1 - y_i B(theta, x_i)); the box keeps the max inactive."""
-    values = evaluate_batch(model, sample.points if sample._matrix is None else sample._matrix)
+    values = evaluate_batch(model, _float_points(sample))
     return float(_float_weights(sample) @ np.maximum(0.0, 1.0 - sample._labels * values)) / sample.n
 
 
+def _float_points(sample: WeightedSample) -> np.ndarray:
+    """The sample's points as float64: its ``_matrix``, or its exact columns correctly rounded."""
+    if sample._matrix is not None:
+        return sample._matrix
+    return np.stack([_exact_floats(*column, "coordinate") for column in zip(sample._exact.numerators.T, sample._exact.denominators)], axis=1)
+
+
 def _float_weights(sample: WeightedSample) -> np.ndarray:
-    """The sample's weights as float64; one beyond float range, where it keeps none, is a ValidationError."""
-    if sample._weights is None:
-        raise _beyond_float_range("weight", sample.weights)
-    if sample._weight_scale is not None:
-        return np.fromiter(map(float, sample.weights), dtype=float, count=sample.n)
-    return sample._weights.astype(float)
+    """The sample's weights as float64, exact ones correctly rounded."""
+    return sample._weights if sample._weight_scale is None else _exact_floats(sample._weights, sample._weight_scale, "weight")
+
+
+def _exact_floats(numerators: np.ndarray, den: int, what: str) -> np.ndarray:
+    """numerators / den correctly rounded, as ``float(Fraction)`` is: in numpy where float64 holds both exactly, else by Python int division."""
+    if numerators.dtype == np.int64 and den <= 1 << 53 and max(-int(numerators.min(initial=0)), int(numerators.max(initial=0))) <= 1 << 53:
+        return numerators / den
+    try:
+        return np.array([float(v / den) for v in numerators.tolist()])
+    except OverflowError:
+        raise _beyond_float_range(what, map(Fraction, numerators.tolist(), repeat(den))) from None
 
 
 def suggest_orders(n: int, d: int):

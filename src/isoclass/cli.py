@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from . import bench, bernstein, io, monotone, policy
-from ._numeric import ScaledInts, ValidationError
+from ._numeric import ScaledInts, ValidationError, form_rows
 from .bernstein import BernsteinClassifier
 from .losses import parse_loss
 from .monotone import MonotoneClassifier
@@ -47,15 +48,12 @@ def _set_label(indices) -> str:
 
 
 def _rescale_sample(sample: WeightedSample):
-    """Min-max map of covariates into the unit cube; returns (sample, (mins, maxs))."""
+    """Min-max map of covariates into the unit cube, computed in the points' own numbers and then rounded; returns (sample, (mins, maxs))."""
     columns = list(zip(*sample.points))
     mins, maxs = list(map(min, columns)), list(map(max, columns))
     scale = bernstein.float_points((mins, maxs), sample.dim).tolist()
-    mapped = [
-        tuple((v - lo) / (hi - lo) if hi > lo else Fraction(1, 2) for v, lo, hi in zip(p, mins, maxs))
-        for p in sample.points
-    ]
-    return WeightedSample(sample.weights, sample.labels, mapped), tuple(map(tuple, scale))
+    mapped = [[float((v - lo) / (hi - lo)) if hi > lo else 0.5 for v in column] for column, lo, hi in zip(columns, mins, maxs)]
+    return WeightedSample(sample.weights, sample.labels, np.array(mapped, dtype=float).T), tuple(map(tuple, scale))
 
 
 def _load_sample(args) -> WeightedSample:
@@ -90,9 +88,9 @@ def _cmd_predict(args) -> int:
     points = io.load_points(args.input, rational=not args.float)
     kind = monotone if isinstance(model, MonotoneClassifier) else bernstein
     labels = kind.predict_batch(model, points).tolist()
-    d = len(points[0]) if points else model.dim
+    d = (points.numerators if isinstance(points, ScaledInts) else points).shape[1] if len(points) else model.dim
     header = [f"x{i + 1}" for i in range(d)] + ["label"]
-    cells = points._texts() if isinstance(points, ScaledInts) else map(list, points)
+    cells = points._texts() if isinstance(points, ScaledInts) else map(list, form_rows(points))
     io.write_csv(args.out, header, [p + [y] for p, y in zip(cells, labels)])
     print(f"wrote {len(labels)} predictions -> {args.out}")
     return 0
@@ -111,7 +109,7 @@ def _cmd_policy_weights(args) -> int:
     records, kappa, sample = _trial_sample(args)
     header = ["w", "y"] + [f"x{i + 1}" for i in range(sample.dim)]
     cells = map(list, sample.points) if sample._exact is None else sample._exact._texts()
-    # int64 weight numerators over one scale are written from them, as the str of each Fraction
+    # exact weight numerators over their scale are written from them, as the str of each Fraction
     if sample._weight_scale is None:
         weights = [[w] for w in sample.weights]
     else:

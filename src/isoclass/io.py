@@ -10,15 +10,15 @@ Supported tabular schemas (header row required):
 * points:   ``x1,...,xd``
 
 In rational mode (the default) every number is exact.  Each column of a
-file is read once: by ``_numeric.parse_column`` when every token is a plain
-integer, decimal or ratio (``[+-]digits``, ``[+-]digits.digits``,
-``[+-]digits/digits``, no whitespace) and the column fits int64, else token
-by token with ``Fraction``.  Either way it is kept as numerators over the lcm
-of its denominators: int64 when they fit, else Python ints in an object
-array.  Samples, trials and points keep those columns (``ScaledInts``,
-``TrialColumns``), and Fractions are built only when read.  Float mode
-(``rational=False``) reads each number with ``float``.  Labels and
-treatments are read exactly in both modes.  Labels, weights and propensities
+file is read once, by ``_numeric.exact_column``: by ``parse_column`` when
+every token is a plain integer, decimal or ratio (``[+-]digits``,
+``[+-]digits.digits``, ``[+-]digits/digits``, no whitespace) and the column
+fits int64, else token by token with ``Fraction``.  Either way it is kept as
+numerators over the lcm of its denominators (a coordinate's lcm stops at
+``WIDE``).  Float mode (``rational=False``) reads each number with
+``float``.  Samples, trials and points keep those columns, and Python
+numbers are built only when read.  Labels and treatments are read exactly
+in both modes.  Labels, weights and propensities
 are checked on whole columns; when a column fails to parse or its check, the
 cells are read again in row order and the first bad one is named.  Model
 files read their support through the same column parser.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import math
 import tempfile
 from fractions import Fraction
 from itertools import chain, repeat
@@ -39,7 +40,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ._numeric import ScaledInts, ValidationError, check_finite, exact_column, matrix_rows
+from ._numeric import WIDE, ScaledInts, ValidationError, check_finite, exact_column
 from .bernstein import BernsteinClassifier
 from .monotone import MonotoneClassifier
 from .policy import TrialColumns, TrialRecord
@@ -86,14 +87,15 @@ def _read_rows(path: str, expect_prefix, schema: str):
 def _column(tokens, kind: str, rational: bool):
     """A column of ``tokens`` read as ``kind``, or None if a token fails to parse or the column its check.
 
-    Kinds: "x" any number, "w" a weight (>= 0), "e" a propensity (strictly
-    between 0 and 1), "y" a label or treatment (-1 or +1), which is read
-    exactly in both modes and given as int64.  Other kinds are
-    ``exact_column`` pairs, or float arrays when not ``rational``.
+    Kinds: "x" a coordinate, "v" any other number, "w" a weight (>= 0), "e"
+    a propensity (strictly between 0 and 1), "y" a label or treatment (-1 or
+    +1), which is read exactly in both modes and given as int64.  Other kinds
+    are ``exact_column`` pairs, or float arrays when not ``rational``.
     """
     if rational or kind == "y":
-        column = exact_column(tokens)
-        if column is None:
+        try:
+            column = exact_column(tokens, WIDE if kind == "x" else math.inf)
+        except (ValueError, ZeroDivisionError):
             return None
         values, one = column
         if kind == "y":
@@ -168,12 +170,17 @@ def load_sample(path: str, schema: str = "plain", rational: bool = True) -> Weig
     if schema == "plain":
         weights = np.ones(len(rows), np.int64)
     else:
-        weights = ScaledInts.of_columns(columns[:1]) if rational else tuple(columns[0].tolist())
-    return WeightedSample(weights, labels, ScaledInts.of_columns(points) if rational else np.stack(points, axis=1))
+        weights = ScaledInts.of_columns(columns[:1]) if rational else columns[0]
+    return WeightedSample(weights, labels, _points(points, rational))
 
 
-def load_trials(path: str, rational: bool = True, propensity=None):
-    """Load trial records, as ``TrialColumns`` (a list of them when not ``rational``); ``propensity`` supplies a constant if no e column."""
+def _points(columns, rational: bool):
+    """Coordinate columns of ``_read_columns`` as ``ScaledInts``, or a float matrix when not ``rational``."""
+    return ScaledInts.of_columns(columns) if rational else np.stack(columns, axis=1)
+
+
+def load_trials(path: str, rational: bool = True, propensity=None) -> TrialColumns:
+    """Load trial records, as ``TrialColumns``; ``propensity`` supplies a constant if no e column."""
     header, rows = _read_rows(path, ["z", "d"], "trial")
     has_e = header[-1] == "e"
     d = len(header) - 2 - (1 if has_e else 0)
@@ -183,14 +190,18 @@ def load_trials(path: str, rational: bool = True, propensity=None):
         raise ValidationError(
             f"{path}: no e column; supply a constant propensity (e.g. --propensity 0.5)"
         )
-    columns = _read_columns(path, rows, "xy" + "x" * d + "e" * has_e, rational, None if has_e else propensity)
+    columns = _read_columns(path, rows, "vy" + "x" * d + "e" * has_e, rational, None if has_e else propensity)
     z, treat, x = columns[0], columns[1], columns[2 : 2 + d]
-    if rational:
+    if has_e:
+        e = columns[-1]
+    elif rational:
         # a constant propensity (checked by _read_columns if there are rows) is read as a column of its text
-        e = columns[-1] if has_e else exact_column([str(Fraction(propensity))] * len(rows) if rows else [])
-        return TrialColumns(z, treat, ScaledInts.of_columns(x), e)
-    e = columns[-1].tolist() if has_e else repeat(propensity)
-    return list(map(TrialRecord, z.tolist(), treat.tolist(), matrix_rows(np.stack(x, axis=1)), e))
+        e = exact_column([str(Fraction(propensity))] * len(rows) if rows else [])
+    else:
+        e = np.full(len(rows), float(propensity))
+    # float columns are kept over no denominator
+    z, e = (z, e) if rational else ((z, None), (e, None))
+    return TrialColumns(z, treat, _points(x, rational), e)
 
 
 def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
@@ -200,15 +211,14 @@ def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
     d = len(header) - 2 - (2 if has_w else 0)
     if d < 1:
         raise ValidationError(f"{path}: no covariate columns found")
-    mass, eta, *rest = (_values(column, rational) for column in _read_columns(path, rows, "x" * len(header), rational))
+    mass, eta, *rest = (_values(column, rational) for column in _read_columns(path, rows, "v" * len(header), rational))
     return DiscreteDistribution(tuple(zip(*rest[:d])), mass, eta, *(rest[d:] or (None, None)))
 
 
 def load_points(path: str, rational: bool = True):
-    """Load bare covariate rows: x1,...,xd, as ``ScaledInts``, or a list of float tuples when not ``rational``."""
+    """Load bare covariate rows: x1,...,xd, as ``ScaledInts``, or an (n, d) float matrix when not ``rational``."""
     header, rows = _read_rows(path, ["x1"], "points")
-    columns = _read_columns(path, rows, "x" * len(header), rational)
-    return ScaledInts.of_columns(columns) if rational else list(matrix_rows(np.stack(columns, axis=1)))
+    return _points(_read_columns(path, rows, "x" * len(header), rational), rational)
 
 
 def atomic_write_text(path: str, text: str) -> None:

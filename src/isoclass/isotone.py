@@ -14,11 +14,9 @@ of the DAG's nodes:
 * three or more: Picard's closure <=> min-cut reduction, by Dinic's max-flow
   on the cover edges.
 
-All four work on integers: the coefficients are scaled once by their
-common denominator, which is exact for int, Fraction and float input alike;
-an int64 array of coefficients needs no scaling, and float coefficients are
-scaled in numpy.  The chain scan and the grid program sum them with numpy, in
-int64 when n * max|w| < 2**63 bounds every partial sum and as Python ints
+All four work on integers: ``IsotoneProblem`` reads its coefficients once,
+as exact numerators over one denominator or as floats scaled exactly.  The
+chain scan and the grid program sum them with numpy, in int64 when n * max|w| < 2**63 bounds every partial sum and as Python ints
 otherwise; the other two use Python ints.
 Among tied optima each path returns the inclusion-maximal up-set, the union
 of all optimal ones: the longest optimal suffix, the smallest optimal row
@@ -28,15 +26,14 @@ or staircase thresholds, or the sink-unreachable side of the residual graph.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from ._numeric import ValidationError, all_exact, check_finite, finite_array, is_exact
+from ._numeric import ValidationError, all_exact, check_finite, read_column
 from .order import DEFAULT_NODE_LIMIT, DominanceDag, iter_up_set_masks
 
 
@@ -46,13 +43,13 @@ class IsotoneProblem:
 
     A 1-d numpy array of signed integers is kept as a read-only int64 copy,
     and one of floats with itemsize at most 8 as a read-only float64 copy.
-    Any other ``coeffs`` is kept as a tuple (an object array's tuple holds its
-    Python objects, a longdouble array's its numpy scalars, never rounded to
-    float64).  Floats must be finite: in numpy for a float array of any size.
+    Any other ``coeffs`` is kept as a tuple, to be read back.
+    ``_integer_weights`` reads them once for ``solve``.
     """
 
     dag: DominanceDag
     coeffs: tuple
+    _weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         given = self.coeffs
@@ -65,12 +62,7 @@ class IsotoneProblem:
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != self.dag.n:
             raise ValidationError(f"{len(coeffs)} coefficients for {self.dag.n} nodes")
-        if kind == "f" and not (finite := np.isfinite(given)).all():
-            i = int(np.argmin(finite))
-            check_finite(float(given[i]), f"coefficient {i}")
-        if kind != "f" and type(coeffs) is tuple and finite_array(coeffs, len(coeffs)) is None:
-            for i, c in enumerate(coeffs):
-                check_finite(c, f"coefficient {i}")
+        object.__setattr__(self, "_weights", _integer_weights(coeffs))
 
 
 class _Dinic:
@@ -288,36 +280,18 @@ def _staircase_best_up_set(dag: DominanceDag, weights):
 
 
 def _integer_weights(coeffs):
-    """Coefficients times their common denominator, as ints; that denominator; and exactness.
+    """Coefficients (an array or a tuple) times their common denominator, as ints; that denominator; and exactness.
 
-    An int64 array (as ``IsotoneProblem`` keeps int coefficients) and ints
-    pass through; a float64 array, or a tuple of floats alone, is scaled in
-    numpy (``_scaled_floats``); any other mix goes through ``_fraction``,
-    numpy scalars included.  Each is exact for its type.
+    Their ``read_column`` form, float64 scaled by ``_scaled_floats``.  The
+    objective is exact for an int array, or for Python ints and Fractions.
     """
-    if isinstance(coeffs, np.ndarray):
-        return (coeffs, 1, True) if coeffs.dtype.kind == "i" else _scaled_floats(coeffs)
-    weights = list(coeffs)
-    types = set(map(type, weights))
-    if types <= {int}:
-        return weights, 1, True
-    if types == {float}:
-        return _scaled_floats(np.array(weights))
-    denominators, exact = set(), True
-    for i, c in enumerate(weights):
-        if type(c) is not int:
-            exact = exact and is_exact(c)
-            f = _fraction(c)
-            weights[i] = (int(f.numerator), f.denominator)
-            denominators.add(f.denominator)
-    scale = math.lcm(*denominators)
-    weights = [w * scale if type(w) is int else w[0] * (scale // w[1]) for w in weights]
-    return weights, scale, exact
-
-
-def _fraction(c) -> Fraction:
-    """``c`` exactly: numpy integers as Python ints, numpy floats (longdouble too) by their integer ratio."""
-    return Fraction(*c.as_integer_ratio()) if isinstance(c, np.floating) else Fraction(int(c) if isinstance(c, numbers.Integral) else c)
+    column = read_column(coeffs)
+    if column is None:
+        for i, c in enumerate(coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs):
+            check_finite(c, f"coefficient {i}")
+    if isinstance(column, np.ndarray):
+        return _scaled_floats(column)
+    return (*column, coeffs.dtype.kind == "i" if isinstance(coeffs, np.ndarray) else all_exact(coeffs))
 
 
 def _scaled_floats(coeffs: np.ndarray):
@@ -363,15 +337,14 @@ def solve(problem: IsotoneProblem, *, array: bool = False):
     2-d nodes and the min-cut in three or more dimensions.  The values are a
     list, or with ``array`` the int64 array they were made in.
     """
-    weights, scale, exact = _integer_weights(problem.coeffs)
+    weights, scale, exact = problem._weights
     dag = problem.dag
     if dag.is_chain:
         plus_set, plus_weight, total = _chain_best_up_set(dag.lex_order, weights)
     elif dag.dim == 2 and dag.grid_shape is not None:
         plus_set, plus_weight, total = _grid_best_up_set(dag, weights)
     else:
-        if isinstance(weights, np.ndarray):
-            weights = weights.tolist()
+        weights = weights.tolist()
         best_up_set = _staircase_best_up_set if dag.dim == 2 else _min_cut_best_up_set
         plus_set = best_up_set(dag, weights)
         plus_weight, total = sum(map(weights.__getitem__, plus_set)), sum(weights)
@@ -381,14 +354,13 @@ def solve(problem: IsotoneProblem, *, array: bool = False):
 
 
 def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LIMIT):
-    """Oracle for solve: exhaustive up-set enumeration with the same tie-break."""
-    coeffs = problem.coeffs.tolist() if isinstance(problem.coeffs, np.ndarray) else problem.coeffs
-    # numpy integers as Python ints: Fraction would keep an int64 numerator, which overflows
-    weights = list(map(_fraction, coeffs))
+    """Oracle for solve: exhaustive up-set enumeration with the same tie-break, on the problem's integer weights."""
+    weights, scale, exact = problem._weights
+    weights = weights.tolist()
     best_weight = None
     union_mask = 0
     for mask in iter_up_set_masks(problem.dag, node_limit):
-        w = Fraction(0)
+        w = 0
         probe = mask
         while probe:
             i = (probe & -probe).bit_length() - 1
@@ -399,5 +371,5 @@ def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LI
         elif w == best_weight:
             union_mask |= mask
     plus_set = {i for i in range(problem.dag.n) if union_mask >> i & 1}
-    objective = 2 * best_weight - sum(weights, Fraction(0))
-    return _solution(problem.dag.n, plus_set, objective, all_exact(coeffs))
+    objective = Fraction(2 * best_weight - sum(weights), scale)
+    return _solution(problem.dag.n, plus_set, objective, exact)

@@ -1,31 +1,28 @@
 """Hinge-risk-minimizing monotone classification over the componentwise order.
 
-Fitting ranks the sample's rows once, exactly for any mix of int, Fraction
-and float; that one ranking gives the distinct covariate points, their
-lexicographic order and the per-point objective coefficients sum(w_i y_i)
-(exact for int and Fraction weights), and the isotone linear program is then
-solved exactly.  The fitted values are the +/-1 extreme-point solution;
-out-of-sample labels follow the optimistic rule: the sign of the minimum
+Fitting ranks the sample's rows once, from the form its points were read
+into; that one ranking gives the distinct covariate points, their
+lexicographic order and the per-point objective coefficients sum(w_i y_i),
+and the isotone linear program is then solved exactly.  The fitted values
+are the +/-1 extreme-point solution; out-of-sample labels follow the optimistic rule: the sign of the minimum
 fitted value over support points dominating the query, and +1 when nothing
 dominates it.  Only the maximal -1 support points (the -1 frontier) decide
 that rule, so a query is -1 exactly when a frontier point dominates it.
-A fitted model finds its frontiers on the ranks its fit made.
-``predict_batch`` labels many points at once: it ranks each coordinate column
-jointly with the frontier's, which is exact for any mix of int, Fraction and
-float, and tests dominance in rank space with numpy.
+A model finds its frontiers on its support's ranks.  ``predict_batch``
+ranks each coordinate column of a batch jointly with the frontier's and
+tests dominance in rank space with numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import repeat
-from operator import mul
 
 import numpy as np
 
-from ._numeric import EXACT_TYPES, ScaledInts, ValidationError, check_points, common_numerators, exact_column
+from ._numeric import ScaledInts, ValidationError, exact_columns, form_rows, read_points
 from .isotone import IsotoneProblem, solve
 from .order import build_dag, dense_ranks, dominator_counts, lex_argsort, rank_matrix
 from .risks import WeightedSample
@@ -37,74 +34,83 @@ _SWEEP_BLOCK = 1024
 class MonotoneClassifier:
     """Distinct training points with fitted +/-1 values respecting the order.
 
-    A fitted model keeps its sample, the first row of each support point in
-    it, their ranks and the int64 values from ``solve``.  It builds
-    ``support`` (those rows, as ``WeightedSample._rows`` gives them) and
+    A model keeps the form of its points (``_sample``, its fit's or its
+    own, rows ``_first`` of it), any tuples given for them (``_kept``), the
+    support's ranks and the int64 values.  It builds ``support`` and
     ``values`` on first read, and its frontiers from their own rows only.
     """
 
     support: tuple
     values: tuple
-    _ranks = _values = None  # not fields: kept by ``_of_fit``
 
     def __post_init__(self):
-        object.__setattr__(self, "support", check_points(self.support, "support point"))
-        values = tuple(self.values)
-        if not _plus_minus(values):
-            raise ValidationError("fitted values must be -1 or +1")
-        object.__setattr__(self, "values", tuple(map(int, values)))
-        if len(self.support) != len(self.values):
+        rows, form = read_points(self.support, "support point")
+        values = self.values
+        # both are read back from what ``_keep`` keeps
+        del self.__dict__["support"], self.__dict__["values"]
+        self._keep(rows, form, np.arange(len(form)), values)
+
+    def _keep(self, rows, form, first: np.ndarray, values, ranks=None) -> None:
+        """Keep the support (``rows`` given or None, its ``form``, rows ``first`` of it), its ranks and ``values``, checked unless an array."""
+        if not isinstance(values, np.ndarray):
+            values = tuple(values)
+            # a bool is neither -1 nor +1
+            if not all(v in (-1, 1) and not isinstance(v, bool) for v in values):
+                raise ValidationError("fitted values must be -1 or +1")
+            values = np.array(values, dtype=np.int64)
+        if len(first) != len(values):
             raise ValidationError("support and values must have equal length")
+        self.__dict__.update(_kept=rows, _sample=form, _first=first, _values=values, _ranks=rank_matrix(form) if ranks is None else ranks)
 
     @classmethod
-    def _of_fit(cls, sample, first: np.ndarray, ranks: np.ndarray, values: np.ndarray):
-        """``fit``'s model, skipping ``__post_init__``: its sample and ``solve`` made those checks.
-
-        ``sample`` is anything whose ``_rows(index)`` gives points: the
-        ``WeightedSample``, or the ``ScaledInts`` it keeps (also those of a
-        loaded model), whose rows are written from their numerators.
-        """
+    def _of(cls, rows, form, first: np.ndarray, values, ranks=None) -> "MonotoneClassifier":
+        """The model ``_keep`` makes, skipping ``__post_init__`` (``fit``'s, whose sample and ``solve`` made its checks, or a file's)."""
         model = object.__new__(cls)
-        model.__dict__.update(_sample=sample, _first=first, _ranks=ranks, _values=values)
+        model._keep(rows, form, first, values, ranks)
         return model
 
     def __getattr__(self, name):
         if name not in ("support", "values"):
             raise AttributeError(name)
-        value = self._sample._rows(self._first) if name == "support" else tuple(self._values.tolist())
+        value = self._points(np.arange(len(self._first))) if name == "support" else tuple(self._values.tolist())
         self.__dict__[name] = value
         return value
 
+    def _points(self, index: np.ndarray) -> tuple:
+        """Support points ``index``: of the tuples kept, or built from the form."""
+        return form_rows(self._sample, self._first[index], self._kept)
+
     @property
     def dim(self) -> int:
-        return (len(self.support[0]) if self.support else 0) if self._ranks is None else self._ranks.shape[1]
+        return self._ranks.shape[1]
 
     def to_dict(self) -> dict:
-        sample = self.__dict__.get("_sample")
-        # support kept as numerators is written from them, as the str of each Fraction
-        exact = "support" not in self.__dict__ and isinstance(sample, ScaledInts)
+        # a support kept as exact columns alone is written from them, as the str of each Fraction
+        exact = self._kept is None and isinstance(self._sample, ScaledInts)
         return {
             "type": "monotone",
             "dim": self.dim,
-            "support": sample._texts(self._first) if exact else _json_points(self.support),
+            "support": self._sample._texts(self._first) if exact else _json_points(self.support),
             "values": list(self.values),
         }
 
     @cached_property
+    def _frontier(self) -> np.ndarray:
+        return self._extreme_rows(-1)
+
+    @cached_property
     def frontier(self) -> tuple:
         """Maximal -1 support points; they alone decide the out-of-sample rule."""
-        return self._extremes(-1)
+        return self._points(self._frontier)
+
+    def _extreme_rows(self, value: int) -> np.ndarray:
+        """Indices of the support points fitted ``value`` that are maximal (-1) or minimal (+1) among those, in support order."""
+        rows = np.flatnonzero(self._values == value)
+        return rows[_maximal(self._ranks[rows], lower=value > 0)] if len(rows) else rows
 
     def _extremes(self, value: int) -> tuple:
-        """Support points fitted ``value`` that are maximal (-1) or minimal (+1) among those, in support order."""
-        values = np.fromiter(self.values, dtype=np.int64, count=len(self.values)) if self._values is None else self._values
-        rows = np.flatnonzero(values == value)
-        if not len(rows):
-            return ()
-        if self._ranks is not None:
-            return self._sample._rows(self._first[rows[_maximal(self._ranks[rows], lower=value > 0)]])
-        points = tuple(map(self.support.__getitem__, rows.tolist()))
-        return tuple(map(points.__getitem__, _maximal(rank_matrix(points), lower=value > 0).tolist()))
+        """The points of ``_extreme_rows``."""
+        return self._points(self._extreme_rows(value))
 
     def to_compact_dict(self) -> dict:
         """Frontier-only form: minimal +1 points plus maximal -1 points.
@@ -123,23 +129,18 @@ class MonotoneClassifier:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MonotoneClassifier":
+        """The model of a file's content, its support read by ``read_points`` (strings as Fraction texts, as CSV columns are read)."""
         if payload.get("type") != "monotone":
             raise ValidationError("not a monotone model payload")
         if payload.get("compact"):
             neg, pos = payload["max_negative"], payload["min_positive"]
             rows, values = neg + pos, (-1,) * len(neg) + (1,) * len(pos)
         else:
-            rows, values = payload["support"], tuple(payload["values"])
-        support = _exact_points(rows)
-        if support is None or len(values) != len(support) or not _plus_minus(values):
-            return cls(_parse_points(rows), values)
-        # the checks of __post_init__ passed, and ScaledInts rows are finite and of one dimension
-        return cls._of_fit(support, np.arange(len(support)), rank_matrix(support), np.array(values, dtype=np.int64))
-
-
-def _plus_minus(values) -> bool:
-    """True iff every value is -1 or +1 (a bool is neither)."""
-    return all(v in (-1, 1) and not isinstance(v, bool) for v in values)
+            rows, values = payload["support"], payload["values"]
+        # a support of strings alone is read back from its columns; strings beside numbers as their Fractions
+        strings = all(type(v) is str for p in rows for v in p)
+        kept, form = read_points(rows if strings else [[Fraction(v) if type(v) is str else v for v in p] for p in rows], "support point")
+        return cls._of(None if strings else kept, form, np.arange(len(form)), values)
 
 
 def _maximal(ranks: np.ndarray, lower: bool = False) -> np.ndarray:
@@ -181,120 +182,72 @@ def _maximal(ranks: np.ndarray, lower: bool = False) -> np.ndarray:
 
 
 def _json_points(points) -> list:
-    """Points as JSON lists, a Fraction coordinate as its string, which ``_parse_points`` reads back."""
+    """Points as JSON lists, a Fraction coordinate as its string, which ``from_dict`` reads back."""
     return [[str(v) if isinstance(v, Fraction) else v for v in p] for p in points]
-
-
-def _parse_points(rows) -> list:
-    return [[Fraction(v) if isinstance(v, str) else v for v in p] for p in rows]
-
-
-def _exact_points(rows):
-    """Nonempty JSON rows of strings of one length as ``ScaledInts``, if ``exact_column`` (the reader of CSV columns) reads each column, else None."""
-    if not (isinstance(rows, list) and rows and all(type(p) is list and len(p) == len(rows[0]) for p in rows) and rows[0]):
-        return None
-    columns = list(zip(*rows))
-    if not all(type(v) is str for column in columns for v in column):
-        return None
-    parsed = list(map(exact_column, columns))
-    return None if None in parsed else ScaledInts.of_columns(parsed)
 
 
 def fit(sample: WeightedSample) -> MonotoneClassifier:
     """Empirical weighted hinge risk minimizer over monotone [-1,1] classifiers.
 
-    One ranking of the sample's rows gives the support, its order and its
-    coefficients: a stable lexicographic sort of the rank rows
+    One ranking of the sample's point form gives the support, its order and
+    its coefficients: a stable lexicographic sort of the rank rows
     (``lex_argsort``) lists the distinct points in the order ``sorted`` would
     give, each as its first row, and the per-point sums of w_i y_i are added
-    in row order (exact for int and Fraction products; in int64 when the
-    sample keeps int64 ``_weights``, whose one positive scale moves no
-    optimum, and those sums go to ``solve`` as one array).  The sample has
-    checked its rows (one dimension, finite); its ``_matrix``, or the
-    numerators of its ``_exact`` points, are ranked if it keeps them, else
-    the coordinates.  The DAG checks only that the support is distinct; it
-    and the model build their point tuples when read.
+    in row order: integer weight numerators (whose one scale moves no
+    optimum) in int64 when n * max(w) < 2**62, else as Python ints or floats.
+    The DAG and the model build their point tuples when read.
     """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
-    kept = sample._matrix if sample._matrix is not None else sample._exact
-    ranks = rank_matrix(sample.points if kept is None else kept)
+    ranks = rank_matrix(sample._form)
     by_lex = lex_argsort(ranks)
     ranks = ranks[by_lex]
     # a row starts a new point when its ranks differ from the row before
     starts = np.flatnonzero(np.concatenate(([True], np.diff(ranks, axis=0).any(axis=1))))
-    if sample._weights is not None and sample._weights.dtype == np.int64:
-        products = sample._weights * sample._labels
+    weights, labels = sample._weights, sample._labels
+    if weights.dtype == np.int64 and sample.n * int(weights.max()) < 1 << 62:
+        products = weights * labels
     else:
-        products = np.fromiter(map(mul, sample.weights, sample.labels), dtype=object, count=sample.n)
+        products = weights.astype(object) * labels.astype(object)
     coeffs = np.add.reduceat(products[by_lex], starts)
     first = by_lex[starts]
     dag = build_dag(partial(sample._rows, first), ranks[starts])
     values, _ = solve(IsotoneProblem(dag, coeffs), array=True)
-    return MonotoneClassifier._of_fit(sample if sample._exact is None else sample._exact, first, dag.ranks, values)
+    return MonotoneClassifier._of(sample.__dict__.get("points"), sample._form, first, values, dag.ranks)
 
 
-def _query_columns(points, dim: int):
-    """Validated coordinate columns of a batch: float arrays for a float array, (numerators, denominator) for ``ScaledInts``, else tuples."""
-    if isinstance(points, np.ndarray) and points.dtype.kind == "f":
-        if points.ndim != 2 or (dim and points.shape[1] != dim):
-            raise ValidationError(f"points have shape {points.shape}, model expects dimension {dim}")
-        if not np.isfinite(points).all():
-            raise ValidationError("coordinates must be finite")
-        return len(points), list(points.T)
-    if isinstance(points, ScaledInts):
-        if len(points) and dim and points.numerators.shape[1] != dim:
-            raise ValidationError(f"point has dimension {points.numerators.shape[1]}, model expects {dim}")
-        return len(points), list(zip(points.numerators.T, points.denominators))
-    points = check_points(points, "point")
-    if points and dim and len(points[0]) != dim:
-        raise ValidationError(f"point has dimension {len(points[0])}, model expects {dim}")
-    return len(points), list(zip(*points))
+def _joint_ranks(front: tuple, query: tuple) -> np.ndarray:
+    """Dense ranks of two exact (numerators, denominator) columns, ``front`` then ``query``, over their common denominator."""
+    lcm = math.lcm(front[1], query[1])
+    columns = [(numerators, lcm // den) for numerators, den in (front, query)]
+    # int64 holds the scaled numerators when every one of them stays below 2**63, else Python ints do
+    fits = all(n.dtype == np.int64 and max(-int(n.min(initial=0)), int(n.max(initial=0))) * f < 1 << 63 for n, f in columns)
+    return dense_ranks(np.concatenate([(n if fits else n.astype(object)) * f for n, f in columns]))
 
 
 def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:
     """Labels at many points (int array): -1 exactly when a -1 frontier point dominates.
 
-    Each query column is ranked jointly with the frontier's column, so the
-    dominance test runs on integer ranks and is exact for int, Fraction and
-    float coordinates alike.
+    Each query column is ranked jointly with the frontier's, as floats or
+    as exact numerators over a common denominator, so the dominance test
+    runs on integer ranks and is exact for any numbers.
     """
-    n, columns = _query_columns(points, model.dim)
+    _, form = read_points(points, "point")
+    n, dim = len(form), (form.numerators if isinstance(form, ScaledInts) else form).shape[1]
+    if n and model.dim and dim != model.dim:
+        raise ValidationError(f"point has dimension {dim}, model expects {model.dim}")
     labels = np.ones(n, dtype=np.int64)
-    frontier = model.frontier
-    if n == 0 or not frontier:
+    front = model._first[model._frontier]
+    if n == 0 or not len(front):
         return labels
-    m = len(frontier)
-    joint = []
-    for front, query in zip(zip(*frontier), columns):
-        if isinstance(points, ScaledInts):
-            joint.append(_scaled_joint_ranks(front, *query))
-        elif isinstance(query, np.ndarray) and all(isinstance(v, float) for v in front):
-            joint.append(dense_ranks(np.concatenate((np.asarray(front, dtype=float), query))))
-        else:
-            joint.append(dense_ranks(list(front) + list(query)))
+    if isinstance(form, np.ndarray) and isinstance(model._sample, np.ndarray):
+        joint = [dense_ranks(np.concatenate(pair)) for pair in zip(model._sample[front].T, form.T)]
+    else:
+        joint = list(map(_joint_ranks, exact_columns(model._sample, front), exact_columns(form)))
     ranks = np.stack(joint, axis=1)
+    m = len(front)
     labels[dominator_counts(ranks[m:], ranks[:m]) > 0] = -1
     return labels
-
-
-def _scaled_joint_ranks(front, numerators: np.ndarray, den: int) -> np.ndarray:
-    """Dense ranks of the values ``front`` followed by ``numerators`` / ``den``.
-
-    When ``front`` is all int and Fraction and both fit int64 over the lcm of
-    every denominator, numpy ranks those keys; otherwise the query column is
-    built as Fractions and ranked with ``front`` by ``dense_ranks``.
-    """
-    if set(map(type, front)) <= set(EXACT_TYPES):
-        keyed = common_numerators([v.numerator for v in front] + [0], [v.denominator for v in front] + [den], 1 << 63)
-        if keyed is not None:
-            scale = keyed[1] // den
-            if max(-int(numerators.min()), int(numerators.max())) * scale < 1 << 63:
-                try:
-                    return dense_ranks(np.concatenate((np.fromiter(keyed[0][:-1], np.int64, len(front)), numerators * scale)))
-                except OverflowError:
-                    pass
-    return dense_ranks(list(front) + list(map(Fraction, numerators.tolist(), repeat(den))))
 
 
 def predict(model: MonotoneClassifier, x) -> int:

@@ -5,32 +5,25 @@ of the componentwise order (cover edges i -> j meaning node_i <= node_j with
 nothing strictly between).  Up-sets -- subsets closed under following cover
 edges forward -- are the feasible prediction sets of monotone classification.
 Dominance only depends on the order within each coordinate, so a DAG keeps
-its nodes' dense integer ranks, exact for any mix of int, Fraction and float
-coordinates, and derives its chain order and (on first access) its cover
-edges from them.  ``dense_ranks`` takes one of four paths: numpy ranks a
-float column or an int array (such as a ``ScaledInts`` column of numerators
-over one denominator); an int/Fraction column whose values fit int64 on one
-common denominator is ranked by numpy as integers; such a column whose scaled
-values leave int64, with a common denominator below 2**128, is ranked by
-sorting those integers; anything else is sorted with Python's exact
-comparisons.
+its nodes' dense integer ranks and derives its chain order and (on first
+access) its cover edges from them.  ``dense_ranks`` ranks a column of the
+one form ``read_points`` gives with one exact ``np.unique``.
 ``lex_argsort`` puts rank rows in lexicographic order by one int64 key each.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import product, repeat
+from functools import cached_property, partial
+from itertools import product
 
 import numpy as np
 
-from ._numeric import EXACT_TYPES, ScaledInts, ValidationError, check_points, common_numerators
+from ._numeric import ScaledInts, ValidationError, form_rows, read_points
 from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
 _BLOCK_ENTRIES = 1 << 22
-_KEY_DENOMINATOR_LIMIT = 1 << 128
 
 
 def dominates(a, b) -> bool:
@@ -75,8 +68,8 @@ class DominanceDag:
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        """``rank_matrix`` of the nodes: (n, d) int64."""
-        return rank_matrix(self.nodes)
+        """``rank_matrix`` of the nodes, read by ``read_points``: (n, d) int64."""
+        return rank_matrix(read_points(self.nodes, "point")[1])
 
     @cached_property
     def lex_order(self) -> np.ndarray:
@@ -129,45 +122,12 @@ class DominanceDag:
 
 
 def dense_ranks(column) -> np.ndarray:
-    """Dense rank of each value among the distinct values of ``column`` (int64).
+    """Dense rank of each value among the distinct values of ``column`` (int64), by one ``np.unique``.
 
-    A column of floats, or an int array, is ranked by numpy, whose
-    comparisons of those are exact.  A column of exact ``int`` and
-    ``Fraction`` values (by type, so bools and numpy scalars do not qualify)
-    is ranked on its ``_exact_keys``: by numpy when they fit int64, else by
-    sorting the distinct keys as Python ints.
-    Any other column, or one whose common denominator reaches 2**128, is
-    ranked by sorting its distinct values with Python's exact comparisons, so
-    any mix of int, Fraction and float ranks exactly.
+    Numpy compares floats and int64 exactly, and an object array (a sequence
+    is read as one) with Python's exact comparisons.
     """
-    if isinstance(column, np.ndarray) and column.dtype.kind == "i":
-        return np.unique(column, return_inverse=True)[1]
-    if (isinstance(column, np.ndarray) and column.dtype.kind == "f") or all(
-        map(isinstance, column, repeat(float))
-    ):
-        return np.unique(np.asarray(column, dtype=float), return_inverse=True)[1]
-    keys = _exact_keys(column)
-    if keys is None:
-        keys = column
-    else:
-        try:
-            return np.unique(np.fromiter(keys, np.int64, len(keys)), return_inverse=True)[1]
-        except OverflowError:
-            pass
-    rank = {v: r for r, v in enumerate(sorted(set(keys)))}
-    return np.fromiter((rank[v] for v in keys), dtype=np.int64, count=len(keys))
-
-
-def _exact_keys(column):
-    """``common_numerators`` keys of an all-int/Fraction column: its values times the lcm of their denominators.
-
-    None when another type occurs, or when that lcm reaches 2**128, where
-    sorting the keys would cost about what sorting the Fractions does.
-    """
-    if not set(map(type, column)).issubset(EXACT_TYPES):
-        return None
-    keyed = common_numerators([v.numerator for v in column], [v.denominator for v in column], _KEY_DENOMINATOR_LIMIT)
-    return None if keyed is None else keyed[0]
+    return np.unique(column if isinstance(column, np.ndarray) else np.array(list(column), dtype=object), return_inverse=True)[1]
 
 
 def _rising(ranks: np.ndarray) -> bool:
@@ -180,17 +140,15 @@ def _rising(ranks: np.ndarray) -> bool:
     return bool(up.all())
 
 
-def rank_matrix(points) -> np.ndarray:
-    """Dense ranks of each coordinate column of ``points`` (an (n, d) float array or ``ScaledInts`` too), as (n, d) int64.
+def rank_matrix(form) -> np.ndarray:
+    """Dense ranks of each coordinate column of a ``read_points`` form (a float matrix or ``ScaledInts``), as (n, d) int64.
 
     A ``ScaledInts`` column shares one denominator, so its numerators rank as its values do.
     """
-    if not len(points):
+    if not len(form):
         return np.zeros((0, 0), dtype=np.int64)
-    if isinstance(points, ScaledInts):
-        points = points.numerators
-    columns = points.T if isinstance(points, np.ndarray) else ([p[v] for p in points] for v in range(len(points[0])))
-    return np.stack([dense_ranks(column) for column in columns], axis=1)
+    columns = form.numerators if isinstance(form, ScaledInts) else form
+    return np.stack([dense_ranks(column) for column in columns.T], axis=1)
 
 
 def lex_argsort(ranks: np.ndarray) -> np.ndarray:
@@ -265,17 +223,17 @@ def _cover_edges(ranks: np.ndarray, shape) -> tuple:
 def build_dag(points, ranks=None) -> DominanceDag:
     """Order DAG of distinct points under the componentwise order.
 
-    Without ``ranks`` the points are checked (one dimension, finite) and
-    ranked; only ``monotone.fit`` passes ``ranks``, with a function that
-    builds a validated sample's rows, which are trusted.  Cover edges are
+    Without ``ranks`` the points are read and ranked; only ``monotone.fit``
+    passes ``ranks``, with a function that builds a validated sample's rows,
+    which are trusted.  Cover edges are
     computed on first access.  Distinctness is always checked on the rank
     rows, which are equal exactly when the points are equal (so ``(1,)`` and
     ``(1.0,)`` are one point): no two rows may be equal in lexicographic order.
     """
     if ranks is None:
-        points = check_points(points, "point")
+        rows, form = read_points(points, "point")
         # only the order within a coordinate matters: the DAG works on dense ranks
-        ranks = rank_matrix(points)
+        points, ranks = partial(form_rows, form) if rows is None else rows, rank_matrix(form)
     dag = DominanceDag(points, ranks)
     if not np.diff(dag.ranks[dag.lex_order], axis=0).any(axis=1).all():
         raise ValidationError("points must be distinct (deduplicate before building)")

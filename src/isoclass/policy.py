@@ -5,8 +5,9 @@ observational study with known propensity e(x) = P(D=+1 | X=x)) maps to a
 weighted-classification row with weight |z| / (d e + (1-d)/2) and label
 sign(z) * d.  Maximizing estimated welfare over policies is then equivalent
 to minimizing the empirical weighted 0-1 risk on the mapped sample.
-Records kept as ``TrialColumns`` are mapped, and their welfare summed, in
-integers over one common denominator.
+Records are kept as ``TrialColumns``, exact columns mapped and summed in
+integers over one common denominator, float columns in float64 (their
+welfare summed in row order).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import eq, index
 import numpy as np
 
 from . import bernstein, monotone
-from ._numeric import ScaledInts, ValidationError, check_finite, common_numerators, sign
+from ._numeric import ScaledInts, ValidationError, check_finite, common_numerators, exact_column, form_rows
 from .risks import WeightedSample
 
 DEFAULT_KAPPA = 0.01
@@ -46,42 +47,49 @@ class TrialRecord:
         if not (0 < self.e < 1):
             raise ValidationError(f"propensity must lie strictly in (0, 1), got {self.e!r}")
 
-    @property
-    def denominator(self):
-        """Probability of the treatment received: e if d = +1, 1 - e if d = -1."""
-        return self.e if self.d > 0 else 1 - self.e
-
 
 class TrialColumns:
-    """Trial records kept as exact columns; a sequence whose indexing builds the ``TrialRecord`` of a row.
+    """Trial records kept as columns; a sequence whose indexing builds the ``TrialRecord`` of a row.
 
-    ``io.load_trials`` keeps a file so in rational mode: outcomes z and
-    propensities e as (numerators, denominator) pairs, the numerators int64
-    or Python ints in an object array, treatments d as an int64 array of
-    -1/+1 and the covariates as ``ScaledInts``, all checked as
-    ``TrialRecord`` checks them.
+    Outcomes z and propensities e are (values, denominator) pairs: float64
+    over None, or exact numerators over their common denominator.
+    Treatments d are int64 -1/+1, and the covariates are points as
+    ``WeightedSample`` reads them.  Rows are checked as ``TrialRecord`` does.
     """
 
-    def __init__(self, z: tuple, d: np.ndarray, x: ScaledInts, e: tuple):
+    def __init__(self, z: tuple, d: np.ndarray, x, e: tuple):
         self._z, self._d, self._x, self._e = z, d, x, e
+
+    @classmethod
+    def of_records(cls, records) -> "TrialColumns":
+        """The columns of ``TrialRecord``s: z and e in floats when any of them is a float, as Python's arithmetic on them would be, else exact."""
+        records = list(records)
+        values = [r.z for r in records] + [r.e for r in records]
+        floats = any(isinstance(v, (float, np.floating)) for v in values)
+        column, den = (np.array(values, dtype=float), None) if floats else exact_column(values)
+        n = len(records)
+        return cls((column[:n], den), np.array([r.d for r in records], dtype=np.int64), tuple(r.x for r in records), (column[n:], den))
 
     def __len__(self) -> int:
         return len(self._d)
 
     def __getitem__(self, i) -> TrialRecord:
         i = index(i)
-        (z, z_den), (e, e_den) = self._z, self._e
-        return TrialRecord(Fraction(int(z[i]), z_den), int(self._d[i]), self._x[i], Fraction(int(e[i]), e_den))
+        x = self._x[i] if type(self._x) is tuple else form_rows(self._x, [i])[0]
+        return TrialRecord(_value(self._z[0][i], self._z[1]), int(self._d[i]), x, _value(self._e[0][i], self._e[1]))
 
     @cached_property
     def _ipw(self):
-        """(numerators of each z / denominator, their common denominator): int64 if it holds every term, else Python ints.
+        """The terms z / denominator: float64 over None, or exact numerators over their common denominator.
 
         With z = Z / Dz and e = E / De, the denominator of a row is q / De,
         q = E if d = +1 else De - E, so z / denominator is Z * (De * L / q)
-        over Dz * L, L the lcm of the distinct q.
+        over Dz * L, L the lcm of the distinct q: int64 if that holds every
+        term, else Python ints.
         """
         (z, z_den), (e, e_den) = self._z, self._e
+        if z_den is None:
+            return z / np.where(self._d > 0, e, 1 - e), None
         distinct, which = np.unique(np.where(self._d > 0, e, e_den - e), return_inverse=True)
         factors, lcm = common_numerators([e_den] * len(distinct), distinct.tolist(), math.inf)
         bound = max(-int(z.min(initial=0)), int(z.max(initial=0)), 1) * max(factors, default=1)
@@ -90,25 +98,35 @@ class TrialColumns:
 
     def _outside(self, low, high) -> list:
         """Rows whose propensity is not strictly between ``low`` and ``high``, each distinct value compared once."""
-        e, e_den = self._e
+        e, den = self._e
         distinct, which = np.unique(e, return_inverse=True)
-        bad = np.array([not (low < Fraction(v, e_den) < high) for v in distinct.tolist()], dtype=bool)
+        bad = np.array([not (low < _value(v, den) < high) for v in distinct.tolist()], dtype=bool)
         return np.flatnonzero(bad[which]).tolist()
 
+    def _mean(self, rows: np.ndarray):
+        """(1/n) sum of the ``_ipw`` terms of ``rows`` (a boolean mask), added in row order; the int 0 when no row is chosen."""
+        terms, scale = self._ipw
+        total = 0
+        for term in terms[rows].tolist():
+            total += term
+        return (total if scale is None or not rows.any() else Fraction(total, scale)) / len(self)
 
-def _kept(records):
-    """``TrialColumns`` as they are, any other records as a list."""
-    return records if isinstance(records, TrialColumns) else list(records)
+
+def _value(value, den):
+    """A value of a (values, denominator) column: a float over None, else the Fraction value / den."""
+    return float(value) if den is None else Fraction(int(value), den)
 
 
-def _check_overlap(records, kappa) -> None:
+def _columns(records) -> TrialColumns:
+    """``TrialColumns`` as they are, any other records read into them."""
+    return records if isinstance(records, TrialColumns) else TrialColumns.of_records(records)
+
+
+def _check_overlap(records: TrialColumns, kappa) -> None:
     if not (0 < kappa < 0.5):
         raise ValidationError(f"overlap bound kappa must lie in (0, 1/2), got {kappa!r}")
     high = 1 - kappa
-    if isinstance(records, TrialColumns):
-        bad = records._outside(kappa, high)
-    else:
-        bad = [i for i, r in enumerate(records) if not (kappa < r.e < high)]
+    bad = records._outside(kappa, high)
     if bad:
         shown = ", ".join(str(i) for i in bad[:10])
         more = "" if len(bad) <= 10 else f" (and {len(bad) - 10} more)"
@@ -118,29 +136,19 @@ def _check_overlap(records, kappa) -> None:
 
 
 def to_weighted_sample(records, kappa=DEFAULT_KAPPA) -> WeightedSample:
-    """Map records to rows (|z|/denom, sign(z)*d, x) after checking strict overlap.
-
-    ``TrialColumns`` give their weights as numerators over one denominator
-    (``TrialColumns._ipw``) and their covariates as they keep them.
-    """
-    records = _kept(records)
+    """Map records to rows (|z|/denom, sign(z)*d, x) after checking strict overlap; weights |``_ipw``|."""
+    records = _columns(records)
     _check_overlap(records, kappa)
-    if isinstance(records, TrialColumns):
-        ipw, scale = records._ipw
-        labels = np.where(records._z[0] >= 0, 1, -1) * records._d
-        return WeightedSample(ScaledInts(np.abs(ipw)[:, None], (scale,)), labels, records._x)
-    weights, labels, points = [], [], []
-    for r in records:
-        weights.append(abs(r.z) / r.denominator)
-        labels.append(sign(r.z) * r.d)
-        points.append(r.x)
-    return WeightedSample(tuple(weights), tuple(labels), tuple(points))
+    terms, scale = records._ipw
+    labels = np.where(records._z[0] >= 0, 1, -1) * records._d
+    weights = np.abs(terms) if scale is None else ScaledInts(np.abs(terms)[:, None], (scale,))
+    return WeightedSample(weights, labels, records._x)
 
 
 def _labels(classifier, points) -> list:
-    """Labels at ``points``: a fitted model in one batch, a plain callable point by point."""
+    """Labels at ``points`` (as ``TrialColumns`` keep them): a fitted model in one batch, a plain callable point by point, on tuples."""
     if callable(classifier):
-        return [classifier(x) for x in points]
+        return [classifier(x) for x in (points if type(points) is tuple else form_rows(points))]
     if isinstance(classifier, monotone.MonotoneClassifier):
         return monotone.predict_batch(classifier, points).tolist()
     if isinstance(classifier, bernstein.BernsteinClassifier):
@@ -149,27 +157,12 @@ def _labels(classifier, points) -> list:
 
 
 def welfare_estimate(classifier, records):
-    """IPW welfare: mean of z/denominator over records the policy agrees with.
-
-    ``TrialColumns`` sum their terms (``TrialColumns._ipw``) as Python ints,
-    and make one Fraction of the total.
-    """
-    records = _kept(records)
+    """IPW welfare: mean of z/denominator over records the policy agrees with."""
+    records = _columns(records)
     if not len(records):
         raise ValidationError("no records")
-    if isinstance(records, TrialColumns):
-        labels = _labels(classifier, records._x)
-        agree = np.fromiter(map(eq, records._d.tolist(), labels), dtype=bool, count=len(records))
-        ipw, scale = records._ipw
-        # with no agreeing record the sum is the int 0, as the loop below leaves it
-        total = Fraction(sum(ipw[agree].tolist()), scale) if agree.any() else 0
-        return total / len(records)
-    labels = _labels(classifier, [r.x for r in records])
-    total = 0
-    for r, label in zip(records, labels):
-        if r.d == label:
-            total += r.z / r.denominator
-    return total / len(records)
+    labels = _labels(classifier, records._x)
+    return records._mean(np.fromiter(map(eq, records._d.tolist(), labels), dtype=bool, count=len(records)))
 
 
 def welfare_constant(records):
@@ -178,26 +171,18 @@ def welfare_constant(records):
     Welfare of any policy plus its empirical weighted 0-1 risk on the mapped
     sample equals this constant.
     """
-    records = list(records)
-    if not records:
+    records = _columns(records)
+    if not len(records):
         raise ValidationError("no records")
-    total = 0
-    for r in records:
-        term = r.z / r.denominator
-        if term > 0:
-            total += term
-    return total / len(records)
+    return records._mean(records._ipw[0] > 0)
 
 
 def max_weight_bound(records, kappa=DEFAULT_KAPPA):
-    """Certified weight bound max|z| / kappa under the overlap condition; ``TrialColumns`` read their z column."""
-    if not isinstance(records, TrialColumns):
-        records = list(records)
+    """Certified weight bound max|z| / kappa under the overlap condition."""
+    records = _columns(records)
     if not (0 < kappa < 0.5):
         raise ValidationError(f"overlap bound kappa must lie in (0, 1/2), got {kappa!r}")
     if not len(records):
         return 0.0
-    if isinstance(records, TrialColumns):
-        z, z_den = records._z
-        return Fraction(max(-int(z.min()), int(z.max())), z_den) / kappa
-    return max(abs(r.z) for r in records) / kappa
+    z = records._z[0].tolist()
+    return _value(max(-min(z), max(z)), records._z[1]) / kappa

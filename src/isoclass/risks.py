@@ -15,15 +15,10 @@ from itertools import repeat
 
 import numpy as np
 
-from ._numeric import ScaledInts, ValidationError, check_finite, check_points, finite_array, is_exact, matrix_rows, sign, validated_points
+from ._numeric import ScaledInts, ValidationError, check_finite, check_points, form_rows, is_exact, read_column, read_points, sign
 from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
-
-
-def _is_vector(values, kinds: str) -> bool:
-    """True for a 1-d numpy array whose dtype is one of ``kinds`` (numpy's one-letter kind codes)."""
-    return isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in kinds
 
 
 @dataclass(frozen=True)
@@ -32,19 +27,11 @@ class WeightedSample:
 
     Unweighted data is represented with unit weights.  Labels are -1/+1 and
     weights are finite and nonnegative; all covariate vectors share one
-    dimension.  Labels, and int weights (numpy integers too), are Python ints.
-    An (n, d) float array of points, a 1-d int or float array of labels and a
-    1-d int array of weights are checked in numpy, with the values and errors
-    of the same values given one by one; other arrays are read as sequences.
-    Points and (as one column) weights may also come as ``ScaledInts``, exact
-    Fractions kept as numerators over one denominator per column, which need
-    no further check.
-    Kept read-only: ``_matrix``, the float64 points if all are floats (else
-    None); ``_exact``, the ``ScaledInts`` points (else None); ``_labels`` in
-    int64; ``_weights`` in int64 if all are ints, or are Fractions given as
-    int64 ``ScaledInts`` numerators over ``_weight_scale`` (None for ints), and
-    n * max(w) < 2**62, which bounds every sum of w * y, else float(w) (None
-    beyond float range).  Fields kept so are built as tuples on first read.
+    dimension.  Each field is read once into its one form, kept read-only:
+    ``_matrix`` (float64 points) or ``_exact`` (``ScaledInts``), the other
+    None; ``_weights``, float64 or integer numerators over ``_weight_scale``
+    (None for floats); ``_labels`` in int64.  Points given as a sequence are
+    kept to be read back; other fields are built as tuples on first read.
     """
 
     weights: tuple
@@ -57,54 +44,28 @@ class WeightedSample:
     _labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        exact = self.points if isinstance(self.points, ScaledInts) else None
-        points, matrix = (None, None) if exact is not None else validated_points(self.points, "row")
-        n = len(points if points is not None else matrix if matrix is not None else exact)
-        weights, labels, weight_array, scale = self.weights, self.labels, None, None
-        if isinstance(weights, ScaledInts):
-            numerators = weights.numerators[:, 0]
-            if numerators.dtype == np.int64 and len(numerators) and (numerators >= 0).all() and n * int(numerators.max()) < 2**62:
-                weights, weight_array, scale = None, numerators, weights.denominators[0]
-            else:
-                weights = tuple(w for (w,) in weights)
-        if _is_vector(weights, "iu") and len(weights) and (weights >= 0).all() and n * int(weights.max()) < 2**62:
-            weights, weight_array = None, weights.astype(np.int64)
-        elif weights is not None:
-            weights = tuple(weights.tolist() if _is_vector(weights, "iu") else weights)
-        if _is_vector(labels, "if") and ((labels == 1) | (labels == -1)).all():
-            labels = labels.astype(np.int64)
-        else:
-            labels = tuple(labels.tolist() if _is_vector(labels, "if") else labels)
-        if len(weight_array if weights is None else weights) != n or len(labels) != n:
+        points, form = read_points(self.points, "row")
+        weights = self.weights if isinstance(self.weights, (np.ndarray, ScaledInts)) else tuple(self.weights)
+        labels = np.asarray(self.labels if isinstance(self.labels, np.ndarray) else list(self.labels))
+        if len(weights) != len(form) or len(labels) != len(form):
             raise ValidationError("weights, labels and points must have equal length")
-        if weights is not None:
-            # one pass; the loop runs only to name the first bad row (a negative weight that
-            # float() rounds to -0.0 keeps its sign bit)
-            weight_array = finite_array(weights, n)
-            if weight_array is None or np.signbit(weight_array).any():
-                for i, w in enumerate(weights):
-                    check_finite(w, f"weight of row {i}")
-                    if w < 0:
-                        raise ValidationError(f"row {i}: weight must be nonnegative, got {w!r}")
-            # numpy integers as Python ints, which do not overflow
-            weights = tuple(int(w) if isinstance(w, np.integer) else w for w in weights)
-            if set(map(type, weights)) == {int} and n * max(weights) < 2**62:
-                weights, weight_array = None, np.fromiter(weights, np.int64, n)
-        if type(labels) is tuple:
-            # labels are checked before int() maps them, so 1.7 is refused, not truncated to 1
-            if not set(labels) <= {-1, 1}:
-                for i, y in enumerate(labels):
-                    if y not in (-1, 1):
-                        raise ValidationError(f"row {i}: label must be -1 or +1, got {y!r}")
-            labels = np.fromiter(map(int, labels), np.int64, n)
-        labels.flags.writeable = False
-        if weight_array is not None:
-            weight_array.flags.writeable = False
+        column = read_column(weights)
+        column, scale = column if type(column) is tuple else (column, None)
+        if column is None or (column < 0).any():
+            _name_bad_weight(weights)
+        # labels are checked before astype maps them, so 1.7 is refused, not truncated to 1
+        valid = (labels == 1) | (labels == -1)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            raise ValidationError(f"row {i}: label must be -1 or +1, got {labels.tolist()[i]!r}")
+        labels = labels.astype(np.int64)
+        labels.flags.writeable = column.flags.writeable = False
+        matrix = form if isinstance(form, np.ndarray) else None
         self.__dict__.update(
-            points=points, weights=weights, labels=None,
-            _matrix=matrix, _exact=exact, _weights=weight_array, _weight_scale=scale, _labels=labels,
+            points=points, weights=None, labels=None, _matrix=matrix, _exact=None if matrix is not None else form,
+            _weights=column, _weight_scale=scale, _labels=labels,
         )
-        # a field kept only as an array (None here) is built as a tuple on its first read, by ``__getattr__``
+        # a field kept only in its form (None here) is built as a tuple on its first read, by ``__getattr__``
         for name in ("points", "weights", "labels"):
             if self.__dict__[name] is None:
                 del self.__dict__[name]
@@ -113,8 +74,8 @@ class WeightedSample:
         if name not in ("points", "weights", "labels"):
             raise AttributeError(name)
         if name == "points":
-            value = matrix_rows(self._matrix) if self._exact is None else self._exact._rows()
-        elif name == "weights" and self._weight_scale is not None:
+            value = form_rows(self._form)
+        elif name == "weights" and self._weight_scale not in (None, 1):
             value = tuple(map(Fraction, self._weights.tolist(), repeat(self._weight_scale)))
         else:
             value = tuple(self.__dict__["_" + name].tolist())
@@ -132,22 +93,27 @@ class WeightedSample:
         return len(self._labels)
 
     @property
+    def _form(self):
+        """The points' one form: ``_matrix`` or ``_exact``."""
+        return self._exact if self._matrix is None else self._matrix
+
+    @property
     def dim(self) -> int:
-        if self._matrix is not None:
-            return self._matrix.shape[1]
-        if self._exact is not None:
-            return self._exact.numerators.shape[1]
-        return len(self.points[0]) if self.points else 0
+        return (self._exact.numerators if self._matrix is None else self._matrix).shape[1]
 
     def _rows(self, index: np.ndarray) -> tuple:
-        """The points of rows ``index``: the objects given, or new tuples from ``_matrix`` or ``_exact`` while ``points`` is unbuilt."""
-        points = self.__dict__.get("points")
-        if points is not None:
-            return tuple(map(points.__getitem__, index.tolist()))
-        return matrix_rows(self._matrix[index]) if self._exact is None else self._exact._rows(index)
+        """The points of rows ``index``: the tuples given, or new ones built from the form while ``points`` is unbuilt."""
+        return form_rows(self._form, index, self.__dict__.get("points"))
 
-    def scaled(self, factor) -> "WeightedSample":
-        return WeightedSample(tuple(w * factor for w in self.weights), self.labels, self.points)
+
+def _name_bad_weight(weights) -> None:
+    """Raise the error of the first weight, in row order, that is not finite or is negative."""
+    if isinstance(weights, ScaledInts):
+        weights = [w for (w,) in weights]
+    for i, w in enumerate(weights.tolist() if isinstance(weights, np.ndarray) else weights):
+        check_finite(w, f"weight of row {i}")
+        if w < 0:
+            raise ValidationError(f"row {i}: weight must be nonnegative, got {w!r}")
 
 
 @dataclass(frozen=True)

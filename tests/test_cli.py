@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 import os
 from pathlib import Path
@@ -550,9 +551,10 @@ def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path,
     for name, rows in files.items():
         data = write(tmp_path / f"{name}.csv", "z,d,x1,x2,e\n" + "".join(",".join(r) + "\n" for r in rows))
         trials = load_trials(data)
-        # IPW terms past int64 are kept as Python ints, and only int64 sums keep int64 weights
+        # IPW terms past int64 are kept as Python ints, and only weights whose sums int64 holds are summed in it
         assert isinstance(trials, TrialColumns) and (trials._ipw[0].dtype == object) == (name not in ("heavy", "light"))
-        assert (to_weighted_sample(trials)._weight_scale is not None) == (name == "light")
+        mapped = to_weighted_sample(trials)
+        assert (mapped._weights.dtype != object and mapped.n * int(mapped._weights.max()) < 2**62) == (name == "light")
         capsys.readouterr()
         assert main(["policy-fit", "--in", data, "--out", model]) == 0
         welfare_line = capsys.readouterr().out.splitlines()[1]
@@ -671,3 +673,22 @@ def test_policy_weights_on_a_trial_file_with_no_rows_writes_its_covariate_column
     assert Path(weights).read_text() == "w,y,x1,x2\n"
     assert main(["fit-monotone", "--in", weights, "--weighted", "--out", str(tmp_path / "m.json")]) == 2
     assert capsys.readouterr().err == "error: cannot fit on an empty sample\n"
+
+
+def test_a_coordinate_column_stops_its_common_denominator_early(tmp_path, monkeypatch, capsys):
+    # 4000 random 6-digit denominators have an lcm of tens of thousands of bits; a coordinate
+    # column stops at 2**128 after a few lcm steps and keeps its values as Fractions, whose str
+    # the model file writes
+    rng = random.Random(61)
+    values = [Fraction(rng.randint(-(10**6), 10**6), rng.randint(10**5, 10**6 - 1)) for _ in range(4000)]
+    sample = write(tmp_path / "s.csv", "y,x1\n" + "".join(f"{rng.choice((-1, 1))},{v.numerator}/{v.denominator}\n" for v in values))
+    steps, lcm = [], math.lcm
+    monkeypatch.setattr(math, "lcm", lambda a, b: steps.append(b) or lcm(a, b))
+    model = str(tmp_path / "m.json")
+    assert main(["fit-monotone", "--in", sample, "--out", model]) == 0
+    assert len(steps) <= 20
+    monkeypatch.undo()
+    support = [Fraction(p[0]) for p in json.loads(Path(model).read_text())["support"]]
+    assert support == sorted(set(values))
+    assert json.loads(Path(model).read_text())["support"] == [[str(v)] for v in support]
+    capsys.readouterr()

@@ -192,6 +192,7 @@ def test_float_array_weights_equal_the_fraction_loop():
         assert problem.coeffs.dtype == np.float64 and not problem.coeffs.flags.writeable
         weights, scale, exact = _integer_weights(problem.coeffs)
         want, want_scale, _ = _integer_weights(tuple(Fraction(c) for c in array.tolist()))
+        want = want.tolist()
         assert weights.tolist() == want and scale == want_scale and not exact
         assert all(type(w) is int for w in weights.tolist())
         wide = max(map(abs, want), default=0) >= 1 << 62

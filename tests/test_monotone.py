@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from isoclass import (
     zero_one,
 )
 import isoclass.monotone as monotone
+from isoclass.io import load_sample
 from isoclass.monotone import predict_batch
 
 
@@ -119,7 +121,8 @@ def test_weight_rescaling_leaves_fit_unchanged():
     for _ in range(20):
         base = random_small_sample(rng, max_n=10, d=2)
         lam = Fraction(rng.randint(1, 7), rng.randint(1, 3))
-        assert fit_monotone(base) == fit_monotone(base.scaled(lam))
+        scaled = WeightedSample(tuple(w * lam for w in base.weights), base.labels, base.points)
+        assert fit_monotone(base) == fit_monotone(scaled)
 
 
 def test_values_monotone_along_dominance():
@@ -192,18 +195,22 @@ def _dict_fit_problem(sample):
     """The support and coefficients of a fit, from a dict keyed by point tuples.
 
     The dict keeps each point as the object of its first row and adds w * y in
-    row order; ``sorted`` gives the lexicographic order of the support.
+    row order: as Python floats when every weight is a float, else exactly, in
+    units of the weights' common denominator; ``sorted`` gives the
+    lexicographic order of the support.
     """
+    floats = set(map(type, sample.weights)) == {float}
+    scale = 1 if floats else math.lcm(*(Fraction(w).denominator for w in sample.weights))
     totals = {}
     for w, y, p in zip(sample.weights, sample.labels, sample.points):
-        totals[p] = totals.get(p, 0) + w * y
+        totals[p] = totals.get(p, 0) + (w if floats else int(Fraction(w) * scale)) * y
     support = sorted(totals)
     return support, [totals[p] for p in support]
 
 
 def _assert_coefficient_types(given, coeffs, sample):
-    """``solve`` gets one int64 array when every weight is an int and n * max(w) < 2**62, else the dict's types."""
-    if set(map(type, sample.weights)) == {int} and sample.n * max(sample.weights) < 2**62:
+    """``solve`` gets int64 when the weight numerators and n * max of them fit 2**62, else Python ints or floats."""
+    if sample._weights.dtype == np.int64 and sample.n * int(sample._weights.max()) < 2**62:
         assert isinstance(given, np.ndarray) and given.dtype == np.int64
     else:
         assert type(given) is tuple and list(map(type, given)) == list(map(type, coeffs))
@@ -452,23 +459,6 @@ def test_float_sample_fits_as_its_exact_rational_copy():
                 assert a.frontier == b.frontier and a._extremes(1) == b._extremes(1)
 
 
-def test_array_sample_fits_as_its_tuple_built_copy():
-    # the array path builds new row tuples and hands solve an int64 array: same model, same JSON
-    rng = np.random.default_rng(433)
-    for d in (1, 2, 3):
-        for grid in (None, 3):
-            n = 400
-            x = rng.random((n, d)) if grid is None else rng.integers(-grid, grid, size=(n, d)) / grid
-            labels = rng.choice((-1, 1), size=n)
-            for weights in (np.ones(n, dtype=np.int64), rng.integers(0, 5, size=n)):
-                by_array = fit_monotone(WeightedSample(weights, labels, x))
-                by_tuple = fit_monotone(WeightedSample(weights.tolist(), labels.tolist(), [tuple(p) for p in x.tolist()]))
-                assert by_array == by_tuple
-                assert json.dumps(by_array.to_dict()) == json.dumps(by_tuple.to_dict())
-                assert json.dumps(by_array.to_compact_dict()) == json.dumps(by_tuple.to_compact_dict())
-                assert all(type(v) is float for p in by_array.support for v in p)
-
-
 def test_array_sample_and_its_fit_build_rows_only_when_read():
     rng = np.random.default_rng(467)
     for d in (1, 2, 3):
@@ -497,6 +487,78 @@ def test_fitted_frontiers_equal_those_of_the_round_trip():
             labels = [rng.choice((-1, 1)) for _ in points]
             model = fit_monotone(WeightedSample.unweighted(labels, points))
             loaded = MonotoneClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
-            assert model._ranks is not None and loaded._ranks is None
             assert model.frontier == loaded.frontier
             assert model.to_compact_dict() == loaded.to_compact_dict()
+
+
+def _five_ways(tmp_path, weights, labels, points):
+    """One sample given five ways: Python Fractions and ints, exactly representable Python floats,
+    numpy float64 arrays, a rational CSV and a --float CSV (each value's shortest float text)."""
+    exact = [tuple(Fraction(v) for v in p) for p in points]
+    exact = [tuple(int(v) if v.denominator == 1 else v for v in p) for p in exact]
+    header = "w,y," + ",".join(f"x{i + 1}" for i in range(len(points[0]))) + "\n"
+    files = {}
+    for name, text in (("rational", lambda v: str(Fraction(v))), ("float", repr)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(header + "".join(
+            f"{text(w)},{y}," + ",".join(map(text, p)) + "\n" for w, y, p in zip(weights, labels, points)))
+        files[name] = str(path)
+    return {
+        "fractions": WeightedSample([Fraction(w) for w in weights], labels, exact),
+        "floats": WeightedSample(weights, labels, points),
+        "arrays": WeightedSample(np.array(weights), np.array(labels), np.array(points)),
+        "rational csv": load_sample(files["rational"], "weighted"),
+        "float csv": load_sample(files["float"], "weighted", rational=False),
+    }
+
+
+def _table_points(path, rng, n):
+    """n rows of exactly representable floats that send a fit down ``path``."""
+    if path == "chain":
+        return [(rng.randint(0, 300) / 8,) for _ in range(n)]
+    if path == "grid":
+        # every cell of a 25 x 40 grid, then repeats: the distinct points fill their rank grid
+        axes = [sorted(rng.sample(range(-500, 500), k)) for k in (25, 40)]
+        cells = [(a / 4, b * 0.1) for a in axes[0] for b in axes[1]]
+        return cells + [rng.choice(cells) for _ in range(n - len(cells))]
+    if path == "staircase":
+        return [(rng.uniform(-1, 1), rng.randint(0, 60) / 16) for _ in range(n)]
+    return [(rng.randint(0, 9) / 4, rng.randint(0, 11) * 0.1, rng.randint(0, 5) * 1e-3) for _ in range(n)]
+
+
+@pytest.mark.parametrize("path, n", [("chain", 2000), ("grid", 2000), ("staircase", 2000), ("mincut", 2000)])
+def test_one_sample_given_five_ways_fits_alike(tmp_path, path, n):
+    # every representation of the same numbers must give the same +/-1 values on the same support,
+    # and the same objective sum(w y f), exact or float, as a number (dyadic weights sum exactly in floats)
+    rng = random.Random(path)
+    points = _table_points(path, rng, n)
+    weights = [rng.randint(0, 12) / 4 for _ in range(n)]
+    labels = [rng.choice((-1, 1)) for _ in range(n)]
+    models, objectives = {}, {}
+    for name, sample in _five_ways(tmp_path, weights, labels, points).items():
+        model = models[name] = fit_monotone(sample)
+        fitted = predict_batch(model, sample.points).tolist()
+        objectives[name] = sum(w * y * f for w, y, f in zip(sample.weights, sample.labels, fitted))
+    dag = build_dag(models["floats"].support)
+    taken = "chain" if dag.is_chain else "grid" if dag.dim == 2 and dag.grid_shape else "staircase" if dag.dim == 2 else "mincut"
+    assert taken == path
+    first = models["floats"]
+    for name, model in models.items():
+        assert model.values == first.values, name
+        assert [tuple(map(Fraction, p)) for p in model.support] == [tuple(map(Fraction, p)) for p in first.support], name
+        assert objectives[name] == objectives["floats"], name
+    assert type(objectives["fractions"]) is Fraction and type(objectives["floats"]) is float
+    for name in ("arrays", "float csv"):
+        assert json.dumps(models[name].to_dict()) == json.dumps(first.to_dict()), name
+        assert json.dumps(models[name].to_compact_dict()) == json.dumps(first.to_compact_dict()), name
+
+
+def test_float_weight_sums_are_added_in_row_order():
+    # one point, whose coefficient is 2**54 - 298 - 2**54: added in row order as Python floats,
+    # each -1 is lost against 2**54 and the sum is 0.0, which the tie-break fits +1; numpy's
+    # pairwise float64 sum keeps them and gives -296, which would fit -1
+    weights = [2.0**54] + [1.0] * 298 + [2.0**54]
+    labels = [1] + [-1] * 299
+    assert np.add.reduceat(np.array(weights) * np.array(labels), [0])[0] == -296.0
+    for points in ([(0.5,)] * 300, np.full((300, 1), 0.5)):
+        assert fit_monotone(WeightedSample(weights, labels, points)).values == (1,)

@@ -12,7 +12,8 @@ from helpers import random_distinct_points
 
 from isoclass import ValidationError, build_dag, dominates, enumerate_up_sets, lattice_dag
 from isoclass.order import DominanceDag
-from isoclass.order import _exact_keys, dense_ranks, iter_up_set_masks, lex_argsort
+from isoclass._numeric import WIDE, exact_column
+from isoclass.order import dense_ranks, iter_up_set_masks, lex_argsort
 
 
 def test_dominates_basics():
@@ -264,9 +265,11 @@ def test_dense_ranks_of_int_and_fraction_columns_equal_a_sorted_set_oracle():
             full = list(pool) * 2
             rng.shuffle(full)
             assert dense_ranks(full).tolist() == _rank_oracle(full)
-            # every pool's common denominator stays below 2**128: keys exist, int64 holds them or not
-            keys = _exact_keys(full)
-            assert keys is not None and (-(2**63) <= min(keys) and max(keys) < 2**63) == fits
+            # every pool's common denominator stays below 2**128: the reader keeps common numerators,
+            # in int64 or not, and ranks them as the values rank
+            numerators, den = exact_column(full, WIDE)
+            assert den < WIDE and (numerators.dtype == np.int64) == fits
+            assert dense_ranks(numerators).tolist() == _rank_oracle(full)
 
 
 def test_dense_ranks_of_other_types_take_the_exact_sort():
@@ -277,10 +280,10 @@ def test_dense_ranks_of_other_types_take_the_exact_sort():
         [Fraction(1, 3), 1.0, 1, -0.0, 0],
     )
     for column in columns:
-        assert _exact_keys(column) is None
         for trial in range(6):
             shuffled = random.Random(trial).sample(column, len(column))
             assert dense_ranks(shuffled).tolist() == _rank_oracle(shuffled)
+            assert dense_ranks(exact_column(shuffled, WIDE)[0]).tolist() == _rank_oracle(shuffled)
     floats = [0.5, -0.0, 0.0, 2.5, 0.5]
     assert dense_ranks(floats).tolist() == _rank_oracle(floats)
 
@@ -294,17 +297,18 @@ def test_dense_ranks_of_long_decimals_sorts_integer_keys():
         column = [Fraction(repr(rng.uniform(-5, 5) / 10 ** rng.randint(0, 4))) for _ in range(n)]
         column += [rng.choice(column) for _ in range(n // 2)] + [rng.choice((-5, 5)), Fraction("1e-19")]
         rng.shuffle(column)
-        keys = _exact_keys(column)
-        assert keys is not None and len(keys) == len(column)
-        assert max(map(abs, keys)) >= 2**63
-        assert dense_ranks(column).tolist() == _rank_oracle(column)
-        # the same values beside one float take the exact sort, and rank alike
+        numerators, den = exact_column(column, WIDE)
+        assert numerators.dtype == object and den < WIDE and len(numerators) == len(column)
+        assert max(map(abs, numerators.tolist())) >= 2**63
+        assert dense_ranks(numerators).tolist() == dense_ranks(column).tolist() == _rank_oracle(column)
+        # the same values beside one float, taken exactly, rank alike
         mixed = column + [0.5]
-        assert _exact_keys(mixed) is None
-        assert dense_ranks(mixed).tolist() == _rank_oracle(mixed)
+        assert dense_ranks(exact_column(mixed, WIDE)[0]).tolist() == dense_ranks(mixed).tolist() == _rank_oracle(mixed)
+    # a common denominator of 2**128 or more: the values are kept as Fractions over 1
     wide = [Fraction(1, 2**127), Fraction(1, 3), Fraction(-1, 5)]
-    assert _exact_keys(wide) is None
-    assert dense_ranks(wide).tolist() == _rank_oracle(wide) == [1, 2, 0]
+    numerators, den = exact_column(wide, WIDE)
+    assert den == 1 and numerators.tolist() == wide
+    assert dense_ranks(numerators).tolist() == _rank_oracle(wide) == [1, 2, 0]
 
 
 def test_dense_ranks_gives_up_on_a_growing_common_denominator_early(monkeypatch):
@@ -314,7 +318,8 @@ def test_dense_ranks_gives_up_on_a_growing_common_denominator_early(monkeypatch)
     column = [Fraction(rng.randint(-(10**6), 10**6), rng.randint(10**5, 10**6 - 1)) for _ in range(10**4)]
     steps, lcm = [], math.lcm
     monkeypatch.setattr(math, "lcm", lambda a, b: steps.append(b) or lcm(a, b))
-    assert _exact_keys(column) is None
+    numerators, den = exact_column(column, WIDE)
+    assert den == 1 and numerators.tolist() == column
     assert len(steps) <= 10
     monkeypatch.undo()
 
@@ -326,10 +331,13 @@ def test_dense_ranks_gives_up_on_a_growing_common_denominator_early(monkeypatch)
             times.append(time.perf_counter() - start)
         return min(times)
 
-    assert dense_ranks(column).tolist() == _rank_oracle(column)
+    def rank():
+        return dense_ranks(exact_column(column, WIDE)[0])
+
+    assert rank().tolist() == _rank_oracle(column)
     gc.disable()
     try:
-        assert best_of_five(lambda: dense_ranks(column)) < 2 * best_of_five(lambda: _rank_oracle(column))
+        assert best_of_five(rank) < 2 * best_of_five(lambda: _rank_oracle(column))
     finally:
         gc.enable()
 

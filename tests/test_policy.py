@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -176,3 +177,11 @@ def test_trial_columns_read_and_map_as_the_records_they_hold(tmp_path):
     with pytest.raises(ValidationError) as err:
         to_weighted_sample(columns, kappa=Fraction(1, 4))
     assert str(err.value) == "propensity outside (1/4, 3/4) for record(s) 1, 3"
+
+
+def test_float_welfare_is_summed_in_row_order():
+    # terms z / e = 2**54, then 1s: in row order each 1 is lost against 2**54; a compensated sum keeps them
+    records = [TrialRecord(2.0**53, 1, (0.0,), 0.5)] + [TrialRecord(0.5, 1, (0.0,), 0.5)] * 9
+    records += [TrialRecord(-0.5, -1, (1.0,), 0.5)]
+    assert math.fsum([2.0**54] + [1.0] * 9) != 2.0**54
+    assert welfare_constant(records) == welfare_estimate(lambda x: 1, records) == 2.0**54 / 11

@@ -24,6 +24,7 @@ from isoclass import (
     zero_one,
 )
 from isoclass.bench import example_distribution_1
+from isoclass import bernstein
 from isoclass.bernstein import float_points
 from isoclass.monotone import fit as fit_monotone
 
@@ -247,20 +248,22 @@ def test_labels_are_checked_before_int_maps_them():
 
 
 def test_sample_keeps_its_float_coordinates_and_weights_read_only():
-    # a mixed sample keeps no float matrix (it is ranked from its coordinates); the floats a
-    # Bernstein fit reads are float(v), as float_points gives; its weights are kept as float(w)
+    # a mixed sample keeps exact columns, its floats taken exactly; the floats a Bernstein fit
+    # reads are float(v), as float_points gives; its weights are numerators over one scale
     big = 2**53 + 1
     sample = WeightedSample((1, Fraction(1, 3), 0.25), (1, -1, 1), [(0.5, big), (Fraction(1, 3), 2), (0.1, 0.2)])
-    assert sample._matrix is None
+    assert sample._matrix is None and list(sample._exact) == [tuple(map(Fraction, p)) for p in sample.points]
     assert float_points(sample.points, 2).tolist() == [[0.5, float(big)], [float(Fraction(1, 3)), 2.0], [0.1, 0.2]]
-    assert sample._weights.tolist() == [1.0, float(Fraction(1, 3)), 0.25] and sample._labels.tolist() == [1, -1, 1]
+    assert bernstein._float_points(sample).tolist() == float_points(sample.points, 2).tolist()
+    assert sample._weights.tolist() == [12, 4, 3] and sample._weight_scale == 12 and sample._labels.tolist() == [1, -1, 1]
+    assert sample.weights == (1, Fraction(1, 3), Fraction(1, 4))
     assert not sample._weights.flags.writeable and not sample._labels.flags.writeable
     floats = WeightedSample((1, 1), (1, -1), [(0.5, 0.25), (-0.0, 3.0)])
     assert floats._matrix.tolist() == [[0.5, 0.25], [-0.0, 3.0]] and np.signbit(floats._matrix[1, 0])
     assert not floats._matrix.flags.writeable
-    # beyond float range no float weights are kept; the fits that need floats then raise
+    # beyond float range the columns stay exact, as Python ints; the fits that need floats then raise
     huge = WeightedSample((10**400, 1), (1, -1), [(10**400,), (1,)])
-    assert huge._matrix is None and huge._weights is None
+    assert huge._matrix is None and huge._weights.dtype == object and huge._exact.numerators.dtype == object
     # equality and the repr look at the three given fields only
     assert WeightedSample((1,), (1,), [(0.5,)]) == WeightedSample((1,), (1,), [(0.5,)])
     assert not any(name in repr(sample) for name in ("_matrix", "_weights", "_labels"))
@@ -341,5 +344,5 @@ def test_numpy_integer_weights_become_python_ints():
         for weights in (big, tuple(big), (np.int64(2**62), 2**62, np.uint8(1))):
             sample = WeightedSample(weights, labels, points)
             assert sample.weights == (2**62, 2**62, 1) and all(type(w) is int for w in sample.weights)
-            assert sample._weights.dtype == np.float64
+            assert sample._weights.dtype == np.int64 and sample._weight_scale == 1
             assert fit_monotone(sample).values == (1, 1)
