@@ -143,6 +143,28 @@ def exact_column(values, limit=math.inf) -> tuple:
         return np.array(numerators, object), den
 
 
+def scaled(numerators: np.ndarray, factors) -> np.ndarray:
+    """``numerators * factors`` (an int, or an array of them) exactly: in int64 when |numerator| * max(factors) < 2**63 bounds every product, else as Python ints."""
+    factors = np.asarray(factors)
+    bound = max(-int(numerators.min(initial=0)), int(numerators.max(initial=0))) * int(factors.max(initial=1))
+    fits = numerators.dtype == np.int64 and bound < 1 << 63
+    return numerators.astype(np.int64 if fits else object) * factors.astype(np.int64 if fits else object)
+
+
+def exact_floats(numerators: np.ndarray, den: int):
+    """numerators / den correctly rounded, as ``float(Fraction)`` is, or None if one is beyond float range.
+
+    In numpy where float64 holds numerator and denominator exactly, else by
+    Python int true division (numpy's int64 / int is not correctly rounded).
+    """
+    if numerators.dtype == np.int64 and den <= 1 << 53 and max(-int(numerators.min(initial=0)), int(numerators.max(initial=0))) <= 1 << 53:
+        return numerators / den
+    try:
+        return np.array([float(v / den) for v in numerators.tolist()], dtype=float)
+    except OverflowError:
+        return None
+
+
 class ScaledInts:
     """Rows of exact rationals: an (n, d) matrix of ``exact_column`` numerators over one denominator per column.
 
@@ -248,6 +270,10 @@ def read_points(points, noun: str) -> tuple:
         columns = list(zip(*rows))
     if not (len(points) if rows is None else rows):
         return (), ScaledInts(np.zeros((0, 0), dtype=np.int64), ())
+    if rows is None and np.isfinite(points).all():
+        matrix = points.astype(np.float64)
+        matrix.flags.writeable = False
+        return None, matrix
     columns = [read_column(column, WIDE) for column in columns]
     if any(column is None for column in columns):
         for i, p in enumerate(points.tolist() if rows is None else rows):

@@ -21,13 +21,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, product
 
 import numpy as np
 
-from ._numeric import ValidationError, check_finite, finite_array
+from ._numeric import ScaledInts, ValidationError, check_finite, exact_floats, finite_array
 from .isotone import IsotoneProblem, solve
 from .order import lattice_dag
 from .risks import WeightedSample
@@ -192,11 +191,19 @@ class BernsteinClassifier:
 
 
 def float_points(points, dim: int) -> np.ndarray:
-    """(n, dim) float array of a point batch: an array, or an iterable of ``dim``-tuples.
+    """(n, dim) float array of a point batch: an array, ``ScaledInts`` (correctly rounded), or an iterable of ``dim``-tuples.
 
     Every coordinate must be finite as a float: NaN, an infinity, or an int or
     rational beyond float range is a ValidationError.
     """
+    if isinstance(points, ScaledInts):
+        width = points.numerators.shape[1]
+        if len(points) and width != dim:
+            raise ValidationError(f"point has dimension {width}, model expects {dim}")
+        columns = list(map(exact_floats, points.numerators.T, points.denominators))
+        if any(column is None for column in columns):
+            raise _beyond_float_range("coordinate", chain.from_iterable(points))
+        return np.stack(columns, axis=1) if len(points) else np.zeros((0, dim))
     if not isinstance(points, np.ndarray):
         points = [tuple(p) for p in points]
         for p in points:
@@ -209,8 +216,10 @@ def float_points(points, dim: int) -> np.ndarray:
     # no points are no points, whatever the width of their array
     if isinstance(points, list) or (x.ndim == 2 and not len(x)):
         x = x.reshape(len(points), dim)
-    elif x.ndim != 2 or x.shape[1] != dim:
+    elif x.ndim != 2:
         raise ValidationError(f"points have shape {x.shape}, model expects dimension {dim}")
+    elif x.shape[1] != dim:
+        raise ValidationError(f"point has dimension {x.shape[1]}, model expects {dim}")
     if not np.isfinite(x).all():
         raise ValidationError("coordinates must be finite")
     return x
@@ -355,24 +364,15 @@ def empirical_hinge_risk(model: BernsteinClassifier, sample: WeightedSample):
 
 def _float_points(sample: WeightedSample) -> np.ndarray:
     """The sample's points as float64: its ``_matrix``, or its exact columns correctly rounded."""
-    if sample._matrix is not None:
-        return sample._matrix
-    return np.stack([_exact_floats(*column, "coordinate") for column in zip(sample._exact.numerators.T, sample._exact.denominators)], axis=1)
+    return sample._matrix if sample._exact is None else float_points(sample._exact, sample.dim)
 
 
 def _float_weights(sample: WeightedSample) -> np.ndarray:
-    """The sample's weights as float64, exact ones correctly rounded."""
-    return sample._weights if sample._weight_scale is None else _exact_floats(sample._weights, sample._weight_scale, "weight")
-
-
-def _exact_floats(numerators: np.ndarray, den: int, what: str) -> np.ndarray:
-    """numerators / den correctly rounded, as ``float(Fraction)`` is: in numpy where float64 holds both exactly, else by Python int division."""
-    if numerators.dtype == np.int64 and den <= 1 << 53 and max(-int(numerators.min(initial=0)), int(numerators.max(initial=0))) <= 1 << 53:
-        return numerators / den
-    try:
-        return np.array([float(v / den) for v in numerators.tolist()])
-    except OverflowError:
-        raise _beyond_float_range(what, map(Fraction, numerators.tolist(), repeat(den))) from None
+    """The sample's weights as float64, exact ones correctly rounded; one beyond float range is a ValidationError."""
+    weights = sample._weights if sample._weight_scale is None else exact_floats(sample._weights, sample._weight_scale)
+    if weights is None:
+        raise _beyond_float_range("weight", sample.weights)
+    return weights
 
 
 def suggest_orders(n: int, d: int):

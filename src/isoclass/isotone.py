@@ -30,6 +30,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
@@ -282,9 +283,13 @@ def _staircase_best_up_set(dag: DominanceDag, weights):
 def _integer_weights(coeffs):
     """Coefficients (an array or a tuple) times their common denominator, as ints; that denominator; and exactness.
 
-    Their ``read_column`` form, float64 scaled by ``_scaled_floats``.  The
-    objective is exact for an int array, or for Python ints and Fractions.
+    Their ``read_column`` form, float64 scaled by ``_scaled_floats``; an
+    int64 array (``IsotoneProblem`` keeps a copy of an int array so) is used
+    as it is.  The objective is exact for an int array, or for Python ints
+    and Fractions.
     """
+    if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
+        return coeffs, 1, True
     column = read_column(coeffs)
     if column is None:
         for i, c in enumerate(coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs):
@@ -354,13 +359,20 @@ def solve(problem: IsotoneProblem, *, array: bool = False):
 
 
 def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LIMIT):
-    """Oracle for solve: exhaustive up-set enumeration with the same tie-break, on the problem's integer weights."""
-    weights, scale, exact = problem._weights
-    weights = weights.tolist()
+    """Oracle for solve: exhaustive up-set enumeration with the same tie-break.
+
+    Each coefficient is read on its own, apart from the reader ``solve`` uses:
+    floats (numpy's too) by their integer ratio, numpy integers through ``index``.
+    """
+    coeffs = problem.coeffs.tolist() if isinstance(problem.coeffs, np.ndarray) else problem.coeffs
+    weights = [
+        Fraction(*c.as_integer_ratio()) if isinstance(c, (float, np.floating)) else Fraction(index(c) if isinstance(c, np.integer) else c)
+        for c in coeffs
+    ]
     best_weight = None
     union_mask = 0
     for mask in iter_up_set_masks(problem.dag, node_limit):
-        w = 0
+        w = Fraction(0)
         probe = mask
         while probe:
             i = (probe & -probe).bit_length() - 1
@@ -371,5 +383,5 @@ def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LI
         elif w == best_weight:
             union_mask |= mask
     plus_set = {i for i in range(problem.dag.n) if union_mask >> i & 1}
-    objective = Fraction(2 * best_weight - sum(weights), scale)
-    return _solution(problem.dag.n, plus_set, objective, exact)
+    objective = 2 * best_weight - sum(weights, Fraction(0))
+    return _solution(problem.dag.n, plus_set, objective, all_exact(coeffs))

@@ -22,7 +22,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._numeric import ScaledInts, ValidationError, exact_columns, form_rows, read_points
+from ._numeric import ScaledInts, ValidationError, common_numerators, exact_columns, form_rows, read_points, scaled
 from .isotone import IsotoneProblem, solve
 from .order import build_dag, dense_ranks, dominator_counts, lex_argsort, rank_matrix
 from .risks import WeightedSample
@@ -218,11 +218,8 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
 
 def _joint_ranks(front: tuple, query: tuple) -> np.ndarray:
     """Dense ranks of two exact (numerators, denominator) columns, ``front`` then ``query``, over their common denominator."""
-    lcm = math.lcm(front[1], query[1])
-    columns = [(numerators, lcm // den) for numerators, den in (front, query)]
-    # int64 holds the scaled numerators when every one of them stays below 2**63, else Python ints do
-    fits = all(n.dtype == np.int64 and max(-int(n.min(initial=0)), int(n.max(initial=0))) * f < 1 << 63 for n, f in columns)
-    return dense_ranks(np.concatenate([(n if fits else n.astype(object)) * f for n, f in columns]))
+    factors, _ = common_numerators([1, 1], [front[1], query[1]], math.inf)
+    return dense_ranks(np.concatenate((scaled(front[0], factors[0]), scaled(query[0], factors[1]))))
 
 
 def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:

@@ -21,7 +21,7 @@ from operator import eq, index
 import numpy as np
 
 from . import bernstein, monotone
-from ._numeric import ScaledInts, ValidationError, check_finite, common_numerators, exact_column, form_rows
+from ._numeric import ScaledInts, ValidationError, check_finite, common_numerators, exact_column, exact_floats, form_rows, scaled
 from .risks import WeightedSample
 
 DEFAULT_KAPPA = 0.01
@@ -52,7 +52,8 @@ class TrialColumns:
     """Trial records kept as columns; a sequence whose indexing builds the ``TrialRecord`` of a row.
 
     Outcomes z and propensities e are (values, denominator) pairs: float64
-    over None, or exact numerators over their common denominator.
+    over None, or exact numerators over their common denominator (a float z
+    may stand beside an exact e).
     Treatments d are int64 -1/+1, and the covariates are points as
     ``WeightedSample`` reads them.  Rows are checked as ``TrialRecord`` does.
     """
@@ -62,13 +63,16 @@ class TrialColumns:
 
     @classmethod
     def of_records(cls, records) -> "TrialColumns":
-        """The columns of ``TrialRecord``s: z and e in floats when any of them is a float, as Python's arithmetic on them would be, else exact."""
+        """The columns of ``TrialRecord``s: e exact (floats taken exactly), z exact too unless a z or e is a float.
+
+        A float z is then rounded, and so is each exact denominator e or
+        1 - e, as Python's arithmetic on the records would round them.
+        """
         records = list(records)
-        values = [r.z for r in records] + [r.e for r in records]
-        floats = any(isinstance(v, (float, np.floating)) for v in values)
-        column, den = (np.array(values, dtype=float), None) if floats else exact_column(values)
-        n = len(records)
-        return cls((column[:n], den), np.array([r.d for r in records], dtype=np.int64), tuple(r.x for r in records), (column[n:], den))
+        z, e = [r.z for r in records], [r.e for r in records]
+        floats = any(isinstance(v, (float, np.floating)) for v in z + e)
+        z = (np.array(z, dtype=float), None) if floats else exact_column(z)
+        return cls(z, np.array([r.d for r in records], dtype=np.int64), tuple(r.x for r in records), exact_column(e))
 
     def __len__(self) -> int:
         return len(self._d)
@@ -88,13 +92,14 @@ class TrialColumns:
         term, else Python ints.
         """
         (z, z_den), (e, e_den) = self._z, self._e
-        if z_den is None:
+        if e_den is None:
             return z / np.where(self._d > 0, e, 1 - e), None
-        distinct, which = np.unique(np.where(self._d > 0, e, e_den - e), return_inverse=True)
+        q = np.where(self._d > 0, e, e_den - e)
+        if z_den is None:
+            return z / exact_floats(q, e_den), None
+        distinct, which = np.unique(q, return_inverse=True)
         factors, lcm = common_numerators([e_den] * len(distinct), distinct.tolist(), math.inf)
-        bound = max(-int(z.min(initial=0)), int(z.max(initial=0)), 1) * max(factors, default=1)
-        fits = z.dtype == np.int64 and bound < 1 << 63
-        return z * np.array(factors, dtype=np.int64 if fits else object)[which], z_den * lcm
+        return scaled(z, np.array(factors, dtype=object)[which]), z_den * lcm
 
     def _outside(self, low, high) -> list:
         """Rows whose propensity is not strictly between ``low`` and ``high``, each distinct value compared once."""

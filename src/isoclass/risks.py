@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from operator import index
 
 import numpy as np
 
@@ -30,8 +31,9 @@ class WeightedSample:
     dimension.  Each field is read once into its one form, kept read-only:
     ``_matrix`` (float64 points) or ``_exact`` (``ScaledInts``), the other
     None; ``_weights``, float64 or integer numerators over ``_weight_scale``
-    (None for floats); ``_labels`` in int64.  Points given as a sequence are
-    kept to be read back; other fields are built as tuples on first read.
+    (None for floats); ``_labels`` in int64.  Points and weights given as a
+    sequence are kept to be read back (numpy integers as Python ints); other
+    fields are built as tuples on first read.
     """
 
     weights: tuple
@@ -61,8 +63,11 @@ class WeightedSample:
         labels = labels.astype(np.int64)
         labels.flags.writeable = column.flags.writeable = False
         matrix = form if isinstance(form, np.ndarray) else None
+        # weights given as a sequence are kept to be read back, as points are; numpy integers as Python ints
+        if isinstance(weights, tuple) and any(issubclass(t, np.integer) for t in set(map(type, weights))):
+            weights = tuple(index(w) if isinstance(w, np.integer) else w for w in weights)
         self.__dict__.update(
-            points=points, weights=None, labels=None, _matrix=matrix, _exact=None if matrix is not None else form,
+            points=points, weights=weights if isinstance(weights, tuple) else None, labels=None, _matrix=matrix, _exact=None if matrix is not None else form,
             _weights=column, _weight_scale=scale, _labels=labels,
         )
         # a field kept only in its form (None here) is built as a tuple on its first read, by ``__getattr__``

@@ -282,6 +282,19 @@ def test_predict_rejects_bad_query_points_with_exit_2(tmp_path, plain_csv, capsy
     capsys.readouterr()
 
 
+def test_predict_names_a_wrong_dimension_alike_for_both_models_and_number_modes(tmp_path, plain_csv, capsys):
+    wide = write(tmp_path / "wide.csv", "x1,x2,x3\n0.5,0.5,0.25\n0.1,0.2,0.3\n")
+    out = str(tmp_path / "p.csv")
+    for command in ("fit-monotone", "fit-bernstein"):
+        model_path = str(tmp_path / "m.json")
+        assert main([command, "--in", plain_csv, "--out", model_path]) == 0
+        capsys.readouterr()
+        for flags in ([], ["--float"]):
+            assert main(["predict", "--model", model_path, "--in", wide, "--out", out, *flags]) == 2
+            assert capsys.readouterr().err == "error: point has dimension 3, model expects 1\n"
+    assert not os.path.exists(out)
+
+
 def test_predict_with_a_model_of_mixed_dimensions_exits_2(tmp_path, capsys):
     model_path = write(tmp_path / "m.json", json.dumps(
         {"type": "monotone", "dim": 2, "support": [[0, 1], [2]], "values": [-1, 1]}))

@@ -72,6 +72,18 @@ def test_brute_force_refuses_large_problems():
         brute_force_solve(IsotoneProblem(chain(16), (1,) * 16))
 
 
+def test_brute_force_reads_the_coefficients_on_its_own():
+    # the oracle does not read the weights that solve reads, so a wrong reader shows as a mismatch
+    coeffs = (0.75, -np.float64(1.5), np.int64(2), Fraction(-1, 3), np.longdouble(0.25))
+    problem = IsotoneProblem(chain(5), coeffs)
+    want = brute_force_solve(problem)
+    weights, scale, exact = problem._weights
+    object.__setattr__(problem, "_weights", (-weights, scale, exact))
+    assert brute_force_solve(problem) == want and solve(problem) != want
+    # the suffix 2 - 1/3 + 1/4 = 23/12 of a total 7/6: 2 * 23/12 - 7/6 = 8/3, rounded as a float coefficient makes it
+    assert want == ([-1, -1, 1, 1, 1], float(Fraction(8, 3)))
+
+
 def _random_problem(rng):
     d = rng.randint(1, 3)
     pts = random_distinct_points(rng, rng.randint(1, 12), d, grid=4)

@@ -185,3 +185,12 @@ def test_float_welfare_is_summed_in_row_order():
     records += [TrialRecord(-0.5, -1, (1.0,), 0.5)]
     assert math.fsum([2.0**54] + [1.0] * 9) != 2.0**54
     assert welfare_constant(records) == welfare_estimate(lambda x: 1, records) == 2.0**54 / 11
+
+
+def test_a_float_outcome_over_an_exact_propensity_divides_by_the_rounded_exact_denominator():
+    # as Python's z / (1 - e) does for a float z and a Fraction e: 1 - 1/3 is taken exactly, then rounded
+    records = [TrialRecord(1.0, -1, (0.0,), Fraction(1, 3)), TrialRecord(Fraction(1, 3), 1, (1.0,), 0.5)]
+    want = [1.0 / float(Fraction(2, 3)), float(Fraction(1, 3)) / 0.5]
+    assert 1.0 / (1 - float(Fraction(1, 3))) != want[0]
+    assert to_weighted_sample(records, kappa=0.1).weights == tuple(want)
+    assert welfare_constant(records) == (want[0] + want[1]) / 2

@@ -249,14 +249,14 @@ def test_labels_are_checked_before_int_maps_them():
 
 def test_sample_keeps_its_float_coordinates_and_weights_read_only():
     # a mixed sample keeps exact columns, its floats taken exactly; the floats a Bernstein fit
-    # reads are float(v), as float_points gives; its weights are numerators over one scale
+    # reads are float(v), as float_points gives; its weights are numerators over one scale, read back as given
     big = 2**53 + 1
     sample = WeightedSample((1, Fraction(1, 3), 0.25), (1, -1, 1), [(0.5, big), (Fraction(1, 3), 2), (0.1, 0.2)])
     assert sample._matrix is None and list(sample._exact) == [tuple(map(Fraction, p)) for p in sample.points]
     assert float_points(sample.points, 2).tolist() == [[0.5, float(big)], [float(Fraction(1, 3)), 2.0], [0.1, 0.2]]
     assert bernstein._float_points(sample).tolist() == float_points(sample.points, 2).tolist()
     assert sample._weights.tolist() == [12, 4, 3] and sample._weight_scale == 12 and sample._labels.tolist() == [1, -1, 1]
-    assert sample.weights == (1, Fraction(1, 3), Fraction(1, 4))
+    assert sample.weights == (1, Fraction(1, 3), 0.25) and type(sample.weights[2]) is float
     assert not sample._weights.flags.writeable and not sample._labels.flags.writeable
     floats = WeightedSample((1, 1), (1, -1), [(0.5, 0.25), (-0.0, 3.0)])
     assert floats._matrix.tolist() == [[0.5, 0.25], [-0.0, 3.0]] and np.signbit(floats._matrix[1, 0])
@@ -267,6 +267,16 @@ def test_sample_keeps_its_float_coordinates_and_weights_read_only():
     # equality and the repr look at the three given fields only
     assert WeightedSample((1,), (1,), [(0.5,)]) == WeightedSample((1,), (1,), [(0.5,)])
     assert not any(name in repr(sample) for name in ("_matrix", "_weights", "_labels"))
+
+
+def test_sample_reads_back_the_weights_it_was_given():
+    # fits read the exact numerators; the weights read back are the objects given, so a risk summed over them stays a float
+    given = (1, 0.5, np.float64(0.25))
+    sample = WeightedSample(given, (1, -1, 1), [(0,), (1,), (2,)])
+    assert sample._weights.tolist() == [4, 2, 1] and sample._weight_scale == 4
+    assert sample.weights is given and [type(w) for w in sample.weights] == [int, float, np.float64]
+    risk = empirical_risk((1, 1, -1), sample, hinge())
+    assert isinstance(risk, float) and not isinstance(risk, Fraction) and risk == (0 + 0.5 * 2 + 0.25 * 2) / 3
 
 
 def _bits(array):
