@@ -2,15 +2,17 @@
 
 Every input is read once, where it enters, into one of two forms: float64
 when every value is a float, else exact columns of integer numerators over
-one denominator each (``exact_column``, ``ScaledInts``).
+one denominator each (``exact_column``).  Point sets are ``Points``, which
+hold either form; only this module reads which one they hold.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, index, mul
 
 import numpy as np
@@ -35,6 +37,8 @@ def all_exact(values) -> bool:
 
 def _is_finite(value) -> bool:
     """False for a NaN or infinite float (numpy floats, longdouble too, checked by numpy); True for anything else."""
+    if type(value) is float:
+        return math.isfinite(value)
     return not isinstance(value, (float, np.floating)) or bool(np.isfinite(value))
 
 
@@ -165,43 +169,52 @@ def exact_floats(numerators: np.ndarray, den: int):
         return None
 
 
-class ScaledInts:
-    """Rows of exact rationals: an (n, d) matrix of ``exact_column`` numerators over one denominator per column.
+class Points:
+    """Rows of numbers in their one form: an (n, d) matrix ``values``, read-only.
 
-    As a sequence it holds the rows as tuples of Fractions, built when read.
+    ``values`` is float64 when ``denominators`` is None, else ``exact_column``
+    numerators over one denominator per column.  Only this module reads the
+    form; the methods give the points in the form a caller needs.
     """
 
-    __slots__ = ("numerators", "denominators")
+    __slots__ = ("values", "denominators")
 
-    def __init__(self, numerators: np.ndarray, denominators):
-        numerators.flags.writeable = False
-        self.numerators, self.denominators = numerators, tuple(denominators)
+    def __init__(self, values: np.ndarray, denominators=None):
+        values.flags.writeable = False
+        self.values, self.denominators = values, None if denominators is None else tuple(denominators)
 
     @classmethod
-    def of_columns(cls, columns) -> "ScaledInts":
-        """The rows of (numerators, denominator) column pairs, as ``exact_column`` gives them, one pair per coordinate."""
-        return cls(np.stack([numerators for numerators, _ in columns], axis=1), [den for _, den in columns])
+    def of_columns(cls, columns) -> "Points":
+        """The rows of ``read_column`` columns, one per coordinate: float64 if every column is, else exact (floats exactly)."""
+        if all(type(column) is np.ndarray for column in columns):
+            return cls(np.stack(columns, axis=1))
+        pairs = [c if type(c) is tuple else exact_column(c.tolist(), WIDE) for c in columns]
+        return cls(np.stack([numerators for numerators, _ in pairs], axis=1), [den for _, den in pairs])
 
     def __len__(self) -> int:
-        return len(self.numerators)
+        return len(self.values)
 
-    def __getitem__(self, i) -> tuple:
-        return tuple(map(Fraction, self.numerators[index(i)].tolist(), self.denominators))
+    @property
+    def dim(self) -> int:
+        return self.values.shape[1]
 
-    def __iter__(self):
-        return iter(self._rows())
+    def rows(self, index=None, kept=None) -> tuple:
+        """Rows ``index`` (an index array; all by default) as tuples: of the tuples ``kept`` if given, else of Python floats or Fractions."""
+        if kept is not None:
+            return kept if index is None else tuple(map(kept.__getitem__, index.tolist()))
+        values = self.values if index is None else self.values[index]
+        columns = values.T.tolist()
+        if self.denominators is not None:
+            columns = [map(Fraction, column, repeat(den)) for column, den in zip(columns, self.denominators)]
+        return tuple(list(zip(*columns))) if columns else ((),) * len(values)
 
-    def _rows(self, rows=None) -> tuple:
-        """Rows ``rows`` (an index array; all by default) as a tuple of tuples of Fractions, built column by column."""
-        numerators = self.numerators if rows is None else self.numerators[rows]
-        columns = [map(Fraction, column, repeat(den)) for column, den in zip(numerators.T.tolist(), self.denominators)]
-        return tuple(list(zip(*columns))) if columns else ((),) * len(numerators)
-
-    def _texts(self, rows=None) -> list:
-        """Rows ``rows`` (all by default) as lists of the ``str`` of their Fractions, int64 columns reduced in numpy."""
-        numerators = self.numerators if rows is None else self.numerators[rows]
+    def texts(self, index=None) -> list:
+        """Rows ``index`` (all by default) as lists of cells to write: Python floats, or the ``str`` of each Fraction, int64 columns reduced in numpy."""
+        values = self.values if index is None else self.values[index]
+        if self.denominators is None:
+            return list(map(list, self.rows(index)))
         columns = []
-        for column, den in zip(numerators.T, self.denominators):
+        for column, den in zip(values.T, self.denominators):
             if column.dtype == object:
                 columns.append([str(Fraction(v, den)) for v in column.tolist()])
                 continue
@@ -213,6 +226,53 @@ class ScaledInts:
                 texts[i] = str(tops[i])
             columns.append(texts)
         return list(map(list, zip(*columns)))
+
+    def floats(self) -> np.ndarray:
+        """The points as float64, exact ones correctly rounded (beyond float range a ValidationError); read-only for float points."""
+        if self.denominators is None:
+            return self.values
+        columns = list(map(exact_floats, self.values.T, self.denominators))
+        if any(column is None for column in columns):
+            raise beyond_float_range("coordinate", chain.from_iterable(self.rows()))
+        return np.stack(columns, axis=1) if columns else np.zeros((len(self), 0))
+
+    def exact_columns(self, index=None) -> list:
+        """The columns of rows ``index`` (all by default) as exact (numerators, denominator) pairs, floats exactly."""
+        values = self.values if index is None else self.values[index]
+        if self.denominators is None:
+            return [exact_column(column) for column in values.T.tolist()]
+        return list(zip(values.T, self.denominators))
+
+    def rescaled(self) -> tuple:
+        """(unit, (mins, maxs)): the columns min-max mapped into [0, 1] as float64 (a constant one to 0.5), and their bounds.
+
+        The bounds are Python numbers, the first of equal ones as ``min`` and
+        ``max`` give them.  Each (v - lo) / (hi - lo) is rounded once, as
+        Python computes it: exact numerator differences over their span, or
+        numpy's IEEE float operations (an overflow gives inf or NaN, as Python's do).
+        """
+        unit, mins, maxs = [], [], []
+        for v, column in enumerate(self.values.T):
+            values = column.tolist()
+            lo, hi = min(values), max(values)
+            if hi == lo:
+                unit.append(np.full(len(column), 0.5))
+            elif self.denominators is None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    unit.append((column - lo) / (hi - lo))
+            else:
+                # int64 holds the differences when it holds the span
+                unit.append(exact_floats((column if hi - lo < 1 << 63 else column.astype(object)) - lo, hi - lo))
+                lo, hi = Fraction(lo, self.denominators[v]), Fraction(hi, self.denominators[v])
+            mins.append(lo)
+            maxs.append(hi)
+        return np.stack(unit, axis=1), (mins, maxs)
+
+
+def beyond_float_range(what: str, values) -> ValidationError:
+    """The error naming the first of ``values`` beyond float range, by its first digits (it has over 300)."""
+    bad = next(v for v in values if abs(v) > sys.float_info.max)
+    return ValidationError(f"{what} {str(bad)[:20]}... is beyond float range")
 
 
 def finite_array(values, count: int):
@@ -232,8 +292,9 @@ def read_column(values, limit=math.inf):
     That is float64 when every value is a float (a float array of itemsize at
     most 8, or Python floats), else an ``exact_column`` pair.
     """
-    if isinstance(values, ScaledInts):
-        return values.numerators[:, 0], values.denominators[0]
+    if isinstance(values, Points):
+        column = values.values[:, 0]
+        return column if values.denominators is None else (column, values.denominators[0])
     kind = values.dtype.kind if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.itemsize <= 8 else None
     if kind in ("b", "i") or kind == "u" and values.max(initial=0) < 1 << 63:
         return values.astype(np.int64), 1
@@ -249,13 +310,13 @@ def read_column(values, limit=math.inf):
 
 
 def read_points(points, noun: str) -> tuple:
-    """``points`` checked to share one dimension and to have finite coordinates, as (rows, form).
+    """``points`` checked to share one dimension and to have finite coordinates, as (rows, ``Points``).
 
-    ``form``: a read-only float64 (n, d) matrix when every coordinate is a
-    float, else ``ScaledInts`` (denominators bounded by ``WIDE``).  ``rows``:
-    the tuples given, kept to be read back; None for an array or ``ScaledInts``.
+    ``Points`` are float64 when every coordinate is a float, else exact
+    (denominators bounded by ``WIDE``).  ``rows``: the tuples given, kept to
+    be read back; None for an array or ``Points``.
     """
-    if isinstance(points, ScaledInts):
+    if isinstance(points, Points):
         return None, points
     if isinstance(points, np.ndarray) and points.dtype.kind == "f" and points.dtype.itemsize <= 8:
         if points.ndim != 2:
@@ -269,45 +330,39 @@ def read_points(points, noun: str) -> tuple:
             raise ValidationError(f"{noun}s have mixed dimensions: {sorted(dims)}")
         columns = list(zip(*rows))
     if not (len(points) if rows is None else rows):
-        return (), ScaledInts(np.zeros((0, 0), dtype=np.int64), ())
+        return (), Points(np.zeros((0, 0), dtype=np.int64), ())
     if rows is None and np.isfinite(points).all():
-        matrix = points.astype(np.float64)
-        matrix.flags.writeable = False
-        return None, matrix
+        return None, Points(points.astype(np.float64))
+    if not len(columns):
+        return rows, Points(np.zeros((len(rows), 0)))
     columns = [read_column(column, WIDE) for column in columns]
     if any(column is None for column in columns):
         for i, p in enumerate(points.tolist() if rows is None else rows):
             for v in p:
                 check_finite(v, f"covariate of {noun} {i}")
-    if all(type(column) is np.ndarray for column in columns):
-        matrix = np.stack(columns, axis=1) if columns else np.zeros((len(points), 0))
-        matrix.flags.writeable = False
-        return rows, matrix
-    return rows, ScaledInts.of_columns([c if type(c) is tuple else exact_column(c.tolist(), WIDE) for c in columns])
-
-
-def form_rows(form, rows=None, kept=None) -> tuple:
-    """Rows ``rows`` (an index array; all by default) of a ``read_points`` form as tuples: of the tuples ``kept`` if given, else of Python floats or Fractions."""
-    if kept is not None:
-        return kept if rows is None else tuple(map(kept.__getitem__, rows.tolist()))
-    if isinstance(form, ScaledInts):
-        return form._rows(rows)
-    matrix = form if rows is None else form[rows]
-    return tuple(list(zip(*matrix.T.tolist()))) if matrix.shape[1] else ((),) * len(matrix)
-
-
-def exact_columns(form, rows=None) -> list:
-    """The columns of rows ``rows`` (all by default) of a ``read_points`` form as exact (numerators, denominator) pairs, floats exactly."""
-    if isinstance(form, ScaledInts):
-        numerators = form.numerators if rows is None else form.numerators[rows]
-        return list(zip(numerators.T, form.denominators))
-    return [exact_column(column) for column in (form if rows is None else form[rows]).T.tolist()]
+    return rows, Points.of_columns(columns)
 
 
 def check_points(points, noun: str) -> tuple:
-    """The checked rows of ``read_points``, built from its form when it kept none."""
+    """The checked rows of ``read_points``, built from its ``Points`` when it kept none."""
     rows, form = read_points(points, noun)
-    return form_rows(form) if rows is None else rows
+    return form.rows() if rows is None else rows
+
+
+def joint_ranks(a: Points, rows, b: Points) -> np.ndarray:
+    """Dense ranks of each coordinate over rows ``rows`` of ``a`` followed by all of ``b``, as an (m + n, d) int64 matrix.
+
+    Two float point sets are ranked as floats; otherwise each pair of columns
+    is ranked as exact numerators over their common denominator.
+    """
+    if a.denominators is None and b.denominators is None:
+        pairs = zip(a.values[rows].T, b.values.T)
+    else:
+        pairs = []
+        for (x, x_den), (y, y_den) in zip(a.exact_columns(rows), b.exact_columns()):
+            factors, _ = common_numerators([1, 1], [x_den, y_den], math.inf)
+            pairs.append((scaled(x, factors[0]), scaled(y, factors[1])))
+    return np.stack([np.unique(np.concatenate(pair), return_inverse=True)[1] for pair in pairs], axis=1)
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)

@@ -90,8 +90,8 @@ class ExampleOneResult:
         raise KeyError(name)
 
 
-def _set_points(dist: DiscreteDistribution, g: PredictionSet) -> tuple:
-    return tuple(dist.points[i][0] for i in g.indices)
+def _set_points(dist: DiscreteDistribution, indices) -> tuple:
+    return tuple(dist.points[i][0] for i in indices)
 
 
 def reproduce_example_1() -> ExampleOneResult:
@@ -102,24 +102,12 @@ def reproduce_example_1() -> ExampleOneResult:
     classification risk 16/30.
     """
     dist = example_distribution_1()
-    dag = build_dag(dist.points)
-    sets = tuple(enumerate_up_sets(dag))
-    losses = (zero_one(), hinge(1), exponential(), truncated_quadratic())
-    classification = surrogate_terms(dist, zero_one())
+    report = calibration_table(dist, (zero_one(), hinge(1), exponential(), truncated_quadratic()))
     rows = []
-    for loss in losses:
-        terms = surrogate_terms(dist, loss)
-        risks = [set_risk(terms, g) for g in sets]
+    for name, risks in report.surrogate.items():
         best = _argmin(risks)
-        rows.append(
-            LossReproduction(
-                loss.name,
-                _set_points(dist, sets[best]),
-                risks[best],
-                set_risk(classification, sets[best]),
-            )
-        )
-    result = ExampleOneResult(tuple(_set_points(dist, g) for g in sets), tuple(rows))
+        rows.append(LossReproduction(name, _set_points(dist, report.sets[best]), risks[best], report.classification[best]))
+    result = ExampleOneResult(tuple(_set_points(dist, s) for s in report.sets), tuple(rows))
     expected = {
         "zero-one": ((), Fraction(14, 30)),
         "hinge:1": ((), Fraction(14, 30)),
@@ -175,22 +163,19 @@ def _linear_hinge_vertex(dist: DiscreteDistribution):
 def reproduce_example_2() -> ExampleTwoResult:
     """Exhaustive vs hinge-over-linear optima for the second worked example."""
     dist = example_distribution_2()
-    dag = build_dag(dist.points)
-    sets = tuple(enumerate_up_sets(dag))
-    classification = surrogate_terms(dist, zero_one())
-    risks = [set_risk(classification, g) for g in sets]
-    best = _argmin(risks)
+    report = calibration_table(dist, ())
+    best = _argmin(report.classification)
 
     c0, c1 = _linear_hinge_vertex(dist)
     members = tuple(c0 + c1 * p[0] >= 0 for p in dist.points)
     linear_set = PredictionSet(members)
-    linear_risk = set_risk(classification, linear_set)
+    linear_risk = set_risk(surrogate_terms(dist, zero_one()), linear_set)
 
     result = ExampleTwoResult(
-        _set_points(dist, sets[best]),
-        risks[best],
+        _set_points(dist, report.sets[best]),
+        report.classification[best],
         (c0, c1),
-        _set_points(dist, linear_set),
+        _set_points(dist, linear_set.indices),
         linear_risk,
     )
     if tuple(sorted(result.exhaustive_set)) != (2,) or result.exhaustive_risk != Fraction(1, 3):

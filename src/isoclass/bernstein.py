@@ -22,11 +22,12 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import product
+from operator import index
 
 import numpy as np
 
-from ._numeric import ScaledInts, ValidationError, check_finite, exact_floats, finite_array
+from ._numeric import Points, ValidationError, beyond_float_range, check_finite, exact_floats, finite_array
 from .isotone import IsotoneProblem, solve
 from .order import lattice_dag
 from .risks import WeightedSample
@@ -95,8 +96,11 @@ def _values(model: "BernsteinClassifier", features: np.ndarray) -> np.ndarray:
 
 
 def _lattice_shape(orders) -> tuple:
-    """Coefficient-grid shape (k_1 + 1, ..., k_d + 1) of ``orders``: ints, each >= 1."""
-    shape = tuple(int(k) + 1 for k in orders)
+    """Coefficient-grid shape (k_1 + 1, ..., k_d + 1) of ``orders``: integers (read by ``operator.index``, no bool), each >= 1."""
+    orders = tuple(orders)
+    if any(isinstance(k, bool) or not hasattr(k, "__index__") for k in orders):
+        raise ValidationError(f"Bernstein orders must be integers, got {list(orders)!r}")
+    shape = tuple(index(k) + 1 for k in orders)
     if any(s < 2 for s in shape):
         raise ValidationError("every Bernstein order must be >= 1")
     return shape
@@ -191,19 +195,16 @@ class BernsteinClassifier:
 
 
 def float_points(points, dim: int) -> np.ndarray:
-    """(n, dim) float array of a point batch: an array, ``ScaledInts`` (correctly rounded), or an iterable of ``dim``-tuples.
+    """(n, dim) float array of a point batch: an array, ``Points`` (``Points.floats``), or an iterable of ``dim``-tuples.
 
     Every coordinate must be finite as a float: NaN, an infinity, or an int or
-    rational beyond float range is a ValidationError.
+    rational beyond float range is a ValidationError.  The array may be
+    read-only.
     """
-    if isinstance(points, ScaledInts):
-        width = points.numerators.shape[1]
-        if len(points) and width != dim:
-            raise ValidationError(f"point has dimension {width}, model expects {dim}")
-        columns = list(map(exact_floats, points.numerators.T, points.denominators))
-        if any(column is None for column in columns):
-            raise _beyond_float_range("coordinate", chain.from_iterable(points))
-        return np.stack(columns, axis=1) if len(points) else np.zeros((0, dim))
+    if isinstance(points, Points):
+        if len(points) and points.dim != dim:
+            raise ValidationError(f"point has dimension {points.dim}, model expects {dim}")
+        return points.floats() if len(points) else np.zeros((0, dim))
     if not isinstance(points, np.ndarray):
         points = [tuple(p) for p in points]
         for p in points:
@@ -212,7 +213,7 @@ def float_points(points, dim: int) -> np.ndarray:
     try:
         x = np.array(points, dtype=float)
     except OverflowError:
-        raise _beyond_float_range("coordinate", chain.from_iterable(points)) from None
+        raise beyond_float_range("coordinate", (v for p in points for v in p)) from None
     # no points are no points, whatever the width of their array
     if isinstance(points, list) or (x.ndim == 2 and not len(x)):
         x = x.reshape(len(points), dim)
@@ -225,16 +226,12 @@ def float_points(points, dim: int) -> np.ndarray:
     return x
 
 
-def _beyond_float_range(what: str, values) -> ValidationError:
-    """The error naming the first of ``values`` beyond float range, by its first digits (it has over 300)."""
-    bad = next(v for v in values if abs(v) > sys.float_info.max)
-    return ValidationError(f"{what} {str(bad)[:20]}... is beyond float range")
-
-
 def _to_unit_cube(model: BernsteinClassifier, points) -> np.ndarray:
     """Validated (n, d) float array of the points, rescaled and clamped into [0, 1]."""
     x = float_points(points, model.dim)
     if model.scale is not None:
+        # float Points hand out their own read-only matrix
+        x = x.copy()
         for v, (lo, hi) in enumerate(zip(*model.scale)):
             x[:, v] = (x[:, v] - lo) / (hi - lo) if hi > lo else 0.5
     clipped = np.minimum(np.maximum(x, 0.0), 1.0)
@@ -278,7 +275,7 @@ def evaluate(model: BernsteinClassifier, x) -> float:
     try:
         u = [float(v) for v in x]
     except OverflowError:
-        raise _beyond_float_range("coordinate", x) from None
+        raise beyond_float_range("coordinate", x) from None
     if not all(map(math.isfinite, u)):
         raise ValidationError("coordinates must be finite")
     if model.scale is not None:
@@ -333,7 +330,7 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     size = math.prod(shape)
     if size > MAX_LATTICE_SIZE:
         raise ValidationError(f"coefficient lattice of size {size} exceeds {MAX_LATTICE_SIZE}")
-    pts = _float_points(sample)
+    pts = sample._points.floats()
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise ValidationError(
             "covariates must lie in the unit cube [0,1]^d; rescale them first "
@@ -358,20 +355,15 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
 
 def empirical_hinge_risk(model: BernsteinClassifier, sample: WeightedSample):
     """(1/n) sum w_i (1 - y_i B(theta, x_i)); the box keeps the max inactive."""
-    values = evaluate_batch(model, _float_points(sample))
+    values = evaluate_batch(model, sample._points)
     return float(_float_weights(sample) @ np.maximum(0.0, 1.0 - sample._labels * values)) / sample.n
-
-
-def _float_points(sample: WeightedSample) -> np.ndarray:
-    """The sample's points as float64: its ``_matrix``, or its exact columns correctly rounded."""
-    return sample._matrix if sample._exact is None else float_points(sample._exact, sample.dim)
 
 
 def _float_weights(sample: WeightedSample) -> np.ndarray:
     """The sample's weights as float64, exact ones correctly rounded; one beyond float range is a ValidationError."""
     weights = sample._weights if sample._weight_scale is None else exact_floats(sample._weights, sample._weight_scale)
     if weights is None:
-        raise _beyond_float_range("weight", sample.weights)
+        raise beyond_float_range("weight", sample.weights)
     return weights
 
 

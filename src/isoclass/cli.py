@@ -12,10 +12,8 @@ import argparse
 import sys
 from functools import cache
 
-import numpy as np
-
 from . import bench, bernstein, io, monotone, policy
-from ._numeric import ScaledInts, ValidationError, form_rows
+from ._numeric import Points, ValidationError
 from .bernstein import BernsteinClassifier
 from .losses import parse_loss
 from .monotone import MonotoneClassifier
@@ -48,12 +46,10 @@ def _set_label(indices) -> str:
 
 
 def _rescale_sample(sample: WeightedSample):
-    """Min-max map of covariates into the unit cube, computed in the points' own numbers and then rounded; returns (sample, (mins, maxs))."""
-    columns = list(zip(*sample.points))
-    mins, maxs = list(map(min, columns)), list(map(max, columns))
-    scale = bernstein.float_points((mins, maxs), sample.dim).tolist()
-    mapped = [[float((v - lo) / (hi - lo)) if hi > lo else 0.5 for v in column] for column, lo, hi in zip(columns, mins, maxs)]
-    return WeightedSample(sample.weights, sample.labels, np.array(mapped, dtype=float).T), tuple(map(tuple, scale))
+    """Min-max map of covariates into the unit cube (``Points.rescaled``); returns (sample, (mins, maxs)), the bounds as floats."""
+    unit, bounds = sample._points.rescaled()
+    scale = bernstein.float_points(bounds, sample.dim).tolist()
+    return WeightedSample(sample.weights, sample.labels, unit), tuple(map(tuple, scale))
 
 
 def _load_sample(args) -> WeightedSample:
@@ -88,10 +84,8 @@ def _cmd_predict(args) -> int:
     points = io.load_points(args.input, rational=not args.float)
     kind = monotone if isinstance(model, MonotoneClassifier) else bernstein
     labels = kind.predict_batch(model, points).tolist()
-    d = (points.numerators if isinstance(points, ScaledInts) else points).shape[1] if len(points) else model.dim
-    header = [f"x{i + 1}" for i in range(d)] + ["label"]
-    cells = points._texts() if isinstance(points, ScaledInts) else map(list, form_rows(points))
-    io.write_csv(args.out, header, [p + [y] for p, y in zip(cells, labels)])
+    header = [f"x{i + 1}" for i in range(points.dim if len(points) else model.dim)] + ["label"]
+    io.write_csv(args.out, header, [p + [y] for p, y in zip(points.texts(), labels)])
     print(f"wrote {len(labels)} predictions -> {args.out}")
     return 0
 
@@ -108,13 +102,10 @@ def _trial_sample(args):
 def _cmd_policy_weights(args) -> int:
     records, kappa, sample = _trial_sample(args)
     header = ["w", "y"] + [f"x{i + 1}" for i in range(sample.dim)]
-    cells = map(list, sample.points) if sample._exact is None else sample._exact._texts()
     # exact weight numerators over their scale are written from them, as the str of each Fraction
-    if sample._weight_scale is None:
-        weights = [[w] for w in sample.weights]
-    else:
-        weights = ScaledInts(sample._weights[:, None], (sample._weight_scale,))._texts()
-    io.write_csv(args.out, header, [w + [y] + p for w, y, p in zip(weights, sample.labels, cells)])
+    scale = sample._weight_scale
+    weights = Points(sample._weights[:, None], None if scale is None else (scale,)).texts()
+    io.write_csv(args.out, header, [w + [y] + p for w, y, p in zip(weights, sample.labels, sample._points.texts())])
     bound = policy.max_weight_bound(records, kappa)
     print(f"wrote {sample.n} weighted rows -> {args.out} (weight bound {float(bound):g})")
     return 0

@@ -16,12 +16,12 @@ every token is a plain integer, decimal or ratio (``[+-]digits``,
 fits int64, else token by token with ``Fraction``.  Either way it is kept as
 numerators over the lcm of its denominators (a coordinate's lcm stops at
 ``WIDE``).  Float mode (``rational=False``) reads each number with
-``float``.  Samples, trials and points keep those columns, and Python
-numbers are built only when read.  Labels and treatments are read exactly
-in both modes.  Labels, weights and propensities
-are checked on whole columns; when a column fails to parse or its check, the
-cells are read again in row order and the first bad one is named.  Model
-files read their support through the same column parser.
+``float``.  Samples, trials and points keep those columns as ``Points``,
+and Python numbers are built only when read.  Labels and treatments are
+read exactly in both modes.  Labels, weights and propensities are checked
+on whole columns; when a column fails to parse or its check, the cells are
+read again in row order and the first bad one is named.  Model files read
+their support through the same column parser.
 Models are stored as the bytes of ``json.dumps(payload, indent=2)``
 (``json_text``) and written atomically (temp file + rename) so failed runs
 leave nothing partial behind.
@@ -40,7 +40,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ._numeric import WIDE, ScaledInts, ValidationError, check_finite, exact_column
+from ._numeric import WIDE, Points, ValidationError, check_finite, exact_column
 from .bernstein import BernsteinClassifier
 from .monotone import MonotoneClassifier
 from .policy import TrialColumns, TrialRecord
@@ -157,7 +157,7 @@ def _values(column, rational: bool) -> tuple:
 
 
 def load_sample(path: str, schema: str = "plain", rational: bool = True) -> WeightedSample:
-    """Load a classification sample in the plain or weighted schema; exact points and weights stay ``ScaledInts``."""
+    """Load a classification sample in the plain or weighted schema, its points (and exact weights) as ``Points``."""
     if schema not in ("plain", "weighted"):
         raise ValidationError(f"unknown sample schema {schema!r}")
     prefix = ["y"] if schema == "plain" else ["w", "y"]
@@ -170,13 +170,8 @@ def load_sample(path: str, schema: str = "plain", rational: bool = True) -> Weig
     if schema == "plain":
         weights = np.ones(len(rows), np.int64)
     else:
-        weights = ScaledInts.of_columns(columns[:1]) if rational else columns[0]
-    return WeightedSample(weights, labels, _points(points, rational))
-
-
-def _points(columns, rational: bool):
-    """Coordinate columns of ``_read_columns`` as ``ScaledInts``, or a float matrix when not ``rational``."""
-    return ScaledInts.of_columns(columns) if rational else np.stack(columns, axis=1)
+        weights = Points.of_columns(columns[:1])
+    return WeightedSample(weights, labels, Points.of_columns(points))
 
 
 def load_trials(path: str, rational: bool = True, propensity=None) -> TrialColumns:
@@ -201,7 +196,7 @@ def load_trials(path: str, rational: bool = True, propensity=None) -> TrialColum
         e = np.full(len(rows), float(propensity))
     # float columns are kept over no denominator
     z, e = (z, e) if rational else ((z, None), (e, None))
-    return TrialColumns(z, treat, _points(x, rational), e)
+    return TrialColumns(z, treat, Points.of_columns(x), e)
 
 
 def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
@@ -216,9 +211,9 @@ def load_distribution(path: str, rational: bool = True) -> DiscreteDistribution:
 
 
 def load_points(path: str, rational: bool = True):
-    """Load bare covariate rows: x1,...,xd, as ``ScaledInts``, or an (n, d) float matrix when not ``rational``."""
+    """Load bare covariate rows: x1,...,xd, as ``Points`` (float64 when not ``rational``)."""
     header, rows = _read_rows(path, ["x1"], "points")
-    return _points(_read_columns(path, rows, "x" * len(header), rational), rational)
+    return Points.of_columns(_read_columns(path, rows, "x" * len(header), rational))
 
 
 def atomic_write_text(path: str, text: str) -> None:

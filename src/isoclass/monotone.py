@@ -1,6 +1,6 @@
 """Hinge-risk-minimizing monotone classification over the componentwise order.
 
-Fitting ranks the sample's rows once, from the form its points were read
+Fitting ranks the sample's rows once, from the ``Points`` they were read
 into; that one ranking gives the distinct covariate points, their
 lexicographic order and the per-point objective coefficients sum(w_i y_i),
 and the isotone linear program is then solved exactly.  The fitted values
@@ -15,16 +15,15 @@ tests dominance in rank space with numpy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
 import numpy as np
 
-from ._numeric import ScaledInts, ValidationError, common_numerators, exact_columns, form_rows, read_points, scaled
+from ._numeric import ValidationError, joint_ranks, read_points
 from .isotone import IsotoneProblem, solve
-from .order import build_dag, dense_ranks, dominator_counts, lex_argsort, rank_matrix
+from .order import build_dag, dominator_counts, lex_argsort, rank_matrix
 from .risks import WeightedSample
 
 _SWEEP_BLOCK = 1024
@@ -34,9 +33,9 @@ _SWEEP_BLOCK = 1024
 class MonotoneClassifier:
     """Distinct training points with fitted +/-1 values respecting the order.
 
-    A model keeps the form of its points (``_sample``, its fit's or its
-    own, rows ``_first`` of it), any tuples given for them (``_kept``), the
-    support's ranks and the int64 values.  It builds ``support`` and
+    A model keeps the ``Points`` of its support (``_sample``, its fit's or
+    its own, rows ``_first`` of it), any tuples given for them (``_kept``),
+    the support's ranks and the int64 values.  It builds ``support`` and
     ``values`` on first read, and its frontiers from their own rows only.
     """
 
@@ -51,7 +50,7 @@ class MonotoneClassifier:
         self._keep(rows, form, np.arange(len(form)), values)
 
     def _keep(self, rows, form, first: np.ndarray, values, ranks=None) -> None:
-        """Keep the support (``rows`` given or None, its ``form``, rows ``first`` of it), its ranks and ``values``, checked unless an array."""
+        """Keep the support (``rows`` given or None, its ``Points`` as ``form``, rows ``first`` of it), its ranks and ``values``, checked unless an array."""
         if not isinstance(values, np.ndarray):
             values = tuple(values)
             # a bool is neither -1 nor +1
@@ -72,25 +71,24 @@ class MonotoneClassifier:
     def __getattr__(self, name):
         if name not in ("support", "values"):
             raise AttributeError(name)
-        value = self._points(np.arange(len(self._first))) if name == "support" else tuple(self._values.tolist())
+        value = self._support_rows(np.arange(len(self._first))) if name == "support" else tuple(self._values.tolist())
         self.__dict__[name] = value
         return value
 
-    def _points(self, index: np.ndarray) -> tuple:
-        """Support points ``index``: of the tuples kept, or built from the form."""
-        return form_rows(self._sample, self._first[index], self._kept)
+    def _support_rows(self, index: np.ndarray) -> tuple:
+        """Support points ``index``: of the tuples kept, or built from the ``Points``."""
+        return self._sample.rows(self._first[index], self._kept)
 
     @property
     def dim(self) -> int:
         return self._ranks.shape[1]
 
     def to_dict(self) -> dict:
-        # a support kept as exact columns alone is written from them, as the str of each Fraction
-        exact = self._kept is None and isinstance(self._sample, ScaledInts)
+        # a support kept as ``Points`` alone is written from them, an exact one as the str of each Fraction
         return {
             "type": "monotone",
             "dim": self.dim,
-            "support": self._sample._texts(self._first) if exact else _json_points(self.support),
+            "support": self._sample.texts(self._first) if self._kept is None else _json_points(self.support),
             "values": list(self.values),
         }
 
@@ -101,7 +99,7 @@ class MonotoneClassifier:
     @cached_property
     def frontier(self) -> tuple:
         """Maximal -1 support points; they alone decide the out-of-sample rule."""
-        return self._points(self._frontier)
+        return self._support_rows(self._frontier)
 
     def _extreme_rows(self, value: int) -> np.ndarray:
         """Indices of the support points fitted ``value`` that are maximal (-1) or minimal (+1) among those, in support order."""
@@ -110,7 +108,7 @@ class MonotoneClassifier:
 
     def _extremes(self, value: int) -> tuple:
         """The points of ``_extreme_rows``."""
-        return self._points(self._extreme_rows(value))
+        return self._support_rows(self._extreme_rows(value))
 
     def to_compact_dict(self) -> dict:
         """Frontier-only form: minimal +1 points plus maximal -1 points.
@@ -189,7 +187,7 @@ def _json_points(points) -> list:
 def fit(sample: WeightedSample) -> MonotoneClassifier:
     """Empirical weighted hinge risk minimizer over monotone [-1,1] classifiers.
 
-    One ranking of the sample's point form gives the support, its order and
+    One ranking of the sample's ``Points`` gives the support, its order and
     its coefficients: a stable lexicographic sort of the rank rows
     (``lex_argsort``) lists the distinct points in the order ``sorted`` would
     give, each as its first row, and the per-point sums of w_i y_i are added
@@ -199,7 +197,7 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
-    ranks = rank_matrix(sample._form)
+    ranks = rank_matrix(sample._points)
     by_lex = lex_argsort(ranks)
     ranks = ranks[by_lex]
     # a row starts a new point when its ranks differ from the row before
@@ -213,13 +211,7 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     first = by_lex[starts]
     dag = build_dag(partial(sample._rows, first), ranks[starts])
     values, _ = solve(IsotoneProblem(dag, coeffs), array=True)
-    return MonotoneClassifier._of(sample.__dict__.get("points"), sample._form, first, values, dag.ranks)
-
-
-def _joint_ranks(front: tuple, query: tuple) -> np.ndarray:
-    """Dense ranks of two exact (numerators, denominator) columns, ``front`` then ``query``, over their common denominator."""
-    factors, _ = common_numerators([1, 1], [front[1], query[1]], math.inf)
-    return dense_ranks(np.concatenate((scaled(front[0], factors[0]), scaled(query[0], factors[1]))))
+    return MonotoneClassifier._of(sample.__dict__.get("points"), sample._points, first, values, dag.ranks)
 
 
 def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:
@@ -230,18 +222,14 @@ def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:
     runs on integer ranks and is exact for any numbers.
     """
     _, form = read_points(points, "point")
-    n, dim = len(form), (form.numerators if isinstance(form, ScaledInts) else form).shape[1]
+    n, dim = len(form), form.dim
     if n and model.dim and dim != model.dim:
         raise ValidationError(f"point has dimension {dim}, model expects {model.dim}")
     labels = np.ones(n, dtype=np.int64)
     front = model._first[model._frontier]
     if n == 0 or not len(front):
         return labels
-    if isinstance(form, np.ndarray) and isinstance(model._sample, np.ndarray):
-        joint = [dense_ranks(np.concatenate(pair)) for pair in zip(model._sample[front].T, form.T)]
-    else:
-        joint = list(map(_joint_ranks, exact_columns(model._sample, front), exact_columns(form)))
-    ranks = np.stack(joint, axis=1)
+    ranks = joint_ranks(model._sample, front, form)
     m = len(front)
     labels[dominator_counts(ranks[m:], ranks[:m]) > 0] = -1
     return labels

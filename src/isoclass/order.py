@@ -7,19 +7,19 @@ edges forward -- are the feasible prediction sets of monotone classification.
 Dominance only depends on the order within each coordinate, so a DAG keeps
 its nodes' dense integer ranks and derives its chain order and (on first
 access) its cover edges from them.  ``dense_ranks`` ranks a column of the
-one form ``read_points`` gives with one exact ``np.unique``.
+``Points`` that ``read_points`` gives with one exact ``np.unique``.
 ``lex_argsort`` puts rank rows in lexicographic order by one int64 key each.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from ._numeric import ScaledInts, ValidationError, form_rows, read_points
+from ._numeric import ValidationError, read_points
 from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
@@ -140,15 +140,14 @@ def _rising(ranks: np.ndarray) -> bool:
     return bool(up.all())
 
 
-def rank_matrix(form) -> np.ndarray:
-    """Dense ranks of each coordinate column of a ``read_points`` form (a float matrix or ``ScaledInts``), as (n, d) int64.
+def rank_matrix(points) -> np.ndarray:
+    """Dense ranks of each coordinate column of ``Points``, as (n, d) int64.
 
-    A ``ScaledInts`` column shares one denominator, so its numerators rank as its values do.
+    An exact column shares one denominator, so its numerators rank as its values do.
     """
-    if not len(form):
+    if not len(points):
         return np.zeros((0, 0), dtype=np.int64)
-    columns = form.numerators if isinstance(form, ScaledInts) else form
-    return np.stack([dense_ranks(column) for column in columns.T], axis=1)
+    return np.stack([dense_ranks(column) for column in points.values.T], axis=1)
 
 
 def lex_argsort(ranks: np.ndarray) -> np.ndarray:
@@ -233,7 +232,7 @@ def build_dag(points, ranks=None) -> DominanceDag:
     if ranks is None:
         rows, form = read_points(points, "point")
         # only the order within a coordinate matters: the DAG works on dense ranks
-        points, ranks = partial(form_rows, form) if rows is None else rows, rank_matrix(form)
+        points, ranks = form.rows if rows is None else rows, rank_matrix(form)
     dag = DominanceDag(points, ranks)
     if not np.diff(dag.ranks[dag.lex_order], axis=0).any(axis=1).all():
         raise ValidationError("points must be distinct (deduplicate before building)")

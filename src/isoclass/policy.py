@@ -21,7 +21,7 @@ from operator import eq, index
 import numpy as np
 
 from . import bernstein, monotone
-from ._numeric import ScaledInts, ValidationError, check_finite, common_numerators, exact_column, exact_floats, form_rows, scaled
+from ._numeric import Points, ValidationError, check_finite, common_numerators, exact_column, exact_floats, scaled
 from .risks import WeightedSample
 
 DEFAULT_KAPPA = 0.01
@@ -54,8 +54,9 @@ class TrialColumns:
     Outcomes z and propensities e are (values, denominator) pairs: float64
     over None, or exact numerators over their common denominator (a float z
     may stand beside an exact e).
-    Treatments d are int64 -1/+1, and the covariates are points as
-    ``WeightedSample`` reads them.  Rows are checked as ``TrialRecord`` does.
+    Treatments d are int64 -1/+1, and the covariates are tuples or
+    ``Points``, as ``WeightedSample`` reads them.  Rows are checked as
+    ``TrialRecord`` does.
     """
 
     def __init__(self, z: tuple, d: np.ndarray, x, e: tuple):
@@ -79,7 +80,7 @@ class TrialColumns:
 
     def __getitem__(self, i) -> TrialRecord:
         i = index(i)
-        x = self._x[i] if type(self._x) is tuple else form_rows(self._x, [i])[0]
+        x = self._x[i] if type(self._x) is tuple else self._x.rows([i])[0]
         return TrialRecord(_value(self._z[0][i], self._z[1]), int(self._d[i]), x, _value(self._e[0][i], self._e[1]))
 
     @cached_property
@@ -146,14 +147,14 @@ def to_weighted_sample(records, kappa=DEFAULT_KAPPA) -> WeightedSample:
     _check_overlap(records, kappa)
     terms, scale = records._ipw
     labels = np.where(records._z[0] >= 0, 1, -1) * records._d
-    weights = np.abs(terms) if scale is None else ScaledInts(np.abs(terms)[:, None], (scale,))
+    weights = np.abs(terms) if scale is None else Points(np.abs(terms)[:, None], (scale,))
     return WeightedSample(weights, labels, records._x)
 
 
 def _labels(classifier, points) -> list:
     """Labels at ``points`` (as ``TrialColumns`` keep them): a fitted model in one batch, a plain callable point by point, on tuples."""
     if callable(classifier):
-        return [classifier(x) for x in (points if type(points) is tuple else form_rows(points))]
+        return [classifier(x) for x in (points if type(points) is tuple else points.rows())]
     if isinstance(classifier, monotone.MonotoneClassifier):
         return monotone.predict_batch(classifier, points).tolist()
     if isinstance(classifier, bernstein.BernsteinClassifier):

@@ -16,7 +16,7 @@ from operator import index
 
 import numpy as np
 
-from ._numeric import ScaledInts, ValidationError, check_finite, check_points, form_rows, is_exact, read_column, read_points, sign
+from ._numeric import Points, ValidationError, check_finite, check_points, is_exact, read_column, read_points, sign
 from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
@@ -29,25 +29,23 @@ class WeightedSample:
     Unweighted data is represented with unit weights.  Labels are -1/+1 and
     weights are finite and nonnegative; all covariate vectors share one
     dimension.  Each field is read once into its one form, kept read-only:
-    ``_matrix`` (float64 points) or ``_exact`` (``ScaledInts``), the other
-    None; ``_weights``, float64 or integer numerators over ``_weight_scale``
-    (None for floats); ``_labels`` in int64.  Points and weights given as a
-    sequence are kept to be read back (numpy integers as Python ints); other
-    fields are built as tuples on first read.
+    ``_points`` (``Points``); ``_weights``, float64 or integer numerators
+    over ``_weight_scale`` (None for floats); ``_labels`` in int64.  Points
+    and weights given as a sequence are kept to be read back (numpy integers
+    as Python ints); other fields are built as tuples on first read.
     """
 
     weights: tuple
     labels: tuple
     points: tuple
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _exact: ScaledInts = field(init=False, repr=False, compare=False)
+    _points: Points = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _weight_scale: int = field(init=False, repr=False, compare=False)
     _labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points, form = read_points(self.points, "row")
-        weights = self.weights if isinstance(self.weights, (np.ndarray, ScaledInts)) else tuple(self.weights)
+        weights = self.weights if isinstance(self.weights, (np.ndarray, Points)) else tuple(self.weights)
         labels = np.asarray(self.labels if isinstance(self.labels, np.ndarray) else list(self.labels))
         if len(weights) != len(form) or len(labels) != len(form):
             raise ValidationError("weights, labels and points must have equal length")
@@ -62,12 +60,11 @@ class WeightedSample:
             raise ValidationError(f"row {i}: label must be -1 or +1, got {labels.tolist()[i]!r}")
         labels = labels.astype(np.int64)
         labels.flags.writeable = column.flags.writeable = False
-        matrix = form if isinstance(form, np.ndarray) else None
         # weights given as a sequence are kept to be read back, as points are; numpy integers as Python ints
         if isinstance(weights, tuple) and any(issubclass(t, np.integer) for t in set(map(type, weights))):
             weights = tuple(index(w) if isinstance(w, np.integer) else w for w in weights)
         self.__dict__.update(
-            points=points, weights=weights if isinstance(weights, tuple) else None, labels=None, _matrix=matrix, _exact=None if matrix is not None else form,
+            points=points, weights=weights if isinstance(weights, tuple) else None, labels=None, _points=form,
             _weights=column, _weight_scale=scale, _labels=labels,
         )
         # a field kept only in its form (None here) is built as a tuple on its first read, by ``__getattr__``
@@ -79,7 +76,7 @@ class WeightedSample:
         if name not in ("points", "weights", "labels"):
             raise AttributeError(name)
         if name == "points":
-            value = form_rows(self._form)
+            value = self._points.rows()
         elif name == "weights" and self._weight_scale not in (None, 1):
             value = tuple(map(Fraction, self._weights.tolist(), repeat(self._weight_scale)))
         else:
@@ -98,23 +95,16 @@ class WeightedSample:
         return len(self._labels)
 
     @property
-    def _form(self):
-        """The points' one form: ``_matrix`` or ``_exact``."""
-        return self._exact if self._matrix is None else self._matrix
-
-    @property
     def dim(self) -> int:
-        return (self._exact.numerators if self._matrix is None else self._matrix).shape[1]
+        return self._points.dim
 
     def _rows(self, index: np.ndarray) -> tuple:
-        """The points of rows ``index``: the tuples given, or new ones built from the form while ``points`` is unbuilt."""
-        return form_rows(self._form, index, self.__dict__.get("points"))
+        """The points of rows ``index``: the tuples given, or new ones built from ``_points`` while ``points`` is unbuilt."""
+        return self._points.rows(index, self.__dict__.get("points"))
 
 
 def _name_bad_weight(weights) -> None:
     """Raise the error of the first weight, in row order, that is not finite or is negative."""
-    if isinstance(weights, ScaledInts):
-        weights = [w for (w,) in weights]
     for i, w in enumerate(weights.tolist() if isinstance(weights, np.ndarray) else weights):
         check_finite(w, f"weight of row {i}")
         if w < 0:

@@ -133,6 +133,17 @@ def test_fit_rejects_zero_order():
         fit_bernstein(sample, (0,))
 
 
+def test_fit_and_model_refuse_orders_that_are_not_integers():
+    # 2.9 is not truncated to order 2, "2" is not parsed, a bool is not an order; numpy integers are orders
+    sample = WeightedSample.unweighted([1, -1], [(0.25,), (0.75,)])
+    for orders in ((2.9,), ("2",), (True,), (np.float64(2.0),)):
+        with pytest.raises(ValidationError, match="orders must be integers"):
+            fit_bernstein(sample, orders)
+        with pytest.raises(ValidationError, match="orders must be integers"):
+            BernsteinClassifier(orders, (-1, 0, 1))
+    assert fit_bernstein(sample, (np.int64(2),)).orders == (2,)
+
+
 def test_fitted_theta_is_lattice_monotone():
     rng = random.Random(3)
     for _ in range(25):
@@ -517,7 +528,7 @@ def test_fit_and_risk_read_the_samples_kept_float_arrays():
         weights = [Fraction(rng.randint(0, 9), 7) for _ in points]
         exact = WeightedSample(weights, labels, points)
         floats = WeightedSample([float(w) for w in weights], labels, [tuple(map(float, p)) for p in points])
-        assert exact._matrix is None and np.array_equal(floats._matrix, bernstein.float_points(points, d))
+        assert exact._points.denominators is not None and np.array_equal(floats._points.values, bernstein.float_points(points, d))
         model = fit_bernstein(exact, orders)
         assert model.theta == fit_bernstein(floats, orders).theta
         assert empirical_hinge_risk(model, exact) == empirical_hinge_risk(model, floats)

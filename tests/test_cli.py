@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from isoclass import bernstein_predict, monotone_predict
+from isoclass import WeightedSample, bernstein_predict, fit_bernstein, monotone_predict
 from isoclass.cli import build_parser, main
 from isoclass.io import load_model
 
@@ -256,6 +256,46 @@ def test_bernstein_rescale_handles_out_of_cube_data(tmp_path, capsys):
     assert bernstein_predict(model, (19.0,)) == 1
 
 
+def test_rescaled_bernstein_model_predicts_alike_on_rational_and_float_points(tmp_path, capsys):
+    # dyadic values are exact in binary64, so both number modes fit the same model file; its labels at
+    # decimal points inside the training box are equal whether the points are read exactly or as floats
+    dyadic = write(tmp_path / "d.csv", "w,y,x1,x2\n1/4,1,0.25,1.5\n5/4,-1,0.75,0.5\n1,1,1,1.25\n"
+                                       "3/4,-1,0,0.75\n2,1,0.5,0.25\n1/2,-1,1.25,0\n")
+    decimal = write(tmp_path / "dd.csv", "w,y,x1,x2\n0.25,1,0.25,1.5\n1.25,-1,0.75,0.5\n1,1,1,1.25\n"
+                                         "0.75,-1,0,0.75\n2,1,0.5,0.25\n0.5,-1,1.25,0\n")
+    points = write(tmp_path / "p.csv", "x1,x2\n0.1,0.3\n0.6,0.7\n1.2,1.4\n0.3,1.1\n1,0.2\n")
+    models = []
+    for data, flags in ((dyadic, []), (decimal, ["--float"])):
+        models.append(tmp_path / f"b{len(models)}.json")
+        assert main(["fit-bernstein", "--in", data, "--weighted", "--rescale", "--orders", "2,2",
+                     "--out", str(models[-1]), *flags]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+    labels = []
+    for flags in ([], ["--float"]):
+        labels.append(tmp_path / f"l{len(labels)}.csv")
+        assert main(["predict", "--model", str(models[0]), "--in", points, "--out", str(labels[-1]), *flags]) == 0
+    # the coordinates are written as read (1/10 exactly, 0.1 as a float), the labels must agree
+    columns = [[line.rsplit(",", 1)[1] for line in path.read_text().splitlines()] for path in labels]
+    assert columns[0] == columns[1] and len(columns[0]) == 6 and {"-1", "1"} <= set(columns[0])
+    capsys.readouterr()
+
+
+def test_rescale_bounds_are_the_first_of_equal_values_and_a_constant_column_maps_to_one_half(tmp_path, capsys):
+    # min and max keep the first of equal values, as Python's do: a leading -0.0 is the float bound,
+    # while exactly both zeros are 0; a constant column is mapped to 0.5 and keeps its value as both bounds
+    data = write(tmp_path / "d.csv", "y,x1,x2\n1,-0.0,3\n-1,0.0,3\n1,1,3\n-1,0.5,3\n1,0.25,3\n")
+    unit = [(0.0, 0.5), (0.0, 0.5), (1.0, 0.5), (0.5, 0.5), (0.25, 0.5)]
+    theta = list(fit_bernstein(WeightedSample.unweighted([1, -1, 1, -1, 1], unit), (2, 2)).theta)
+    out = tmp_path / "b.json"
+    for flags, sign in (([], 1.0), (["--float"], -1.0)):
+        assert main(["fit-bernstein", "--in", data, "--rescale", "--orders", "2,2", "--out", str(out), *flags]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["theta"] == theta
+        assert payload["scale"] == {"min": [0.0, 3.0], "max": [1.0, 3.0]}
+        assert math.copysign(1.0, payload["scale"]["min"][0]) == sign
+    capsys.readouterr()
+
+
 def test_output_path_in_missing_directory_exits_2(tmp_path, plain_csv, capsys):
     out = str(tmp_path / "no" / "such" / "dir" / "m.json")
     assert main(["fit-monotone", "--in", plain_csv, "--out", out]) == 2
@@ -429,6 +469,10 @@ MALFORMED_MODELS = {
                       "scale": {"min": [float("nan"), 0], "max": [1, 1]}},
     "scale of one entry": {"type": "bernstein", "orders": [1, 1], "theta": [-1, 0, 0, 1],
                            "scale": {"min": [0], "max": [1]}},
+    # orders are integers: neither truncated (2.5 is not order 2) nor parsed ("2") nor a bool
+    "order not an integer": {"type": "bernstein", "orders": [2.5], "theta": [-1, 0, 1]},
+    "order a string": {"type": "bernstein", "orders": ["2"], "theta": [-1, 0, 1]},
+    "order a bool": {"type": "bernstein", "orders": [True], "theta": [-1, 1]},
 }
 
 
@@ -469,7 +513,6 @@ def test_column_path_and_token_path_write_the_same_bytes(tmp_path, capsys):
     plain = "".join(line[2:] + "\n" for line in weighted.splitlines())
     points = f"x1,x2\nQ,P\nE,T\n{k},H\nP,Q\nT,T\nH,E\n"
     trials = f"z,d,x1,x2,e\nH,O,Q,P,H\nT,N,E,T,Q\nQ,O,{k},H,E\nO,N,P,Q,H\nN,O,H,H,Q\nE,N,T,E,E\n"
-    from isoclass._numeric import ScaledInts
     from isoclass.io import load_points, load_sample, load_trials
     from isoclass.policy import TrialColumns
 
@@ -478,9 +521,9 @@ def test_column_path_and_token_path_write_the_same_bytes(tmp_path, capsys):
         paths = {name: write(tmp_path / f"{name}.csv", _spell(text, fallback))
                  for name, text in (("plain", plain), ("sample", weighted), ("points", points), ("trials", trials))}
         # both spellings load as exact columns
-        assert isinstance(load_sample(paths["sample"], "weighted")._exact, ScaledInts)
-        assert isinstance(load_sample(paths["plain"])._exact, ScaledInts)
-        assert isinstance(load_points(paths["points"]), ScaledInts)
+        assert load_sample(paths["sample"], "weighted")._points.denominators is not None
+        assert load_sample(paths["plain"])._points.denominators is not None
+        assert load_points(paths["points"]).denominators is not None
         assert isinstance(load_trials(paths["trials"]), TrialColumns)
         out = {name: str(tmp_path / name) for name in ("m.json", "w.json", "c.json", "p.csv", "pc.csv", "pol.json", "pw.csv")}
         runs = [
@@ -524,7 +567,6 @@ def test_a_bad_cell_is_named_in_row_order_whichever_column_it_is_in(tmp_path, ca
 
 def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path, capsys):
     from isoclass import TrialRecord, fit_monotone, to_weighted_sample, welfare_estimate
-    from isoclass._numeric import ScaledInts
     from isoclass.io import load_sample, load_trials
     from isoclass.policy import TrialColumns
     from isoclass.risks import WeightedSample
@@ -544,9 +586,9 @@ def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path,
     assert main(["fit-monotone", "--in", data, "--weighted", "--out", model]) == 0
     assert Path(model).read_text() == reference_model(rows)
     # still exact columns, whose numerators are Python ints
-    points = load_sample(data, "weighted")._exact
-    assert isinstance(points, ScaledInts) and points.numerators.dtype == object
-    assert list(points) == [tuple(map(Fraction, r[2:])) for r in rows]
+    points = load_sample(data, "weighted")._points
+    assert points.denominators is not None and points.values.dtype == object
+    assert list(points.rows()) == [tuple(map(Fraction, r[2:])) for r in rows]
 
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
     large_primes = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191)

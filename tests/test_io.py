@@ -29,7 +29,7 @@ def _models(tmp_path):
         "all +1": fit_monotone(WeightedSample.unweighted([1, 1], [(0, 1), (1, 0)])),
         "all -1": fit_monotone(WeightedSample.unweighted([-1, -1], [(0.5, 1.0), (1.0, 0.0)])),
     }
-    assert models["object numerators"]._sample.numerators.dtype == object
+    assert models["object numerators"]._sample.values.dtype == object
     assert not models["all +1"].frontier and not models["all -1"]._extremes(1)
     named = [(f"monotone {name}{' compact' if compact else ''}", model, compact)
              for name, model in models.items() for compact in (False, True)]

@@ -144,12 +144,10 @@ def test_serialization_round_trip():
 
 def test_support_strings_beyond_the_column_grammar_load_as_exact_columns():
     # a 19-digit decimal, an exponent, a numerator past int64 and a blank are read as a CSV column is
-    from isoclass._numeric import ScaledInts
-
     rows = [["0.1234567890123456789", "1e0"], ["0.5", "1/3"], ["9223372036854775808", "-2"], ["0.7", " 1/3"]]
     values = [-1, 1, 1, -1]
     model = MonotoneClassifier.from_dict({"type": "monotone", "dim": 2, "support": rows, "values": values})
-    assert isinstance(model._sample, ScaledInts) and model._ranks is not None
+    assert model._sample.denominators is not None and model._ranks is not None
     checked = MonotoneClassifier(tuple(tuple(map(Fraction, p)) for p in rows), values)
     axis = [Fraction(v) for v in ("-3", "0", "0.1234567890123456789", "1/3", "1/2", "0.7", "1", "9223372036854775808", "1e20")]
     queries = [(a, b) for a in axis for b in axis]
@@ -447,7 +445,7 @@ def test_float_sample_fits_as_its_exact_rational_copy():
             ):
                 by_float = WeightedSample(weights, labels, floats)
                 exact = WeightedSample(weights, labels, [tuple(map(Fraction, p)) for p in floats])
-                assert by_float._matrix is not None and exact._matrix is None
+                assert by_float._points.denominators is None and exact._points.denominators is not None
                 a, b = fit_monotone(by_float), fit_monotone(exact)
                 assert a.support == b.support and a.values == b.values
                 assert all(type(v) is float for p in a.support for v in p)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isoclass import IsotoneProblem, lattice_dag, solve
-from isoclass._numeric import ScaledInts, ValidationError, check_points, finite_array, parse_column
+from isoclass._numeric import Points, ValidationError, check_points, finite_array, parse_column
 from isoclass.io import load_points
 
 TOKENS = (
@@ -28,8 +28,8 @@ def test_parse_exact_equals_fraction_of_the_token(tmp_path, token):
         assert str(raised.value) == f"{path}, line 2: cannot parse number {token.strip()!r}"
         return
     points = load_points(str(path))
-    assert isinstance(points, ScaledInts)
-    (value, zero), = points
+    assert points.denominators is not None
+    (value, zero), = points.rows()
     assert type(value) is Fraction and zero == 0
     assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
 
@@ -70,17 +70,17 @@ def test_parse_column_equals_parse_exact_or_falls_back():
     assert parse_column([f"1/{p}" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)]) is None
 
 
-def test_scaled_ints_read_as_the_fractions_they_hold():
+def test_exact_points_read_as_the_fractions_they_hold():
     rng = np.random.default_rng(89)
     numerators = rng.integers(-3000, 3001, size=(50, 3))
-    rows = ScaledInts(numerators, (3000, 1, 8))
+    rows = Points(numerators, (3000, 1, 8))
     want = [tuple(Fraction(int(a), d) for a, d in zip(row, (3000, 1, 8))) for row in numerators]
-    assert list(rows) == want and rows[7] == want[7] and rows[-1] == want[-1] and len(rows) == 50
-    assert all(type(v) is Fraction for row in rows for v in row)
-    assert rows._texts() == [[str(v) for v in row] for row in want]
+    assert list(rows.rows()) == want and rows.rows(np.array([7, -1])) == (want[7], want[-1]) and len(rows) == 50
+    assert all(type(v) is Fraction for row in rows.rows() for v in row)
+    assert rows.texts() == [[str(v) for v in row] for row in want]
     index = np.array([4, 0, 4])
-    assert rows._rows(index) == tuple(want[i] for i in index)
-    assert rows._texts(index) == [[str(v) for v in want[i]] for i in index]
+    assert rows.rows(index) == tuple(want[i] for i in index)
+    assert rows.texts(index) == [[str(v) for v in want[i]] for i in index]
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(np.float64).maxexp, reason="longdouble is float64 here")

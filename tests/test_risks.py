@@ -24,7 +24,6 @@ from isoclass import (
     zero_one,
 )
 from isoclass.bench import example_distribution_1
-from isoclass import bernstein
 from isoclass.bernstein import float_points
 from isoclass.monotone import fit as fit_monotone
 
@@ -252,21 +251,21 @@ def test_sample_keeps_its_float_coordinates_and_weights_read_only():
     # reads are float(v), as float_points gives; its weights are numerators over one scale, read back as given
     big = 2**53 + 1
     sample = WeightedSample((1, Fraction(1, 3), 0.25), (1, -1, 1), [(0.5, big), (Fraction(1, 3), 2), (0.1, 0.2)])
-    assert sample._matrix is None and list(sample._exact) == [tuple(map(Fraction, p)) for p in sample.points]
+    assert sample._points.denominators is not None and list(sample._points.rows()) == [tuple(map(Fraction, p)) for p in sample.points]
     assert float_points(sample.points, 2).tolist() == [[0.5, float(big)], [float(Fraction(1, 3)), 2.0], [0.1, 0.2]]
-    assert bernstein._float_points(sample).tolist() == float_points(sample.points, 2).tolist()
+    assert sample._points.floats().tolist() == float_points(sample.points, 2).tolist()
     assert sample._weights.tolist() == [12, 4, 3] and sample._weight_scale == 12 and sample._labels.tolist() == [1, -1, 1]
     assert sample.weights == (1, Fraction(1, 3), 0.25) and type(sample.weights[2]) is float
     assert not sample._weights.flags.writeable and not sample._labels.flags.writeable
     floats = WeightedSample((1, 1), (1, -1), [(0.5, 0.25), (-0.0, 3.0)])
-    assert floats._matrix.tolist() == [[0.5, 0.25], [-0.0, 3.0]] and np.signbit(floats._matrix[1, 0])
-    assert not floats._matrix.flags.writeable
+    assert floats._points.values.tolist() == [[0.5, 0.25], [-0.0, 3.0]] and np.signbit(floats._points.values[1, 0])
+    assert not floats._points.values.flags.writeable
     # beyond float range the columns stay exact, as Python ints; the fits that need floats then raise
     huge = WeightedSample((10**400, 1), (1, -1), [(10**400,), (1,)])
-    assert huge._matrix is None and huge._weights.dtype == object and huge._exact.numerators.dtype == object
+    assert huge._points.denominators is not None and huge._weights.dtype == object and huge._points.values.dtype == object
     # equality and the repr look at the three given fields only
     assert WeightedSample((1,), (1,), [(0.5,)]) == WeightedSample((1,), (1,), [(0.5,)])
-    assert not any(name in repr(sample) for name in ("_matrix", "_weights", "_labels"))
+    assert not any(name in repr(sample) for name in ("_points", "_weights", "_labels"))
 
 
 def test_sample_reads_back_the_weights_it_was_given():
@@ -302,15 +301,16 @@ def test_array_sample_equals_its_tuple_built_copy():
                 assert all(type(v) is float for p in sample.points for v in p)
                 assert all(type(y) is int for y in sample.labels) and all(type(w) is int for w in sample.weights)
                 assert [[str(v) for v in p] for p in sample.points] == [[str(v) for v in p] for p in copy.points]
-                assert (sample._matrix is None) == (copy._matrix is None) == (n == 0)
-                for name in ("_matrix", "_weights", "_labels"):
+                assert (sample._points.denominators is None) == (copy._points.denominators is None) == (n != 0)
+                assert _bits(sample._points.values) == _bits(copy._points.values)
+                for name in ("_weights", "_labels"):
                     assert _bits(getattr(sample, name)) == _bits(getattr(copy, name)), name
-                assert n == 0 or not sample._matrix.flags.writeable
+                assert not sample._points.values.flags.writeable
     # the kept matrix is a copy: changing the caller's array afterwards changes nothing
     points = np.array([[0.5], [0.25]])
     sample = WeightedSample.unweighted(np.array([1, -1]), points)
     points[0, 0] = 9.0
-    assert sample.points == ((0.5,), (0.25,)) and sample._matrix.tolist() == [[0.5], [0.25]]
+    assert sample.points == ((0.5,), (0.25,)) and sample._points.values.tolist() == [[0.5], [0.25]]
     # float32 coordinates become the float64 values they equal
     narrow = WeightedSample.unweighted(np.array([1]), np.array([[0.1]], dtype=np.float32))
     assert narrow.points == ((float(np.float32(0.1)),),)
@@ -341,7 +341,7 @@ def test_non_float_point_arrays_are_read_as_sequences():
     for points in (np.array([[1, 2], [3, 4]]), np.array([[Fraction(1, 3)], [1]], dtype=object)):
         sample = WeightedSample((1, 1), (1, -1), points)
         copy = WeightedSample((1, 1), (1, -1), [tuple(p) for p in points])
-        assert sample == copy and sample._matrix is None
+        assert sample == copy and sample._points.denominators is not None
         assert [list(map(type, p)) for p in sample.points] == [list(map(type, p)) for p in copy.points]
 
 
