@@ -314,7 +314,8 @@ def read_points(points, noun: str) -> tuple:
 
     ``Points`` are float64 when every coordinate is a float, else exact
     (denominators bounded by ``WIDE``).  ``rows``: the tuples given, kept to
-    be read back; None for an array or ``Points``.
+    be read back; None for an array or ``Points``.  Nonempty points of
+    dimension 0 are refused; no points are a (0, 0) batch, whatever their width.
     """
     if isinstance(points, Points):
         return None, points
@@ -331,10 +332,10 @@ def read_points(points, noun: str) -> tuple:
         columns = list(zip(*rows))
     if not (len(points) if rows is None else rows):
         return (), Points(np.zeros((0, 0), dtype=np.int64), ())
+    if not len(columns):
+        raise ValidationError(f"{noun}s must have at least one coordinate")
     if rows is None and np.isfinite(points).all():
         return None, Points(points.astype(np.float64))
-    if not len(columns):
-        return rows, Points(np.zeros((len(rows), 0)))
     columns = [read_column(column, WIDE) for column in columns]
     if any(column is None for column in columns):
         for i, p in enumerate(points.tolist() if rows is None else rows):

@@ -12,19 +12,18 @@ import argparse
 import sys
 from functools import cache
 
-from . import bench, bernstein, io, monotone, policy
-from ._numeric import Points, ValidationError
-from .bernstein import BernsteinClassifier
-from .losses import parse_loss
-from .monotone import MonotoneClassifier
-from .order import DEFAULT_NODE_LIMIT
-from .risks import WeightedSample
-
-# the overlap bound's text, so that it parses exactly unless --float is given
-DEFAULT_KAPPA = str(policy.DEFAULT_KAPPA)
+# Only the standard library is imported here, so that ``--help`` and a flag
+# error load no numpy; each command imports the modules it runs.  The parser's
+# defaults are the library's: str(policy.DEFAULT_KAPPA), kept as text so that
+# it parses exactly unless --float is given, order.DEFAULT_NODE_LIMIT and
+# sorted(bench.DGPS).
+DEFAULT_KAPPA = "0.01"
+DEFAULT_NODE_LIMIT = 15
+DGP_NAMES = ["smooth", "step", "step2d"]
 
 
 def _parse_ints(text: str, flag: str):
+    from ._numeric import ValidationError
     try:
         values = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
@@ -35,6 +34,7 @@ def _parse_ints(text: str, flag: str):
 
 
 def _parse_orders(text: str):
+    from ._numeric import ValidationError
     orders = _parse_ints(text, "--orders")
     if any(k < 1 for k in orders):
         raise ValidationError(f"--orders must be integers >= 1, got {text!r}")
@@ -45,18 +45,32 @@ def _set_label(indices) -> str:
     return "|".join(str(i) for i in indices) if indices else "-"
 
 
-def _rescale_sample(sample: WeightedSample):
-    """Min-max map of covariates into the unit cube (``Points.rescaled``); returns (sample, (mins, maxs)), the bounds as floats."""
+def _weight_points(sample):
+    """The weights of ``sample`` as one ``Points`` column: exact numerators over ``_weight_scale``, or float64."""
+    from ._numeric import Points
+    scale = sample._weight_scale
+    return Points(sample._weights[:, None], None if scale is None else (scale,))
+
+
+def _rescale_sample(sample):
+    """Min-max map of covariates into the unit cube (``Points.rescaled``); returns (sample, (mins, maxs)), the bounds as floats.
+
+    The weights and labels are passed on in the columns the sample keeps.
+    """
+    from . import bernstein
+    from .risks import WeightedSample
     unit, bounds = sample._points.rescaled()
     scale = bernstein.float_points(bounds, sample.dim).tolist()
-    return WeightedSample(sample.weights, sample.labels, unit), tuple(map(tuple, scale))
+    return WeightedSample(_weight_points(sample), sample._labels, unit), tuple(map(tuple, scale))
 
 
-def _load_sample(args) -> WeightedSample:
+def _load_sample(args):
+    from . import io
     return io.load_sample(args.input, "weighted" if args.weighted else "plain", rational=not args.float)
 
 
 def _cmd_fit_monotone(args) -> int:
+    from . import io, monotone
     sample = _load_sample(args)
     model = monotone.fit(sample)
     io.save_model(args.out, model, compact=args.compact)
@@ -65,6 +79,7 @@ def _cmd_fit_monotone(args) -> int:
 
 
 def _cmd_fit_bernstein(args) -> int:
+    from . import bernstein, io
     sample = _load_sample(args)
     orders = _parse_orders(args.orders) if args.orders else bernstein.suggest_orders(sample.n, sample.dim)
     scale = None
@@ -73,16 +88,17 @@ def _cmd_fit_bernstein(args) -> int:
         sample, scale = _rescale_sample(sample)
     model = bernstein.fit(sample, orders)
     if scale is not None:
-        model = BernsteinClassifier(model.orders, model.theta, model.binarized, scale)
+        model = bernstein.BernsteinClassifier(model.orders, model.theta, model.binarized, scale)
     io.save_model(args.out, model)
     print(f"fitted bernstein classifier (orders {','.join(map(str, orders))}) -> {args.out}")
     return 0
 
 
 def _cmd_predict(args) -> int:
+    from . import io
     model = io.load_model(args.model)
     points = io.load_points(args.input, rational=not args.float)
-    kind = monotone if isinstance(model, MonotoneClassifier) else bernstein
+    kind = io.model_module(model)
     labels = kind.predict_batch(model, points).tolist()
     header = [f"x{i + 1}" for i in range(points.dim if len(points) else model.dim)] + ["label"]
     io.write_csv(args.out, header, [p + [y] for p, y in zip(points.texts(), labels)])
@@ -92,6 +108,7 @@ def _cmd_predict(args) -> int:
 
 def _trial_sample(args):
     """The trial records of ``--in``, the overlap bound ``--kappa`` and their IPW-weighted sample."""
+    from . import io, policy
     rational = not args.float
     propensity = io.parse_number(args.propensity, "--propensity", rational) if args.propensity else None
     records = io.load_trials(args.input, rational=rational, propensity=propensity)
@@ -100,11 +117,11 @@ def _trial_sample(args):
 
 
 def _cmd_policy_weights(args) -> int:
+    from . import io, policy
     records, kappa, sample = _trial_sample(args)
     header = ["w", "y"] + [f"x{i + 1}" for i in range(sample.dim)]
     # exact weight numerators over their scale are written from them, as the str of each Fraction
-    scale = sample._weight_scale
-    weights = Points(sample._weights[:, None], None if scale is None else (scale,)).texts()
+    weights = _weight_points(sample).texts()
     io.write_csv(args.out, header, [w + [y] + p for w, y, p in zip(weights, sample.labels, sample._points.texts())])
     bound = policy.max_weight_bound(records, kappa)
     print(f"wrote {sample.n} weighted rows -> {args.out} (weight bound {float(bound):g})")
@@ -112,6 +129,7 @@ def _cmd_policy_weights(args) -> int:
 
 
 def _cmd_policy_fit(args) -> int:
+    from . import io, monotone, policy
     records, _, sample = _trial_sample(args)
     model = monotone.fit(sample)
     io.save_model(args.out, model, compact=args.compact)
@@ -122,6 +140,8 @@ def _cmd_policy_fit(args) -> int:
 
 
 def _cmd_calibration_table(args) -> int:
+    from . import bench, io
+    from .losses import parse_loss
     dist = io.load_distribution(args.dist, rational=not args.float)
     losses = [parse_loss(tok) for tok in args.losses.split(",")]
     report = bench.calibration_table(dist, losses, node_limit=args.node_limit)
@@ -168,6 +188,7 @@ def _over(risk, denom: int) -> str:
 
 
 def _cmd_reproduce_examples(args) -> int:
+    from . import bench, io
     one = bench.reproduce_example_1()
     two = bench.reproduce_example_2()
     lines = []
@@ -213,6 +234,7 @@ def _cmd_reproduce_examples(args) -> int:
 
 
 def _cmd_simulate_regret(args) -> int:
+    from . import bench, io
     ns = _parse_ints(args.ns, "--ns")
     orders = _parse_orders(args.orders) if args.orders else None
     curve = bench.simulate_regret(
@@ -299,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_reproduce_examples)
 
     p = sub.add_parser("simulate-regret", help="Monte Carlo regret curve on a known design")
-    p.add_argument("--dgp", default="step", help=f"one of {sorted(bench.DGPS)}")
+    p.add_argument("--dgp", default="step", help=f"one of {DGP_NAMES}")
     p.add_argument("--ns", default="100,400,1600", help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=7)
@@ -318,6 +340,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    from ._numeric import ValidationError
     try:
         return args.run(args)
     except ValidationError as exc:

@@ -30,9 +30,11 @@ leave nothing partial behind.
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import os
 import math
+import sys
 import tempfile
 from fractions import Fraction
 from itertools import chain, repeat
@@ -41,10 +43,10 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from ._numeric import WIDE, Points, ValidationError, check_finite, exact_column
-from .bernstein import BernsteinClassifier
-from .monotone import MonotoneClassifier
-from .policy import TrialColumns, TrialRecord
 from .risks import DiscreteDistribution, WeightedSample
+
+# a model file's "type" -> the class, defined in the module of that name, that it holds
+MODELS = {"monotone": "MonotoneClassifier", "bernstein": "BernsteinClassifier"}
 
 
 def parse_number(token: str, where: str, rational: bool):
@@ -126,6 +128,7 @@ def _cell(token: str, kind: str, where: str, rational: bool) -> None:
 
 def _check_propensity(value, where: str) -> None:
     """The propensity checks of ``TrialRecord`` on ``value``, raising its error located at ``where``."""
+    from .policy import TrialRecord
     try:
         TrialRecord(0, 1, (), value)
     except ValidationError as exc:
@@ -174,8 +177,9 @@ def load_sample(path: str, schema: str = "plain", rational: bool = True) -> Weig
     return WeightedSample(weights, labels, Points.of_columns(points))
 
 
-def load_trials(path: str, rational: bool = True, propensity=None) -> TrialColumns:
+def load_trials(path: str, rational: bool = True, propensity=None):
     """Load trial records, as ``TrialColumns``; ``propensity`` supplies a constant if no e column."""
+    from .policy import TrialColumns
     header, rows = _read_rows(path, ["z", "d"], "trial")
     has_e = header[-1] == "e"
     d = len(header) - 2 - (1 if has_e else 0)
@@ -283,14 +287,25 @@ def write_json(path: str, payload) -> None:
     atomic_write_text(path, json_text(payload) + "\n")
 
 
+def model_module(model):
+    """The module (``monotone`` or ``bernstein``) whose model class made ``model``, or None.
+
+    Only a module already loaded can have made it, so none is imported here.
+    """
+    for kind, name in MODELS.items():
+        module = sys.modules.get(f"{__package__}.{kind}")
+        if module is not None and isinstance(model, getattr(module, name)):
+            return module
+    return None
+
+
 def save_model(path: str, model, compact: bool = False) -> None:
-    if isinstance(model, MonotoneClassifier):
-        payload = model.to_compact_dict() if compact else model.to_dict()
-    elif isinstance(model, BernsteinClassifier):
-        payload = model.to_dict()
-    else:
+    """``model`` as its payload (``to_dict``; a monotone one's frontiers alone if ``compact``), written by ``write_json``."""
+    module = model_module(model)
+    if module is None:
         raise ValidationError(f"cannot serialize model of type {type(model)!r}")
-    write_json(path, payload)
+    monotone = module.__name__ == f"{__package__}.monotone"
+    write_json(path, model.to_compact_dict() if compact and monotone else model.to_dict())
 
 
 def load_model(path: str):
@@ -304,14 +319,14 @@ def load_model(path: str):
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: model file is not a JSON object")
     kind = payload.get("type")
+    if not isinstance(kind, str) or kind not in MODELS:
+        raise ValidationError(f"{path}: unknown model type {kind!r}")
+    # only the module of this model's type is imported
+    model_class = getattr(importlib.import_module(f"{__package__}.{kind}"), MODELS[kind])
     try:
-        if kind == "monotone":
-            return MonotoneClassifier.from_dict(payload)
-        if kind == "bernstein":
-            return BernsteinClassifier.from_dict(payload)
+        return model_class.from_dict(payload)
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"{path}: malformed {kind} model ({type(exc).__name__}: {exc})") from exc
-    raise ValidationError(f"{path}: unknown model type {kind!r}")
 
 
 def write_csv(path: str, header, rows) -> None:

@@ -20,7 +20,6 @@ from operator import eq, index
 
 import numpy as np
 
-from . import bernstein, monotone
 from ._numeric import Points, ValidationError, check_finite, common_numerators, exact_column, exact_floats, scaled
 from .risks import WeightedSample
 
@@ -152,11 +151,16 @@ def to_weighted_sample(records, kappa=DEFAULT_KAPPA) -> WeightedSample:
 
 
 def _labels(classifier, points) -> list:
-    """Labels at ``points`` (as ``TrialColumns`` keep them): a fitted model in one batch, a plain callable point by point, on tuples."""
+    """Labels at ``points`` (as ``TrialColumns`` keep them): a fitted model in one batch, a plain callable point by point, on tuples.
+
+    The bernstein module is imported only for a model that is not monotone.
+    """
     if callable(classifier):
         return [classifier(x) for x in (points if type(points) is tuple else points.rows())]
+    from . import monotone
     if isinstance(classifier, monotone.MonotoneClassifier):
         return monotone.predict_batch(classifier, points).tolist()
+    from . import bernstein
     if isinstance(classifier, bernstein.BernsteinClassifier):
         return bernstein.predict_batch(classifier, points).tolist()
     raise ValidationError("classifier must be callable or a fitted model")

@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from isoclass import WeightedSample, bernstein_predict, fit_bernstein, monotone_predict
-from isoclass.cli import build_parser, main
-from isoclass.io import load_model
+from isoclass.cli import _rescale_sample, build_parser, main
+from isoclass.io import load_model, load_sample
 
 
 def write(path, text):
@@ -278,6 +278,17 @@ def test_rescaled_bernstein_model_predicts_alike_on_rational_and_float_points(tm
     columns = [[line.rsplit(",", 1)[1] for line in path.read_text().splitlines()] for path in labels]
     assert columns[0] == columns[1] and len(columns[0]) == 6 and {"-1", "1"} <= set(columns[0])
     capsys.readouterr()
+
+
+def test_rescaled_sample_reads_back_the_original_weights_and_labels(tmp_path):
+    data = write(tmp_path / "w.csv", "w,y,x1,x2\n0.1,1,0.5,2\n2,-1,0.25,7\n0.75,1,1,3\n0,-1,0,5\n")
+    for rational in (True, False):
+        sample = load_sample(data, "weighted", rational=rational)
+        rescaled, scale = _rescale_sample(sample)
+        assert rescaled.weights == sample.weights and rescaled.labels == sample.labels == (1, -1, 1, -1)
+        assert rescaled.points == ((0.5, 0.0), (0.25, 1.0), (1.0, 0.2), (0.0, 0.6)) and scale == ((0.0, 2.0), (1.0, 7.0))
+        assert rescaled._weight_scale == sample._weight_scale
+    assert sample.weights == (0.1, 2.0, 0.75, 0.0)
 
 
 def test_rescale_bounds_are_the_first_of_equal_values_and_a_constant_column_maps_to_one_half(tmp_path, capsys):

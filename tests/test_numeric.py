@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from isoclass import IsotoneProblem, lattice_dag, solve
+from isoclass import IsotoneProblem, WeightedSample, build_dag, fit_bernstein, fit_monotone, lattice_dag, solve
 from isoclass._numeric import Points, ValidationError, check_points, finite_array, parse_column
 from isoclass.io import load_points
 
@@ -89,3 +89,28 @@ def test_a_finite_longdouble_beyond_float_range_builds_and_solves():
     assert finite_array([big], 1) is None
     values, _ = solve(IsotoneProblem(lattice_dag((1,)), (big, -1.0)))
     assert list(values) == [1, 1]
+
+
+# nonempty points of dimension 0 are refused where they are read; no points are no points, at any width
+ZERO_DIM = "must have at least one coordinate"
+
+
+def test_fit_monotone_refuses_zero_dimensional_points():
+    with pytest.raises(ValidationError, match=ZERO_DIM):
+        fit_monotone(WeightedSample.unweighted([1, -1], [(), ()]))
+    with pytest.raises(ValidationError, match="empty sample"):
+        fit_monotone(WeightedSample.unweighted([], []))
+
+
+def test_build_dag_refuses_zero_dimensional_points():
+    for points in ([(), ()], [()], np.zeros((2, 0))):
+        with pytest.raises(ValidationError, match=ZERO_DIM):
+            build_dag(points)
+    assert build_dag([]).n == build_dag(np.zeros((0, 3))).n == 0
+
+
+def test_fit_bernstein_refuses_zero_dimensional_points():
+    with pytest.raises(ValidationError, match=ZERO_DIM):
+        fit_bernstein(WeightedSample.unweighted([1, -1], np.zeros((2, 0))), ())
+    with pytest.raises(ValidationError, match="empty sample"):
+        fit_bernstein(WeightedSample.unweighted([], np.zeros((0, 2))), (2, 2))
