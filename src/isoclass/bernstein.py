@@ -13,6 +13,14 @@ row; one ``exp`` makes the basis matrix.  ``evaluate_batch`` contracts the
 matrices against the coefficient grid in row chunks of about 2^16 entries;
 ``evaluate`` checks its one point in Python floats and hands its one feature
 row to the same contraction.
+
+``fit`` builds its first dimension's matrix from logs shifted by S = 64 ln 2,
+clipped at -707 before the ``exp``: every ``exp`` result is then a normal
+float (numpy's ``exp`` is 10-100x slower on results that are subnormal or
+underflow to 0), an entry whose shifted log lay below -707 (a basis value
+below e^-751.4) is set to 0, and the objective coefficients come out e^S
+times the unscaled ones to rounding, a common factor the +/-1 solution does
+not depend on.  Evaluation keeps the unscaled basis.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ from .risks import WeightedSample
 MAX_ORDER_PER_DIM = 500
 MAX_LATTICE_SIZE = 10**6
 _LOG_ZERO = -1e300  # log 0 as a finite number: times j = 0 it gives 0, so end-point basis rows are one-hot
+_SHIFT = 64 * math.log(2)  # fit's first basis is taken times e^_SHIFT, 2^64 to rounding
+_CUT = -707.0  # at and above this, numpy's exp takes its fast path and gives a normal float
+_SCALED_WEIGHT_LIMIT = 2.0**900  # max|w_i| * n up to this keeps every scaled coefficient below 2^964
 
 
 def basis(k: int, j: int, x) -> float:
@@ -49,10 +60,10 @@ def basis(k: int, j: int, x) -> float:
 
 
 @lru_cache(maxsize=64)
-def _basis_rows(k: int) -> np.ndarray:
-    """(3, k + 1) rows [log C(k, j); j; k - j] for j = 0..k, log C from the exact integers."""
+def _basis_rows(k: int, shift: float = 0.0) -> np.ndarray:
+    """(3, k + 1) rows [log C(k, j) + shift; j; k - j] for j = 0..k, log C from the exact integers."""
     j = np.arange(k + 1)
-    rows = np.array([[math.log(math.comb(k, i)) for i in range(k + 1)], j, k - j], dtype=float)
+    rows = np.array([[math.log(math.comb(k, i)) + shift for i in range(k + 1)], j, k - j], dtype=float)
     rows.flags.writeable = False
     return rows
 
@@ -79,6 +90,20 @@ def _basis_matrices(orders, features: np.ndarray) -> list:
         b = features[:, v] @ _basis_rows(k)
         out.append(np.exp(b, out=b))
     return out
+
+
+def _scaled_basis_matrix(k: int, features: np.ndarray) -> np.ndarray:
+    """e^_SHIFT times the order-``k`` basis matrix at the (n, 3) log ``features``, with no subnormal entry.
+
+    One ``exp`` of the shifted logs clipped at ``_CUT``; an entry whose
+    shifted log lies below the cut (a basis value below e^-751.4, which the
+    unscaled matrix holds as a subnormal or 0) is set to exactly 0.
+    """
+    b = features @ _basis_rows(k, _SHIFT)
+    below = b < _CUT
+    np.exp(np.maximum(b, _CUT, out=b), out=b)
+    b[below] = 0.0
+    return b
 
 
 def _values(model: "BernsteinClassifier", features: np.ndarray) -> np.ndarray:
@@ -112,6 +137,15 @@ def _chunk_rows(orders) -> int:
     return max(1, (1 << 16) // (math.prod(shape[1:]) + sum(shape)))
 
 
+def _in_box(theta: tuple, binarized: bool) -> bool:
+    """Whether the Python ints and floats ``theta`` lie in [-1, 1] (are +/-1 when ``binarized``); NaN does not."""
+    try:
+        magnitudes = np.abs(np.array(theta, dtype=float))
+    except OverflowError:
+        return False
+    return bool((magnitudes == 1.0).all() if binarized else (magnitudes <= 1.0).all())
+
+
 @dataclass(frozen=True)
 class BernsteinClassifier:
     """Per-dimension orders and a lattice-monotone coefficient vector in [-1,1].
@@ -136,12 +170,15 @@ class BernsteinClassifier:
             raise ValidationError(
                 f"theta has {len(self.theta)} entries, lattice needs {size}"
             )
-        for t in self.theta:
-            check_finite(t, "theta")
-            if not (-1 <= t <= 1):
-                raise ValidationError(f"theta entries must lie in [-1, 1], got {t!r}")
-        if self.binarized and any(t not in (-1, 1) for t in self.theta):
-            raise ValidationError("binarized model must have theta in {-1, +1}")
+        # Python ints and floats are checked in numpy; other entries, or a failed check, take the loop,
+        # which names the first bad entry
+        if not (set(map(type, self.theta)) <= {int, float} and _in_box(self.theta, self.binarized)):
+            for t in self.theta:
+                check_finite(t, "theta")
+                if not (-1 <= t <= 1):
+                    raise ValidationError(f"theta entries must lie in [-1, 1], got {t!r}")
+            if self.binarized and any(t not in (-1, 1) for t in self.theta):
+                raise ValidationError("binarized model must have theta in {-1, +1}")
         if self.scale is not None:
             mins, maxs = map(tuple, self.scale)
             bounds = finite_array(mins + maxs, 2 * self.dim)
@@ -313,7 +350,11 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     The objective coefficients are summed in floats (exact points and
     weights correctly rounded), chunk by chunk, into one float64 array;
     ``solve`` takes that array as it is and scales it to integers exactly,
-    so the +/-1 values are exact for those floats.
+    so the +/-1 values are exact for those floats.  The first dimension's
+    basis is ``_scaled_basis_matrix``'s, e^S times the unscaled one with no
+    subnormal entry, so the coefficients are e^S (S = 64 ln 2) times the
+    unscaled sums; when max|w_i| * n exceeds 2^900, where a scaled
+    coefficient could leave float range, it is the unscaled basis.
     ``lattice_dag`` and ``solve`` are called through this module's names,
     which the benchmark's tracer (``perfbench/tracing.py``) wraps.
     """
@@ -339,10 +380,15 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     signed = _float_weights(sample) * sample._labels
     # objective coefficient per multi-index: sum_i w_i y_i prod_v b_{k_v j_v}(x_iv), as one matrix
     # product per row chunk: the first basis matrix against the weighted row-wise products of the rest
+    scaled = np.abs(signed).max() <= _SCALED_WEIGHT_LIMIT / sample.n
     coeff = np.zeros((shape[0], size // shape[0]))
     step = _chunk_rows(orders)
     for start in range(0, sample.n, step):
-        first, *rest = _basis_matrices(orders, _log_features(pts[start : start + step]))
+        features = _log_features(pts[start : start + step])
+        if scaled:
+            first, rest = _scaled_basis_matrix(orders[0], features[:, 0]), _basis_matrices(orders[1:], features[:, 1:])
+        else:
+            first, *rest = _basis_matrices(orders, features)
         rows = signed[start : start + step, None]
         for b in reversed(rest):
             rows = (b[:, :, None] * rows[:, None, :]).reshape(len(b), -1)

@@ -327,6 +327,30 @@ def test_coordinates_beyond_float_range_are_validation_errors():
         assert _error(bernstein_predict, model, (bad,)) == message
 
 
+@pytest.mark.parametrize(
+    "theta, binarized, message",
+    [
+        ((0.5, float("nan")), False, "theta must be finite, got nan"),
+        ((0, 2), False, "theta entries must lie in [-1, 1], got 2"),
+        ((0, 10**400), True, f"theta entries must lie in [-1, 1], got {10**400!r}"),
+        ((1, 0.5), True, "binarized model must have theta in {-1, +1}"),
+        # the first bad entry is named, and a range error comes before the binarized one
+        ((0.5, 2.0, float("nan")), True, "theta entries must lie in [-1, 1], got 2.0"),
+        ((Fraction(1, 2), -1.5), False, "theta entries must lie in [-1, 1], got -1.5"),
+    ],
+)
+def test_theta_errors_name_the_first_bad_entry(theta, binarized, message):
+    orders = (len(theta) - 1,)
+    assert _error(BernsteinClassifier, orders, theta, binarized) == message
+    payload = {"type": "bernstein", "orders": list(orders), "theta": list(theta), "binarized": binarized}
+    assert _error(BernsteinClassifier.from_dict, payload) == message
+
+
+def test_theta_of_any_number_type_in_the_box_is_accepted():
+    for theta, binarized in (((-1, 1.0), True), ((Fraction(-1), np.float64(1.0)), True), ((0, -0.5, Fraction(1, 3)), False)):
+        assert BernsteinClassifier((len(theta) - 1,), theta, binarized).theta == theta
+
+
 def test_weights_beyond_float_range_are_validation_errors():
     sample = WeightedSample((Fraction(10**400), 1), (1, -1), ((0.25,), (0.75,)))
     with pytest.raises(ValidationError, match="weight 1000"):
@@ -482,6 +506,94 @@ def test_fit_matches_power_form_reference_across_chunks():
         coeff = coeff.sum(axis=0)
         want, _ = solve(IsotoneProblem(lattice_dag(orders), tuple(coeff.tolist())))
         assert list(fit_bernstein(sample, orders).theta) == want
+
+
+def _packed_at_the_ends(rng, n, d):
+    """n points within 0.01 of 0 or of 1 in every coordinate; the first rows at 0, 1, 1e-300 and 5e-324."""
+    pts = rng.uniform(0.0, 0.01, (n, d))
+    pts[rng.random((n, d)) < 0.5] += 0.99
+    pts[:4] = np.array([0.0, 1.0, 1e-300, 5e-324])[:, None]
+    return pts
+
+
+def _spy_on_solve(monkeypatch):
+    """The coefficient array of every ``solve`` that ``fit`` makes."""
+    seen, real = [], bernstein.solve
+    monkeypatch.setattr(bernstein, "solve", lambda problem: seen.append(problem.coeffs) or real(problem))
+    return seen
+
+
+def _unscaled_coefficients(orders, pts, signed):
+    """sum_i signed_i prod_v b_{k_v j_v}(x_iv) over the unscaled ``_basis_matrices``, last index fastest."""
+    coeff = signed.astype(float)
+    for b in _basis_matrices(orders, _log_features(pts)):
+        coeff = (coeff.reshape(len(pts), -1)[:, :, None] * b[:, None, :]).reshape(len(pts), -1)
+    return coeff.sum(axis=0)
+
+
+def test_fit_first_basis_is_scaled_with_no_subnormal_and_keeps_every_nonzero_entry(monkeypatch):
+    tiny, factor = np.finfo(float).tiny, math.exp(bernstein._SHIFT)
+    built, real = [], bernstein._scaled_basis_matrix
+
+    def spy(k, features):
+        built.append((k, features.copy(), real(k, features)))
+        return built[-1][2]
+
+    monkeypatch.setattr(bernstein, "_scaled_basis_matrix", spy)
+    rng = np.random.default_rng(24)
+    subnormals = 0
+    for k in (147, 500):
+        built.clear()
+        n = 2 * _chunk_rows((k,)) + 9
+        pts = _packed_at_the_ends(rng, n, 1)
+        fit_bernstein(WeightedSample.unweighted(rng.choice([-1, 1], n).tolist(), pts), (k,))
+        assert sum(len(b) for _, _, b in built) == n
+        for order, features, b in built:
+            assert order == k
+            assert ((b == 0.0) | (b >= tiny)).all()
+            assert (b[features @ bernstein._basis_rows(k) < bernstein._CUT - bernstein._SHIFT - 1e-9] == 0.0).all()
+            unscaled = _basis_matrices((k,), features[:, None])[0]
+            subnormals += ((unscaled > 0.0) & (unscaled < tiny)).sum()
+            assert (b[unscaled != 0.0] != 0.0).all()
+            # within 1e-12 where the unscaled entry is normal, and within its rounding (5e-324) where it is not
+            assert (np.abs(b / factor - unscaled) <= 1e-12 * unscaled + 5e-324).all()
+    assert subnormals > 0
+
+
+def test_fit_coefficients_are_the_unscaled_ones_times_the_shift(monkeypatch):
+    seen = _spy_on_solve(monkeypatch)
+    factor = math.exp(bernstein._SHIFT)
+    rng = np.random.default_rng(25)
+    for orders, n in (((500,), 300), ((80, 80), 300), ((2, 3, 4), 200)):
+        for pts in (rng.random((n, len(orders))), _packed_at_the_ends(rng, n, len(orders))):
+            labels = np.where(rng.random(n) < pts.mean(axis=1), 1, -1)
+            weights = rng.uniform(0.0, 3.0, n)
+            seen.clear()
+            fit_bernstein(WeightedSample(weights.tolist(), labels.tolist(), pts), orders)
+            want = _unscaled_coefficients(orders, pts, weights * labels)
+            # relative to the sum of the terms' magnitudes; a term whose unscaled basis entry is subnormal
+            # or 0 is off by its rounding and the product's, at most (w_i + 1) 2.5e-324
+            bound = 1e-12 * _unscaled_coefficients(orders, pts, weights) + 5e-324 * (weights + 1.0).sum()
+            assert (np.abs(seen[0] / factor - want) <= bound).all()
+
+
+def test_fit_scales_only_the_first_basis_and_only_within_float_range(monkeypatch):
+    seen = _spy_on_solve(monkeypatch)
+    # 16 order-1 dimensions: their 16 shifts together would make 2^1024; only the first is shifted
+    model = fit_bernstein(WeightedSample.unweighted([-1], [(0.0,) * 16]), (1,) * 16)
+    assert model.theta == (-1,) + (1,) * (2**16 - 1)
+    assert seen[0][0] == -math.exp(bernstein._SHIFT) and not seen[0][1:].any()
+    # max |w_i| n beyond 2^900: the first basis is unscaled, and the coefficients are the unscaled sums bit for bit
+    rng = np.random.default_rng(26)
+    pts = rng.random((40, 1))
+    labels = np.where(rng.random(40) < pts[:, 0], 1, -1)
+    for weight in (1e290, 1e300):
+        seen.clear()
+        model = fit_bernstein(WeightedSample([weight] * 40, labels.tolist(), pts), (50,))
+        signed = weight * labels.astype(float)
+        want = (_basis_matrices((50,), _log_features(pts))[0].T @ signed[:, None]).reshape(-1)
+        assert np.isfinite(seen[0]).all() and np.array_equal(seen[0], want)
+        assert list(model.theta) == solve(IsotoneProblem(lattice_dag((50,)), want))[0]
 
 
 @pytest.mark.parametrize(
