@@ -391,6 +391,9 @@ def _threshold_1d(model) -> float:
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            # lo and hi are adjacent floats: every further step would leave them as they are
+            if mid == lo or mid == hi:
+                break
             if bernstein_value(model, (mid,)) >= 0.0:
                 hi = mid
             else:

@@ -6,13 +6,14 @@ the multi-index lattice j in {0..k_1} x ... x {0..k_d}, with theta confined to
 linear program over that polytope (an isotone problem on the lattice DAG);
 binarization snaps coefficients to their signs, which preserves optimality.
 
-Fitting and evaluation share one basis step and one contraction.  A row of
-log features [1, log u, log1p(-u)] per coordinate, times a cached (3, k + 1)
-matrix [log C(k, j); j; k - j], gives the log of that coordinate's basis
-row; one ``exp`` makes the basis matrix.  ``evaluate_batch`` contracts the
-matrices against the coefficient grid in row chunks of about 2^16 entries;
-``evaluate`` checks its one point in Python floats and hands its one feature
-row to the same contraction.
+Fitting and evaluation share one basis step.  A row of log features
+[1, log u, log1p(-u)] per coordinate, times a cached (3, k + 1) matrix
+[log C(k, j); j; k - j], gives the log of that coordinate's basis row; one
+``exp`` makes the basis matrix.  ``evaluate_batch`` contracts the matrices
+against the coefficient grid in row chunks of about 2^16 entries;
+``evaluate`` checks its one point in Python floats and contracts one basis
+vector per dimension, first dimension first, with the same numpy logs and
+products: its value equals ``_values`` of its one feature row bit for bit.
 
 ``fit`` builds its first dimension's matrix from logs shifted by S = 64 ln 2,
 clipped at -707 before the ``exp``: every ``exp`` result is then a normal
@@ -29,7 +30,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from operator import index
 
@@ -137,13 +138,15 @@ def _chunk_rows(orders) -> int:
     return max(1, (1 << 16) // (math.prod(shape[1:]) + sum(shape)))
 
 
-def _in_box(theta: tuple, binarized: bool) -> bool:
-    """Whether the Python ints and floats ``theta`` lie in [-1, 1] (are +/-1 when ``binarized``); NaN does not."""
+def _in_box(theta: tuple, binarized: bool):
+    """The Python ints and floats ``theta`` as a float array if they lie in [-1, 1] (are +/-1 when ``binarized``), else None; NaN does not."""
     try:
-        magnitudes = np.abs(np.array(theta, dtype=float))
+        values = np.array(theta, dtype=float)
     except OverflowError:
-        return False
-    return bool((magnitudes == 1.0).all() if binarized else (magnitudes <= 1.0).all())
+        return None
+    magnitudes = np.abs(values)
+    inside = magnitudes == 1.0 if binarized else magnitudes <= 1.0
+    return values if inside.all() else None
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,8 @@ class BernsteinClassifier:
     ``theta`` is stored in row-major multi-index order (last index fastest).
     ``scale`` optionally records per-dimension (min, max) training ranges for
     prediction-time rescaling into the unit cube: ``dim`` finite numbers each,
-    kept as floats.
+    kept as floats.  ``theta_grid`` is ``theta`` as a float array of shape
+    (k_1 + 1, ..., k_d + 1), made once from the checked entries.
     """
 
     orders: tuple
@@ -170,15 +174,18 @@ class BernsteinClassifier:
             raise ValidationError(
                 f"theta has {len(self.theta)} entries, lattice needs {size}"
             )
-        # Python ints and floats are checked in numpy; other entries, or a failed check, take the loop,
-        # which names the first bad entry
-        if not (set(map(type, self.theta)) <= {int, float} and _in_box(self.theta, self.binarized)):
+        # Python ints and floats are checked in numpy, and the checked array is kept; other entries, or a
+        # failed check, take the loop, which names the first bad entry
+        grid = _in_box(self.theta, self.binarized) if set(map(type, self.theta)) <= {int, float} else None
+        if grid is None:
             for t in self.theta:
                 check_finite(t, "theta")
                 if not (-1 <= t <= 1):
                     raise ValidationError(f"theta entries must lie in [-1, 1], got {t!r}")
             if self.binarized and any(t not in (-1, 1) for t in self.theta):
                 raise ValidationError("binarized model must have theta in {-1, +1}")
+            grid = np.array(self.theta, dtype=float)
+        object.__setattr__(self, "theta_grid", grid.reshape(shape))
         if self.scale is not None:
             mins, maxs = map(tuple, self.scale)
             bounds = finite_array(mins + maxs, 2 * self.dim)
@@ -187,20 +194,16 @@ class BernsteinClassifier:
             object.__setattr__(self, "scale", tuple(map(tuple, bounds.reshape(2, -1).tolist())))
 
     @classmethod
-    def _of_fit(cls, orders: tuple, theta: tuple) -> "BernsteinClassifier":
-        """``fit``'s binarized model, skipping ``__post_init__``: ``fit`` checked the orders and ``solve`` returned +/-1."""
+    def _of_fit(cls, orders: tuple, values: np.ndarray) -> "BernsteinClassifier":
+        """``fit``'s binarized model of ``solve``'s int64 +/-1 ``values``, skipping ``__post_init__``: ``fit`` checked the orders."""
         model = object.__new__(cls)
-        model.__dict__.update(orders=orders, theta=theta, binarized=True, scale=None)
+        grid = values.astype(float).reshape(_lattice_shape(orders))
+        model.__dict__.update(orders=orders, theta=tuple(values.tolist()), binarized=True, scale=None, theta_grid=grid)
         return model
 
     @property
     def dim(self) -> int:
         return len(self.orders)
-
-    @cached_property
-    def theta_grid(self) -> np.ndarray:
-        """``theta`` as a float array of shape (k_1 + 1, ..., k_d + 1)."""
-        return np.asarray(self.theta, dtype=float).reshape(_lattice_shape(self.orders))
 
     def multi_indices(self):
         return product(*map(range, _lattice_shape(self.orders)))
@@ -304,7 +307,9 @@ def evaluate(model: BernsteinClassifier, x) -> float:
     """Tensor-product polynomial value at one point x.
 
     The point gets the checks, rescaling and clamping of ``evaluate_batch`` in
-    Python floats, and its one feature row the same contraction.
+    Python floats.  Each dimension's basis vector, from the same log features
+    and ``_basis_rows``, is then contracted with the coefficients left, first
+    dimension first: one ``dot`` each, no batch arrays.
     """
     x = tuple(x)
     if len(x) != model.dim:
@@ -322,10 +327,11 @@ def evaluate(model: BernsteinClassifier, x) -> float:
         _warn_at_caller("coordinates outside [0,1] were clamped")
     # numpy's logs, bit-identical to the batch path's; math.log1p differs from them in the last
     # bit on some inputs, which moves the thresholds that bench bisects with this function
-    row = [
-        (1.0, np.log(v) if v > 0.0 else _LOG_ZERO, np.log1p(-v) if v < 1.0 else _LOG_ZERO) for v in clipped
-    ]
-    return float(_values(model, np.array([row]))[0])
+    value = model.theta_grid
+    for v, k in zip(clipped, model.orders):
+        b = np.dot((1.0, np.log(v) if v > 0.0 else _LOG_ZERO, np.log1p(-v) if v < 1.0 else _LOG_ZERO), _basis_rows(k))
+        value = np.exp(b, out=b).dot(value.reshape(k + 1, -1))
+    return float(value[0])
 
 
 def predict(model: BernsteinClassifier, x) -> int:
@@ -395,8 +401,8 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
         coeff += first.T @ rows
     coeff = coeff.reshape(-1)
     dag = lattice_dag(orders)
-    values, _ = solve(IsotoneProblem(dag, coeff))
-    return BernsteinClassifier._of_fit(orders, tuple(values))
+    values, _ = solve(IsotoneProblem(dag, coeff), array=True)
+    return BernsteinClassifier._of_fit(orders, values)
 
 
 def empirical_hinge_risk(model: BernsteinClassifier, sample: WeightedSample):

@@ -34,6 +34,7 @@ from isoclass.bernstein import (
     evaluate_batch,
     predict_batch,
 )
+from isoclass.io import save_model
 
 
 def random_cube_sample(rng, n, d):
@@ -519,7 +520,7 @@ def _packed_at_the_ends(rng, n, d):
 def _spy_on_solve(monkeypatch):
     """The coefficient array of every ``solve`` that ``fit`` makes."""
     seen, real = [], bernstein.solve
-    monkeypatch.setattr(bernstein, "solve", lambda problem: seen.append(problem.coeffs) or real(problem))
+    monkeypatch.setattr(bernstein, "solve", lambda problem, **options: seen.append(problem.coeffs) or real(problem, **options))
     return seen
 
 
@@ -647,3 +648,83 @@ def test_fit_and_risk_read_the_samples_kept_float_arrays():
         assert empirical_hinge_risk(model, exact) == float(
             np.dot([float(w) for w in weights], np.maximum(0.0, 1.0 - np.array(labels) * evaluate_batch(model, points)))
         ) / len(points)
+
+
+def _one_row_values(model, x):
+    """``_values`` of the one log-feature row of ``x``: the batch contraction, as ``evaluate`` once called it."""
+    u = [float(v) for v in x]
+    if model.scale is not None:
+        u = [(v - lo) / (hi - lo) if hi > lo else 0.5 for v, lo, hi in zip(u, *model.scale)]
+    u = [min(max(v, 0.0), 1.0) for v in u]
+    row = [(1.0, np.log(v) if v > 0.0 else bernstein._LOG_ZERO, np.log1p(-v) if v < 1.0 else bernstein._LOG_ZERO) for v in u]
+    return float(bernstein._values(model, np.array([row]))[0])
+
+
+def _threshold_in_80_steps(model):
+    """The bisection of ``bench._threshold_1d`` for a model below 0 at 0 and at least 0 at 1, always 80 steps."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if bernstein_evaluate(model, (mid,)) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_evaluate_is_the_one_row_batch_contraction_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for orders in ((1,), (500,), (80, 80), (3, 9), (5, 7, 3)):
+        d, size = len(orders), math.prod(k + 1 for k in orders)
+        for theta in (np.clip(rng.normal(size=size), -1, 1), rng.choice([-1, 1], size=size)):
+            model = BernsteinClassifier(orders, tuple(theta.tolist()))
+            pts = rng.random((150, d))
+            pts[:3] = [[0.0] * d, [1.0] * d, [1e-300] * d]
+            pts[3:20] **= 40
+            for p in pts.tolist():
+                assert bernstein_evaluate(model, p) == _one_row_values(model, p)
+    # a scaled model with a degenerate second range; a clamped point still warns at this line
+    model = BernsteinClassifier((4, 3), tuple(np.clip(rng.normal(size=20), -1, 1).tolist()), False, ((-2.0, 5.0), (3.0, 5.0)))
+    for p in rng.uniform(-2.0, 3.0, (50, 2)).tolist():
+        assert bernstein_evaluate(model, p) == _one_row_values(model, p)
+    with pytest.warns(UserWarning, match="clamped") as record:
+        value = bernstein_evaluate(model, (7.5, -1.0))
+    assert [w.filename for w in record] == [__file__]
+    assert value == _one_row_values(model, (7.5, -1.0))
+    # the bisection stops once lo and hi are adjacent floats, with the threshold of all 80 steps; the
+    # last two models cross 0 near 1.4e-3 and near 1e-20, where the 80 steps end before adjacency
+    draws = np.random.default_rng(457)
+    models = [fit_bernstein(WeightedSample.unweighted(*bench.StepDgp().sample(draws, 400)[::-1]), (k,)) for k in (12, 147, 500)]
+    models += [BernsteinClassifier((500,), (-1,) + (1,) * 500), BernsteinClassifier((1,), (-1e-20, 1.0))]
+    for model in models:
+        assert bernstein_evaluate(model, (0.0,)) < 0.0 <= bernstein_evaluate(model, (1.0,))
+        assert bench._threshold_1d(model) == _threshold_in_80_steps(model)
+
+
+def test_theta_grid_is_theta_as_floats_however_the_model_is_made(tmp_path):
+    rng = random.Random(461)
+    for orders in ((7,), (3, 4), (2, 1, 3)):
+        shape = tuple(k + 1 for k in orders)
+        fitted = fit_bernstein(random_cube_sample(rng, 60, len(orders)), orders)
+        floats = tuple(rng.uniform(-1.0, 1.0) for _ in range(math.prod(shape)))
+        mixed = (Fraction(-1, 3), np.float64(0.25)) + floats[2:]
+        for model in (
+            fitted,
+            BernsteinClassifier(orders, fitted.theta, True),
+            BernsteinClassifier.from_dict(fitted.to_dict()),
+            BernsteinClassifier(orders, floats),
+            BernsteinClassifier.from_dict(BernsteinClassifier(orders, floats).to_dict()),
+            BernsteinClassifier(orders, mixed),
+        ):
+            assert model.theta_grid.dtype == np.float64
+            assert np.array_equal(model.theta_grid, np.asarray(model.theta, dtype=float).reshape(shape))
+        assert all(type(t) is int for t in fitted.theta)
+    # the saved file holds theta as JSON integers, byte for byte as before the float grid was kept
+    sample = WeightedSample.unweighted(
+        [-1, -1, 1, 1, -1, 1], [(0.1, 0.2), (0.3, 0.9), (0.8, 0.7), (0.6, 0.1), (0.2, 0.5), (0.9, 0.95)]
+    )
+    model = fit_bernstein(sample, (2, 1))
+    expected = {"type": "bernstein", "orders": [2, 1], "theta": [-1, -1, 1, 1, 1, 1], "binarized": True, "scale": None}
+    for saved in (model, BernsteinClassifier.from_dict(model.to_dict())):
+        save_model(str(tmp_path / "model.json"), saved)
+        assert (tmp_path / "model.json").read_bytes() == (json.dumps(expected, indent=2) + "\n").encode()
