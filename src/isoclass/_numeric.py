@@ -117,10 +117,11 @@ WIDE = 1 << 128
 
 
 def _ratio(value) -> tuple:
-    """(numerator, denominator) of a number, exactly: floats (numpy floats too) by their integer ratio, numpy integers through ``index``, the rest (a number's text too) through ``Fraction``."""
+    """(numerator, denominator) of a number, exactly: floats (numpy floats too) by their integer ratio, ints and Fractions as they are, numpy integers through ``index``, the rest (a number's text too) through ``Fraction``."""
     if isinstance(value, (float, np.floating)):
         return value.as_integer_ratio()
-    value = Fraction(index(value) if isinstance(value, np.integer) else value)
+    if type(value) not in (int, Fraction):
+        value = Fraction(index(value) if isinstance(value, np.integer) else value)
     return value.numerator, value.denominator
 
 
@@ -153,6 +154,22 @@ def scaled(numerators: np.ndarray, factors) -> np.ndarray:
     bound = max(-int(numerators.min(initial=0)), int(numerators.max(initial=0))) * int(factors.max(initial=1))
     fits = numerators.dtype == np.int64 and bound < 1 << 63
     return numerators.astype(np.int64 if fits else object) * factors.astype(np.int64 if fits else object)
+
+
+def summable(weights) -> np.ndarray:
+    """Integer ``weights`` (a list, an int64 or an object array) as an array to sum.
+
+    int64 when n * max|w| < 2**63, which bounds every partial sum, else the
+    same ints as Python objects; an object array stays one.
+    """
+    if not (isinstance(weights, np.ndarray) and weights.dtype == object):
+        try:
+            w = np.asarray(weights, dtype=np.int64)
+            if not len(w) or len(w) * max(int(w.max()), -int(w.min())) < 1 << 63:
+                return w
+        except OverflowError:
+            pass
+    return np.asarray(weights, dtype=object)
 
 
 def exact_floats(numerators: np.ndarray, den: int):

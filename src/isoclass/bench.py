@@ -15,20 +15,21 @@ Halton grid labelled in one batch through ``bernstein.predict_batch``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
-from ._numeric import ValidationError, all_exact, halton, is_exact
+from ._numeric import ValidationError, all_exact, common_numerators, halton, is_exact
 from .bernstein import BernsteinClassifier, evaluate as bernstein_value
 from .bernstein import fit as fit_bernstein, predict_batch as bernstein_labels, suggest_orders
 from .losses import exponential, hinge, truncated_quadratic, zero_one
 from .monotone import MonotoneClassifier, fit as fit_monotone
-from .order import DEFAULT_NODE_LIMIT, build_dag, enumerate_up_sets
-from .risks import DiscreteDistribution, PredictionSet, WeightedSample, set_risk, surrogate_terms
+from .order import DEFAULT_NODE_LIMIT, build_dag, up_set_matrix
+from .risks import DiscreteDistribution, PredictionSet, WeightedSample, set_risk, set_risks, surrogate_terms
 
 _TIE_TOL = 1e-12
 
@@ -208,12 +209,14 @@ def _exact_orders_agree(risks_a, risks_b) -> bool:
 
     That holds exactly when b is a strictly increasing function of a: sorted
     by (a, b), equal a must have equal b and b must rise wherever a does.
-    Float risks give False: ``_cmp``'s tolerance is not transitive, so only
-    the pairwise scan decides them.
+    Each column is sorted as integer numerators over one denominator, which
+    order as its risks do.  Float risks give False: ``_cmp``'s tolerance is
+    not transitive, so only the pairwise scan decides them.
     """
     if not (all_exact(risks_a) and all_exact(risks_b)):
         return False
-    pairs = sorted(zip(risks_a, risks_b))
+    keys = [common_numerators([r.numerator for r in risks], [r.denominator for r in risks], math.inf)[0] for risks in (risks_a, risks_b)]
+    pairs = sorted(zip(*keys))
     return all(
         b1 > b0 if a1 > a0 else b1 == b0 for (a0, b0), (a1, b1) in zip(pairs, pairs[1:])
     )
@@ -222,19 +225,18 @@ def _exact_orders_agree(risks_a, risks_b) -> bool:
 def calibration_table(dist: DiscreteDistribution, losses, node_limit: int = DEFAULT_NODE_LIMIT) -> CalibrationReport:
     """Set risks over all up-sets plus pairwise loss-ordering agreement.
 
-    Each loss's per-point terms are computed once, for all up-sets; the
-    classification column comes from the 0-1 terms.
+    Each loss's per-point terms are computed once and summed over every row
+    of the up-set matrix; the classification column comes from the 0-1 terms.
     """
-    dag = build_dag(dist.points)
-    sets = tuple(enumerate_up_sets(dag, node_limit))
+    members = up_set_matrix(build_dag(dist.points), node_limit)
+    sets = tuple(tuple(compress(range(dist.n), row)) for row in members.tolist())
     losses = tuple(losses)
     names = [loss.name for loss in losses]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate losses requested")
     columns = {loss.name: loss for loss in (zero_one(), *losses)}
     for name, loss in columns.items():
-        terms = surrogate_terms(dist, loss)
-        columns[name] = tuple(set_risk(terms, g) for g in sets)
+        columns[name] = tuple(set_risks(surrogate_terms(dist, loss), members))
     classification = columns["zero-one"]
     surrogate = {name: columns[name] for name in names}
     agreements = {}
@@ -246,12 +248,10 @@ def calibration_table(dist: DiscreteDistribution, losses, node_limit: int = DEFA
         if not _exact_orders_agree(risks_a, risks_b):
             for i, j in combinations(range(len(sets)), 2):
                 if _cmp(risks_a[i], risks_a[j]) != _cmp(risks_b[i], risks_b[j]):
-                    verdict = PairAgreement(False, (sets[i].indices, sets[j].indices))
+                    verdict = PairAgreement(False, (sets[i], sets[j]))
                     break
         agreements[(name_a, name_b)] = verdict
-    return CalibrationReport(
-        tuple(g.indices for g in sets), classification, surrogate, agreements
-    )
+    return CalibrationReport(sets, classification, surrogate, agreements)
 
 
 # ---------------------------------------------------------------------------

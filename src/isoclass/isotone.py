@@ -34,8 +34,8 @@ from operator import index
 
 import numpy as np
 
-from ._numeric import ValidationError, all_exact, check_finite, read_column
-from .order import DEFAULT_NODE_LIMIT, DominanceDag, iter_up_set_masks
+from ._numeric import ValidationError, all_exact, check_finite, read_column, summable
+from .order import DEFAULT_NODE_LIMIT, DominanceDag, up_set_matrix
 
 
 @dataclass(frozen=True)
@@ -145,29 +145,13 @@ class _Dinic:
         return seen
 
 
-def _summable(weights) -> np.ndarray:
-    """Integer ``weights`` (a list, an int64 or an object array) as an array to sum.
-
-    int64 when n * max|w| < 2**63, which bounds every partial sum, else the
-    same ints as Python objects; an object array stays one.
-    """
-    if not (isinstance(weights, np.ndarray) and weights.dtype == object):
-        try:
-            w = np.asarray(weights, dtype=np.int64)
-            if not len(w) or len(w) * max(int(w.max()), -int(w.min())) < 1 << 63:
-                return w
-        except OverflowError:
-            pass
-    return np.asarray(weights, dtype=object)
-
-
 def _chain_best_up_set(order: np.ndarray, weights):
     """Longest suffix of the chain ``order`` maximizing its weight (empty suffix allowed), that weight, and the total.
 
-    The suffix sums are one ``np.cumsum`` over the ``_summable`` weights.
+    The suffix sums are one ``np.cumsum`` over the ``summable`` weights.
     """
     n = len(order)
-    w = _summable(weights)
+    w = summable(weights)
     # sums[k] is the weight of the suffix of length k
     sums = np.concatenate((np.zeros(1, w.dtype), np.cumsum(w[order[::-1]])))
     length = n - int(np.argmax(sums[::-1]))  # the last index of the maximum
@@ -203,11 +187,11 @@ def _grid_best_up_set(dag: DominanceDag, weights):
     maximum per row.  Backtracking from the last row, each row takes the
     largest maximizing s up to the next row's: the smallest optimal
     thresholds, so the union of all optimal up-sets.  Sums run over the
-    ``_summable`` weights.
+    ``summable`` weights.
     """
     rows, cols = dag.grid_shape
     r1, r2 = dag.ranks.T
-    w = _summable(weights)
+    w = summable(weights)
     best = np.zeros((rows, cols + 1), w.dtype)
     best[r1, cols - r2] = w
     np.cumsum(best, axis=1, out=best)
@@ -363,25 +347,18 @@ def brute_force_solve(problem: IsotoneProblem, node_limit: int = DEFAULT_NODE_LI
 
     Each coefficient is read on its own, apart from the reader ``solve`` uses:
     floats (numpy's too) by their integer ratio, numpy integers through ``index``.
+    Every row of ``up_set_matrix`` is weighed at once, as ``members @ ints``
+    over one lcm denominator; the +1 set is the union of the maximizing rows.
     """
     coeffs = problem.coeffs.tolist() if isinstance(problem.coeffs, np.ndarray) else problem.coeffs
     weights = [
         Fraction(*c.as_integer_ratio()) if isinstance(c, (float, np.floating)) else Fraction(index(c) if isinstance(c, np.integer) else c)
         for c in coeffs
     ]
-    best_weight = None
-    union_mask = 0
-    for mask in iter_up_set_masks(problem.dag, node_limit):
-        w = Fraction(0)
-        probe = mask
-        while probe:
-            i = (probe & -probe).bit_length() - 1
-            w += weights[i]
-            probe &= probe - 1
-        if best_weight is None or w > best_weight:
-            best_weight, union_mask = w, mask
-        elif w == best_weight:
-            union_mask |= mask
-    plus_set = {i for i in range(problem.dag.n) if union_mask >> i & 1}
-    objective = 2 * best_weight - sum(weights, Fraction(0))
-    return _solution(problem.dag.n, plus_set, objective, all_exact(coeffs))
+    den = math.lcm(*(w.denominator for w in weights))
+    ints = np.array([w.numerator * (den // w.denominator) for w in weights], dtype=object)
+    members = up_set_matrix(problem.dag, node_limit)
+    sums = members @ ints
+    best = sums.max()
+    objective = Fraction(2 * best - ints.sum(), den)
+    return _solution(problem.dag.n, members[sums == best].any(axis=0), objective, all_exact(coeffs))

@@ -9,6 +9,7 @@ its nodes' dense integer ranks and derives its chain order and (on first
 access) its cover edges from them.  ``dense_ranks`` ranks a column of the
 ``Points`` that ``read_points`` gives with one exact ``np.unique``.
 ``lex_argsort`` puts rank rows in lexicographic order by one int64 key each.
+``up_set_matrix`` lists every up-set as a row of one bool membership matrix.
 """
 
 from __future__ import annotations
@@ -95,13 +96,6 @@ class DominanceDag:
     @cached_property
     def cover_edges(self) -> tuple:
         return _cover_edges(self.ranks, self.grid_shape) if self.n > 1 else ()
-
-    @cached_property
-    def successor_masks(self) -> tuple:
-        masks = [0] * self.n
-        for i, j in self.cover_edges:
-            masks[i] |= 1 << j
-        return tuple(masks)
 
     @cached_property
     def is_chain(self) -> bool:
@@ -253,29 +247,32 @@ def lattice_dag(orders) -> DominanceDag:
     return DominanceDag(lambda: tuple(list(product(*map(range, shape)))), ranks=np.indices(shape).reshape(len(shape), math.prod(shape)).T)
 
 
-def iter_up_set_masks(dag: DominanceDag, node_limit: int = DEFAULT_NODE_LIMIT):
-    """Yield each up-set of the DAG exactly once, as a node bitmask."""
+def up_set_matrix(dag: DominanceDag, node_limit: int = DEFAULT_NODE_LIMIT) -> np.ndarray:
+    """Every up-set of the DAG once, as the rows of an (m, n) bool membership matrix.
+
+    The sets grow one node at a time, greatest first in ``lex_order``: a node
+    joins every set that already holds all of its cover successors.  Time
+    and memory grow with the number of up-sets, not with 2**n.  Rows are in
+    the order of the bitmasks they spell, node i as bit i.
+    """
     n = dag.n
     if n > node_limit:
         raise ValidationError(
             f"up-set enumeration refused: {n} nodes exceeds the limit of {node_limit}"
         )
-    succ = dag.successor_masks
-    for mask in range(1 << n):
-        ok = True
-        probe = mask
-        while probe:
-            i = (probe & -probe).bit_length() - 1
-            if succ[i] & ~mask:
-                ok = False
-                break
-            probe &= probe - 1
-        if ok:
-            yield mask
+    successors = [[] for _ in range(n)]
+    for i, j in dag.cover_edges:
+        successors[i].append(j)
+    members = np.zeros((1, n), dtype=bool)
+    for i in dag.lex_order[::-1].tolist():
+        grown = members[members[:, successors[i]].all(axis=1)]
+        grown[:, i] = True
+        members = np.concatenate((members, grown))
+    # np.lexsort takes its last key, node n - 1, as the most significant
+    return members[np.lexsort(members.T)] if n else members
 
 
 def enumerate_up_sets(dag: DominanceDag, node_limit: int = DEFAULT_NODE_LIMIT):
-    """Yield every up-set as a PredictionSet over the DAG's nodes."""
-    n = dag.n
-    for mask in iter_up_set_masks(dag, node_limit):
-        yield PredictionSet(tuple(bool(mask >> i & 1) for i in range(n)))
+    """Yield every up-set as a PredictionSet over the DAG's nodes, in ``up_set_matrix`` order."""
+    for row in up_set_matrix(dag, node_limit).tolist():
+        yield PredictionSet(row)

@@ -2,9 +2,10 @@
 
 All set risks follow the decomposition of the risk evaluated at a prediction
 set G: a per-point term that switches on membership plus a set-independent
-term, integrated against the point masses.  Arithmetic is generic over
-Fraction/float, so rational inputs give bit-exact rational risks for the 0-1
-and hinge losses.
+term, integrated against the point masses.  ``set_risks`` sums those terms
+over every row of an up-set matrix at once: exact terms as integer
+numerators over one denominator, so rational inputs give exact rational
+risks for the 0-1, hinge and both quadratic losses, and other terms in float64.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import index
 
 import numpy as np
 
-from ._numeric import Points, ValidationError, check_finite, check_points, is_exact, read_column, read_points, sign
+from ._numeric import Points, ValidationError, all_exact, check_finite, check_points, is_exact, read_column, read_points, sign, summable
 from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
@@ -177,20 +178,33 @@ class PredictionSet:
         return len(self.members)
 
 
-def set_risk(terms, g: PredictionSet):
-    """Risk of a prediction set: the sum over support points of their mass-weighted (inside, outside) terms.
+def set_risks(terms, members: np.ndarray) -> list:
+    """Risks of the prediction sets that are the rows of the (m, n) bool matrix ``members``.
 
     ``terms`` holds one pair per support point: its mass times its risk term
-    when it lies in ``g``, and when it does not.  Callers that score many sets
-    compute the terms once and pass them to every call.  The sum runs in
-    point order from the int 0, so exact terms give an exact risk.
+    when it lies in the set, and when it does not.  Callers that score many
+    sets compute the terms once.  Each row is summed in point order from 0
+    (so 0 + -0.0 is 0.0, as in Python): over one denominator, giving
+    Fractions, when every term is exact, else in float64.
     """
-    if len(g) != len(terms):
-        raise ValidationError(f"prediction set has {len(g)} flags for {len(terms)} support points")
-    total = 0
-    for (inside, outside), member in zip(terms, g.members):
-        total += inside if member else outside
-    return total
+    if members.shape[1] != len(terms):
+        raise ValidationError(f"prediction set has {members.shape[1]} flags for {len(terms)} support points")
+    flat = [term for pair in terms for term in pair]
+    exact = all_exact(flat)
+    if exact:
+        numerators, den = read_column(flat)
+        column = summable(numerators)
+    else:
+        column = np.array(flat, dtype=float)
+    inside, outside = column.reshape(-1, 2).T
+    start = np.zeros((len(members), 1), column.dtype)
+    sums = np.add.accumulate(np.concatenate((start, np.where(members, inside, outside)), axis=1), axis=1)[:, -1]
+    return list(map(Fraction, sums.tolist(), repeat(den))) if exact else sums.tolist()
+
+
+def set_risk(terms, g: PredictionSet):
+    """Risk of one prediction set: its row of ``set_risks``."""
+    return set_risks(terms, np.array([g.members], dtype=bool))[0]
 
 
 def surrogate_terms(dist: DiscreteDistribution, loss: Loss) -> tuple:
@@ -214,10 +228,7 @@ def surrogate_risk_at_set(dist: DiscreteDistribution, g: PredictionSet, loss: Lo
 
 def weighted_risk_at_set(dist: DiscreteDistribution, g: PredictionSet):
     """Weighted classification risk at g with per-point conditional weights."""
-    terms = []
-    for m, eta, wp, wm in zip(dist.mass, dist.eta, dist.w_plus, dist.w_minus):
-        gap = -wp * eta + wm * (1 - eta)
-        terms.append((m * (gap + wp * eta), m * (wp * eta)))
+    terms = [(m * (wm * (1 - eta)), m * (wp * eta)) for m, eta, wp, wm in zip(dist.mass, dist.eta, dist.w_plus, dist.w_minus)]
     return set_risk(terms, g)
 
 
@@ -230,18 +241,15 @@ def empirical_risk(values, sample: WeightedSample, loss: Loss):
         )
     if sample.n == 0:
         raise ValidationError("sample is empty")
+    for i, f in enumerate(values):
+        # sign(nan) is -1: a value must be checked before the 0-1 loss reads it
+        check_finite(f, f"classifier value of row {i}")
+        if loss.kind == "hinge" and not (-1 <= f <= 1):
+            raise ValidationError(f"row {i}: hinge risk requires values in [-1, 1], got {f!r}")
     total = 0
-    if loss.kind == "zero_one":
-        for w, y, f in zip(sample.weights, sample.labels, values):
-            if y * sign(f) <= 0:
-                total += w
-    else:
-        if loss.kind == "hinge":
-            for i, f in enumerate(values):
-                if not (-1 <= f <= 1):
-                    raise ValidationError(
-                        f"row {i}: hinge risk requires values in [-1, 1], got {f!r}"
-                    )
-        for w, y, f in zip(sample.weights, sample.labels, values):
+    for w, y, f in zip(sample.weights, sample.labels, values):
+        if loss.kind != "zero_one":
             total += w * phi(loss, y * f)
+        elif y * sign(f) <= 0:
+            total += w
     return Fraction(total, sample.n) if is_exact(total) else total / sample.n

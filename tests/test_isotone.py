@@ -92,6 +92,29 @@ def _random_problem(rng):
     return IsotoneProblem(dag, coeffs)
 
 
+def test_brute_force_is_the_mask_walk_and_equals_solve():
+    # the oracle against a walk over all 2**n masks, on the random instances below, and past the default limit
+    rng = random.Random(126)
+    for _ in range(40):
+        problem = _random_problem(rng)
+        n, coeffs = problem.dag.n, problem.coeffs
+        best, union = None, 0
+        for mask in range(2**n):
+            flags = [mask >> i & 1 for i in range(n)]
+            if problem.dag.is_up_set(flags):
+                weight = sum(c for c, f in zip(coeffs, flags) if f)
+                if best is None or weight > best:
+                    best, union = weight, mask
+                elif weight == best:
+                    union |= mask
+        want = ([1 if union >> i & 1 else -1 for i in range(n)], 2 * best - sum(coeffs))
+        assert brute_force_solve(problem) == solve(problem) == want
+    for n, d in ((16, 2), (20, 3), (40, 1)):
+        pts = random_distinct_points(rng, n, d, grid=40 if d == 1 else 5)
+        problem = IsotoneProblem(build_dag(pts), tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 6)) for _ in pts))
+        assert brute_force_solve(problem, node_limit=n) == solve(problem)
+
+
 def test_solve_equals_brute_force_on_random_instances():
     rng = random.Random(101)
     extra = random.Random(102)

@@ -13,7 +13,7 @@ from helpers import random_distinct_points
 from isoclass import ValidationError, build_dag, dominates, enumerate_up_sets, lattice_dag
 from isoclass.order import DominanceDag
 from isoclass._numeric import WIDE, exact_column
-from isoclass.order import dense_ranks, iter_up_set_masks, lex_argsort
+from isoclass.order import dense_ranks, lex_argsort, up_set_matrix
 
 
 def test_dominates_basics():
@@ -189,7 +189,28 @@ def test_enumeration_refuses_large_inputs():
     dag = build_dag([(i,) for i in range(16)])
     with pytest.raises(ValidationError):
         list(enumerate_up_sets(dag))
-    assert len(list(iter_up_set_masks(dag, node_limit=16))) == 17
+    assert len(up_set_matrix(dag, node_limit=16)) == 17
+
+
+def test_up_set_matrix_rows_are_the_up_set_masks_in_order():
+    # node i is bit i: the rows are the masks of range(2**n) that is_up_set accepts, in that order
+    rng = random.Random(26)
+    for _ in range(50):
+        dag = build_dag(random_distinct_points(rng, rng.randint(0, 12), rng.randint(1, 3), grid=rng.choice((3, 4, 12))))
+        n = dag.n
+        want = [mask for mask in range(2**n) if dag.is_up_set([mask >> i & 1 for i in range(n)])]
+        members = up_set_matrix(dag, node_limit=12)
+        assert members.dtype == bool and members.shape == (len(want), n)
+        assert [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in members] == want
+
+
+def test_up_set_matrix_grows_with_the_up_sets_not_with_2_to_the_n():
+    # a 40-node chain has 41 up-sets, its suffixes, shortest first
+    members = up_set_matrix(build_dag([(i,) for i in range(40)]), node_limit=40)
+    assert members.shape == (41, 40)
+    assert (members == (np.arange(40) >= 40 - np.arange(41)[:, None])).all()
+    with pytest.raises(ValidationError, match="^up-set enumeration refused: 16 nodes exceeds the limit of 15$"):
+        up_set_matrix(build_dag([(i,) for i in range(16)]))
 
 
 def test_lattice_dag_matches_build_dag():

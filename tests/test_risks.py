@@ -19,11 +19,15 @@ from isoclass import (
     build_dag,
     exponential,
     hinge,
+    logistic,
+    quadratic,
     surrogate_risk_at_set,
+    truncated_quadratic,
     weighted_risk_at_set,
     zero_one,
 )
 from isoclass.bench import example_distribution_1
+from isoclass.risks import set_risks
 from isoclass.bernstein import float_points
 from isoclass.monotone import fit as fit_monotone
 
@@ -76,6 +80,41 @@ def test_set_risk_telescoping_difference():
                 dist, empty, loss
             )
             assert float(diff) == pytest.approx(float(gap), abs=1e-12)
+
+
+def test_set_risks_are_the_point_order_sums_of_their_rows():
+    # the reference sums each row from the int 0, in point order, as Python adds
+    def loop(terms, row):
+        total = 0
+        for (inside, outside), member in zip(terms, row):
+            total += inside if member else outside
+        return total
+
+    rng = random.Random(27)
+    floats = (-0.0, 0.0, 1e-300, 0.1, 1 / 3, 1.0, 3e15, 1e16, 1e300)
+    for trial in range(60):
+        n = rng.randint(0, 20)
+        if trial % 3 == 0:
+            # numerators far beyond int64 over unrelated denominators
+            terms = [tuple(Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**6)) for _ in "io") for _ in range(n)]
+        elif trial % 3 == 1:
+            terms = [tuple(rng.randint(-9, 9) for _ in "io") for _ in range(n)]
+        else:
+            terms = [tuple(rng.choice((-1, 1)) * rng.choice(floats) for _ in "io") for _ in range(n)]
+        rows = rng.randint(1, 6)
+        members = np.array([rng.random() < 0.5 for _ in range(rows * n)], dtype=bool).reshape(rows, n)
+        got = set_risks(terms, members)
+        want = [loop(terms, row) for row in members.tolist()]
+        assert got == want
+        kind = float if trial % 3 == 2 and n else Fraction
+        assert [type(r) for r in got] == [kind] * len(want)
+        assert [str(r) for r in got] == [str(kind(r)) for r in want]
+    # int64 holds each numerator, not their sum
+    assert set_risks([(2**62, 0)] * 3, np.ones((1, 3), dtype=bool)) == [3 * 2**62]
+    # -0.0 alone sums to 0.0, as 0 + -0.0 does
+    assert str(set_risks([(-0.0, -0.0)] * 2, np.array([[True, False]]))[0]) == "0.0"
+    with pytest.raises(ValidationError, match="^prediction set has 2 flags for 3 support points$"):
+        set_risks([(0, 1)] * 3, np.ones((1, 2), dtype=bool))
 
 
 def test_exponential_argmin_is_full_support_on_example_1():
@@ -138,6 +177,24 @@ def test_weighted_risk_single_point_examples():
     assert weighted_risk_at_set(ctrl, PredictionSet((True,))) == 3
 
 
+def test_weighted_risk_keeps_the_inside_term_beside_a_huge_outside_weight():
+    # inside the set a point costs m w- (1 - eta); built as m (gap + w+ eta), gap = w- (1 - eta) - w+ eta,
+    # it is lost in floats beside a huge w+ eta
+    one = DiscreteDistribution(((0,),), (1.0,), (0.5,), (1e16,), (1.0,))
+    assert weighted_risk_at_set(one, PredictionSet((True,))) == 0.5
+    assert weighted_risk_at_set(one, PredictionSet((False,))) == 5e15
+    two = DiscreteDistribution(((0,), (1,)), (0.5, 0.5), (0.5, 0.33), (1e16, 1.0), (1.0, 1.0))
+    risk = weighted_risk_at_set(two, PredictionSet((True, True)))
+    assert risk == 0.5 * (1.0 * 0.5) + 0.5 * (1.0 * (1 - 0.33)) and risk == pytest.approx(0.585)
+    # exact terms give the closed form
+    exact = DiscreteDistribution(
+        ((0,), (1,)), (Fraction(1, 2),) * 2, (Fraction(1, 2), Fraction(33, 100)), (10**16, 1), (1, 1)
+    )
+    assert weighted_risk_at_set(exact, PredictionSet((True, True))) == Fraction(117, 200)
+    assert weighted_risk_at_set(exact, PredictionSet((False, True))) == Fraction(10**16, 4) + Fraction(67, 200)
+    assert weighted_risk_at_set(exact, PredictionSet((False, False))) == Fraction(10**16, 4) + Fraction(33, 200)
+
+
 def test_weighted_hinge_ordering_agrees_with_weighted_zero_one():
     # orderings under the weighted gap c(-mu+ + mu-) match the weighted 0-1 gap
     rng = random.Random(31)
@@ -179,6 +236,18 @@ def test_empirical_hinge_rejects_values_outside_box():
     sample = WeightedSample.unweighted([1], [(0,)])
     with pytest.raises(ValidationError):
         empirical_risk([1.5], sample, hinge(1))
+
+
+def test_empirical_risk_refuses_non_finite_values_under_every_loss():
+    # sign(nan) is -1: unchecked, the 0-1 loss would score [nan, nan] on labels (1, -1) as 1/2
+    sample = WeightedSample.unweighted([1, -1], [(0,), (1,)])
+    with pytest.raises(ValidationError, match=r"^classifier value of row 0 must be finite, got nan$"):
+        empirical_risk([float("nan")] * 2, sample, zero_one())
+    for loss in (zero_one(), hinge(1), exponential(), logistic(), quadratic(), truncated_quadratic()):
+        for bad in (float("nan"), float("inf"), float("-inf"), np.float64("nan")):
+            with pytest.raises(ValidationError, match=r"^classifier value of row 1 must be finite"):
+                empirical_risk([Fraction(1, 2), bad], sample, loss)
+        assert empirical_risk([Fraction(1, 2), Fraction(-1, 2)], sample, loss) is not None
 
 
 def test_sample_validation():
