@@ -47,6 +47,14 @@ def check_finite(value, what: str) -> None:
         raise ValidationError(f"{what} must be finite, got {value!r}")
 
 
+def integers(values, what: str) -> tuple:
+    """``values`` as Python ints, read by ``operator.index``: a bool, or a number without ``__index__``, is refused."""
+    values = tuple(values)
+    if any(isinstance(v, bool) or not hasattr(v, "__index__") for v in values):
+        raise ValidationError(f"{what} must be integers, got {list(values)!r}")
+    return tuple(map(index, values))
+
+
 # per line: a plain integer, decimal or ratio; the same with its parts as groups; the digits after the point ('' for none)
 _COLUMN = re.compile(r"(?:[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?\n)*")
 _CELL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?\n")

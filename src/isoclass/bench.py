@@ -23,13 +23,13 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from ._numeric import ValidationError, all_exact, common_numerators, halton, is_exact
+from ._numeric import ValidationError, all_exact, common_numerators, halton, integers, is_exact
 from .bernstein import BernsteinClassifier, evaluate as bernstein_value
 from .bernstein import fit as fit_bernstein, predict_batch as bernstein_labels, suggest_orders
 from .losses import exponential, hinge, truncated_quadratic, zero_one
 from .monotone import MonotoneClassifier, fit as fit_monotone
 from .order import DEFAULT_NODE_LIMIT, build_dag, up_set_matrix
-from .risks import DiscreteDistribution, PredictionSet, WeightedSample, set_risk, set_risks, surrogate_terms
+from .risks import DiscreteDistribution, WeightedSample, set_risks, surrogate_terms
 
 _TIE_TOL = 1e-12
 
@@ -134,25 +134,17 @@ class ExampleTwoResult:
 def _linear_hinge_vertex(dist: DiscreteDistribution):
     """Hinge-optimal (intercept, slope) over nondecreasing lines bounded by 1.
 
-    The feasible region in (c0, c1) is the polygon {c1 >= 0, -1 <= c0 + c1 x <= 1
-    for x in support}; the hinge objective is linear on it, so the optimum is a
-    vertex, found by exact enumeration of pairwise constraint intersections.
+    A line c0 + c1 x with c1 >= 0 is least at the least support point and
+    greatest at the greatest, so it lies in [-1, 1] on the support exactly when
+    c0 + c1 x_min >= -1 and c0 + c1 x_max <= 1.  With c1 >= 0 these bound the
+    triangle (-1, 0), (1, 0), (-1 - s x_min, s), s = 2 / (x_max - x_min), of
+    feasible (c0, c1).  The hinge objective is linear on it, so the optimum is
+    a vertex; ties go to the least vertex.  The support needs two points.
     """
     xs = [p[0] for p in dist.points]
-    # constraints as (a, b, rhs) meaning a*c0 + b*c1 >= rhs
-    cons = [(Fraction(0), Fraction(1), Fraction(0))]
-    for x in xs:
-        cons.append((Fraction(1), Fraction(x), Fraction(-1)))   # c0 + x c1 >= -1
-        cons.append((Fraction(-1), Fraction(-x), Fraction(-1)))  # c0 + x c1 <= 1
-    vertices = set()
-    for (a1, b1, r1), (a2, b2, r2) in combinations(cons, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        c0 = (r1 * b2 - r2 * b1) / det
-        c1 = (a1 * r2 - a2 * r1) / det
-        if all(a * c0 + b * c1 >= r for a, b, r in cons):
-            vertices.add((c0, c1))
+    lo, hi = Fraction(min(xs)), Fraction(max(xs))
+    slope = 2 / (hi - lo)
+    vertices = [(Fraction(-1), Fraction(0)), (Fraction(1), Fraction(0)), (-1 - slope * lo, slope)]
     # maximize sum (2 eta - 1) f(x); equivalent to minimizing the hinge risk
     def gain(v):
         c0, c1 = v
@@ -162,22 +154,24 @@ def _linear_hinge_vertex(dist: DiscreteDistribution):
 
 
 def reproduce_example_2() -> ExampleTwoResult:
-    """Exhaustive vs hinge-over-linear optima for the second worked example."""
+    """Exhaustive vs hinge-over-linear optima for the second worked example.
+
+    A nondecreasing line is >= 0 on an up-set, so the linear optimum's risk is
+    a row of the calibration table.
+    """
     dist = example_distribution_2()
     report = calibration_table(dist, ())
     best = _argmin(report.classification)
 
     c0, c1 = _linear_hinge_vertex(dist)
-    members = tuple(c0 + c1 * p[0] >= 0 for p in dist.points)
-    linear_set = PredictionSet(members)
-    linear_risk = set_risk(surrogate_terms(dist, zero_one()), linear_set)
+    linear_set = tuple(i for i, p in enumerate(dist.points) if c0 + c1 * p[0] >= 0)
 
     result = ExampleTwoResult(
         _set_points(dist, report.sets[best]),
         report.classification[best],
         (c0, c1),
-        _set_points(dist, linear_set.indices),
-        linear_risk,
+        _set_points(dist, linear_set),
+        report.classification[report.sets.index(linear_set)],
     )
     if tuple(sorted(result.exhaustive_set)) != (2,) or result.exhaustive_risk != Fraction(1, 3):
         raise AssertionError(f"example 2 exhaustive search failed: {result}")
@@ -442,9 +436,12 @@ def simulate_regret(dgp, ns, reps: int, seed: int, estimator: str = "monotone", 
         if dgp not in DGPS:
             raise ValidationError(f"unknown dgp {dgp!r}; choose from {sorted(DGPS)}")
         dgp = DGPS[dgp]()
-    ns = tuple(int(n) for n in ns)
+    ns = integers(ns, "sample sizes")
+    reps, seed = integers((reps, seed), "reps and seed")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     if any(n < 1 for n in ns):
         raise ValidationError("sample sizes must be positive")
 

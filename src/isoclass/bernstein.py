@@ -32,11 +32,10 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import index
 
 import numpy as np
 
-from ._numeric import Points, ValidationError, beyond_float_range, check_finite, exact_floats, finite_array
+from ._numeric import Points, ValidationError, beyond_float_range, check_finite, exact_floats, finite_array, integers
 from .isotone import IsotoneProblem, solve
 from .order import lattice_dag
 from .risks import WeightedSample
@@ -123,10 +122,7 @@ def _values(model: "BernsteinClassifier", features: np.ndarray) -> np.ndarray:
 
 def _lattice_shape(orders) -> tuple:
     """Coefficient-grid shape (k_1 + 1, ..., k_d + 1) of ``orders``: integers (read by ``operator.index``, no bool), each >= 1."""
-    orders = tuple(orders)
-    if any(isinstance(k, bool) or not hasattr(k, "__index__") for k in orders):
-        raise ValidationError(f"Bernstein orders must be integers, got {list(orders)!r}")
-    shape = tuple(index(k) + 1 for k in orders)
+    shape = tuple(k + 1 for k in integers(orders, "Bernstein orders"))
     if any(s < 2 for s in shape):
         raise ValidationError("every Bernstein order must be >= 1")
     return shape

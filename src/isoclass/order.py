@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from ._numeric import ValidationError, read_points
+from ._numeric import ValidationError, integers, read_points
 from .risks import PredictionSet
 
 DEFAULT_NODE_LIMIT = 15
@@ -240,7 +240,7 @@ def lattice_dag(orders) -> DominanceDag:
     are their own ranks; cover edges are unit steps in a single coordinate.
     The node tuples are built on their first read.
     """
-    orders = tuple(int(k) for k in orders)
+    orders = integers(orders, "lattice orders")
     if any(k < 0 for k in orders):
         raise ValidationError("lattice orders must be nonnegative")
     shape = tuple(k + 1 for k in orders)

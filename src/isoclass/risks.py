@@ -47,7 +47,8 @@ class WeightedSample:
     def __post_init__(self):
         points, form = read_points(self.points, "row")
         weights = self.weights if isinstance(self.weights, (np.ndarray, Points)) else tuple(self.weights)
-        labels = np.asarray(self.labels if isinstance(self.labels, np.ndarray) else list(self.labels))
+        given = self.labels if isinstance(self.labels, np.ndarray) else list(self.labels)
+        labels = np.asarray(given)
         if len(weights) != len(form) or len(labels) != len(form):
             raise ValidationError("weights, labels and points must have equal length")
         column = read_column(weights)
@@ -56,9 +57,12 @@ class WeightedSample:
             _name_bad_weight(weights)
         # labels are checked before astype maps them, so 1.7 is refused, not truncated to 1
         valid = (labels == 1) | (labels == -1)
+        # a bool is neither -1 nor +1; a numeric array's dtype rules one out without a scan of its rows
+        if (labels.dtype in (bool, object) or type(given) is list) and {bool, np.bool_} & set(map(type, given)):
+            valid &= [not isinstance(v, (bool, np.bool_)) for v in given]
         if not valid.all():
             i = int(np.argmin(valid))
-            raise ValidationError(f"row {i}: label must be -1 or +1, got {labels.tolist()[i]!r}")
+            raise ValidationError(f"row {i}: label must be -1 or +1, got {(given if type(given) is list else labels.tolist())[i]!r}")
         labels = labels.astype(np.int64)
         labels.flags.writeable = column.flags.writeable = False
         # weights given as a sequence are kept to be read back, as points are; numpy integers as Python ints

@@ -10,8 +10,10 @@ from helpers import random_rational_distribution
 
 from isoclass import (
     DiscreteDistribution,
+    PredictionSet,
     ValidationError,
     calibration_table,
+    classification_risk_at_set,
     exponential,
     fit_monotone,
     hinge,
@@ -55,6 +57,53 @@ def test_example_2_reproduction():
     assert result.linear_vertex == (Fraction(-1), Fraction(1))
     assert tuple(sorted(result.linear_set)) == (1, 2)
     assert result.linear_risk == Fraction(8, 15)
+
+
+def _enumerated_linear_hinge_vertex(dist):
+    """The hinge-optimal line by enumeration: every pairwise intersection of the 2n + 1 constraints, kept if feasible."""
+    xs = [p[0] for p in dist.points]
+    # constraints as (a, b, rhs) meaning a*c0 + b*c1 >= rhs
+    cons = [(Fraction(0), Fraction(1), Fraction(0))]
+    for x in xs:
+        cons.append((Fraction(1), Fraction(x), Fraction(-1)))   # c0 + x c1 >= -1
+        cons.append((Fraction(-1), Fraction(-x), Fraction(-1)))  # c0 + x c1 <= 1
+    vertices = set()
+    for (a1, b1, r1), (a2, b2, r2) in combinations(cons, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        c0 = (r1 * b2 - r2 * b1) / det
+        c1 = (a1 * r2 - a2 * r1) / det
+        if all(a * c0 + b * c1 >= r for a, b, r in cons):
+            vertices.add((c0, c1))
+
+    def gain(v):
+        c0, c1 = v
+        return sum((2 * e - 1) * (c0 + c1 * x) for e, x in zip(dist.eta, xs))
+
+    return max(sorted(vertices), key=gain)
+
+
+def test_linear_hinge_vertex_is_the_enumerated_vertex():
+    rng = random.Random(27)
+    pool = sorted({Fraction(k, d) for k in range(-8, 9) for d in (1, 2, 3)})
+    cases = [bench.example_distribution_2()]
+    for i in range(1200):
+        n = rng.randint(2, 6)
+        # eta = 1/2 everywhere makes every vertex optimal: the least one is taken
+        eta = [Fraction(5, 10)] * n if i % 40 == 0 else [Fraction(rng.randint(0, 10), 10) for _ in range(n)]
+        cases.append(DiscreteDistribution([(x,) for x in rng.sample(pool, n)], [Fraction(1, n)] * n, eta))
+    for dist in cases:
+        got = bench._linear_hinge_vertex(dist)
+        assert got == _enumerated_linear_hinge_vertex(dist), dist
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_example_2_linear_risk_is_the_classification_risk_of_its_set():
+    dist = bench.example_distribution_2()
+    result = reproduce_example_2()
+    linear_set = PredictionSet(tuple(p[0] in result.linear_set for p in dist.points))
+    assert result.linear_risk == classification_risk_at_set(dist, linear_set) == Fraction(8, 15)
 
 
 def test_calibration_hinge_never_disagrees_with_zero_one():
@@ -188,6 +237,26 @@ def test_simulate_regret_is_deterministic():
     second = simulate_regret("step", (60, 120), reps=8, seed=11)
     assert first == second
     assert simulate_regret("step", (60,), reps=8, seed=12) != first
+
+
+@pytest.mark.parametrize("ns, reps, seed", [
+    ([50.9], 2, 0),  # int() ran n = 50
+    ([True, 40], 2, 0),  # int() ran n = 1
+    ([50], True, 0),  # reported as reps=True
+    ([50], 2, True),  # reported as seed=True
+    ([50], 2.5, 0),  # a raw TypeError from range()
+    ([50], 2, 1.5),  # a raw TypeError from default_rng()
+    ([50], 2, -1),  # a raw ValueError from default_rng()
+], ids=["float-size", "bool-size", "bool-reps", "bool-seed", "float-reps", "float-seed", "negative-seed"])
+def test_simulate_regret_refuses_sizes_reps_and_seeds_that_are_not_integers(ns, reps, seed):
+    with pytest.raises(ValidationError, match="must be integers|seed must be >= 0"):
+        simulate_regret("step", ns, reps, seed)
+
+
+def test_simulate_regret_reads_numpy_integers_as_ints():
+    curve = simulate_regret("step", np.array([30]), np.int64(2), np.uint32(5))
+    assert curve == simulate_regret("step", (30,), 2, 5)
+    assert all(type(v) is int for v in (*curve.sample_sizes, curve.reps, curve.seed))
 
 
 def test_simulate_regret_step_regrets_nonnegative():

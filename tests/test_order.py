@@ -227,6 +227,14 @@ def test_lattice_dag_matches_build_dag():
         assert lat.cover_edges == build_dag(list(lat.nodes)).cover_edges
 
 
+@pytest.mark.parametrize("orders", [(2.7,), (True,), (2, 1.0), ("3",)])
+def test_lattice_dag_refuses_orders_that_are_not_integers(orders):
+    # int() built order 2 from 2.7 and order 1 from True
+    with pytest.raises(ValidationError, match="lattice orders must be integers"):
+        lattice_dag(orders)
+    assert lattice_dag((np.int64(2),)).n == 3
+
+
 def test_lattice_dag_one_dimension_is_chain():
     lat = lattice_dag((4,))
     assert lat.chain_order == tuple(range(5))

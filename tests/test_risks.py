@@ -315,6 +315,21 @@ def test_labels_are_checked_before_int_maps_them():
     assert sample.labels == (1, -1, -1, 1) and all(type(y) is int for y in sample.labels)
 
 
+def test_bool_labels_are_refused():
+    def message(labels):
+        with pytest.raises(ValidationError) as caught:
+            WeightedSample((1, 1), labels, ((0,), (1,)))
+        return str(caught.value)
+
+    # a bool is neither -1 nor +1, as MonotoneClassifier has it, although True == 1
+    assert message((True, -1)) == "row 0: label must be -1 or +1, got True"
+    assert message([1, False]) == "row 1: label must be -1 or +1, got False"
+    assert message(np.array([True, True])) == "row 0: label must be -1 or +1, got True"
+    assert message(np.array([1, True], dtype=object)) == "row 1: label must be -1 or +1, got True"
+    assert message((-1, np.True_)).startswith("row 1: label must be -1 or +1")
+    assert WeightedSample((1, 1), np.array([1, -1]), ((0,), (1,))).labels == (1, -1)
+
+
 def test_sample_keeps_its_float_coordinates_and_weights_read_only():
     # a mixed sample keeps exact columns, its floats taken exactly; the floats a Bernstein fit
     # reads are float(v), as float_points gives; its weights are numerators over one scale, read back as given
