@@ -223,10 +223,8 @@ class Points:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def rows(self, index=None, kept=None) -> tuple:
-        """Rows ``index`` (an index array; all by default) as tuples: of the tuples ``kept`` if given, else of Python floats or Fractions."""
-        if kept is not None:
-            return kept if index is None else tuple(map(kept.__getitem__, index.tolist()))
+    def rows(self, index=None) -> tuple:
+        """Rows ``index`` (an index array; all by default) as tuples of Python floats or Fractions."""
         values = self.values if index is None else self.values[index]
         columns = values.T.tolist()
         if self.denominators is not None:

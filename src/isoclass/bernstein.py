@@ -50,7 +50,8 @@ _SCALED_WEIGHT_LIMIT = 2.0**900  # max|w_i| * n up to this keeps every scaled co
 
 def basis(k: int, j: int, x) -> float:
     """Bernstein basis value C(k, j) x^j (1-x)^(k-j) on [0, 1]."""
-    if not (isinstance(k, int) and isinstance(j, int)) or k < 0 or not (0 <= j <= k):
+    k, j = integers((k, j), "order k and index j")
+    if k < 0 or not (0 <= j <= k):
         raise ValidationError(f"index j={j!r} out of range for order k={k!r}")
     check_finite(x, "x")
     if not (0 <= x <= 1):

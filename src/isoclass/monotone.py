@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from ._numeric import ValidationError, joint_ranks, read_points
+from ._numeric import Points, ValidationError, joint_ranks, read_points
 from .isotone import IsotoneProblem, solve
 from .order import build_dag, dominator_counts, lex_argsort, rank_matrix
 from .risks import WeightedSample
@@ -33,10 +33,11 @@ _SWEEP_BLOCK = 1024
 class MonotoneClassifier:
     """Distinct training points with fitted +/-1 values respecting the order.
 
-    A model keeps the ``Points`` of its support (``_sample``, its fit's or
-    its own, rows ``_first`` of it), any tuples given for them (``_kept``),
-    the support's ranks and the int64 values.  It builds ``support`` and
-    ``values`` on first read, and its frontiers from their own rows only.
+    A model keeps its support's own rows: their ``Points`` (``_support``),
+    the tuples given for them (``_kept``, None when they were read from an
+    array or a file's columns), their ranks and the int64 values.  It builds
+    ``support`` and ``values`` on first read, and its frontiers from their
+    own rows only.
     """
 
     support: tuple
@@ -47,37 +48,37 @@ class MonotoneClassifier:
         values = self.values
         # both are read back from what ``_keep`` keeps
         del self.__dict__["support"], self.__dict__["values"]
-        self._keep(rows, form, np.arange(len(form)), values)
+        self._keep(rows, form, values)
 
-    def _keep(self, rows, form, first: np.ndarray, values, ranks=None) -> None:
-        """Keep the support (``rows`` given or None, its ``Points`` as ``form``, rows ``first`` of it), its ranks and ``values``, checked unless an array."""
+    def _keep(self, rows, form, values, ranks=None) -> None:
+        """Keep the support (its tuples ``rows`` or None, its ``Points`` ``form``), its ranks and ``values``, checked unless an array."""
         if not isinstance(values, np.ndarray):
             values = tuple(values)
             # a bool is neither -1 nor +1
             if not all(v in (-1, 1) and not isinstance(v, bool) for v in values):
                 raise ValidationError("fitted values must be -1 or +1")
             values = np.array(values, dtype=np.int64)
-        if len(first) != len(values):
+        if len(form) != len(values):
             raise ValidationError("support and values must have equal length")
-        self.__dict__.update(_kept=rows, _sample=form, _first=first, _values=values, _ranks=rank_matrix(form) if ranks is None else ranks)
+        self.__dict__.update(_kept=rows, _support=form, _values=values, _ranks=rank_matrix(form) if ranks is None else ranks)
 
     @classmethod
-    def _of(cls, rows, form, first: np.ndarray, values, ranks=None) -> "MonotoneClassifier":
+    def _of(cls, rows, form, values, ranks=None) -> "MonotoneClassifier":
         """The model ``_keep`` makes, skipping ``__post_init__`` (``fit``'s, whose sample and ``solve`` made its checks, or a file's)."""
         model = object.__new__(cls)
-        model._keep(rows, form, first, values, ranks)
+        model._keep(rows, form, values, ranks)
         return model
 
     def __getattr__(self, name):
         if name not in ("support", "values"):
             raise AttributeError(name)
-        value = self._support_rows(np.arange(len(self._first))) if name == "support" else tuple(self._values.tolist())
+        value = self._support_rows(np.arange(len(self._values))) if name == "support" else tuple(self._values.tolist())
         self.__dict__[name] = value
         return value
 
     def _support_rows(self, index: np.ndarray) -> tuple:
         """Support points ``index``: of the tuples kept, or built from the ``Points``."""
-        return self._sample.rows(self._first[index], self._kept)
+        return self._support.rows(index) if self._kept is None else tuple(map(self._kept.__getitem__, index.tolist()))
 
     @property
     def dim(self) -> int:
@@ -88,7 +89,7 @@ class MonotoneClassifier:
         return {
             "type": "monotone",
             "dim": self.dim,
-            "support": self._sample.texts(self._first) if self._kept is None else _json_points(self.support),
+            "support": self._support.texts() if self._kept is None else _json_points(self.support),
             "values": list(self.values),
         }
 
@@ -138,7 +139,7 @@ class MonotoneClassifier:
         # a support of strings alone is read back from its columns; strings beside numbers as their Fractions
         strings = all(type(v) is str for p in rows for v in p)
         kept, form = read_points(rows if strings else [[Fraction(v) if type(v) is str else v for v in p] for p in rows], "support point")
-        return cls._of(None if strings else kept, form, np.arange(len(form)), values)
+        return cls._of(None if strings else kept, form, values)
 
 
 def _maximal(ranks: np.ndarray, lower: bool = False) -> np.ndarray:
@@ -208,10 +209,14 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     else:
         products = weights.astype(object) * labels.astype(object)
     coeffs = np.add.reduceat(products[by_lex], starts)
+    # the model copies each support point's first row, so that it holds no reference to the sample
     first = by_lex[starts]
-    dag = build_dag(partial(sample._rows, first), ranks[starts])
+    points = sample.__dict__.get("points")
+    kept = None if points is None else tuple(map(points.__getitem__, first.tolist()))
+    support = Points(sample._points.values[first], sample._points.denominators)
+    dag = build_dag(support.rows if kept is None else kept, ranks[starts])
     values, _ = solve(IsotoneProblem(dag, coeffs), array=True)
-    return MonotoneClassifier._of(sample.__dict__.get("points"), sample._points, first, values, dag.ranks)
+    return MonotoneClassifier._of(kept, support, values, dag.ranks)
 
 
 def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:
@@ -226,10 +231,10 @@ def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:
     if n and model.dim and dim != model.dim:
         raise ValidationError(f"point has dimension {dim}, model expects {model.dim}")
     labels = np.ones(n, dtype=np.int64)
-    front = model._first[model._frontier]
+    front = model._frontier
     if n == 0 or not len(front):
         return labels
-    ranks = joint_ranks(model._sample, front, form)
+    ranks = joint_ranks(model._support, front, form)
     m = len(front)
     labels[dominator_counts(ranks[m:], ranks[:m]) > 0] = -1
     return labels

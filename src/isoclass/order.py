@@ -217,8 +217,8 @@ def build_dag(points, ranks=None) -> DominanceDag:
     """Order DAG of distinct points under the componentwise order.
 
     Without ``ranks`` the points are read and ranked; only ``monotone.fit``
-    passes ``ranks``, with a function that builds a validated sample's rows,
-    which are trusted.  Cover edges are
+    passes ``ranks``, with its support's tuples or a function that builds
+    them from a validated sample's rows, which are trusted.  Cover edges are
     computed on first access.  Distinctness is always checked on the rank
     rows, which are equal exactly when the points are equal (so ``(1,)`` and
     ``(1.0,)`` are one point): no two rows may be equal in lexicographic order.

@@ -39,8 +39,8 @@ class TrialRecord:
         object.__setattr__(self, "x", tuple(self.x))
         check_finite(self.z, "outcome z")
         check_finite(self.e, "propensity e")
-        # checked before int() maps it, so 1.5 is refused rather than truncated to 1
-        if self.d not in (-1, 1):
+        # checked before int() maps it, so 1.5 is refused rather than truncated to 1; a bool is neither -1 nor +1
+        if isinstance(self.d, (bool, np.bool_)) or self.d not in (-1, 1):
             raise ValidationError(f"treatment must be -1 or +1, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
         if not (0 < self.e < 1):
@@ -109,12 +109,12 @@ class TrialColumns:
         return np.flatnonzero(bad[which]).tolist()
 
     def _mean(self, rows: np.ndarray):
-        """(1/n) sum of the ``_ipw`` terms of ``rows`` (a boolean mask), added in row order; the int 0 when no row is chosen."""
+        """(1/n) sum of the ``_ipw`` terms of ``rows`` (a boolean mask), added in row order: a Fraction for exact columns (0 when no row is chosen), else a float."""
         terms, scale = self._ipw
         total = 0
         for term in terms[rows].tolist():
             total += term
-        return (total if scale is None or not rows.any() else Fraction(total, scale)) / len(self)
+        return (total if scale is None else Fraction(total, scale)) / len(self)
 
 
 def _value(value, den):

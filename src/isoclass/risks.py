@@ -103,10 +103,6 @@ class WeightedSample:
     def dim(self) -> int:
         return self._points.dim
 
-    def _rows(self, index: np.ndarray) -> tuple:
-        """The points of rows ``index``: the tuples given, or new ones built from ``_points`` while ``points`` is unbuilt."""
-        return self._points.rows(index, self.__dict__.get("points"))
-
 
 def _name_bad_weight(weights) -> None:
     """Raise the error of the first weight, in row order, that is not finite or is negative."""

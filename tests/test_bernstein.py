@@ -54,6 +54,16 @@ def test_basis_validation():
         basis(2, 3, 0.5)
     with pytest.raises(ValidationError):
         basis(2, 1, 1.5)
+    for k, j in ((2, 3), (-1, 0), (np.int64(3), 4), (3, np.int64(-1))):
+        with pytest.raises(ValidationError) as caught:
+            basis(k, j, 0.5)
+        assert str(caught.value) == f"index j={int(j)} out of range for order k={int(k)}"
+    # numpy integers are read as ints; a bool or a float is not an index
+    assert basis(np.int64(3), np.int32(1), 0.5) == basis(3, 1, 0.5) == 0.375
+    for k, j in ((True, 0), (1, False), (np.bool_(True), 0), (2.0, 1), (2, 1.0)):
+        with pytest.raises(ValidationError) as caught:
+            basis(k, j, 0.5)
+        assert str(caught.value) == f"order k and index j must be integers, got {[k, j]!r}"
 
 
 def test_evaluate_linear_model():

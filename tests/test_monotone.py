@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -147,7 +149,7 @@ def test_support_strings_beyond_the_column_grammar_load_as_exact_columns():
     rows = [["0.1234567890123456789", "1e0"], ["0.5", "1/3"], ["9223372036854775808", "-2"], ["0.7", " 1/3"]]
     values = [-1, 1, 1, -1]
     model = MonotoneClassifier.from_dict({"type": "monotone", "dim": 2, "support": rows, "values": values})
-    assert model._sample.denominators is not None and model._ranks is not None
+    assert model._support.denominators is not None and model._ranks is not None
     checked = MonotoneClassifier(tuple(tuple(map(Fraction, p)) for p in rows), values)
     axis = [Fraction(v) for v in ("-3", "0", "0.1234567890123456789", "1/3", "1/2", "0.7", "1", "9223372036854775808", "1e20")]
     queries = [(a, b) for a in axis for b in axis]
@@ -560,3 +562,47 @@ def test_float_weight_sums_are_added_in_row_order():
     assert np.add.reduceat(np.array(weights) * np.array(labels), [0])[0] == -296.0
     for points in ([(0.5,)] * 300, np.full((300, 1), 0.5)):
         assert fit_monotone(WeightedSample(weights, labels, points)).values == (1,)
+
+
+@pytest.mark.parametrize("kind", ["tuples", "float array", "rational csv"])
+def test_a_fitted_model_keeps_only_its_support_rows(tmp_path, kind):
+    # 600 rows on at most 30 distinct dyadic points, each row its own tuple object
+    rng = random.Random(kind)
+    pool = [(rng.randint(0, 8) / 4, rng.randint(0, 8) / 4) for _ in range(30)]
+    labels = [rng.choice((-1, 1)) for _ in range(600)]
+    rows = [tuple(list(rng.choice(pool))) for _ in range(600)]
+    if kind == "tuples":
+        sample = WeightedSample.unweighted(labels, rows)
+    elif kind == "float array":
+        sample = WeightedSample.unweighted(np.array(labels), np.array(rows))
+    else:
+        path = tmp_path / "sample.csv"
+        path.write_text("y,x1,x2\n" + "".join(f"{y},{Fraction(a)},{Fraction(b)}\n" for y, (a, b) in zip(labels, rows)))
+        sample = load_sample(str(path))
+    model = fit_monotone(sample)
+    # the model the public constructor builds from a dict aggregation, each point the object of its first row
+    support, coeffs = _dict_fit_problem(sample)
+    want = MonotoneClassifier(support, monotone.solve(IsotoneProblem(build_dag(support), coeffs))[0])
+    form = weakref.ref(sample._points.values)
+    del sample
+    gc.collect()
+    assert form() is None
+    m = len(support)
+    assert 1 < m <= 30
+    assert (model._kept is None) == (kind != "tuples")
+    for read in ((), ("support", "values")):
+        for name in read:
+            getattr(model, name)
+        held = {name: value for name, value in model.__dict__.items() if value is not None}
+        assert set(held) == {"_kept", "_support", "_values", "_ranks", *read} - ({"_kept"} if kind != "tuples" else set())
+        assert {name: len(value) for name, value in held.items()} == dict.fromkeys(held, m)
+    assert model.support == tuple(support) and model == want
+    assert [list(map(type, p)) for p in model.support] == [list(map(type, p)) for p in want.support]
+    if kind == "tuples":
+        assert all(a is b for a, b in zip(model.support, support))
+    assert model.values == want.values and model.frontier == want.frontier
+    assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
+    assert json.dumps(model.to_compact_dict()) == json.dumps(want.to_compact_dict())
+    queries = [(a / 8, b / 8) for a in range(-1, 19) for b in range(-1, 19)]
+    assert predict_batch(model, queries).tolist() == predict_batch(want, queries).tolist()
+    assert predict_batch(model, rows).tolist() == predict_batch(want, rows).tolist()

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from isoclass import (
@@ -142,7 +143,8 @@ def test_fitted_policy_is_usable_as_classifier():
 
 
 def test_treatment_is_checked_before_int_maps_it():
-    for d in (1.5, 0.9, -1.2, Fraction(1, 2)):
+    # a bool is neither -1 nor +1, though True == 1
+    for d in (1.5, 0.9, -1.2, Fraction(1, 2), True, False, np.bool_(True), np.bool_(False)):
         with pytest.raises(ValidationError) as caught:
             TrialRecord(1, d, (0.1,), 0.5)
         assert str(caught.value) == f"treatment must be -1 or +1, got {d!r}"
@@ -169,8 +171,8 @@ def test_trial_columns_read_and_map_as_the_records_they_hold(tmp_path):
     for policy in (lambda x: 1, lambda x: -1, lambda x: 1 if x[0] > 0.5 else -1, fit_monotone(want)):
         got = welfare_estimate(policy, columns)
         assert got == welfare_estimate(policy, records) and type(got) is type(welfare_estimate(policy, records))
-    # no record agrees with a policy of 0: the welfare is the float 0.0, as for a list
-    assert welfare_estimate(lambda x: 0, columns) == 0.0 and type(welfare_estimate(lambda x: 0, columns)) is float
+    # no record agrees with a policy of 0: the welfare of exact columns is the Fraction 0, as for a list
+    assert welfare_estimate(lambda x: 0, columns) == 0 and type(welfare_estimate(lambda x: 0, columns)) is Fraction
     for kappa in (0.1, Fraction(1, 10)):
         got = max_weight_bound(columns, kappa)
         assert got == max_weight_bound(records, kappa) and type(got) is type(max_weight_bound(records, kappa))
@@ -194,3 +196,13 @@ def test_a_float_outcome_over_an_exact_propensity_divides_by_the_rounded_exact_d
     assert 1.0 / (1 - float(Fraction(1, 3))) != want[0]
     assert to_weighted_sample(records, kappa=0.1).weights == tuple(want)
     assert welfare_constant(records) == (want[0] + want[1]) / 2
+
+
+def test_exact_welfare_is_the_fraction_0_when_nothing_is_summed():
+    # no record agrees with a policy of 0, and no IPW term of these records is positive
+    exact = [TrialRecord(-2, 1, (0,), Fraction(1, 2)), TrialRecord(0, -1, (1,), Fraction(1, 4))]
+    floats = [TrialRecord(-2.0, 1, (0.0,), 0.5), TrialRecord(0.0, -1, (1.0,), 0.25)]
+    for records, kind in ((exact, Fraction), (floats, float)):
+        for got in (welfare_estimate(lambda x: 0, records), welfare_constant(records)):
+            assert got == 0 and type(got) is kind
+    assert welfare_estimate(lambda x: 1, exact) == -2 and type(welfare_estimate(lambda x: 1, exact)) is Fraction
