@@ -313,17 +313,22 @@ def read_column(values, limit=math.inf):
     """The one form of a column of numbers, or None if one is not finite (the caller names it).
 
     That is float64 when every value is a float (a float array of itemsize at
-    most 8, or Python floats), else an ``exact_column`` pair.
+    most 8, or Python floats), else an ``exact_column`` pair.  A bool (a
+    ``np.bool_`` too, as a bool array holds) is not a number: the first one
+    is refused with a ValidationError naming its row.
     """
     if isinstance(values, Points):
         column = values.values[:, 0]
         return column if values.denominators is None else (column, values.denominators[0])
     kind = values.dtype.kind if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.itemsize <= 8 else None
-    if kind in ("b", "i") or kind == "u" and values.max(initial=0) < 1 << 63:
+    if kind == "i" or kind == "u" and values.max(initial=0) < 1 << 63:
         return values.astype(np.int64), 1
     if kind != "f":
         values = list(values)
         types = set(map(type, values))
+        if {bool, np.bool_} & types:
+            i = next(i for i, v in enumerate(values) if isinstance(v, (bool, np.bool_)))
+            raise ValidationError(f"row {i}: a bool is not a number, got {values[i]!r}")
         if not (values and types <= {float}):
             # only a float (numpy's too) can be other than finite
             floats = any(issubclass(t, (float, np.floating)) for t in types)

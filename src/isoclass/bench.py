@@ -259,7 +259,7 @@ def _draw(dgp, rng, n: int):
     int64 array of labels; ``WeightedSample`` checks both in numpy.
     """
     xs = rng.random((n, dgp.dim))
-    return xs, np.where(rng.random(n) < dgp.eta(xs), 1, -1).astype(np.int64)
+    return xs, np.where(rng.random(n) < dgp.eta(xs), 1, -1)
 
 
 def _threshold_risk(dgp, model) -> float:

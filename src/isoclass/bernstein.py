@@ -15,13 +15,14 @@ against the coefficient grid in row chunks of about 2^16 entries;
 vector per dimension, first dimension first, with the same numpy logs and
 products: its value equals ``_values`` of its one feature row bit for bit.
 
-``fit`` builds its first dimension's matrix from logs shifted by S = 64 ln 2,
-clipped at -707 before the ``exp``: every ``exp`` result is then a normal
-float (numpy's ``exp`` is 10-100x slower on results that are subnormal or
-underflow to 0), an entry whose shifted log lay below -707 (a basis value
-below e^-751.4) is set to 0, and the objective coefficients come out e^S
-times the unscaled ones to rounding, a common factor the +/-1 solution does
-not depend on.  Evaluation keeps the unscaled basis.
+``fit`` builds its first dimension's matrix from logs shifted by S = 64 ln 2;
+the entries whose shifted log lies below the cut -707 (a basis value below
+e^-751.4) are set to the cut before the ``exp`` and to 0 after it.  Every
+``exp`` result is then a normal float (numpy's ``exp`` is 10-100x slower on
+results that are subnormal or underflow to 0), and the objective
+coefficients come out e^S times the unscaled ones to rounding, a common
+factor the +/-1 solution does not depend on.  Evaluation keeps the unscaled
+basis.
 """
 
 from __future__ import annotations
@@ -96,14 +97,16 @@ def _basis_matrices(orders, features: np.ndarray) -> list:
 def _scaled_basis_matrix(k: int, features: np.ndarray) -> np.ndarray:
     """e^_SHIFT times the order-``k`` basis matrix at the (n, 3) log ``features``, with no subnormal entry.
 
-    One ``exp`` of the shifted logs clipped at ``_CUT``; an entry whose
-    shifted log lies below the cut (a basis value below e^-751.4, which the
-    unscaled matrix holds as a subnormal or 0) is set to exactly 0.
+    One ``exp`` of the shifted logs.  An entry whose shifted log lies below
+    ``_CUT`` (a basis value below e^-751.4, which the unscaled matrix holds as
+    a subnormal or 0) is set to the cut before the ``exp`` and to exactly 0
+    after it; both writes touch only those entries.
     """
     b = features @ _basis_rows(k, _SHIFT)
     below = b < _CUT
-    np.exp(np.maximum(b, _CUT, out=b), out=b)
-    b[below] = 0.0
+    np.copyto(b, _CUT, where=below)
+    np.exp(b, out=b)
+    np.copyto(b, 0.0, where=below)
     return b
 
 

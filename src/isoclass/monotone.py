@@ -23,7 +23,7 @@ import numpy as np
 
 from ._numeric import Points, ValidationError, joint_ranks, read_points
 from .isotone import IsotoneProblem, solve
-from .order import build_dag, dominator_counts, lex_argsort, rank_matrix
+from .order import build_dag, dense_ranks, dominator_counts, lex_argsort, rank_matrix
 from .risks import WeightedSample
 
 _SWEEP_BLOCK = 1024
@@ -194,27 +194,35 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     give, each as its first row, and the per-point sums of w_i y_i are added
     in row order: integer weight numerators (whose one scale moves no
     optimum) in int64 when n * max(w) < 2**62, else as Python ints or floats.
-    The DAG and the model build their point tuples when read.
+    One column with no two values equal (by ``!=``, so -0.0 ties 0.0) is
+    its own support: the argsort that ranked it gives that order, and each
+    w_i y_i is its point's sum.  The DAG and the model build their point
+    tuples when read.
     """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
-    ranks = rank_matrix(sample._points)
-    by_lex = lex_argsort(ranks)
-    ranks = ranks[by_lex]
-    # a row starts a new point when its ranks differ from the row before
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(ranks, axis=0).any(axis=1))))
     weights, labels = sample._weights, sample._labels
     if weights.dtype == np.int64 and sample.n * int(weights.max()) < 1 << 62:
         products = weights * labels
     else:
         products = weights.astype(object) * labels.astype(object)
-    coeffs = np.add.reduceat(products[by_lex], starts)
+    ranks, orders = zip(*map(dense_ranks, sample._points.values.T))
+    ranks = np.stack(ranks, axis=1)
+    if len(orders) == 1 and ranks[orders[0][-1], 0] == sample.n - 1:
+        # one column of distinct values: each row is its own point, in the order that ranked them
+        first, coeffs, ranks = orders[0], products[orders[0]], np.arange(sample.n)[:, None]
+    else:
+        by_lex = lex_argsort(ranks)
+        ranks = ranks[by_lex]
+        # a row starts a new point when its ranks differ from the row before
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(ranks, axis=0).any(axis=1))))
+        coeffs = np.add.reduceat(products[by_lex], starts)
+        first, ranks = by_lex[starts], ranks[starts]
     # the model copies each support point's first row, so that it holds no reference to the sample
-    first = by_lex[starts]
     points = sample.__dict__.get("points")
     kept = None if points is None else tuple(map(points.__getitem__, first.tolist()))
     support = Points(sample._points.values[first], sample._points.denominators)
-    dag = build_dag(support.rows if kept is None else kept, ranks[starts])
+    dag = build_dag(support.rows if kept is None else kept, ranks)
     values, _ = solve(IsotoneProblem(dag, coeffs), array=True)
     return MonotoneClassifier._of(kept, support, values, dag.ranks)
 

@@ -7,7 +7,8 @@ edges forward -- are the feasible prediction sets of monotone classification.
 Dominance only depends on the order within each coordinate, so a DAG keeps
 its nodes' dense integer ranks and derives its chain order and (on first
 access) its cover edges from them.  ``dense_ranks`` ranks a column of the
-``Points`` that ``read_points`` gives with one exact ``np.unique``.
+``Points`` that ``read_points`` gives with one exact ``argsort``, and returns
+that order too: a 1-d fit whose values are distinct needs no other sort.
 ``lex_argsort`` puts rank rows in lexicographic order by one int64 key each.
 ``up_set_matrix`` lists every up-set as a row of one bool membership matrix.
 """
@@ -115,13 +116,22 @@ class DominanceDag:
         return all(flags[j] for i, j in self.cover_edges if flags[i])
 
 
-def dense_ranks(column) -> np.ndarray:
-    """Dense rank of each value among the distinct values of ``column`` (int64), by one ``np.unique``.
+def dense_ranks(column) -> tuple:
+    """(ranks, order): the dense rank of each value among the distinct values of ``column`` (int64), and the ``argsort`` that gave them.
 
-    Numpy compares floats and int64 exactly, and an object array (a sequence
-    is read as one) with Python's exact comparisons.
+    One ``argsort``; a value starts a new rank when it is ``!=`` the one
+    sorted before it (so ``-0.0`` and ``0.0`` share one).  The ranks are those
+    of ``np.unique(column, return_inverse=True)``, which sorts the same way
+    and drops the order.  Numpy compares floats and int64 exactly, and an
+    object array (a sequence is read as one) with Python's exact comparisons.
     """
-    return np.unique(column if isinstance(column, np.ndarray) else np.array(list(column), dtype=object), return_inverse=True)[1]
+    column = column if isinstance(column, np.ndarray) else np.array(list(column), dtype=object)
+    order = np.argsort(column)
+    ordered = column[order]
+    ranks = np.empty(len(column), dtype=np.int64)
+    # with no values, the one False broadcasts onto the empty order
+    ranks[order] = np.cumsum(np.concatenate(([False], ordered[1:] != ordered[:-1])))
+    return ranks, order
 
 
 def _rising(ranks: np.ndarray) -> bool:
@@ -141,7 +151,7 @@ def rank_matrix(points) -> np.ndarray:
     """
     if not len(points):
         return np.zeros((0, 0), dtype=np.int64)
-    return np.stack([dense_ranks(column) for column in points.values.T], axis=1)
+    return np.stack([dense_ranks(column)[0] for column in points.values.T], axis=1)
 
 
 def lex_argsort(ranks: np.ndarray) -> np.ndarray:

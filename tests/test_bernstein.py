@@ -571,6 +571,21 @@ def test_fit_first_basis_is_scaled_with_no_subnormal_and_keeps_every_nonzero_ent
     assert subnormals > 0
 
 
+def test_scaled_basis_matrix_is_the_exp_of_the_logs_clipped_at_the_cut_with_the_cut_entries_zeroed():
+    cut = bernstein._CUT
+    # the end rows u = 0 and 1 and the rows next to them, then rows whose shifted logs straddle the cut
+    u = np.concatenate(([0.0, 1.0, 1e-300, 1.0 - 2.0**-53], np.linspace(0.001, 0.999, 61)))
+    for k in (1, 147, 500):
+        features = _log_features(u[:, None])[:, 0]
+        logs = features @ bernstein._basis_rows(k, bernstein._SHIFT)
+        want = np.exp(np.maximum(logs, cut))
+        want[logs < cut] = 0.0
+        assert bernstein._scaled_basis_matrix(k, features).tobytes() == want.tobytes()
+    near = np.abs(logs - cut) < 1.0
+    assert (near & (logs < cut)).any() and (near & (logs >= cut)).any()
+    assert ((logs < cut).any(axis=1) & (logs >= cut).any(axis=1)).sum() >= 30
+
+
 def test_fit_coefficients_are_the_unscaled_ones_times_the_shift(monkeypatch):
     seen = _spy_on_solve(monkeypatch)
     factor = math.exp(bernstein._SHIFT)

@@ -606,3 +606,60 @@ def test_a_fitted_model_keeps_only_its_support_rows(tmp_path, kind):
     queries = [(a / 8, b / 8) for a in range(-1, 19) for b in range(-1, 19)]
     assert predict_batch(model, queries).tolist() == predict_batch(want, queries).tolist()
     assert predict_batch(model, rows).tolist() == predict_batch(want, rows).tolist()
+
+
+def _fit_spied(sample, monkeypatch):
+    """The fit of ``sample``, the coefficients its ``solve`` was given (each as its type and repr), and its ``lex_argsort`` calls."""
+    seen, sorts = [], []
+    real_solve, real_sort = monotone.solve, monotone.lex_argsort
+    monkeypatch.setattr(monotone, "solve", lambda problem, **options: seen.append(problem.coeffs) or real_solve(problem, **options))
+    monkeypatch.setattr(monotone, "lex_argsort", lambda ranks: sorts.append(len(ranks)) or real_sort(ranks))
+    model = fit_monotone(sample)
+    monkeypatch.undo()
+    coeffs = seen[0].tolist() if isinstance(seen[0], np.ndarray) else list(seen[0])
+    return model, [(type(c), repr(c)) for c in coeffs], len(sorts)
+
+
+@pytest.mark.parametrize("case", ["untied floats", "tied floats", "ints and fractions", "wide ints"])
+def test_a_one_dimensional_fit_equals_the_fit_of_its_lift(monkeypatch, case):
+    # the lift x -> (x, 0) keeps the order, so the 2-d fit, through the general lexicographic
+    # path, must give the 1-d fit's support order, first-row objects, coefficient sums and values
+    rng = np.random.default_rng(list(map(ord, case)))
+    for trial in range(6):
+        n = int(rng.integers(1, 400))
+        labels = rng.choice([-1, 1], n)
+        weights = rng.uniform(0.0, 2.0, n) if trial % 2 else np.ones(n, dtype=np.int64)
+        if case == "untied floats":
+            xs = rng.random(n)
+        elif case == "tied floats":
+            xs = np.round(rng.random(n) * 8) / 8 - 0.5
+            xs[rng.random(n) < 0.2] = -0.0
+        elif case == "ints and fractions":
+            pool = (1, 1.0, Fraction(1), 0, Fraction(1, 2), -2, 0.25, Fraction(7, 3))
+            xs = [pool[i] for i in rng.integers(0, len(pool), n)]
+        else:
+            xs = [2**70 + int(k) for k in rng.integers(-20, 20, n)]
+        if isinstance(xs, np.ndarray) and trial % 3 == 0:
+            points, lifted = xs[:, None], np.column_stack((xs, np.zeros(n)))
+        else:
+            points = [(x,) for x in (xs.tolist() if isinstance(xs, np.ndarray) else xs)]
+            lifted = [(x, 0) for (x,) in points]
+        model, coeffs, sorts = _fit_spied(WeightedSample(weights, labels, points), monkeypatch)
+        lift, lift_coeffs, _ = _fit_spied(WeightedSample(weights, labels, lifted), monkeypatch)
+        # one column of distinct values is ordered by its ranking alone
+        assert sorts == (0 if len(model.values) == n else 1)
+        assert lift.values == model.values and lift_coeffs == coeffs
+        assert [(type(q[0]), q[0], q[1]) for q in lift.support] == [(type(p[0]), p[0], 0) for p in model.support]
+        zero = 0.0 if isinstance(points, np.ndarray) else 0
+        for form in ("to_dict", "to_compact_dict"):
+            flat, plane = getattr(model, form)(), getattr(lift, form)()
+            for key in ("support", "min_positive", "max_negative"):
+                if key in flat:
+                    flat[key] = [p + [zero] for p in flat[key]]
+            assert json.dumps(plane) == json.dumps({**flat, "dim": 2}), form
+        if isinstance(points, list):
+            # each support point is the tuple of its first row, and its lift holds that row's object
+            first = {}
+            for p in points:
+                first.setdefault(p[0], p)
+            assert all(p is first[p[0]] and q[0] is p[0] for p, q in zip(model.support, lift.support))

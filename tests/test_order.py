@@ -261,6 +261,13 @@ def test_cover_edges_equal_the_definition_on_clouds_grids_and_lattices():
         assert list(lat.cover_edges) == _brute_cover_edges(lat.nodes)
 
 
+def _ranks(column):
+    """The ranks of ``dense_ranks``, checked to come with an order that sorts them."""
+    ranks, order = dense_ranks(column)
+    assert sorted(order.tolist()) == list(range(len(ranks))) and (np.diff(ranks[order]) >= 0).all()
+    return ranks
+
+
 def _rank_oracle(column):
     rank = {v: r for r, v in enumerate(sorted(set(column)))}
     return [rank[v] for v in column]
@@ -288,17 +295,17 @@ def test_dense_ranks_of_int_and_fraction_columns_equal_a_sorted_set_oracle():
         for pool in pools:
             for n in (0, 1, 2, 5, 30):
                 column = [rng.choice(pool) for _ in range(n)]
-                ranks = dense_ranks(column)
+                ranks = _ranks(column)
                 assert ranks.dtype == np.int64 and ranks.shape == (n,)
                 assert ranks.tolist() == _rank_oracle(column)
             full = list(pool) * 2
             rng.shuffle(full)
-            assert dense_ranks(full).tolist() == _rank_oracle(full)
+            assert _ranks(full).tolist() == _rank_oracle(full)
             # every pool's common denominator stays below 2**128: the reader keeps common numerators,
             # in int64 or not, and ranks them as the values rank
             numerators, den = exact_column(full, WIDE)
             assert den < WIDE and (numerators.dtype == np.int64) == fits
-            assert dense_ranks(numerators).tolist() == _rank_oracle(full)
+            assert _ranks(numerators).tolist() == _rank_oracle(full)
 
 
 def test_dense_ranks_of_other_types_take_the_exact_sort():
@@ -311,10 +318,10 @@ def test_dense_ranks_of_other_types_take_the_exact_sort():
     for column in columns:
         for trial in range(6):
             shuffled = random.Random(trial).sample(column, len(column))
-            assert dense_ranks(shuffled).tolist() == _rank_oracle(shuffled)
-            assert dense_ranks(exact_column(shuffled, WIDE)[0]).tolist() == _rank_oracle(shuffled)
+            assert _ranks(shuffled).tolist() == _rank_oracle(shuffled)
+            assert _ranks(exact_column(shuffled, WIDE)[0]).tolist() == _rank_oracle(shuffled)
     floats = [0.5, -0.0, 0.0, 2.5, 0.5]
-    assert dense_ranks(floats).tolist() == _rank_oracle(floats)
+    assert _ranks(floats).tolist() == _rank_oracle(floats)
 
 
 def test_dense_ranks_of_long_decimals_sorts_integer_keys():
@@ -329,15 +336,15 @@ def test_dense_ranks_of_long_decimals_sorts_integer_keys():
         numerators, den = exact_column(column, WIDE)
         assert numerators.dtype == object and den < WIDE and len(numerators) == len(column)
         assert max(map(abs, numerators.tolist())) >= 2**63
-        assert dense_ranks(numerators).tolist() == dense_ranks(column).tolist() == _rank_oracle(column)
+        assert _ranks(numerators).tolist() == _ranks(column).tolist() == _rank_oracle(column)
         # the same values beside one float, taken exactly, rank alike
         mixed = column + [0.5]
-        assert dense_ranks(exact_column(mixed, WIDE)[0]).tolist() == dense_ranks(mixed).tolist() == _rank_oracle(mixed)
+        assert _ranks(exact_column(mixed, WIDE)[0]).tolist() == _ranks(mixed).tolist() == _rank_oracle(mixed)
     # a common denominator of 2**128 or more: the values are kept as Fractions over 1
     wide = [Fraction(1, 2**127), Fraction(1, 3), Fraction(-1, 5)]
     numerators, den = exact_column(wide, WIDE)
     assert den == 1 and numerators.tolist() == wide
-    assert dense_ranks(numerators).tolist() == _rank_oracle(wide) == [1, 2, 0]
+    assert _ranks(numerators).tolist() == _rank_oracle(wide) == [1, 2, 0]
 
 
 def test_dense_ranks_gives_up_on_a_growing_common_denominator_early(monkeypatch):
@@ -361,7 +368,7 @@ def test_dense_ranks_gives_up_on_a_growing_common_denominator_early(monkeypatch)
         return min(times)
 
     def rank():
-        return dense_ranks(exact_column(column, WIDE)[0])
+        return dense_ranks(exact_column(column, WIDE)[0])[0]
 
     assert rank().tolist() == _rank_oracle(column)
     gc.disable()
@@ -390,3 +397,22 @@ def test_lex_argsort_equals_lexsort_on_both_sides_of_the_int64_key():
         assert lex_argsort(ranks).tolist() == np.lexsort(ranks.T[::-1]).tolist()
     assert sides == {True, False}
     assert lex_argsort(np.zeros((0, 2), dtype=np.int64)).tolist() == []
+
+
+def test_dense_ranks_equal_those_of_np_unique_with_the_order_that_sorts_the_column():
+    rng = np.random.default_rng(29)
+    for n in (0, 1, 2, 7, 500):
+        floats = np.round(rng.normal(size=n), 1)
+        floats[rng.random(n) < 0.2] = -0.0
+        columns = (
+            rng.random(n),
+            floats,
+            rng.integers(-5, 5, n),
+            rng.integers(-(2**62), 2**62, n),
+            np.array([2**70 + int(k) for k in rng.integers(-3, 3, n)], dtype=object),
+            np.array([Fraction(int(k), 3) for k in rng.integers(-4, 4, n)], dtype=object),
+        )
+        for column in columns:
+            ranks, order = dense_ranks(column)
+            assert ranks.dtype == np.int64 and ranks.tolist() == np.unique(column, return_inverse=True)[1].tolist()
+            assert sorted(order.tolist()) == list(range(n)) and (np.diff(ranks[order]) >= 0).all()

@@ -153,6 +153,15 @@ def test_treatment_is_checked_before_int_maps_it():
         assert record.d == want and type(record.d) is int
 
 
+def test_bool_outcomes_are_refused():
+    # True == 1, but a bool is not an outcome
+    for z in (True, False, np.bool_(True)):
+        with pytest.raises(ValidationError) as caught:
+            TrialRecord(z, 1, (0.1,), 0.5)
+        assert str(caught.value) == f"outcome z must be a number, got {z!r}"
+    assert TrialRecord(1, 1, (0.1,), 0.5).z == 1
+
+
 def test_trial_columns_read_and_map_as_the_records_they_hold(tmp_path):
     from isoclass.io import load_trials
     from isoclass.policy import TrialColumns

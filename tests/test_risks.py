@@ -330,6 +330,26 @@ def test_bool_labels_are_refused():
     assert WeightedSample((1, 1), np.array([1, -1]), ((0,), (1,))).labels == (1, -1)
 
 
+def test_bool_weights_and_coordinates_are_refused():
+    def message(weights, points):
+        with pytest.raises(ValidationError) as caught:
+            WeightedSample(weights, (1, -1), points)
+        return str(caught.value)
+
+    # True == 1, but a bool is not a number: the first one is named, a bool array's as a numpy bool
+    assert message((True, False), ((0,), (1,))) == "row 0: a bool is not a number, got True"
+    assert message([1, np.False_], ((0,), (1,))) == "row 1: a bool is not a number, got np.False_"
+    assert message(np.array([True, True]), ((0,), (1,))) == "row 0: a bool is not a number, got np.True_"
+    assert message((1, 1), ((True,), (False,))) == "row 0: a bool is not a number, got True"
+    assert message((1, 1), ((0.5, 1), (0.25, np.True_))) == "row 1: a bool is not a number, got np.True_"
+    assert message((1, 1), np.array([[False], [True]])) == "row 0: a bool is not a number, got np.False_"
+    with pytest.raises(ValidationError, match="row 2: a bool is not a number"):
+        build_dag([(0,), (1,), (True,)])
+    # numbers equal to 1 and 0 stay accepted, as do an int and a float array
+    assert WeightedSample((1, 0.0), (1, -1), ((1,), (Fraction(0),))).weights == (1, 0.0)
+    assert WeightedSample(np.array([1, 0]), (1, -1), np.array([[1.0], [0.0]])).weights == (1, 0)
+
+
 def test_sample_keeps_its_float_coordinates_and_weights_read_only():
     # a mixed sample keeps exact columns, its floats taken exactly; the floats a Bernstein fit
     # reads are float(v), as float_points gives; its weights are numerators over one scale, read back as given
