@@ -43,6 +43,9 @@ def _is_finite(value) -> bool:
 
 
 def check_finite(value, what: str) -> None:
+    """Refuse a bool, which is not a number here, and a NaN or infinite float, naming ``what``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
     if not _is_finite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
 

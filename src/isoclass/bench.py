@@ -16,7 +16,7 @@ Halton grid labelled in one batch through ``bernstein.predict_batch``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, compress
@@ -410,16 +410,8 @@ class RegretCurve:
     negative_count: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "dgp": self.dgp,
-            "estimator": self.estimator,
-            "sample_sizes": list(self.sample_sizes),
-            "mean_regret": list(self.mean_regret),
-            "std_error": list(self.std_error),
-            "reps": self.reps,
-            "seed": self.seed,
-            "negative_count": self.negative_count,
-        }
+        """The fields in their order, each tuple as a list."""
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
 
 
 def _fit_for(estimator: str, sample: WeightedSample, dim: int, orders):

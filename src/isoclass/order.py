@@ -8,8 +8,10 @@ Dominance only depends on the order within each coordinate, so a DAG keeps
 its nodes' dense integer ranks and derives its chain order and (on first
 access) its cover edges from them.  ``dense_ranks`` ranks a column of the
 ``Points`` that ``read_points`` gives with one exact ``argsort``, and returns
-that order too: a 1-d fit whose values are distinct needs no other sort.
-``lex_argsort`` puts rank rows in lexicographic order by one int64 key each.
+that order too, which a 1-d fit whose values are distinct takes as its
+support's order.  ``lex_argsort`` puts rank rows in lexicographic order by
+one int64 key each; the steps between consecutive rows in that order tell
+both whether the nodes are distinct and whether they form a chain.
 ``up_set_matrix`` lists every up-set as a row of one bool membership matrix.
 """
 
@@ -75,14 +77,13 @@ class DominanceDag:
 
     @cached_property
     def lex_order(self) -> np.ndarray:
-        """Node indices in lexicographic order of their ranks (that of the nodes themselves).
-
-        Nodes that already come in strictly increasing order, as ``fit`` passes
-        them, are not sorted again.
-        """
-        if self.n <= 1 or _rising(self.ranks):
-            return np.arange(self.n)
+        """Node indices in lexicographic order of their ranks (that of the nodes themselves), by ``lex_argsort``."""
         return lex_argsort(self.ranks)
+
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """Rank differences between consecutive nodes in ``lex_order``, (n - 1, d)."""
+        return np.diff(self.ranks[self.lex_order], axis=0)
 
     @cached_property
     def grid_shape(self):
@@ -101,7 +102,7 @@ class DominanceDag:
     @cached_property
     def is_chain(self) -> bool:
         """True iff the nodes form a chain: in lexicographic order, no coordinate's rank ever falls."""
-        return self.n <= 1 or not (np.diff(self.ranks[self.lex_order], axis=0) < 0).any()
+        return not (self._steps < 0).any()
 
     @cached_property
     def chain_order(self):
@@ -132,16 +133,6 @@ def dense_ranks(column) -> tuple:
     # with no values, the one False broadcasts onto the empty order
     ranks[order] = np.cumsum(np.concatenate(([False], ordered[1:] != ordered[:-1])))
     return ranks, order
-
-
-def _rising(ranks: np.ndarray) -> bool:
-    """True iff each rank row is lexicographically greater than the row before it."""
-    step = np.diff(ranks, axis=0)
-    # from the last coordinate back: greater here, or equal here and greater after
-    up = step[:, -1] > 0
-    for v in range(ranks.shape[1] - 2, -1, -1):
-        up = (step[:, v] > 0) | ((step[:, v] == 0) & up)
-    return bool(up.all())
 
 
 def rank_matrix(points) -> np.ndarray:
@@ -238,7 +229,7 @@ def build_dag(points, ranks=None) -> DominanceDag:
         # only the order within a coordinate matters: the DAG works on dense ranks
         points, ranks = form.rows if rows is None else rows, rank_matrix(form)
     dag = DominanceDag(points, ranks)
-    if not np.diff(dag.ranks[dag.lex_order], axis=0).any(axis=1).all():
+    if not dag._steps.any(axis=1).all():
         raise ValidationError("points must be distinct (deduplicate before building)")
     return dag
 

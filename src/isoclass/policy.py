@@ -38,8 +38,6 @@ class TrialRecord:
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
         check_finite(self.z, "outcome z")
-        if isinstance(self.z, (bool, np.bool_)):
-            raise ValidationError(f"outcome z must be a number, got {self.z!r}")
         check_finite(self.e, "propensity e")
         # checked before int() maps it, so 1.5 is refused rather than truncated to 1; a bool is neither -1 nor +1
         if isinstance(self.d, (bool, np.bool_)) or self.d not in (-1, 1):

@@ -10,6 +10,7 @@ risks for the 0-1, hinge and both quadratic losses, and other terms in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -21,6 +22,8 @@ from ._numeric import Points, ValidationError, all_exact, check_finite, check_po
 from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
+# each number field of a DiscreteDistribution: its upper bound (every one is >= 0) and the range its error names
+_RANGES = {"mass": (math.inf, "be nonnegative"), "eta": (1, "lie in [0, 1]"), "w_plus": (math.inf, "be nonnegative"), "w_minus": (math.inf, "be nonnegative")}
 
 
 @dataclass(frozen=True)
@@ -124,37 +127,23 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "points", check_points(self.points, "support point"))
-        object.__setattr__(self, "mass", tuple(self.mass))
-        object.__setattr__(self, "eta", tuple(self.eta))
         n = len(self.points)
-        if len(self.mass) != n or len(self.eta) != n:
-            raise ValidationError("points, mass and eta must have equal length")
         if len(set(self.points)) != n:
             raise ValidationError("support points must be distinct")
-        for m in self.mass:
-            check_finite(m, "mass")
-            if m < 0:
-                raise ValidationError(f"mass must be nonnegative, got {m!r}")
+        for attr, (high, rule) in _RANGES.items():
+            values = getattr(self, attr)
+            # w+ and w- default to unit weights
+            values = (1,) * n if values is None and attr.startswith("w_") else tuple(values)
+            if len(values) != n:
+                raise ValidationError(f"{attr} must have one entry per point" if attr.startswith("w_") else "points, mass and eta must have equal length")
+            for v in values:
+                check_finite(v, attr)
+                if not 0 <= v <= high:
+                    raise ValidationError(f"{attr} must {rule}, got {v!r}")
+            object.__setattr__(self, attr, values)
         total = sum(self.mass)
         if abs(total - 1) > _MASS_TOL:
             raise ValidationError(f"masses must sum to 1 (got {total!r})")
-        for e in self.eta:
-            check_finite(e, "eta")
-            if not (0 <= e <= 1):
-                raise ValidationError(f"eta must lie in [0, 1], got {e!r}")
-        for attr in ("w_plus", "w_minus"):
-            w = getattr(self, attr)
-            if w is None:
-                w = (1,) * n
-            else:
-                w = tuple(w)
-                if len(w) != n:
-                    raise ValidationError(f"{attr} must have one entry per point")
-                for v in w:
-                    check_finite(v, attr)
-                    if v < 0:
-                        raise ValidationError(f"{attr} must be nonnegative, got {v!r}")
-            object.__setattr__(self, attr, w)
 
     @property
     def n(self) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from isoclass import WeightedSample, bernstein_predict, fit_bernstein, monotone_predict
+from isoclass import WeightedSample, bernstein_predict, fit_bernstein, monotone_predict, simulate_regret
 from isoclass.cli import _rescale_sample, build_parser, main
 from isoclass.io import load_model, load_sample
 
@@ -151,6 +152,34 @@ def test_simulate_regret_csv(tmp_path, capsys):
     assert lines[0] == "n,mean_regret,se,reps"
     assert len(lines) == 3
     assert json.loads(Path(summary).read_text())["reps"] == 4
+    # the summary is as_dict of the curve: its fields in order, each tuple written as a list
+    assert Path(summary).read_text() == SUMMARY_STEP_40_80
+    curve = simulate_regret("step", (40, 80), 4, 3)
+    as_dict = curve.as_dict()
+    assert list(as_dict) == [f.name for f in dataclasses.fields(curve)]
+    assert [type(as_dict[k]) for k in ("sample_sizes", "mean_regret", "std_error")] == [list] * 3
+
+
+SUMMARY_STEP_40_80 = """{
+  "dgp": "step",
+  "estimator": "monotone",
+  "sample_sizes": [
+    40,
+    80
+  ],
+  "mean_regret": [
+    0.047688113857106085,
+    0.02094056323597812
+  ],
+  "std_error": [
+    0.02456134717848654,
+    0.013383549159332006
+  ],
+  "reps": 4,
+  "seed": 3,
+  "negative_count": 0
+}
+"""
 
 
 def test_malformed_csv_reports_line_and_writes_nothing(tmp_path, capsys):

@@ -4,7 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from isoclass import IsotoneProblem, WeightedSample, build_dag, fit_bernstein, fit_monotone, lattice_dag, solve
+from isoclass import (
+    BernsteinClassifier, DiscreteDistribution, IsotoneProblem, TrialRecord, WeightedSample, basis, build_dag, c_plus_minus,
+    delta_c, delta_c_weighted, empirical_risk, fit_bernstein, fit_monotone, hinge, lattice_dag, phi, solve,
+)
 from isoclass._numeric import Points, ValidationError, check_points, finite_array, parse_column
 from isoclass.io import load_points
 
@@ -12,6 +15,38 @@ TOKENS = (
     "0.123", "-0.5", "+1.5", "007", "1/3", "-2/4", "1.", ".5", "1e3", "1_000", "1/0", "-0", "1.0",
     "٣", "0x10", "", "-", "1/-3", " 2/6 ", "+0.000", "-12.50", "123456789012345678901234567890.5",
 )
+
+
+# each entry point that checks its numbers with check_finite, given the bool b where a number goes, and the name it gives it
+BOOL_CHECKS = {
+    "mass": (lambda b: DiscreteDistribution(((0,), (1,)), (b, 1 - int(b)), (0.5, 0.5)), "mass"),
+    "eta": (lambda b: DiscreteDistribution(((0,),), (1,), (b,)), "eta"),
+    "w_plus": (lambda b: DiscreteDistribution(((0,),), (1,), (0.5,), (b,)), "w_plus"),
+    "w_minus": (lambda b: DiscreteDistribution(((0,),), (1,), (0.5,), None, (b,)), "w_minus"),
+    "hinge scale": (hinge, "hinge scale"),
+    "delta_c eta": (lambda b: delta_c(hinge(1), b), "eta"),
+    "c_plus_minus eta": (lambda b: c_plus_minus(hinge(1), b), "eta"),
+    "delta_c_weighted eta": (lambda b: delta_c_weighted(hinge(1), 1, 1, b), "eta"),
+    "delta_c_weighted w_plus": (lambda b: delta_c_weighted(hinge(1), b, 1, 0.5), "w_plus"),
+    "delta_c_weighted w_minus": (lambda b: delta_c_weighted(hinge(1), 1, b, 0.5), "w_minus"),
+    "phi margin": (lambda b: phi(hinge(1), b), "margin"),
+    "empirical_risk": (lambda b: empirical_risk((0.5, b), WeightedSample.unweighted((1, -1), ((0,), (1,))), hinge(1)), "classifier value of row 1"),
+    "theta": (lambda b: BernsteinClassifier((1,), (-1, b)), "theta"),
+    "basis x": (lambda b: basis(2, 1, b), "x"),
+    "outcome z": (lambda b: TrialRecord(b, 1, (0,), 0.5), "outcome z"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize("entry", sorted(BOOL_CHECKS))
+def test_a_bool_is_refused_where_a_number_is_checked(entry, value):
+    # True == 1 and False == 0, but a bool is not a number
+    call, what = BOOL_CHECKS[entry]
+    with pytest.raises(ValidationError) as caught:
+        call(value)
+    assert str(caught.value) == f"{what} must be a number, got {value!r}"
+    # the number the bool equals is accepted in its place
+    call(int(value) if entry != "hinge scale" else 1)
 
 
 @pytest.mark.parametrize("token", TOKENS)

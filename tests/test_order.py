@@ -78,17 +78,27 @@ def test_build_dag_without_ranks_checks_its_points():
 
 
 def test_lex_order_is_the_sorted_order_of_the_nodes():
-    # nodes come sorted (taken as they are), shuffled, or sorted on the first
-    # coordinate alone, where later coordinates fall within ties
+    # nodes come sorted, reversed, shuffled, or sorted on the first coordinate alone, where
+    # later coordinates fall within ties; there are 0 to 30 of them, and diagonals are chains
     rng = random.Random(53)
-    for _ in range(60):
-        pts = random_distinct_points(rng, rng.randint(1, 30), rng.randint(1, 3), grid=3)
+    clouds = [random_distinct_points(rng, n, rng.randint(1, 3), grid=3) for n in [0, 1, 1] + [rng.randint(2, 30) for _ in range(60)]]
+    clouds += [[(i,) * d for i in range(n)] for d in (1, 2, 3) for n in (2, 7)]
+    for pts in clouds:
         shuffled = rng.sample(pts, len(pts))
-        for nodes in (pts, shuffled, sorted(shuffled, key=lambda p: p[0])):
+        for nodes in (pts, pts[::-1], shuffled, sorted(shuffled, key=lambda p: p[0])):
             dag = build_dag(nodes)
             assert [nodes[i] for i in dag.lex_order.tolist()] == pts
-            chain = dag.chain_order
-            assert chain is None or [nodes[i] for i in chain] == pts
+            assert dag.lex_order.tolist() == (np.lexsort(dag.ranks.T[::-1]).tolist() if nodes else [])
+            chain = all(dominates(p, q) or dominates(q, p) for p in nodes for q in nodes)
+            assert dag.is_chain is chain
+            assert dag.chain_order == (tuple(dag.lex_order.tolist()) if chain else None)
+            if nodes:
+                # one node twice, anywhere, is refused
+                tied = list(nodes)
+                tied.insert(rng.randint(0, len(nodes)), rng.choice(nodes))
+                with pytest.raises(ValidationError) as caught:
+                    build_dag(tied)
+                assert str(caught.value) == "points must be distinct (deduplicate before building)"
 
 
 def test_build_dag_handles_rational_coordinates():
