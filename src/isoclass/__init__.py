@@ -44,19 +44,7 @@ _EXPORTS = {
     "weighted_risk_at_set": "risks.weighted_risk_at_set",
 }
 
-__all__ = [
-    "BernsteinClassifier", "CalibrationReport", "DiscreteDistribution", "DominanceDag", "IsotoneProblem",
-    "Loss", "MonotoneClassifier", "PredictionSet", "RegretCurve", "TrialRecord", "ValidationError",
-    "WeightedSample", "basis", "bernstein_evaluate", "bernstein_evaluate_batch", "bernstein_predict",
-    "bernstein_predict_batch", "binarize", "brute_force_solve", "build_dag", "c_plus_minus",
-    "calibration_table", "classification_risk_at_set", "delta_c", "delta_c_weighted", "dominates",
-    "empirical_risk", "enumerate_up_sets", "exponential", "fit_bernstein", "fit_monotone", "hinge",
-    "is_classification_calibrated", "lattice_dag", "logistic", "max_weight_bound", "monotone_predict",
-    "monotone_predict_batch", "parse_loss", "phi", "quadratic", "reproduce_example_1",
-    "reproduce_example_2", "simulate_regret", "solve", "suggest_orders", "surrogate_risk_at_set",
-    "to_weighted_sample", "truncated_quadratic", "weighted_risk_at_set", "welfare_constant",
-    "welfare_estimate", "zero_one",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):

@@ -50,6 +50,17 @@ def check_finite(value, what: str) -> None:
         raise ValidationError(f"{what} must be finite, got {value!r}")
 
 
+def check_range(value, what: str, high=math.inf) -> None:
+    """``check_finite``, then refuse a value outside [0, ``high``] (``high`` 1 or inf) or one that does not compare as a number."""
+    check_finite(value, what)
+    try:
+        inside = 0 <= value <= high
+    except TypeError:
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+    if not inside:
+        raise ValidationError(f"{what} must {'lie in [0, 1]' if high == 1 else 'be nonnegative'}, got {value!r}")
+
+
 def integers(values, what: str) -> tuple:
     """``values`` as Python ints, read by ``operator.index``: a bool, or a number without ``__index__``, is refused."""
     values = tuple(values)

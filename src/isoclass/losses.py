@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numeric import ValidationError, check_finite, is_exact
+from ._numeric import ValidationError, check_finite, check_range, is_exact
 
 KINDS = (
     "zero_one",
@@ -139,12 +139,6 @@ def phi(loss: Loss, margin):
     return slack**2 if slack > 0 else 0
 
 
-def _check_eta(eta) -> None:
-    check_finite(eta, "eta")
-    if not (0 <= eta <= 1):
-        raise ValidationError(f"eta must lie in [0, 1], got {eta!r}")
-
-
 def _entropy_term(eta: float) -> float:
     # log(2 eta^eta (1-eta)^(1-eta)) with the 0 log 0 = 0 convention
     e = float(eta)
@@ -158,7 +152,7 @@ def _entropy_term(eta: float) -> float:
 
 def delta_c(loss: Loss, eta):
     """Closed-form conditional-risk gap DeltaC(eta), positive below eta = 1/2."""
-    _check_eta(eta)
+    check_range(eta, "eta", 1)
     kind = loss.kind
     if kind == "zero_one":
         return 1 - 2 * eta
@@ -188,7 +182,7 @@ def c_plus_minus(loss: Loss, eta):
     exponential, taken in binary64 from float(eta) (infinite where that float
     is 0 or 1).
     """
-    _check_eta(eta)
+    check_range(eta, "eta", 1)
     kind = loss.kind
     if kind == "zero_one":
         return (1 - eta, eta)
@@ -216,11 +210,9 @@ def c_plus_minus(loss: Loss, eta):
 
 def delta_c_weighted(loss: Loss, w_plus, w_minus, eta):
     """Weighted conditional-risk gap in terms of mu+ = w+ eta, mu- = w- (1 - eta)."""
-    _check_eta(eta)
-    for w, label in ((w_plus, "w_plus"), (w_minus, "w_minus")):
-        check_finite(w, label)
-        if w < 0:
-            raise ValidationError(f"{label} must be nonnegative, got {w!r}")
+    check_range(eta, "eta", 1)
+    check_range(w_plus, "w_plus")
+    check_range(w_minus, "w_minus")
     mu_p = w_plus * eta
     mu_m = w_minus * (1 - eta)
     kind = loss.kind

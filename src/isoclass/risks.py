@@ -18,12 +18,12 @@ from operator import index
 
 import numpy as np
 
-from ._numeric import Points, ValidationError, all_exact, check_finite, check_points, is_exact, read_column, read_points, sign, summable
+from ._numeric import Points, ValidationError, all_exact, check_finite, check_points, check_range, is_exact, read_column, read_points, sign, summable
 from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
-# each number field of a DiscreteDistribution: its upper bound (every one is >= 0) and the range its error names
-_RANGES = {"mass": (math.inf, "be nonnegative"), "eta": (1, "lie in [0, 1]"), "w_plus": (math.inf, "be nonnegative"), "w_minus": (math.inf, "be nonnegative")}
+# each number field of a DiscreteDistribution and its upper bound (every one is >= 0)
+_RANGES = {"mass": math.inf, "eta": 1, "w_plus": math.inf, "w_minus": math.inf}
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,7 @@ def _name_bad_weight(weights) -> None:
     """Raise the error of the first weight, in row order, that is not finite or is negative."""
     for i, w in enumerate(weights.tolist() if isinstance(weights, np.ndarray) else weights):
         check_finite(w, f"weight of row {i}")
-        if w < 0:
-            raise ValidationError(f"row {i}: weight must be nonnegative, got {w!r}")
+        check_range(w, f"row {i}: weight")
 
 
 @dataclass(frozen=True)
@@ -130,16 +129,14 @@ class DiscreteDistribution:
         n = len(self.points)
         if len(set(self.points)) != n:
             raise ValidationError("support points must be distinct")
-        for attr, (high, rule) in _RANGES.items():
+        for attr, high in _RANGES.items():
             values = getattr(self, attr)
             # w+ and w- default to unit weights
             values = (1,) * n if values is None and attr.startswith("w_") else tuple(values)
             if len(values) != n:
                 raise ValidationError(f"{attr} must have one entry per point" if attr.startswith("w_") else "points, mass and eta must have equal length")
             for v in values:
-                check_finite(v, attr)
-                if not 0 <= v <= high:
-                    raise ValidationError(f"{attr} must {rule}, got {v!r}")
+                check_range(v, attr, high)
             object.__setattr__(self, attr, values)
         total = sum(self.mass)
         if abs(total - 1) > _MASS_TOL:

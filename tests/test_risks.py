@@ -14,6 +14,8 @@ from isoclass import (
     WeightedSample,
     c_plus_minus,
     classification_risk_at_set,
+    delta_c,
+    delta_c_weighted,
     empirical_risk,
     enumerate_up_sets,
     build_dag,
@@ -288,6 +290,55 @@ def test_distribution_validation():
         DiscreteDistribution(((0,), (1,)), (THIRD, THIRD), (0, 1))
     with pytest.raises(ValidationError):
         DiscreteDistribution(((0,),), (1,), (Fraction(3, 2),))
+
+
+HALF = Fraction(1, 2)
+# each ranged number: what its error names, and a call reading value v in its place
+RANGED = (
+    pytest.param("eta", lambda v: delta_c(hinge(1), v), id="delta_c-eta"),
+    pytest.param("eta", lambda v: c_plus_minus(hinge(1), v), id="c_plus_minus-eta"),
+    pytest.param("eta", lambda v: delta_c_weighted(hinge(1), 1, 1, v), id="delta_c_weighted-eta"),
+    pytest.param("w_plus", lambda v: delta_c_weighted(hinge(1), v, 1, HALF), id="delta_c_weighted-w_plus"),
+    pytest.param("w_minus", lambda v: delta_c_weighted(hinge(1), 1, v, HALF), id="delta_c_weighted-w_minus"),
+    pytest.param("mass", lambda v: DiscreteDistribution(((0,), (1,)), (1, v), (HALF, HALF)), id="distribution-mass"),
+    pytest.param("eta", lambda v: DiscreteDistribution(((0,), (1,)), (HALF, HALF), (HALF, v)), id="distribution-eta"),
+    pytest.param("w_plus", lambda v: DiscreteDistribution(((0,), (1,)), (HALF, HALF), (HALF, HALF), (1, v)), id="distribution-w_plus"),
+    pytest.param("w_minus", lambda v: DiscreteDistribution(((0,), (1,)), (HALF, HALF), (HALF, HALF), None, (1, v)), id="distribution-w_minus"),
+)
+
+
+@pytest.mark.parametrize("what, call", RANGED)
+def test_ranged_numbers_name_their_range(what, call):
+    rule = "lie in [0, 1]" if what == "eta" else "be nonnegative"
+    cases = [(-1, "-1"), (Fraction(-1, 2), "Fraction(-1, 2)"), (-0.5, "-0.5")]
+    cases += [(Fraction(3, 2), "Fraction(3, 2)"), (3 / 2, "1.5")] if what == "eta" else []
+    for value, shown in cases:
+        with pytest.raises(ValidationError) as caught:
+            call(value)
+        assert str(caught.value) == f"{what} must {rule}, got {shown}"
+    for value, shown in ((float("nan"), "nan"), (float("inf"), "inf")):
+        with pytest.raises(ValidationError) as caught:
+            call(value)
+        assert str(caught.value) == f"{what} must be finite, got {shown}"
+
+
+@pytest.mark.parametrize("what, call", RANGED)
+def test_ranged_numbers_refuse_a_non_number(what, call):
+    for value in ("a", None):
+        with pytest.raises(ValidationError) as caught:
+            call(value)
+        assert str(caught.value) == f"{what} must be a number, got {value!r}"
+
+
+def test_ranged_numbers_are_checked_in_order():
+    # eta, then w+, then w-; a distribution checks mass, eta, w+, w-
+    for args, what in (((-1, -1, 2), "eta"), ((-1, -1, HALF), "w_plus"), ((1, -1, HALF), "w_minus")):
+        with pytest.raises(ValidationError, match=f"^{what} "):
+            delta_c_weighted(hinge(1), *args)
+    with pytest.raises(ValidationError, match="^mass "):
+        DiscreteDistribution(((0,),), (-1,), (2,), (-1,), (-1,))
+    with pytest.raises(ValidationError, match="^eta "):
+        DiscreteDistribution(((0,),), (1,), (2,), (-1,), (-1,))
 
 
 def test_distribution_rejects_mixed_dimensions_and_non_finite_points():
