@@ -3,7 +3,8 @@
 Every input is read once, where it enters, into one of two forms: float64
 when every value is a float, else exact columns of integer numerators over
 one denominator each (``exact_column``).  Point sets are ``Points``, which
-hold either form; only this module reads which one they hold.
+hold either form and the tuples a caller gave, if any; only this module
+reads which form they hold and which tuples they hand back.
 """
 
 from __future__ import annotations
@@ -209,26 +210,28 @@ def exact_floats(numerators: np.ndarray, den: int):
 
 
 class Points:
-    """Rows of numbers in their one form: an (n, d) matrix ``values``, read-only.
+    """Rows of numbers in their one form: an (n, d) matrix ``values``, read-only, and the tuples given for them.
 
     ``values`` is float64 when ``denominators`` is None, else ``exact_column``
-    numerators over one denominator per column.  Only this module reads the
-    form; the methods give the points in the form a caller needs.
+    numerators over one denominator per column.  ``given`` is the caller's
+    tuples, handed back as they are, or None when the rows came as an array
+    or as columns.  Only this module reads the form; the methods give the
+    points in the form a caller needs.
     """
 
-    __slots__ = ("values", "denominators")
+    __slots__ = ("values", "denominators", "given")
 
-    def __init__(self, values: np.ndarray, denominators=None):
+    def __init__(self, values: np.ndarray, denominators=None, given=None):
         values.flags.writeable = False
-        self.values, self.denominators = values, None if denominators is None else tuple(denominators)
+        self.values, self.denominators, self.given = values, None if denominators is None else tuple(denominators), given
 
     @classmethod
-    def of_columns(cls, columns) -> "Points":
+    def of_columns(cls, columns, given=None) -> "Points":
         """The rows of ``read_column`` columns, one per coordinate: float64 if every column is, else exact (floats exactly)."""
         if all(type(column) is np.ndarray for column in columns):
-            return cls(np.stack(columns, axis=1))
+            return cls(np.stack(columns, axis=1), given=given)
         pairs = [c if type(c) is tuple else exact_column(c.tolist(), WIDE) for c in columns]
-        return cls(np.stack([numerators for numerators, _ in pairs], axis=1), [den for _, den in pairs])
+        return cls(np.stack([numerators for numerators, _ in pairs], axis=1), [den for _, den in pairs], given)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -237,8 +240,14 @@ class Points:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    def take(self, index: np.ndarray) -> "Points":
+        """Rows ``index`` (an index array) as ``Points`` of their own, with their given tuples."""
+        return Points(self.values[index], self.denominators, None if self.given is None else self.rows(index))
+
     def rows(self, index=None) -> tuple:
-        """Rows ``index`` (an index array; all by default) as tuples of Python floats or Fractions."""
+        """Rows ``index`` (an index array; all by default): the tuples given, else tuples of Python floats or Fractions."""
+        if self.given is not None:
+            return self.given if index is None else tuple(map(self.given.__getitem__, index.tolist()))
         values = self.values if index is None else self.values[index]
         columns = values.T.tolist()
         if self.denominators is not None:
@@ -246,10 +255,17 @@ class Points:
         return tuple(list(zip(*columns))) if columns else ((),) * len(values)
 
     def texts(self, index=None) -> list:
-        """Rows ``index`` (all by default) as lists of cells to write: Python floats, or the ``str`` of each Fraction, int64 columns reduced in numpy."""
-        values = self.values if index is None else self.values[index]
+        """Rows ``index`` (all by default) as lists of cells to write: each Fraction as its ``str``, every other number as it is.
+
+        Float rows hold only Python floats.  Exact rows that were not given
+        are written from their int64 numerators, reduced in numpy, as
+        ``str(Fraction)`` writes them.
+        """
         if self.denominators is None:
             return list(map(list, self.rows(index)))
+        if self.given is not None:
+            return [[str(v) if isinstance(v, Fraction) else v for v in p] for p in self.rows(index)]
+        values = self.values if index is None else self.values[index]
         columns = []
         for column, den in zip(values.T, self.denominators):
             if column.dtype == object:
@@ -270,7 +286,8 @@ class Points:
             return self.values
         columns = list(map(exact_floats, self.values.T, self.denominators))
         if any(column is None for column in columns):
-            raise beyond_float_range("coordinate", chain.from_iterable(self.rows()))
+            # named from the numbers, not from given tuples, which may hold their texts
+            raise beyond_float_range("coordinate", chain.from_iterable(Points(self.values, self.denominators).rows()))
         return np.stack(columns, axis=1) if columns else np.zeros((len(self), 0))
 
     def exact_columns(self, index=None) -> list:
@@ -351,16 +368,17 @@ def read_column(values, limit=math.inf):
     return values if np.isfinite(values).all() else None
 
 
-def read_points(points, noun: str) -> tuple:
-    """``points`` checked to share one dimension and to have finite coordinates, as (rows, ``Points``).
+def read_points(points, noun: str) -> Points:
+    """``points`` checked to share one dimension and to have finite coordinates, as ``Points``.
 
     ``Points`` are float64 when every coordinate is a float, else exact
-    (denominators bounded by ``WIDE``).  ``rows``: the tuples given, kept to
-    be read back; None for an array or ``Points``.  Nonempty points of
-    dimension 0 are refused; no points are a (0, 0) batch, whatever their width.
+    (denominators bounded by ``WIDE``).  Points given as a sequence keep
+    their tuples (``Points.given``), which ``rows`` hands back; an array is
+    kept only in its form, and ``Points`` are taken as they are.  Nonempty
+    points of dimension 0 are refused; no points are a (0, 0) batch, whatever their width.
     """
     if isinstance(points, Points):
-        return None, points
+        return points
     if isinstance(points, np.ndarray) and points.dtype.kind == "f" and points.dtype.itemsize <= 8:
         if points.ndim != 2:
             raise ValidationError(f"an array of {noun}s must have shape (n, d), got {points.shape}")
@@ -373,23 +391,17 @@ def read_points(points, noun: str) -> tuple:
             raise ValidationError(f"{noun}s have mixed dimensions: {sorted(dims)}")
         columns = list(zip(*rows))
     if not (len(points) if rows is None else rows):
-        return (), Points(np.zeros((0, 0), dtype=np.int64), ())
+        return Points(np.zeros((0, 0), dtype=np.int64), (), rows)
     if not len(columns):
         raise ValidationError(f"{noun}s must have at least one coordinate")
     if rows is None and np.isfinite(points).all():
-        return None, Points(points.astype(np.float64))
+        return Points(points.astype(np.float64))
     columns = [read_column(column, WIDE) for column in columns]
     if any(column is None for column in columns):
         for i, p in enumerate(points.tolist() if rows is None else rows):
             for v in p:
                 check_finite(v, f"covariate of {noun} {i}")
-    return rows, Points.of_columns(columns)
-
-
-def check_points(points, noun: str) -> tuple:
-    """The checked rows of ``read_points``, built from its ``Points`` when it kept none."""
-    rows, form = read_points(points, noun)
-    return form.rows() if rows is None else rows
+    return Points.of_columns(columns, rows)
 
 
 def joint_ranks(a: Points, rows, b: Points) -> np.ndarray:

@@ -153,7 +153,9 @@ def _in_box(theta: tuple, binarized: bool):
 class BernsteinClassifier:
     """Per-dimension orders and a lattice-monotone coefficient vector in [-1,1].
 
-    ``theta`` is stored in row-major multi-index order (last index fastest).
+    ``theta`` is stored in row-major multi-index order (last index fastest),
+    and must be nondecreasing along every lattice axis as ``theta_grid``
+    reads it: a ``ValidationError`` names the first pair that falls.
     ``scale`` optionally records per-dimension (min, max) training ranges for
     prediction-time rescaling into the unit cube: ``dim`` finite numbers each,
     kept as floats.  ``theta_grid`` is ``theta`` as a float array of shape
@@ -185,7 +187,15 @@ class BernsteinClassifier:
             if self.binarized and any(t not in (-1, 1) for t in self.theta):
                 raise ValidationError("binarized model must have theta in {-1, +1}")
             grid = np.array(self.theta, dtype=float)
-        object.__setattr__(self, "theta_grid", grid.reshape(shape))
+        grid = grid.reshape(shape)
+        # lattice-monotone: the first pair, along the first axis that falls, is named
+        for v in range(len(shape)):
+            falls = np.argwhere(np.diff(grid, axis=v) < 0)
+            if len(falls):
+                low = int(np.ravel_multi_index(tuple(falls[0]), shape))
+                high = low + math.prod(shape[v + 1 :])
+                raise ValidationError(f"theta must be nondecreasing along the lattice: theta[{low}] = {self.theta[low]!r} > theta[{high}] = {self.theta[high]!r}")
+        object.__setattr__(self, "theta_grid", grid)
         if self.scale is not None:
             mins, maxs = map(tuple, self.scale)
             bounds = finite_array(mins + maxs, 2 * self.dim)

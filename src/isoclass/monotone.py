@@ -34,24 +34,23 @@ class MonotoneClassifier:
     """Distinct training points with fitted +/-1 values respecting the order.
 
     A model keeps its support's own rows: their ``Points`` (``_support``),
-    the tuples given for them (``_kept``, None when they were read from an
-    array or a file's columns), their ranks and the int64 values.  It builds
-    ``support`` and ``values`` on first read, and its frontiers from their
-    own rows only.
+    which hand back the tuples given for them, their ranks and the int64
+    values.  It builds ``support`` and ``values`` on first read, and its
+    frontiers from their own rows only.
     """
 
     support: tuple
     values: tuple
 
     def __post_init__(self):
-        rows, form = read_points(self.support, "support point")
+        form = read_points(self.support, "support point")
         values = self.values
         # both are read back from what ``_keep`` keeps
         del self.__dict__["support"], self.__dict__["values"]
-        self._keep(rows, form, values)
+        self._keep(form, values)
 
-    def _keep(self, rows, form, values, ranks=None) -> None:
-        """Keep the support (its tuples ``rows`` or None, its ``Points`` ``form``), its ranks and ``values``, checked unless an array."""
+    def _keep(self, form, values, ranks=None) -> None:
+        """Keep the support (its ``Points`` ``form``), its ranks and ``values``, checked unless an array."""
         if not isinstance(values, np.ndarray):
             values = tuple(values)
             # a bool is neither -1 nor +1
@@ -60,36 +59,31 @@ class MonotoneClassifier:
             values = np.array(values, dtype=np.int64)
         if len(form) != len(values):
             raise ValidationError("support and values must have equal length")
-        self.__dict__.update(_kept=rows, _support=form, _values=values, _ranks=rank_matrix(form) if ranks is None else ranks)
+        self.__dict__.update(_support=form, _values=values, _ranks=rank_matrix(form) if ranks is None else ranks)
 
     @classmethod
-    def _of(cls, rows, form, values, ranks=None) -> "MonotoneClassifier":
+    def _of(cls, form, values, ranks=None) -> "MonotoneClassifier":
         """The model ``_keep`` makes, skipping ``__post_init__`` (``fit``'s, whose sample and ``solve`` made its checks, or a file's)."""
         model = object.__new__(cls)
-        model._keep(rows, form, values, ranks)
+        model._keep(form, values, ranks)
         return model
 
     def __getattr__(self, name):
         if name not in ("support", "values"):
             raise AttributeError(name)
-        value = self._support_rows(np.arange(len(self._values))) if name == "support" else tuple(self._values.tolist())
+        value = self._support.rows() if name == "support" else tuple(self._values.tolist())
         self.__dict__[name] = value
         return value
-
-    def _support_rows(self, index: np.ndarray) -> tuple:
-        """Support points ``index``: of the tuples kept, or built from the ``Points``."""
-        return self._support.rows(index) if self._kept is None else tuple(map(self._kept.__getitem__, index.tolist()))
 
     @property
     def dim(self) -> int:
         return self._ranks.shape[1]
 
     def to_dict(self) -> dict:
-        # a support kept as ``Points`` alone is written from them, an exact one as the str of each Fraction
         return {
             "type": "monotone",
             "dim": self.dim,
-            "support": self._support.texts() if self._kept is None else _json_points(self.support),
+            "support": self._support.texts(),
             "values": list(self.values),
         }
 
@@ -100,16 +94,12 @@ class MonotoneClassifier:
     @cached_property
     def frontier(self) -> tuple:
         """Maximal -1 support points; they alone decide the out-of-sample rule."""
-        return self._support_rows(self._frontier)
+        return self._support.rows(self._frontier)
 
     def _extreme_rows(self, value: int) -> np.ndarray:
         """Indices of the support points fitted ``value`` that are maximal (-1) or minimal (+1) among those, in support order."""
         rows = np.flatnonzero(self._values == value)
         return rows[_maximal(self._ranks[rows], lower=value > 0)] if len(rows) else rows
-
-    def _extremes(self, value: int) -> tuple:
-        """The points of ``_extreme_rows``."""
-        return self._support_rows(self._extreme_rows(value))
 
     def to_compact_dict(self) -> dict:
         """Frontier-only form: minimal +1 points plus maximal -1 points.
@@ -122,8 +112,8 @@ class MonotoneClassifier:
             "type": "monotone",
             "dim": self.dim,
             "compact": True,
-            "min_positive": _json_points(self._extremes(1)),
-            "max_negative": _json_points(self.frontier),
+            "min_positive": self._support.texts(self._extreme_rows(1)),
+            "max_negative": self._support.texts(self._frontier),
         }
 
     @classmethod
@@ -136,10 +126,10 @@ class MonotoneClassifier:
             rows, values = neg + pos, (-1,) * len(neg) + (1,) * len(pos)
         else:
             rows, values = payload["support"], payload["values"]
-        # a support of strings alone is read back from its columns; strings beside numbers as their Fractions
+        # a support of strings alone is read back from its columns, as Fractions; strings beside numbers as their Fractions
         strings = all(type(v) is str for p in rows for v in p)
-        kept, form = read_points(rows if strings else [[Fraction(v) if type(v) is str else v for v in p] for p in rows], "support point")
-        return cls._of(None if strings else kept, form, values)
+        form = read_points(rows if strings else [[Fraction(v) if type(v) is str else v for v in p] for p in rows], "support point")
+        return cls._of(Points(form.values, form.denominators) if strings else form, values)
 
 
 def _maximal(ranks: np.ndarray, lower: bool = False) -> np.ndarray:
@@ -180,11 +170,6 @@ def _maximal(ranks: np.ndarray, lower: bool = False) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _json_points(points) -> list:
-    """Points as JSON lists, a Fraction coordinate as its string, which ``from_dict`` reads back."""
-    return [[str(v) if isinstance(v, Fraction) else v for v in p] for p in points]
-
-
 def fit(sample: WeightedSample) -> MonotoneClassifier:
     """Empirical weighted hinge risk minimizer over monotone [-1,1] classifiers.
 
@@ -196,8 +181,9 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
     optimum) in int64 when n * max(w) < 2**62, else as Python ints or floats.
     One column with no two values equal (by ``!=``, so -0.0 ties 0.0) is
     its own support: the argsort that ranked it gives that order, and each
-    w_i y_i is its point's sum.  The DAG and the model build their point
-    tuples when read.
+    w_i y_i is its point's sum.  The support is ``Points.take`` of each
+    point's first row, so it hands back the sample's own tuples; the DAG and
+    the model build tuples only for rows that were not given, when read.
     """
     if sample.n == 0:
         raise ValidationError("cannot fit on an empty sample")
@@ -218,13 +204,11 @@ def fit(sample: WeightedSample) -> MonotoneClassifier:
         starts = np.flatnonzero(np.concatenate(([True], np.diff(ranks, axis=0).any(axis=1))))
         coeffs = np.add.reduceat(products[by_lex], starts)
         first, ranks = by_lex[starts], ranks[starts]
-    # the model copies each support point's first row, so that it holds no reference to the sample
-    points = sample.__dict__.get("points")
-    kept = None if points is None else tuple(map(points.__getitem__, first.tolist()))
-    support = Points(sample._points.values[first], sample._points.denominators)
-    dag = build_dag(support.rows if kept is None else kept, ranks)
+    # the model copies each support point's first row, so that it holds no reference to the sample's matrix
+    support = sample._points.take(first)
+    dag = build_dag(support, ranks)
     values, _ = solve(IsotoneProblem(dag, coeffs), array=True)
-    return MonotoneClassifier._of(kept, support, values, dag.ranks)
+    return MonotoneClassifier._of(support, values, dag.ranks)
 
 
 def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:
@@ -234,7 +218,7 @@ def predict_batch(model: MonotoneClassifier, points) -> np.ndarray:
     as exact numerators over a common denominator, so the dominance test
     runs on integer ranks and is exact for any numbers.
     """
-    _, form = read_points(points, "point")
+    form = read_points(points, "point")
     n, dim = len(form), form.dim
     if n and model.dim and dim != model.dim:
         raise ValidationError(f"point has dimension {dim}, model expects {model.dim}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -45,22 +44,19 @@ class DominanceDag:
     node_j with nothing strictly between), computed from the ranks on first
     access, which neither the chain scan nor the 2-d sweep makes; so the edges
     and the ranks that ``solve`` picks its algorithm from describe one order.
-    ``ranks``, the nodes' ``rank_matrix`` when the caller already has it,
-    spares ranking them again; given with it, a tuple of tuples is kept as
-    is, and a function (``fit`` passes one) is called for the nodes on their
-    first read.
+    ``points`` are read by ``read_points`` and held as ``Points``; ``ranks``,
+    their ``rank_matrix`` when the caller already has it, spares ranking
+    them again.  ``nodes`` is ``Points.rows()``, the tuples given if they
+    were; a DAG without points (a lattice) has its rank tuples as nodes.
     """
 
-    def __init__(self, nodes, ranks=None):
-        if ranks is None or not (type(nodes) is tuple or callable(nodes)):
-            nodes = tuple(list(map(tuple, nodes)))
-        self._nodes = nodes
-        if ranks is not None:
-            self.ranks = ranks
+    def __init__(self, points=None, ranks=None):
+        self._points = None if points is None else read_points(points, "point")
+        self.ranks = rank_matrix(self._points) if ranks is None else ranks
 
     @cached_property
     def nodes(self) -> tuple:
-        return self._nodes() if callable(self._nodes) else self._nodes
+        return tuple(list(map(tuple, self.ranks.tolist()))) if self._points is None else self._points.rows()
 
     @property
     def n(self) -> int:
@@ -69,11 +65,6 @@ class DominanceDag:
     @property
     def dim(self) -> int:
         return self.ranks.shape[1]
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        """``rank_matrix`` of the nodes, read by ``read_points``: (n, d) int64."""
-        return rank_matrix(read_points(self.nodes, "point")[1])
 
     @cached_property
     def lex_order(self) -> np.ndarray:
@@ -217,17 +208,14 @@ def _cover_edges(ranks: np.ndarray, shape) -> tuple:
 def build_dag(points, ranks=None) -> DominanceDag:
     """Order DAG of distinct points under the componentwise order.
 
-    Without ``ranks`` the points are read and ranked; only ``monotone.fit``
-    passes ``ranks``, with its support's tuples or a function that builds
-    them from a validated sample's rows, which are trusted.  Cover edges are
-    computed on first access.  Distinctness is always checked on the rank
-    rows, which are equal exactly when the points are equal (so ``(1,)`` and
-    ``(1.0,)`` are one point): no two rows may be equal in lexicographic order.
+    Without ``ranks`` the points are read and ranked (only the order within
+    a coordinate matters: the DAG works on dense ranks); only
+    ``monotone.fit`` passes ``ranks``, with its support's ``Points``, taken
+    from a validated sample, which are trusted.  Cover edges are computed on
+    first access.  Distinctness is always checked on the rank rows, which
+    are equal exactly when the points are equal (so ``(1,)`` and ``(1.0,)``
+    are one point): no two rows may be equal in lexicographic order.
     """
-    if ranks is None:
-        rows, form = read_points(points, "point")
-        # only the order within a coordinate matters: the DAG works on dense ranks
-        points, ranks = form.rows if rows is None else rows, rank_matrix(form)
     dag = DominanceDag(points, ranks)
     if not dag._steps.any(axis=1).all():
         raise ValidationError("points must be distinct (deduplicate before building)")
@@ -239,13 +227,13 @@ def lattice_dag(orders) -> DominanceDag:
 
     Nodes are multi-indices in row-major order (last coordinate fastest), and
     are their own ranks; cover edges are unit steps in a single coordinate.
-    The node tuples are built on their first read.
+    The node tuples, of Python ints, are built from the ranks on their first read.
     """
     orders = integers(orders, "lattice orders")
     if any(k < 0 for k in orders):
         raise ValidationError("lattice orders must be nonnegative")
     shape = tuple(k + 1 for k in orders)
-    return DominanceDag(lambda: tuple(list(product(*map(range, shape)))), ranks=np.indices(shape).reshape(len(shape), math.prod(shape)).T)
+    return DominanceDag(ranks=np.indices(shape).reshape(len(shape), math.prod(shape)).T)
 
 
 def up_set_matrix(dag: DominanceDag, node_limit: int = DEFAULT_NODE_LIMIT) -> np.ndarray:

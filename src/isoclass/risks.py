@@ -18,7 +18,7 @@ from operator import index
 
 import numpy as np
 
-from ._numeric import Points, ValidationError, all_exact, check_finite, check_points, check_range, is_exact, read_column, read_points, sign, summable
+from ._numeric import Points, ValidationError, all_exact, check_finite, check_range, is_exact, read_column, read_points, sign, summable
 from .losses import Loss, c_plus_minus, phi, zero_one
 
 _MASS_TOL = Fraction(1, 10**12)
@@ -34,9 +34,10 @@ class WeightedSample:
     weights are finite and nonnegative; all covariate vectors share one
     dimension.  Each field is read once into its one form, kept read-only:
     ``_points`` (``Points``); ``_weights``, float64 or integer numerators
-    over ``_weight_scale`` (None for floats); ``_labels`` in int64.  Points
-    and weights given as a sequence are kept to be read back (numpy integers
-    as Python ints); other fields are built as tuples on first read.
+    over ``_weight_scale`` (None for floats); ``_labels`` in int64.  Weights
+    given as a sequence are kept to be read back (numpy integers as Python
+    ints); ``points`` are ``_points.rows()``, the tuples given if they were;
+    other fields are built as tuples on first read.
     """
 
     weights: tuple
@@ -48,7 +49,7 @@ class WeightedSample:
     _labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        points, form = read_points(self.points, "row")
+        form = read_points(self.points, "row")
         weights = self.weights if isinstance(self.weights, (np.ndarray, Points)) else tuple(self.weights)
         given = self.labels if isinstance(self.labels, np.ndarray) else list(self.labels)
         labels = np.asarray(given)
@@ -72,7 +73,7 @@ class WeightedSample:
         if isinstance(weights, tuple) and any(issubclass(t, np.integer) for t in set(map(type, weights))):
             weights = tuple(index(w) if isinstance(w, np.integer) else w for w in weights)
         self.__dict__.update(
-            points=points, weights=weights if isinstance(weights, tuple) else None, labels=None, _points=form,
+            points=None, weights=weights if isinstance(weights, tuple) else None, labels=None, _points=form,
             _weights=column, _weight_scale=scale, _labels=labels,
         )
         # a field kept only in its form (None here) is built as a tuple on its first read, by ``__getattr__``
@@ -125,7 +126,7 @@ class DiscreteDistribution:
     w_minus: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", check_points(self.points, "support point"))
+        object.__setattr__(self, "points", read_points(self.points, "support point").rows())
         n = len(self.points)
         if len(set(self.points)) != n:
             raise ValidationError("support points must be distinct")

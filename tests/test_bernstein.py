@@ -34,6 +34,7 @@ from isoclass.bernstein import (
     evaluate_batch,
     predict_batch,
 )
+from isoclass.cli import main as cli_main
 from isoclass.io import save_model
 
 
@@ -358,8 +359,33 @@ def test_theta_errors_name_the_first_bad_entry(theta, binarized, message):
 
 
 def test_theta_of_any_number_type_in_the_box_is_accepted():
-    for theta, binarized in (((-1, 1.0), True), ((Fraction(-1), np.float64(1.0)), True), ((0, -0.5, Fraction(1, 3)), False)):
+    for theta, binarized in (((-1, 1.0), True), ((Fraction(-1), np.float64(1.0)), True), ((-0.5, 0, Fraction(1, 3)), False)):
         assert BernsteinClassifier((len(theta) - 1,), theta, binarized).theta == theta
+
+
+@pytest.mark.parametrize(
+    "orders, theta, pair",
+    [
+        ((1,), (1, -1), "theta[0] = 1 > theta[1] = -1"),
+        ((2,), (-0.5, 0.25, 0.2), "theta[1] = 0.25 > theta[2] = 0.2"),
+        # the first pair along the first axis that falls, by flat indices in row-major order
+        ((1, 1), (-1, 1, 1, -1), "theta[1] = 1 > theta[3] = -1"),
+        ((1, 1), (-1, -1, 1, -1), "theta[2] = 1 > theta[3] = -1"),
+        ((1, 1, 1), (-1, -1, -1, -1, 1, 1, 1, -1), "theta[5] = 1 > theta[7] = -1"),
+    ],
+)
+def test_a_theta_that_falls_along_the_lattice_is_refused(tmp_path, capsys, orders, theta, pair):
+    message = f"theta must be nondecreasing along the lattice: {pair}"
+    binarized = set(theta) <= {-1, 1}
+    assert _error(BernsteinClassifier, orders, theta, binarized) == message
+    payload = {"type": "bernstein", "orders": list(orders), "theta": list(theta), "binarized": binarized, "scale": None}
+    assert _error(BernsteinClassifier.from_dict, payload) == message
+    model, points, out = tmp_path / "b.json", tmp_path / "pts.csv", tmp_path / "labels.csv"
+    model.write_text(json.dumps(payload))
+    points.write_text(",".join(f"x{v + 1}" for v in range(len(orders))) + "\n" + ",".join(["0.5"] * len(orders)) + "\n")
+    assert cli_main(["predict", "--model", str(model), "--in", str(points), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {model}: malformed bernstein model (ValidationError: {message})\n"
+    assert not out.exists()
 
 
 def test_weights_beyond_float_range_are_validation_errors():
@@ -368,6 +394,14 @@ def test_weights_beyond_float_range_are_validation_errors():
         fit_bernstein(sample, (2,))
     with pytest.raises(ValidationError, match="weight 1000"):
         empirical_hinge_risk(BernsteinClassifier((1,), (-1, 1)), sample)
+
+
+def _sorted_along_axes(theta, orders) -> tuple:
+    """``theta`` sorted along each lattice axis in turn: the same entries, of the same types, nondecreasing along every axis."""
+    grid = np.array(theta, dtype=object).reshape([k + 1 for k in orders])
+    for v in range(grid.ndim):
+        grid = np.sort(grid, axis=v)
+    return tuple(grid.ravel().tolist())
 
 
 def _tensor_product_value(model, x):
@@ -390,7 +424,7 @@ def test_evaluate_batch_matches_per_point_tensor_product():
     rng = np.random.default_rng(5)
     for orders in ((7,), (1,), (4, 3), (6, 6), (2, 3, 4)):
         size = math.prod(k + 1 for k in orders)
-        theta = tuple(np.clip(rng.normal(size=size), -1, 1).tolist())
+        theta = _sorted_along_axes(np.clip(rng.normal(size=size), -1, 1).tolist(), orders)
         d = len(orders)
         for scale in (None, (tuple(rng.uniform(-2, 0, d).tolist()), tuple(rng.uniform(1, 3, d).tolist()))):
             model = BernsteinClassifier(orders, theta, scale=scale)
@@ -451,7 +485,7 @@ def test_empirical_hinge_risk_matches_per_point_sum():
     rng = random.Random(8)
     for d, orders in ((1, (5,)), (2, (3, 4))):
         sample = random_cube_sample(rng, 40, d)
-        theta = tuple(rng.uniform(-1, 1) for _ in range(math.prod(k + 1 for k in orders)))
+        theta = _sorted_along_axes([rng.uniform(-1, 1) for _ in range(math.prod(k + 1 for k in orders))], orders)
         model = BernsteinClassifier(orders, theta)
         want = sum(
             float(w) * max(0.0, 1.0 - y * _tensor_product_value(model, p))
@@ -490,7 +524,7 @@ def test_evaluate_batch_across_chunk_boundaries_matches_single_rows():
     rng = np.random.default_rng(22)
     for orders in ((500,), (80, 80)):
         size = math.prod(k + 1 for k in orders)
-        model = BernsteinClassifier(orders, tuple(np.clip(rng.normal(size=size), -1, 1).tolist()))
+        model = BernsteinClassifier(orders, _sorted_along_axes(np.clip(rng.normal(size=size), -1, 1).tolist(), orders))
         pts = rng.random((2 * _chunk_rows(orders) + 7, len(orders)))
         pts[:3] = [[0.0] * len(orders), [1.0] * len(orders), [1e-300] * len(orders)]
         got = evaluate_batch(model, pts)
@@ -702,14 +736,14 @@ def test_evaluate_is_the_one_row_batch_contraction_bit_for_bit():
     for orders in ((1,), (500,), (80, 80), (3, 9), (5, 7, 3)):
         d, size = len(orders), math.prod(k + 1 for k in orders)
         for theta in (np.clip(rng.normal(size=size), -1, 1), rng.choice([-1, 1], size=size)):
-            model = BernsteinClassifier(orders, tuple(theta.tolist()))
+            model = BernsteinClassifier(orders, _sorted_along_axes(theta.tolist(), orders))
             pts = rng.random((150, d))
             pts[:3] = [[0.0] * d, [1.0] * d, [1e-300] * d]
             pts[3:20] **= 40
             for p in pts.tolist():
                 assert bernstein_evaluate(model, p) == _one_row_values(model, p)
     # a scaled model with a degenerate second range; a clamped point still warns at this line
-    model = BernsteinClassifier((4, 3), tuple(np.clip(rng.normal(size=20), -1, 1).tolist()), False, ((-2.0, 5.0), (3.0, 5.0)))
+    model = BernsteinClassifier((4, 3), _sorted_along_axes(np.clip(rng.normal(size=20), -1, 1).tolist(), (4, 3)), False, ((-2.0, 5.0), (3.0, 5.0)))
     for p in rng.uniform(-2.0, 3.0, (50, 2)).tolist():
         assert bernstein_evaluate(model, p) == _one_row_values(model, p)
     with pytest.warns(UserWarning, match="clamped") as record:
@@ -731,8 +765,9 @@ def test_theta_grid_is_theta_as_floats_however_the_model_is_made(tmp_path):
     for orders in ((7,), (3, 4), (2, 1, 3)):
         shape = tuple(k + 1 for k in orders)
         fitted = fit_bernstein(random_cube_sample(rng, 60, len(orders)), orders)
-        floats = tuple(rng.uniform(-1.0, 1.0) for _ in range(math.prod(shape)))
-        mixed = (Fraction(-1, 3), np.float64(0.25)) + floats[2:]
+        draws = [rng.uniform(-1.0, 1.0) for _ in range(math.prod(shape))]
+        floats = _sorted_along_axes(draws, orders)
+        mixed = _sorted_along_axes([Fraction(-1, 3), np.float64(0.25)] + draws[2:], orders)
         for model in (
             fitted,
             BernsteinClassifier(orders, fitted.theta, True),

@@ -1,13 +1,14 @@
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isoclass import BernsteinClassifier, WeightedSample, fit_bernstein, fit_monotone
-from isoclass.io import json_text, load_sample, save_model
+from isoclass.io import json_text, load_model, load_sample, save_model
 
 
 def _models(tmp_path):
@@ -30,11 +31,11 @@ def _models(tmp_path):
         "all -1": fit_monotone(WeightedSample.unweighted([-1, -1], [(0.5, 1.0), (1.0, 0.0)])),
     }
     assert models["object numerators"]._support.values.dtype == object
-    assert not models["all +1"].frontier and not models["all -1"]._extremes(1)
+    assert not models["all +1"].frontier and not len(models["all -1"]._extreme_rows(1))
     named = [(f"monotone {name}{' compact' if compact else ''}", model, compact)
              for name, model in models.items() for compact in (False, True)]
     binary = fit_bernstein(WeightedSample.unweighted(labels, x), (3, 2))
-    smooth = BernsteinClassifier((2, 1), (-1.0, 0.5, 0.25, 1, -0.125, 1e-300))
+    smooth = BernsteinClassifier((2, 1), (-1.0, 1e-300, -0.125, 0.5, 0.25, 1))
     assert set(map(type, binary.theta)) == {int}
     for name, model in (("bernstein +/-1", binary), ("bernstein float", smooth)):
         scaled = BernsteinClassifier(model.orders, model.theta, model.binarized, ((-1.5, 0), (2, 1e20)))
@@ -48,6 +49,23 @@ def test_model_files_are_the_bytes_of_json_dumps_with_indent_2(tmp_path):
         save_model(str(path), model, compact=compact)
         payload = model.to_compact_dict() if compact else model.to_dict()
         assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode(), name
+
+
+def test_a_model_file_loads_and_saves_back_to_its_own_bytes(tmp_path):
+    # a support written as strings alone (an exact fit's) loads as Fractions, not as the strings
+    strings = 0
+    for name, model, compact in _models(tmp_path):
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(str(path), model, compact=compact)
+        loaded = load_model(str(path))
+        save_model(str(again), loaded, compact=compact)
+        assert again.read_bytes() == path.read_bytes(), name
+        payload = json.loads(path.read_text())
+        support = payload["max_negative"] + payload["min_positive"] if compact else payload.get("support", [])
+        if support and all(type(v) is str for p in support for v in p):
+            strings += 1
+            assert all(type(v) is Fraction for p in loaded.support for v in p), name
+    assert strings == 4
 
 
 class _Float(float):

@@ -456,7 +456,7 @@ def test_float_sample_fits_as_its_exact_rational_copy():
                 for p in reversed(floats):
                     first[p] = p
                 assert all(p is first[p] for p in a.support)
-                assert a.frontier == b.frontier and a._extremes(1) == b._extremes(1)
+                assert a.frontier == b.frontier and _lowest(a) == _lowest(b)
 
 
 def test_array_sample_and_its_fit_build_rows_only_when_read():
@@ -466,11 +466,11 @@ def test_array_sample_and_its_fit_build_rows_only_when_read():
         labels = rng.choice((-1, 1), size=500)
         sample = WeightedSample.unweighted(labels, x)
         model = fit_monotone(sample)
-        frontier, lowest = model.frontier, model._extremes(1)
+        frontier, lowest = model.frontier, _lowest(model)
         assert not {"points", "weights", "labels"} & set(vars(sample))
         assert not {"support", "values"} & set(vars(model)) and model.dim == d
         checked = MonotoneClassifier(model.support, model.values)
-        assert model == checked and (frontier, lowest) == (checked.frontier, checked._extremes(1))
+        assert model == checked and (frontier, lowest) == (checked.frontier, _lowest(checked))
         assert all(type(v) is float for p in frontier + lowest for v in p)
         assert {"support", "values"} <= set(vars(model)) and "points" not in vars(sample)
         assert sample.points == tuple(map(tuple, x.tolist())) and sample.labels == tuple(labels.tolist())
@@ -589,23 +589,34 @@ def test_a_fitted_model_keeps_only_its_support_rows(tmp_path, kind):
     assert form() is None
     m = len(support)
     assert 1 < m <= 30
-    assert (model._kept is None) == (kind != "tuples")
+    # only a sample given as tuples hands its tuples on to the model
+    assert (model._support.given is None) == (kind != "tuples")
     for read in ((), ("support", "values")):
         for name in read:
             getattr(model, name)
         held = {name: value for name, value in model.__dict__.items() if value is not None}
-        assert set(held) == {"_kept", "_support", "_values", "_ranks", *read} - ({"_kept"} if kind != "tuples" else set())
+        assert set(held) == {"_support", "_values", "_ranks", *read}
         assert {name: len(value) for name, value in held.items()} == dict.fromkeys(held, m)
     assert model.support == tuple(support) and model == want
     assert [list(map(type, p)) for p in model.support] == [list(map(type, p)) for p in want.support]
     if kind == "tuples":
         assert all(a is b for a, b in zip(model.support, support))
+        # each support point is the sample's own tuple of its point's first row
+        first = {}
+        for p in reversed(rows):
+            first[p] = p
+        assert all(p is first[p] for p in model.support) and len(model._support.given) == m
     assert model.values == want.values and model.frontier == want.frontier
     assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())
     assert json.dumps(model.to_compact_dict()) == json.dumps(want.to_compact_dict())
     queries = [(a / 8, b / 8) for a in range(-1, 19) for b in range(-1, 19)]
     assert predict_batch(model, queries).tolist() == predict_batch(want, queries).tolist()
     assert predict_batch(model, rows).tolist() == predict_batch(want, rows).tolist()
+
+
+def _lowest(model):
+    """The minimal +1 support points of ``model``, as its frontier gives the maximal -1 ones."""
+    return model._support.rows(model._extreme_rows(1))
 
 
 def _fit_spied(sample, monkeypatch):

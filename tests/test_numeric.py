@@ -8,7 +8,7 @@ from isoclass import (
     BernsteinClassifier, DiscreteDistribution, IsotoneProblem, TrialRecord, WeightedSample, basis, build_dag, c_plus_minus,
     delta_c, delta_c_weighted, empirical_risk, fit_bernstein, fit_monotone, hinge, lattice_dag, phi, solve,
 )
-from isoclass._numeric import Points, ValidationError, check_points, finite_array, parse_column
+from isoclass._numeric import WIDE, Points, ValidationError, finite_array, parse_column, read_points
 from isoclass.io import load_points
 
 TOKENS = (
@@ -71,15 +71,15 @@ def test_parse_exact_equals_fraction_of_the_token(tmp_path, token):
 
 def test_check_points_names_the_first_non_finite_coordinate():
     nan, inf = float("nan"), float("inf")
-    assert check_points([[1, Fraction(1, 2)], (0.5, 10**400)], "point") == ((1, Fraction(1, 2)), (0.5, 10**400))
-    assert check_points(iter(()), "point") == ()
+    assert read_points([[1, Fraction(1, 2)], (0.5, 10**400)], "point").rows() == ((1, Fraction(1, 2)), (0.5, 10**400))
+    assert read_points(iter(()), "point").rows() == ()
     for points, message in (
         ([(0, 1), (2,)], "points have mixed dimensions: [1, 2]"),
         ([(0, 1), (Fraction(1), inf), (nan, 0)], "covariate of point 1 must be finite, got inf"),
         ([(0.0,), (10**400,), (-inf,)], "covariate of point 2 must be finite, got -inf"),
     ):
         with pytest.raises(ValidationError) as caught:
-            check_points(points, "point")
+            read_points(points, "point")
         assert str(caught.value) == message
 
 
@@ -116,6 +116,45 @@ def test_exact_points_read_as_the_fractions_they_hold():
     index = np.array([4, 0, 4])
     assert rows.rows(index) == tuple(want[i] for i in index)
     assert rows.texts(index) == [[str(v) for v in want[i]] for i in index]
+
+
+def _json_cells(rows) -> list:
+    """The rule model files were written by before ``Points.texts`` did it: a Fraction as its ``str``, any other number as it is."""
+    return [[str(v) if isinstance(v, Fraction) else v for v in p] for p in rows]
+
+
+def _typed(cells) -> list:
+    return [[(type(v), v) for v in row] for row in cells]
+
+
+def test_texts_write_each_fraction_as_its_str_and_other_numbers_as_they_are():
+    # each column draws from one or two kinds; a column of "wide" Fractions has a common denominator past WIDE
+    rng = random.Random(101)
+    kinds = {
+        "ratio": lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 12)),
+        "int": lambda: rng.randint(-(10**20), 10**20),
+        "float": lambda: rng.uniform(-4.0, 4.0),
+        "dyadic": lambda: rng.randint(-16, 16) / 8,
+        "wide": lambda: Fraction(rng.randint(-9, 9), rng.choice((3**90, 5**70, 7**60))),
+    }
+    seen = set()
+    for _ in range(3000):
+        d, n = rng.randint(1, 3), rng.randint(0, 8)
+        columns = [rng.sample(sorted(kinds), rng.randint(1, 2)) for _ in range(d)]
+        rows = [tuple(kinds[rng.choice(column)]() for column in columns) for _ in range(n)]
+        given = read_points(rows, "point")
+        built = Points(given.values, given.denominators)
+        seen.add((given.denominators is None, any(v.dtype == object for v in given.values.T)))
+        for index in (None, np.array([rng.randrange(n) for _ in range(rng.randint(0, 2 * n))] if n else [], dtype=np.intp)):
+            picked = rows if index is None else [rows[i] for i in index.tolist()]
+            assert _typed(given.texts(index)) == _typed(_json_cells(picked))
+            assert given.rows(index) == tuple(picked) and all(a is b for a, b in zip(given.rows(index), picked))
+            assert _typed(built.texts(index)) == _typed(_json_cells(built.rows(index)))
+        if n and given.denominators is None:
+            array = read_points(np.array(rows), "point")
+            assert array.given is None and _typed(array.texts()) == _typed(_json_cells(rows))
+    # float points, exact points in int64 and exact points past WIDE all occurred
+    assert {(True, False), (False, False), (False, True)} <= seen
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(np.float64).maxexp, reason="longdouble is float64 here")

@@ -234,6 +234,8 @@ def test_lattice_dag_matches_build_dag():
     for orders in ((0,), (3,), (2, 0), (1, 3), (2, 1, 3), (1, 0, 2, 1)):
         lat = lattice_dag(orders)
         assert lat.nodes == tuple(product(*(range(k + 1) for k in orders)))
+        # the nodes are the lattice's rank tuples, of Python ints
+        assert all(type(p) is tuple and all(type(v) is int for v in p) for p in lat.nodes)
         assert lat.cover_edges == build_dag(list(lat.nodes)).cover_edges
 
 
