@@ -48,6 +48,6 @@ suggested = suggest_orders(n, 1)
 model = fit_bernstein(sample, suggested)
 print(f"\nrate-based suggestion for n={n}: orders {suggested}")
 print(f"  threshold {threshold(model):.3f}")
-print("\nsample of the fitted polynomial (already binarized coefficients):")
+print("\nsample of the fitted polynomial (its coefficients are +/-1):")
 for x in (0.0, 0.3, 0.55, 0.65, 1.0):
     print(f"  f({x:.2f}) = {bernstein_evaluate(model, (x,)):+.3f}")

@@ -22,8 +22,7 @@ _EXPORTS = {
     "BernsteinClassifier": "bernstein.BernsteinClassifier", "basis": "bernstein.basis",
     "bernstein_evaluate": "bernstein.evaluate", "bernstein_evaluate_batch": "bernstein.evaluate_batch",
     "bernstein_predict": "bernstein.predict", "bernstein_predict_batch": "bernstein.predict_batch",
-    "binarize": "bernstein.binarize", "fit_bernstein": "bernstein.fit",
-    "suggest_orders": "bernstein.suggest_orders",
+    "fit_bernstein": "bernstein.fit", "suggest_orders": "bernstein.suggest_orders",
     "IsotoneProblem": "isotone.IsotoneProblem", "brute_force_solve": "isotone.brute_force_solve",
     "solve": "isotone.solve",
     "Loss": "losses.Loss", "c_plus_minus": "losses.c_plus_minus", "delta_c": "losses.delta_c",

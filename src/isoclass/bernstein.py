@@ -1,10 +1,10 @@
 """Bernstein-polynomial sieve classifier with lattice-monotone coefficients.
 
 The classifier is B(theta, x) = sum_j theta_j * prod_v b_{k_v j_v}(x_v) over
-the multi-index lattice j in {0..k_1} x ... x {0..k_d}, with theta confined to
-[-1, 1] and monotone along the lattice order.  Fitting solves the hinge
-linear program over that polytope (an isotone problem on the lattice DAG);
-binarization snaps coefficients to their signs, which preserves optimality.
+the multi-index lattice j in {0..k_1} x ... x {0..k_d}.  Fitting solves the
+hinge linear program over the coefficients in [-1, 1] that are monotone along
+the lattice order (an isotone problem on the lattice DAG); its optimum is a
++/-1 vertex, an up-set of the lattice, and a model holds only such up-sets.
 
 Fitting and evaluation share one basis step.  A row of log features
 [1, log u, log1p(-u)] per coordinate, times a cached (3, k + 1) matrix
@@ -36,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from ._numeric import Points, ValidationError, beyond_float_range, check_finite, exact_floats, finite_array, integers
+from ._numeric import ValidationError, beyond_float_range, check_finite, exact_floats, finite_array, integers, read_points
 from .isotone import IsotoneProblem, solve
 from .order import lattice_dag
 from .risks import WeightedSample
@@ -138,33 +138,27 @@ def _chunk_rows(orders) -> int:
     return max(1, (1 << 16) // (math.prod(shape[1:]) + sum(shape)))
 
 
-def _in_box(theta: tuple, binarized: bool):
-    """The Python ints and floats ``theta`` as a float array if they lie in [-1, 1] (are +/-1 when ``binarized``), else None; NaN does not."""
-    try:
-        values = np.array(theta, dtype=float)
-    except OverflowError:
-        return None
-    magnitudes = np.abs(values)
-    inside = magnitudes == 1.0 if binarized else magnitudes <= 1.0
-    return values if inside.all() else None
-
-
 @dataclass(frozen=True)
 class BernsteinClassifier:
-    """Per-dimension orders and a lattice-monotone coefficient vector in [-1,1].
+    """Per-dimension orders and a +/-1 coefficient vector that is an up-set of the lattice.
 
-    ``theta`` is stored in row-major multi-index order (last index fastest),
-    and must be nondecreasing along every lattice axis as ``theta_grid``
-    reads it: a ``ValidationError`` names the first pair that falls.
-    ``scale`` optionally records per-dimension (min, max) training ranges for
-    prediction-time rescaling into the unit cube: ``dim`` finite numbers each,
-    kept as floats.  ``theta_grid`` is ``theta`` as a float array of shape
+    ``theta`` is stored in row-major multi-index order (last index fastest).
+    Every entry must be a number equal to -1 or +1 (a bool is not a number),
+    and ``theta`` must be nondecreasing along every lattice axis as
+    ``theta_grid`` reads it: a ``ValidationError`` names the first entry
+    that is not +/-1, or the first pair that falls.  ``scale`` optionally
+    records per-dimension (min, max) training ranges for prediction-time
+    rescaling into the unit cube: ``dim`` finite numbers each, kept as
+    floats.  ``theta_grid`` is ``theta`` as a float array of shape
     (k_1 + 1, ..., k_d + 1), made once from the checked entries.
+
+    A model file stores the up-set as ``thresholds``: per row of the last
+    axis, in row-major order of the other axes, the number of its -1
+    entries, which is where its +1 entries start.
     """
 
     orders: tuple
     theta: tuple
-    binarized: bool = False
     scale: tuple = None
 
     def __post_init__(self):
@@ -176,18 +170,11 @@ class BernsteinClassifier:
             raise ValidationError(
                 f"theta has {len(self.theta)} entries, lattice needs {size}"
             )
-        # Python ints and floats are checked in numpy, and the checked array is kept; other entries, or a
-        # failed check, take the loop, which names the first bad entry
-        grid = _in_box(self.theta, self.binarized) if set(map(type, self.theta)) <= {int, float} else None
-        if grid is None:
-            for t in self.theta:
+        for t in self.theta:
+            if isinstance(t, (bool, np.bool_)) or t not in (-1, 1):
                 check_finite(t, "theta")
-                if not (-1 <= t <= 1):
-                    raise ValidationError(f"theta entries must lie in [-1, 1], got {t!r}")
-            if self.binarized and any(t not in (-1, 1) for t in self.theta):
-                raise ValidationError("binarized model must have theta in {-1, +1}")
-            grid = np.array(self.theta, dtype=float)
-        grid = grid.reshape(shape)
+                raise ValidationError(f"theta entries must lie in {{-1, +1}}, got {t!r}")
+        grid = np.array(self.theta, dtype=float).reshape(shape)
         # lattice-monotone: the first pair, along the first axis that falls, is named
         for v in range(len(shape)):
             falls = np.argwhere(np.diff(grid, axis=v) < 0)
@@ -205,10 +192,10 @@ class BernsteinClassifier:
 
     @classmethod
     def _of_fit(cls, orders: tuple, values: np.ndarray) -> "BernsteinClassifier":
-        """``fit``'s binarized model of ``solve``'s int64 +/-1 ``values``, skipping ``__post_init__``: ``fit`` checked the orders."""
+        """``fit``'s model of ``solve``'s int64 +/-1 ``values``, skipping ``__post_init__``: ``fit`` checked the orders."""
         model = object.__new__(cls)
         grid = values.astype(float).reshape(_lattice_shape(orders))
-        model.__dict__.update(orders=orders, theta=tuple(values.tolist()), binarized=True, scale=None, theta_grid=grid)
+        model.__dict__.update(orders=orders, theta=tuple(values.tolist()), scale=None, theta_grid=grid)
         return model
 
     @property
@@ -222,8 +209,7 @@ class BernsteinClassifier:
         return {
             "type": "bernstein",
             "orders": list(self.orders),
-            "theta": list(self.theta),
-            "binarized": self.binarized,
+            "thresholds": (self.theta_grid < 0).sum(axis=-1).ravel().tolist(),
             "scale": None
             if self.scale is None
             else {"min": list(self.scale[0]), "max": list(self.scale[1])},
@@ -231,49 +217,36 @@ class BernsteinClassifier:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BernsteinClassifier":
+        """The model of a ``to_dict`` payload; one that holds ``theta`` instead of ``thresholds`` (an older file) is read by the constructor."""
         if payload.get("type") != "bernstein":
             raise ValidationError("not a bernstein model payload")
         scale = None
         if "scale" in payload and payload["scale"] is not None:
             scale = (tuple(payload["scale"]["min"]), tuple(payload["scale"]["max"]))
-        return cls(
-            tuple(payload["orders"]),
-            tuple(payload["theta"]),
-            bool(payload.get("binarized", False)),
-            scale,
-        )
+        orders = tuple(payload["orders"])
+        if "theta" in payload:
+            return cls(orders, tuple(payload["theta"]), scale)
+        shape = _lattice_shape(orders)
+        thresholds = integers(payload["thresholds"], "thresholds")
+        rows = math.prod(shape[:-1])
+        if len(thresholds) != rows:
+            raise ValidationError(f"thresholds has {len(thresholds)} entries, lattice needs {rows}")
+        bad = next((t for t in thresholds if not 0 <= t <= shape[-1]), None)
+        if bad is not None:
+            raise ValidationError(f"thresholds must lie in [0, {shape[-1]}], got {bad!r}")
+        theta = np.where(np.arange(shape[-1]) >= np.array(thresholds)[:, None], 1, -1)
+        return cls(orders, tuple(theta.ravel().tolist()), scale)
 
 
 def float_points(points, dim: int) -> np.ndarray:
-    """(n, dim) float array of a point batch: an array, ``Points`` (``Points.floats``), or an iterable of ``dim``-tuples.
+    """(n, dim) float array of a point batch read by ``read_points``: finite coordinates, exact ones correctly rounded.
 
-    Every coordinate must be finite as a float: NaN, an infinity, or an int or
-    rational beyond float range is a ValidationError.  The array may be
-    read-only.
+    The array may be read-only.
     """
-    if isinstance(points, Points):
-        if len(points) and points.dim != dim:
-            raise ValidationError(f"point has dimension {points.dim}, model expects {dim}")
-        return points.floats() if len(points) else np.zeros((0, dim))
-    if not isinstance(points, np.ndarray):
-        points = [tuple(p) for p in points]
-        for p in points:
-            if len(p) != dim:
-                raise ValidationError(f"point has dimension {len(p)}, model expects {dim}")
-    try:
-        x = np.array(points, dtype=float)
-    except OverflowError:
-        raise beyond_float_range("coordinate", (v for p in points for v in p)) from None
-    # no points are no points, whatever the width of their array
-    if isinstance(points, list) or (x.ndim == 2 and not len(x)):
-        x = x.reshape(len(points), dim)
-    elif x.ndim != 2:
-        raise ValidationError(f"points have shape {x.shape}, model expects dimension {dim}")
-    elif x.shape[1] != dim:
-        raise ValidationError(f"point has dimension {x.shape[1]}, model expects {dim}")
-    if not np.isfinite(x).all():
-        raise ValidationError("coordinates must be finite")
-    return x
+    points = read_points(points, "point")
+    if len(points) and points.dim != dim:
+        raise ValidationError(f"point has dimension {points.dim}, model expects {dim}")
+    return points.floats() if len(points) else np.zeros((0, dim))
 
 
 def _to_unit_cube(model: BernsteinClassifier, points) -> np.ndarray:
@@ -346,18 +319,6 @@ def evaluate(model: BernsteinClassifier, x) -> float:
 
 def predict(model: BernsteinClassifier, x) -> int:
     return 1 if evaluate(model, x) >= 0 else -1
-
-
-def binarize(model: BernsteinClassifier) -> BernsteinClassifier:
-    """Snap every coefficient to its sign (sign(0) = +1); idempotent.
-
-    At a hinge-LP optimum the snapped classifier is again an optimum, so the
-    empirical hinge risk does not increase.
-    """
-    if model.binarized:
-        return model
-    theta = tuple(1 if t >= 0 else -1 for t in model.theta)
-    return BernsteinClassifier(model.orders, theta, True, model.scale)
 
 
 def fit(sample: WeightedSample, orders) -> BernsteinClassifier:

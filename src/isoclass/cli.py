@@ -88,7 +88,7 @@ def _cmd_fit_bernstein(args) -> int:
         sample, scale = _rescale_sample(sample)
     model = bernstein.fit(sample, orders)
     if scale is not None:
-        model = bernstein.BernsteinClassifier(model.orders, model.theta, model.binarized, scale)
+        model = bernstein.BernsteinClassifier(model.orders, model.theta, scale)
     io.save_model(args.out, model)
     print(f"fitted bernstein classifier (orders {','.join(map(str, orders))}) -> {args.out}")
     return 0

@@ -233,7 +233,9 @@ def lattice_dag(orders) -> DominanceDag:
     if any(k < 0 for k in orders):
         raise ValidationError("lattice orders must be nonnegative")
     shape = tuple(k + 1 for k in orders)
-    return DominanceDag(ranks=np.indices(shape).reshape(len(shape), math.prod(shape)).T)
+    dag = DominanceDag(ranks=np.indices(shape).reshape(len(shape), math.prod(shape)).T)
+    dag.lex_order = np.arange(dag.n)  # row-major multi-indices are in lexicographic order already
+    return dag
 
 
 def up_set_matrix(dag: DominanceDag, node_limit: int = DEFAULT_NODE_LIMIT) -> np.ndarray:

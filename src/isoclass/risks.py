@@ -126,9 +126,11 @@ class DiscreteDistribution:
     w_minus: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", read_points(self.points, "support point").rows())
+        form = read_points(self.points, "support point")
+        object.__setattr__(self, "points", form.rows())
         n = len(self.points)
-        if len(set(self.points)) != n:
+        # each column shares one denominator, so rows of equal numbers are equal rows of ``values``
+        if len(set(map(tuple, form.values.tolist()))) != n:
             raise ValidationError("support points must be distinct")
         for attr, high in _RANGES.items():
             values = getattr(self, attr)

@@ -14,6 +14,7 @@ import pytest
 from helpers import random_distinct_points, random_rational_distribution, random_small_sample
 
 from isoclass import (
+    BernsteinClassifier,
     DiscreteDistribution,
     IsotoneProblem,
     PredictionSet,
@@ -237,17 +238,18 @@ def test_criterion_09_bernstein_invariants():
         dag = lattice_dag(orders)
         for i, j in dag.cover_edges:
             assert model.theta[i] <= model.theta[j]
-        from isoclass import basis, binarize
+        from isoclass import basis
 
         x = tuple(rng.random() for _ in range(d))
         unity = 1.0
         for v, k in enumerate(orders):
             unity *= sum(basis(k, j, x[v]) for j in range(k + 1))
         assert unity == pytest.approx(1.0, abs=1e-12)
-        snapped = binarize(model)
-        assert binarize(snapped) is snapped
-        assert empirical_hinge_risk(snapped, sample) <= empirical_hinge_risk(model, sample) + 1e-12
-    _report(9, "100 fits: lattice-monotone, unity within 1e-12, binarize idempotent and risk-safe")
+        # the fit is the +/-1 vertex, and its file form (one threshold per last-axis row) gives it back
+        assert set(model.theta) <= {-1, 1}
+        back = BernsteinClassifier.from_dict(model.to_dict())
+        assert back == model and empirical_hinge_risk(back, sample) == empirical_hinge_risk(model, sample)
+    _report(9, "100 fits: lattice-monotone, unity within 1e-12, +/-1 and read back from thresholds")
 
 
 def test_criterion_10_regret_rate_trend():

@@ -17,7 +17,6 @@ from isoclass import (
     basis,
     bernstein_evaluate,
     bernstein_predict,
-    binarize,
     brute_force_solve,
     fit_bernstein,
     lattice_dag,
@@ -104,7 +103,7 @@ def test_evaluate_clamps_with_warning():
 
 
 def test_evaluate_monotone_when_theta_lattice_monotone():
-    model = BernsteinClassifier((2, 2), (-1, -0.5, 0, -0.5, 0, 0.5, 0, 0.5, 1))
+    model = BernsteinClassifier((2, 2), (-1, -1, 1, -1, 1, 1, 1, 1, 1))
     rng = random.Random(2)
     for _ in range(60):
         a = (rng.random(), rng.random())
@@ -116,7 +115,6 @@ def test_fit_two_point_example():
     sample = WeightedSample.unweighted([-1, 1], [(0.0,), (1.0,)])
     model = fit_bernstein(sample, (1,))
     assert model.theta == (-1, 1)
-    assert model.binarized
 
 
 def test_fit_all_positive_labels():
@@ -201,26 +199,6 @@ def test_fit_objective_matches_brute_force_on_small_lattices():
         assert objective_fit == pytest.approx(objective_oracle, abs=1e-9)
 
 
-def test_binarize_sign_map_and_idempotence():
-    model = BernsteinClassifier((1,), (-0.2, 0.7))
-    snapped = binarize(model)
-    assert snapped.theta == (-1, 1)
-    assert binarize(snapped) is snapped
-    zeros = binarize(BernsteinClassifier((1,), (0.0, 0.5)))
-    assert zeros.theta == (1, 1)
-
-
-def test_binarize_preserves_risk_at_lp_optimum():
-    rng = random.Random(11)
-    for _ in range(15):
-        sample = random_cube_sample(rng, rng.randint(2, 25), 1)
-        model = fit_bernstein(sample, (3,))
-        snapped = binarize(model)
-        assert empirical_hinge_risk(snapped, sample) == pytest.approx(
-            empirical_hinge_risk(model, sample), abs=1e-12
-        )
-
-
 def test_fit_beats_random_feasible_coefficients():
     rng = random.Random(13)
     sample = random_cube_sample(rng, 30, 1)
@@ -228,19 +206,26 @@ def test_fit_beats_random_feasible_coefficients():
     model = fit_bernstein(sample, orders)
     fitted_risk = empirical_hinge_risk(model, sample)
     dag = lattice_dag(orders)
+    # the hinge risk of any theta, from the public basis: a rival may be fractional, which no model holds
+    bases = [[basis(orders[0], j, x) for j in range(dag.n)] for (x,) in sample.points]
+
+    def risk(theta):
+        values = [sum(t * b for t, b in zip(theta, row)) for row in bases]
+        return sum(float(w) * max(0.0, 1.0 - y * v) for w, y, v in zip(sample.weights, sample.labels, values)) / sample.n
+
+    assert risk(model.theta) == pytest.approx(fitted_risk, abs=1e-12)
     for _ in range(100):
         theta = [rng.uniform(-1, 1) for _ in range(dag.n)]
         for _ in range(dag.n):
             for i, j in dag.cover_edges:
                 theta[j] = max(theta[j], theta[i])
-        rival = BernsteinClassifier(orders, tuple(theta))
-        assert fitted_risk <= empirical_hinge_risk(rival, sample) + 1e-12
+        assert fitted_risk <= risk(theta) + 1e-12
 
 
 def test_predict_boundary_and_signs():
-    model = BernsteinClassifier((1,), (-1, 1), binarized=True)
+    model = BernsteinClassifier((1,), (-1, 1))
     assert bernstein_predict(model, (0.5,)) == 1  # evaluate = 0 -> +1
-    low = BernsteinClassifier((2,), (-1, -1, -1), binarized=True)
+    low = BernsteinClassifier((2,), (-1, -1, -1))
     assert bernstein_predict(low, (0.3,)) == -1
 
 
@@ -256,7 +241,7 @@ def test_serialization_round_trip():
 
 
 def test_scaled_model_round_trip():
-    model = BernsteinClassifier((1,), (-1, 1), True, ((0.0,), (10.0,)))
+    model = BernsteinClassifier((1,), (-1, 1), ((0.0,), (10.0,)))
     assert bernstein_predict(model, (9.0,)) == 1
     assert bernstein_predict(model, (1.0,)) == -1
     back = BernsteinClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
@@ -339,35 +324,37 @@ def test_coordinates_beyond_float_range_are_validation_errors():
         assert _error(bernstein_predict, model, (bad,)) == message
 
 
+# binarized is the flag that a file written before thresholds holds next to its theta; it is ignored
 @pytest.mark.parametrize(
     "theta, binarized, message",
     [
-        ((0.5, float("nan")), False, "theta must be finite, got nan"),
-        ((0, 2), False, "theta entries must lie in [-1, 1], got 2"),
-        ((0, 10**400), True, f"theta entries must lie in [-1, 1], got {10**400!r}"),
-        ((1, 0.5), True, "binarized model must have theta in {-1, +1}"),
-        # the first bad entry is named, and a range error comes before the binarized one
-        ((0.5, 2.0, float("nan")), True, "theta entries must lie in [-1, 1], got 2.0"),
-        ((Fraction(1, 2), -1.5), False, "theta entries must lie in [-1, 1], got -1.5"),
+        ((float("nan"), 1), False, "theta must be finite, got nan"),
+        ((-1, 2), False, "theta entries must lie in {-1, +1}, got 2"),
+        ((-1, 10**400), True, f"theta entries must lie in {{-1, +1}}, got {10**400!r}"),
+        ((1, 0.5), True, "theta entries must lie in {-1, +1}, got 0.5"),
+        # the first entry that is not +/-1 is named
+        ((0.5, 2.0, float("nan")), True, "theta entries must lie in {-1, +1}, got 0.5"),
+        ((Fraction(1, 2), -1.5), False, "theta entries must lie in {-1, +1}, got Fraction(1, 2)"),
     ],
 )
 def test_theta_errors_name_the_first_bad_entry(theta, binarized, message):
     orders = (len(theta) - 1,)
-    assert _error(BernsteinClassifier, orders, theta, binarized) == message
+    assert _error(BernsteinClassifier, orders, theta) == message
     payload = {"type": "bernstein", "orders": list(orders), "theta": list(theta), "binarized": binarized}
     assert _error(BernsteinClassifier.from_dict, payload) == message
 
 
 def test_theta_of_any_number_type_in_the_box_is_accepted():
-    for theta, binarized in (((-1, 1.0), True), ((Fraction(-1), np.float64(1.0)), True), ((-0.5, 0, Fraction(1, 3)), False)):
-        assert BernsteinClassifier((len(theta) - 1,), theta, binarized).theta == theta
+    # the box is {-1, +1}: any number equal to -1 or +1, but not a bool
+    for theta in ((-1, 1.0), (Fraction(-1), np.float64(1.0)), (-1.0, np.int64(1), Fraction(1))):
+        assert BernsteinClassifier((len(theta) - 1,), theta).theta == theta
 
 
 @pytest.mark.parametrize(
     "orders, theta, pair",
     [
         ((1,), (1, -1), "theta[0] = 1 > theta[1] = -1"),
-        ((2,), (-0.5, 0.25, 0.2), "theta[1] = 0.25 > theta[2] = 0.2"),
+        ((2,), (-1, 1.0, -1), "theta[1] = 1.0 > theta[2] = -1"),
         # the first pair along the first axis that falls, by flat indices in row-major order
         ((1, 1), (-1, 1, 1, -1), "theta[1] = 1 > theta[3] = -1"),
         ((1, 1), (-1, -1, 1, -1), "theta[2] = 1 > theta[3] = -1"),
@@ -376,9 +363,9 @@ def test_theta_of_any_number_type_in_the_box_is_accepted():
 )
 def test_a_theta_that_falls_along_the_lattice_is_refused(tmp_path, capsys, orders, theta, pair):
     message = f"theta must be nondecreasing along the lattice: {pair}"
-    binarized = set(theta) <= {-1, 1}
-    assert _error(BernsteinClassifier, orders, theta, binarized) == message
-    payload = {"type": "bernstein", "orders": list(orders), "theta": list(theta), "binarized": binarized, "scale": None}
+    assert _error(BernsteinClassifier, orders, theta) == message
+    # a file written before thresholds holds theta itself
+    payload = {"type": "bernstein", "orders": list(orders), "theta": list(theta), "binarized": True, "scale": None}
     assert _error(BernsteinClassifier.from_dict, payload) == message
     model, points, out = tmp_path / "b.json", tmp_path / "pts.csv", tmp_path / "labels.csv"
     model.write_text(json.dumps(payload))
@@ -396,12 +383,12 @@ def test_weights_beyond_float_range_are_validation_errors():
         empirical_hinge_risk(BernsteinClassifier((1,), (-1, 1)), sample)
 
 
-def _sorted_along_axes(theta, orders) -> tuple:
-    """``theta`` sorted along each lattice axis in turn: the same entries, of the same types, nondecreasing along every axis."""
-    grid = np.array(theta, dtype=object).reshape([k + 1 for k in orders])
+def _up_set(rng, orders) -> tuple:
+    """A random +/-1 up-set of the lattice: the signs, about a random level, of normal draws sorted along each axis in turn."""
+    grid = rng.normal(size=[k + 1 for k in orders])
     for v in range(grid.ndim):
         grid = np.sort(grid, axis=v)
-    return tuple(grid.ravel().tolist())
+    return tuple(np.where(grid >= rng.normal(), 1, -1).ravel().tolist())
 
 
 def _tensor_product_value(model, x):
@@ -423,8 +410,7 @@ def _tensor_product_value(model, x):
 def test_evaluate_batch_matches_per_point_tensor_product():
     rng = np.random.default_rng(5)
     for orders in ((7,), (1,), (4, 3), (6, 6), (2, 3, 4)):
-        size = math.prod(k + 1 for k in orders)
-        theta = _sorted_along_axes(np.clip(rng.normal(size=size), -1, 1).tolist(), orders)
+        theta = _up_set(rng, orders)
         d = len(orders)
         for scale in (None, (tuple(rng.uniform(-2, 0, d).tolist()), tuple(rng.uniform(1, 3, d).tolist()))):
             model = BernsteinClassifier(orders, theta, scale=scale)
@@ -438,7 +424,7 @@ def test_evaluate_batch_matches_per_point_tensor_product():
 
 
 def test_evaluate_batch_clamps_with_one_warning_per_batch():
-    model = BernsteinClassifier((2, 2), (-1, -0.5, 0, -0.5, 0, 0.5, 0, 0.5, 1))
+    model = BernsteinClassifier((2, 2), (-1, -1, 1, -1, 1, 1, 1, 1, 1))
     pts = [(1.5, 0.2), (-0.3, 0.4), (0.5, 2.0), (0.1, 0.1)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -453,7 +439,7 @@ def test_evaluate_batch_clamps_with_one_warning_per_batch():
 
 
 def test_evaluate_batch_empty_and_dimension_checks():
-    model = BernsteinClassifier((2, 1), (-1, -1, 0, 0, 1, 1))
+    model = BernsteinClassifier((2, 1), (-1, -1, -1, 1, 1, 1))
     assert evaluate_batch(model, []).shape == (0,)
     assert evaluate_batch(model, np.zeros((0, 2))).shape == (0,)
     with pytest.raises(ValidationError):
@@ -461,14 +447,17 @@ def test_evaluate_batch_empty_and_dimension_checks():
     with pytest.raises(ValidationError):
         evaluate_batch(model, np.zeros((3, 3)))
     for point in ((0.5,), (0.5, 0.5, 0.5), ()):
-        message = _error(evaluate_batch, model, [point])
-        assert message == f"point has dimension {len(point)}, model expects 2"
+        message = f"point has dimension {len(point)}, model expects 2"
+        # a batch is read as monotone.predict_batch reads one: points of no coordinates are refused as such
+        assert _error(evaluate_batch, model, [point]) == (message if point else "points must have at least one coordinate")
         assert _error(bernstein_evaluate, model, point) == message
         assert _error(bernstein_predict, model, point) == message
+    assert _error(evaluate_batch, model, [(0.5, 0.5), (0.5,)]) == "points have mixed dimensions: [1, 2]"
+    assert _error(evaluate_batch, model, np.zeros(3)) == "an array of points must have shape (n, d), got (3,)"
 
 
 def test_predict_rejects_non_finite_queries():
-    model = BernsteinClassifier((1, 1), (-1, 0, 0, 1))
+    model = BernsteinClassifier((1, 1), (-1, 1, 1, 1))
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValidationError):
             bernstein_predict(model, (bad, 0.5))
@@ -476,17 +465,17 @@ def test_predict_rejects_non_finite_queries():
             predict_batch(model, [(0.5, 0.5), (0.5, bad)])
         with pytest.raises(ValidationError):
             evaluate_batch(model, np.array([[bad, 0.5]]))
-        message = _error(evaluate_batch, model, [(0.5, bad)])
-        assert message == "coordinates must be finite"
-        assert _error(bernstein_evaluate, model, (0.5, bad)) == message
+        # a batch names the point and the value, as monotone.predict_batch does; one point keeps its own message
+        assert _error(evaluate_batch, model, [(0.5, 0.5), (0.5, bad)]) == f"covariate of point 1 must be finite, got {bad!r}"
+        assert _error(evaluate_batch, model, np.array([[bad, 0.5]])) == f"covariate of point 0 must be finite, got {bad!r}"
+        assert _error(bernstein_evaluate, model, (0.5, bad)) == "coordinates must be finite"
 
 
 def test_empirical_hinge_risk_matches_per_point_sum():
-    rng = random.Random(8)
+    rng, draws = random.Random(8), np.random.default_rng(8)
     for d, orders in ((1, (5,)), (2, (3, 4))):
         sample = random_cube_sample(rng, 40, d)
-        theta = _sorted_along_axes([rng.uniform(-1, 1) for _ in range(math.prod(k + 1 for k in orders))], orders)
-        model = BernsteinClassifier(orders, theta)
+        model = BernsteinClassifier(orders, _up_set(draws, orders))
         want = sum(
             float(w) * max(0.0, 1.0 - y * _tensor_product_value(model, p))
             for w, y, p in zip(sample.weights, sample.labels, sample.points)
@@ -523,8 +512,7 @@ def _power_basis(k, xs):
 def test_evaluate_batch_across_chunk_boundaries_matches_single_rows():
     rng = np.random.default_rng(22)
     for orders in ((500,), (80, 80)):
-        size = math.prod(k + 1 for k in orders)
-        model = BernsteinClassifier(orders, _sorted_along_axes(np.clip(rng.normal(size=size), -1, 1).tolist(), orders))
+        model = BernsteinClassifier(orders, _up_set(rng, orders))
         pts = rng.random((2 * _chunk_rows(orders) + 7, len(orders)))
         pts[:3] = [[0.0] * len(orders), [1.0] * len(orders), [1e-300] * len(orders)]
         got = evaluate_batch(model, pts)
@@ -668,7 +656,7 @@ def test_fit_scales_only_the_first_basis_and_only_within_float_range(monkeypatch
     ids=["evaluate_batch", "predict_batch", "evaluate", "predict", "empirical_hinge_risk"],
 )
 def test_clamp_warning_names_the_callers_line(call):
-    model = BernsteinClassifier((2, 1), (-1, -1, 0, 0, 1, 1))
+    model = BernsteinClassifier((2, 1), (-1, -1, -1, 1, 1, 1))
     sample = WeightedSample.unweighted([1, -1], [(1.5, 0.5), (0.2, -0.5)])
     with pytest.warns(UserWarning, match="clamped") as record:
         call(model, sample)
@@ -681,11 +669,11 @@ def test_fit_builds_the_model_the_public_constructor_would():
     for orders in ((1,), (7,), (3, 4), (2, 1, 3)):
         sample = random_cube_sample(rng, 60, len(orders))
         model = fit_bernstein(sample, orders)
-        checked = BernsteinClassifier(orders, model.theta, True)
+        checked = BernsteinClassifier(orders, model.theta)
         assert model == checked and model.to_dict() == checked.to_dict()
         assert type(model.orders) is tuple and type(model.theta) is tuple
         assert all(type(t) is int for t in model.theta)
-        assert model.binarized is True and model.scale is None
+        assert model.scale is None
         assert bernstein_evaluate(model, (0.5,) * len(orders)) == bernstein_evaluate(checked, (0.5,) * len(orders))
 
 
@@ -734,16 +722,16 @@ def _threshold_in_80_steps(model):
 def test_evaluate_is_the_one_row_batch_contraction_bit_for_bit():
     rng = np.random.default_rng(31)
     for orders in ((1,), (500,), (80, 80), (3, 9), (5, 7, 3)):
-        d, size = len(orders), math.prod(k + 1 for k in orders)
-        for theta in (np.clip(rng.normal(size=size), -1, 1), rng.choice([-1, 1], size=size)):
-            model = BernsteinClassifier(orders, _sorted_along_axes(theta.tolist(), orders))
+        d = len(orders)
+        for _ in range(2):
+            model = BernsteinClassifier(orders, _up_set(rng, orders))
             pts = rng.random((150, d))
             pts[:3] = [[0.0] * d, [1.0] * d, [1e-300] * d]
             pts[3:20] **= 40
             for p in pts.tolist():
                 assert bernstein_evaluate(model, p) == _one_row_values(model, p)
     # a scaled model with a degenerate second range; a clamped point still warns at this line
-    model = BernsteinClassifier((4, 3), _sorted_along_axes(np.clip(rng.normal(size=20), -1, 1).tolist(), (4, 3)), False, ((-2.0, 5.0), (3.0, 5.0)))
+    model = BernsteinClassifier((4, 3), _up_set(rng, (4, 3)), ((-2.0, 5.0), (3.0, 5.0)))
     for p in rng.uniform(-2.0, 3.0, (50, 2)).tolist():
         assert bernstein_evaluate(model, p) == _one_row_values(model, p)
     with pytest.warns(UserWarning, match="clamped") as record:
@@ -751,26 +739,29 @@ def test_evaluate_is_the_one_row_batch_contraction_bit_for_bit():
     assert [w.filename for w in record] == [__file__]
     assert value == _one_row_values(model, (7.5, -1.0))
     # the bisection stops once lo and hi are adjacent floats, with the threshold of all 80 steps; the
-    # last two models cross 0 near 1.4e-3 and near 1e-20, where the 80 steps end before adjacency
+    # last two models cross 0 near 1.4e-3 and, scaled onto [0, 2e-20], at 1e-20, where the 80 steps
+    # end before adjacency (every point above 2e-20 is clamped)
     draws = np.random.default_rng(457)
     models = [fit_bernstein(WeightedSample.unweighted(*bench.StepDgp().sample(draws, 400)[::-1]), (k,)) for k in (12, 147, 500)]
-    models += [BernsteinClassifier((500,), (-1,) + (1,) * 500), BernsteinClassifier((1,), (-1e-20, 1.0))]
-    for model in models:
-        assert bernstein_evaluate(model, (0.0,)) < 0.0 <= bernstein_evaluate(model, (1.0,))
-        assert bench._threshold_1d(model) == _threshold_in_80_steps(model)
+    models += [BernsteinClassifier((500,), (-1,) + (1,) * 500), BernsteinClassifier((1,), (-1, 1), ((0.0,), (2e-20,)))]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "coordinates outside")
+        for model in models:
+            assert bernstein_evaluate(model, (0.0,)) < 0.0 <= bernstein_evaluate(model, (1.0,))
+            assert bench._threshold_1d(model) == _threshold_in_80_steps(model)
 
 
 def test_theta_grid_is_theta_as_floats_however_the_model_is_made(tmp_path):
-    rng = random.Random(461)
+    rng, draws = random.Random(461), np.random.default_rng(461)
     for orders in ((7,), (3, 4), (2, 1, 3)):
         shape = tuple(k + 1 for k in orders)
         fitted = fit_bernstein(random_cube_sample(rng, 60, len(orders)), orders)
-        draws = [rng.uniform(-1.0, 1.0) for _ in range(math.prod(shape))]
-        floats = _sorted_along_axes(draws, orders)
-        mixed = _sorted_along_axes([Fraction(-1, 3), np.float64(0.25)] + draws[2:], orders)
+        floats = tuple(map(float, _up_set(draws, orders)))
+        kinds = (Fraction, np.float64, np.int64, float, int)
+        mixed = tuple(kinds[i % len(kinds)](t) for i, t in enumerate(_up_set(draws, orders)))
         for model in (
             fitted,
-            BernsteinClassifier(orders, fitted.theta, True),
+            BernsteinClassifier(orders, fitted.theta),
             BernsteinClassifier.from_dict(fitted.to_dict()),
             BernsteinClassifier(orders, floats),
             BernsteinClassifier.from_dict(BernsteinClassifier(orders, floats).to_dict()),
@@ -779,12 +770,89 @@ def test_theta_grid_is_theta_as_floats_however_the_model_is_made(tmp_path):
             assert model.theta_grid.dtype == np.float64
             assert np.array_equal(model.theta_grid, np.asarray(model.theta, dtype=float).reshape(shape))
         assert all(type(t) is int for t in fitted.theta)
-    # the saved file holds theta as JSON integers, byte for byte as before the float grid was kept
+    # the saved file holds the up-set as one threshold per last-axis row: the count of its -1 entries
     sample = WeightedSample.unweighted(
         [-1, -1, 1, 1, -1, 1], [(0.1, 0.2), (0.3, 0.9), (0.8, 0.7), (0.6, 0.1), (0.2, 0.5), (0.9, 0.95)]
     )
     model = fit_bernstein(sample, (2, 1))
-    expected = {"type": "bernstein", "orders": [2, 1], "theta": [-1, -1, 1, 1, 1, 1], "binarized": True, "scale": None}
+    assert model.theta == (-1, -1, 1, 1, 1, 1)
+    expected = {"type": "bernstein", "orders": [2, 1], "thresholds": [2, 0, 0], "scale": None}
     for saved in (model, BernsteinClassifier.from_dict(model.to_dict())):
         save_model(str(tmp_path / "model.json"), saved)
         assert (tmp_path / "model.json").read_bytes() == (json.dumps(expected, indent=2) + "\n").encode()
+
+
+def test_a_model_file_holds_one_threshold_per_last_axis_row_and_reads_back_the_same_model():
+    rng = np.random.default_rng(467)
+    for orders in ((1,), (6,), (3, 4), (2, 1, 3)):
+        shape = tuple(k + 1 for k in orders)
+        size = math.prod(shape)
+        for theta in (_up_set(rng, orders), _up_set(rng, orders), (-1,) * size, (1,) * size):
+            model = BernsteinClassifier(orders, theta)
+            payload = json.loads(json.dumps(model.to_dict()))
+            assert list(payload) == ["type", "orders", "thresholds", "scale"]
+            # row r, in row-major order of the other axes, is -1 up to its threshold and +1 from it
+            rows = np.array(theta).reshape(-1, shape[-1]).tolist()
+            assert payload["thresholds"] == [row.count(-1) for row in rows]
+            assert all(row == [-1] * t + [1] * (shape[-1] - t) for row, t in zip(rows, payload["thresholds"]))
+            back = BernsteinClassifier.from_dict(payload)
+            assert back == model and back.theta_grid.tobytes() == model.theta_grid.tobytes()
+    assert BernsteinClassifier((4,), (-1, -1, 1, 1, 1)).to_dict()["thresholds"] == [2]
+
+
+def _predict_file(tmp_path, payload, points) -> tuple:
+    """(exit code, labels file bytes or None) of ``predict`` on ``payload`` written as a model file."""
+    model, out = tmp_path / "model.json", tmp_path / "labels.csv"
+    model.write_text(json.dumps(payload))
+    out.unlink(missing_ok=True)
+    code = cli_main(["predict", "--model", str(model), "--in", str(points), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+def test_a_file_holding_theta_as_written_before_thresholds_predicts_the_same_labels(tmp_path, capsys):
+    data, points, saved = tmp_path / "d.csv", tmp_path / "pts.csv", tmp_path / "b.json"
+    data.write_text("w,y,x1,x2\n1/4,1,0.25,1.5\n5/4,-1,0.75,0.5\n1,1,1,1.25\n3/4,-1,0,0.75\n2,1,0.5,0.25\n1/2,-1,1.25,0\n")
+    points.write_text("x1,x2\n0.1,0.3\n0.6,0.7\n1.2,1.4\n0.3,1.1\n1,0.2\n0.75,0.5\n")
+    assert cli_main(["fit-bernstein", "--in", str(data), "--weighted", "--rescale", "--orders", "2,2", "--out", str(saved)]) == 0
+    payload = json.loads(saved.read_text())
+    theta = list(BernsteinClassifier.from_dict(payload).theta)
+    assert len(set(theta)) == 2
+    want = _predict_file(tmp_path, payload, points)
+    assert want[0] == 0
+    for binarized in (True, False):
+        old = {"type": "bernstein", "orders": payload["orders"], "theta": theta, "binarized": binarized, "scale": payload["scale"]}
+        assert _predict_file(tmp_path, old, points) == want
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "orders, key, values, message",
+    [
+        ((1,), "theta", [-1, 0.5], "theta entries must lie in {-1, +1}, got 0.5"),
+        ((2,), "theta", [-0.5, 0.25, 1], "theta entries must lie in {-1, +1}, got -0.5"),
+        ((1,), "thresholds", [3], "thresholds must lie in [0, 2], got 3"),
+        ((2, 1), "thresholds", [2, -1, 0], "thresholds must lie in [0, 2], got -1"),
+        ((2, 1), "thresholds", [2, 1], "thresholds has 2 entries, lattice needs 3"),
+        ((1, 1), "thresholds", [True, 0], "thresholds must be integers, got [True, 0]"),
+        # thresholds that rise make a theta that falls along the first axis
+        ((1, 1), "thresholds", [0, 2], "theta must be nondecreasing along the lattice: theta[0] = 1 > theta[2] = -1"),
+    ],
+)
+def test_a_fractional_theta_or_a_bad_threshold_in_a_model_file_exits_2(tmp_path, capsys, orders, key, values, message):
+    points = tmp_path / "pts.csv"
+    points.write_text(",".join(f"x{v + 1}" for v in range(len(orders))) + "\n" + ",".join(["0.5"] * len(orders)) + "\n")
+    payload = {"type": "bernstein", "orders": list(orders), key: values, "scale": None}
+    assert _predict_file(tmp_path, payload, points) == (2, None)
+    assert capsys.readouterr().err == f"error: {tmp_path / 'model.json'}: malformed bernstein model (ValidationError: {message})\n"
+
+
+def test_a_fitted_399_by_399_model_file_is_under_4_kb(tmp_path):
+    rng = np.random.default_rng(479)
+    pts = rng.random((400, 2))
+    labels = np.where(rng.random(400) < pts.mean(axis=1), 1, -1)
+    model = fit_bernstein(WeightedSample.unweighted(labels.tolist(), pts), (399, 399))
+    assert len(set(model.theta)) == 2
+    path = tmp_path / "model.json"
+    save_model(str(path), model)
+    assert path.stat().st_size < 4096
+    assert BernsteinClassifier.from_dict(json.loads(path.read_text())) == model

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from isoclass import WeightedSample, bernstein_predict, fit_bernstein, monotone_predict, simulate_regret
+from isoclass import BernsteinClassifier, WeightedSample, bernstein_predict, fit_bernstein, monotone_predict, simulate_regret
 from isoclass.cli import _rescale_sample, build_parser, main
 from isoclass.io import load_model, load_sample
 
@@ -325,12 +325,12 @@ def test_rescale_bounds_are_the_first_of_equal_values_and_a_constant_column_maps
     # while exactly both zeros are 0; a constant column is mapped to 0.5 and keeps its value as both bounds
     data = write(tmp_path / "d.csv", "y,x1,x2\n1,-0.0,3\n-1,0.0,3\n1,1,3\n-1,0.5,3\n1,0.25,3\n")
     unit = [(0.0, 0.5), (0.0, 0.5), (1.0, 0.5), (0.5, 0.5), (0.25, 0.5)]
-    theta = list(fit_bernstein(WeightedSample.unweighted([1, -1, 1, -1, 1], unit), (2, 2)).theta)
+    theta = fit_bernstein(WeightedSample.unweighted([1, -1, 1, -1, 1], unit), (2, 2)).theta
     out = tmp_path / "b.json"
     for flags, sign in (([], 1.0), (["--float"], -1.0)):
         assert main(["fit-bernstein", "--in", data, "--rescale", "--orders", "2,2", "--out", str(out), *flags]) == 0
         payload = json.loads(out.read_text())
-        assert payload["theta"] == theta
+        assert BernsteinClassifier.from_dict(payload).theta == theta
         assert payload["scale"] == {"min": [0.0, 3.0], "max": [1.0, 3.0]}
         assert math.copysign(1.0, payload["scale"]["min"][0]) == sign
     capsys.readouterr()

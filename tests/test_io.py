@@ -35,10 +35,10 @@ def _models(tmp_path):
     named = [(f"monotone {name}{' compact' if compact else ''}", model, compact)
              for name, model in models.items() for compact in (False, True)]
     binary = fit_bernstein(WeightedSample.unweighted(labels, x), (3, 2))
-    smooth = BernsteinClassifier((2, 1), (-1.0, 1e-300, -0.125, 0.5, 0.25, 1))
+    floats = BernsteinClassifier((2, 1), (-1.0, 1.0, -1.0, 1.0, 1.0, 1.0))
     assert set(map(type, binary.theta)) == {int}
-    for name, model in (("bernstein +/-1", binary), ("bernstein float", smooth)):
-        scaled = BernsteinClassifier(model.orders, model.theta, model.binarized, ((-1.5, 0), (2, 1e20)))
+    for name, model in (("bernstein +/-1", binary), ("bernstein float", floats)):
+        scaled = BernsteinClassifier(model.orders, model.theta, ((-1.5, 0), (2, 1e20)))
         named += [(name, model, False), (name + " scaled", scaled, False)]
     return named
 

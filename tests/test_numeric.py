@@ -45,8 +45,8 @@ def test_a_bool_is_refused_where_a_number_is_checked(entry, value):
     with pytest.raises(ValidationError) as caught:
         call(value)
     assert str(caught.value) == f"{what} must be a number, got {value!r}"
-    # the number the bool equals is accepted in its place
-    call(int(value) if entry != "hinge scale" else 1)
+    # the number the bool equals is accepted in its place; a hinge scale and a theta entry of 0 are not
+    call(int(value) if entry not in ("hinge scale", "theta") else 1)
 
 
 @pytest.mark.parametrize("token", TOKENS)

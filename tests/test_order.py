@@ -247,6 +247,13 @@ def test_lattice_dag_refuses_orders_that_are_not_integers(orders):
     assert lattice_dag((np.int64(2),)).n == 3
 
 
+@pytest.mark.parametrize("orders", [(0,), (3, 4), (2, 3, 2), (0, 0)])
+def test_lattice_dag_lex_order_is_the_row_major_order_it_is_built_in(orders):
+    lat = lattice_dag(orders)
+    assert "lex_order" in lat.__dict__  # set by lattice_dag, not sorted on first read
+    assert lat.lex_order.tolist() == lex_argsort(lat.ranks).tolist() == list(range(lat.n))
+
+
 def test_lattice_dag_one_dimension_is_chain():
     lat = lattice_dag((4,))
     assert lat.chain_order == tuple(range(5))

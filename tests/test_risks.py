@@ -292,6 +292,13 @@ def test_distribution_validation():
         DiscreteDistribution(((0,),), (1,), (Fraction(3, 2),))
 
 
+@pytest.mark.parametrize("points", [[("1/2",), ("0.5",)], [(0.5,), (Fraction(1, 2),)], [(1, "2/4"), (1.0, 0.5)]])
+def test_distribution_support_points_are_distinct_as_numbers(points):
+    # the same number spelled or typed two ways is one point, refused where the distribution is built
+    with pytest.raises(ValidationError, match="^support points must be distinct$"):
+        DiscreteDistribution(points, (Fraction(1, 2),) * 2, (Fraction(1, 2),) * 2)
+
+
 HALF = Fraction(1, 2)
 # each ranged number: what its error names, and a call reading value v in its place
 RANGED = (
