@@ -14,6 +14,9 @@ against the coefficient grid in row chunks of about 2^16 entries;
 ``evaluate`` checks its one point in Python floats and contracts one basis
 vector per dimension, first dimension first, with the same numpy logs and
 products: its value equals ``_values`` of its one feature row bit for bit.
+It reads a model's ``_plan``, made on the first call: each dimension's
+order and ``_basis_rows``, and the coefficient grid as the matrix of the
+first contraction.
 
 ``fit`` builds its first dimension's matrix from logs shifted by S = 64 ln 2;
 the entries whose shifted log lies below the cut -707 (a basis value below
@@ -31,7 +34,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -47,6 +50,7 @@ _LOG_ZERO = -1e300  # log 0 as a finite number: times j = 0 it gives 0, so end-p
 _SHIFT = 64 * math.log(2)  # fit's first basis is taken times e^_SHIFT, 2^64 to rounding
 _CUT = -707.0  # at and above this, numpy's exp takes its fast path and gives a normal float
 _SCALED_WEIGHT_LIMIT = 2.0**900  # max|w_i| * n up to this keeps every scaled coefficient below 2^964
+_BOOLS = frozenset((bool, np.bool_))  # the types of a coordinate that is not a number
 
 
 def basis(k: int, j: int, x) -> float:
@@ -198,6 +202,12 @@ class BernsteinClassifier:
         model.__dict__.update(orders=orders, theta=tuple(values.tolist()), scale=None, theta_grid=grid)
         return model
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """What ``evaluate`` reads, made once per model: ``theta_grid`` as a (k_1 + 1, -1) matrix, and (k, ``_basis_rows(k)``) per dimension."""
+        grid = self.theta_grid
+        return grid.reshape(grid.shape[0], -1), tuple((k, _basis_rows(k)) for k in self.orders)
+
     @property
     def dim(self) -> int:
         return len(self.orders)
@@ -290,13 +300,17 @@ def evaluate(model: BernsteinClassifier, x) -> float:
     """Tensor-product polynomial value at one point x.
 
     The point gets the checks, rescaling and clamping of ``evaluate_batch`` in
-    Python floats.  Each dimension's basis vector, from the same log features
-    and ``_basis_rows``, is then contracted with the coefficients left, first
-    dimension first: one ``dot`` each, no batch arrays.
+    Python floats, with messages of its own.  Each dimension's basis vector,
+    from the same log features and ``_basis_rows``, is then contracted with
+    the coefficients left, first dimension first: one ``dot`` each, no batch
+    arrays.  The rows and the first contraction's coefficient matrix come
+    from the model's ``_plan``, made on its first evaluation.
     """
     x = tuple(x)
     if len(x) != model.dim:
         raise ValidationError(f"point has dimension {len(x)}, model expects {model.dim}")
+    if not _BOOLS.isdisjoint(map(type, x)):
+        check_finite(next(v for v in x if type(v) in _BOOLS), "coordinate")
     try:
         u = [float(v) for v in x]
     except OverflowError:
@@ -305,15 +319,17 @@ def evaluate(model: BernsteinClassifier, x) -> float:
         raise ValidationError("coordinates must be finite")
     if model.scale is not None:
         u = [(v - lo) / (hi - lo) if hi > lo else 0.5 for v, lo, hi in zip(u, *model.scale)]
-    clipped = [min(max(v, 0.0), 1.0) for v in u]
-    if clipped != u:
+    value, steps = model._plan
+    clamped = False
+    for v, (k, rows) in zip(u, steps):
+        if not 0.0 <= v <= 1.0:
+            v, clamped = min(max(v, 0.0), 1.0), True
+        # numpy's logs, bit-identical to the batch path's; math.log1p differs from them in the last
+        # bit on some inputs, which moves the thresholds that bench bisects with this function
+        b = np.array((1.0, np.log(v) if v > 0.0 else _LOG_ZERO, np.log1p(-v) if v < 1.0 else _LOG_ZERO)).dot(rows)
+        value = np.exp(b, out=b).dot(value if value.ndim == 2 else value.reshape(k + 1, -1))
+    if clamped:
         _warn_at_caller("coordinates outside [0,1] were clamped")
-    # numpy's logs, bit-identical to the batch path's; math.log1p differs from them in the last
-    # bit on some inputs, which moves the thresholds that bench bisects with this function
-    value = model.theta_grid
-    for v, k in zip(clipped, model.orders):
-        b = np.dot((1.0, np.log(v) if v > 0.0 else _LOG_ZERO, np.log1p(-v) if v < 1.0 else _LOG_ZERO), _basis_rows(k))
-        value = np.exp(b, out=b).dot(value.reshape(k + 1, -1))
     return float(value[0])
 
 

@@ -211,12 +211,16 @@ def build_dag(points, ranks=None) -> DominanceDag:
     Without ``ranks`` the points are read and ranked (only the order within
     a coordinate matters: the DAG works on dense ranks); only
     ``monotone.fit`` passes ``ranks``, with its support's ``Points``, taken
-    from a validated sample, which are trusted.  Cover edges are computed on
-    first access.  Distinctness is always checked on the rank rows, which
-    are equal exactly when the points are equal (so ``(1,)`` and ``(1.0,)``
-    are one point): no two rows may be equal in lexicographic order.
+    from a validated sample, which are trusted; their rank rows come in
+    lexicographic order, which is then ``lex_order``, not sorted again.
+    Cover edges are computed on first access.  Distinctness is always
+    checked on the rank rows, which are equal exactly when the points are
+    equal (so ``(1,)`` and ``(1.0,)`` are one point): no two rows may be
+    equal in lexicographic order.
     """
     dag = DominanceDag(points, ranks)
+    if ranks is not None:
+        dag.lex_order = np.arange(dag.n)
     if not dag._steps.any(axis=1).all():
         raise ValidationError("points must be distinct (deduplicate before building)")
     return dag

@@ -751,6 +751,73 @@ def test_evaluate_is_the_one_row_batch_contraction_bit_for_bit():
             assert bench._threshold_1d(model) == _threshold_in_80_steps(model)
 
 
+@pytest.mark.filterwarnings("ignore:coordinates outside")
+def test_evaluate_is_the_one_row_batch_contraction_at_large_orders_scaled_and_clamped():
+    rng = np.random.default_rng(467)
+    for orders in ((147,), (8, 8, 8), (399, 399)):
+        d = len(orders)
+        theta = _up_set(rng, orders)
+        scale = (tuple(rng.uniform(-2.0, 0.0, d).tolist()), tuple(rng.uniform(1.0, 3.0, d).tolist()))
+        for model in (BernsteinClassifier(orders, theta), BernsteinClassifier(orders, theta, scale)):
+            # about half of the points have a coordinate outside the unit cube (or the training range)
+            pts = rng.uniform(-0.2, 1.2, (60, d)) if model.scale is None else rng.uniform(-3.0, 4.0, (60, d))
+            for p in pts.tolist():
+                assert bernstein_evaluate(model, p) == _one_row_values(model, p)
+            assert [bernstein_predict(model, p) for p in pts.tolist()] == [1 if _one_row_values(model, p) >= 0 else -1 for p in pts.tolist()]
+
+
+def test_evaluate_warns_once_per_call_and_only_after_every_check():
+    model = BernsteinClassifier((2, 1, 3), _up_set(np.random.default_rng(479), (2, 1, 3)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bernstein_evaluate(model, (1.5, -0.5, 2.0))
+        bernstein_evaluate(model, (0.5, 0.5, -1.0))
+        bernstein_evaluate(model, (0.0, 1.0, 0.5))
+        # a NaN after a coordinate that would clamp is refused, with no warning
+        assert _error(bernstein_evaluate, model, (1.5, float("nan"), 0.5)) == "coordinates must be finite"
+        assert _error(bernstein_predict, model, (-1.0, 0.5, float("inf"))) == "coordinates must be finite"
+    assert [str(w.message) for w in caught] == ["coordinates outside [0,1] were clamped"] * 2
+    # every coordinate is read by float() before any is checked to be finite
+    plane = BernsteinClassifier((1, 1), (-1, 1, 1, 1))
+    assert _error(bernstein_evaluate, plane, (float("nan"), 10**400)) == f"coordinate {str(10**400)[:20]}... is beyond float range"
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+def test_a_bool_coordinate_is_refused_by_the_one_point_path_as_by_the_batch(flag):
+    line, plane = BernsteinClassifier((3,), (-1, -1, 1, 1)), BernsteinClassifier((2, 1), (-1, -1, -1, 1, 1, 1))
+    for model, point in ((line, (flag,)), (plane, (0.5, flag)), (plane, (flag, 0.25))):
+        message = f"coordinate must be a number, got {flag!r}"
+        assert _error(bernstein_evaluate, model, point) == message
+        assert _error(bernstein_predict, model, point) == message
+        assert _error(evaluate_batch, model, [point]) == f"row 0: a bool is not a number, got {flag!r}"
+        # the equal int is a number
+        number = tuple(int(v) if v is flag else v for v in point)
+        assert bernstein_evaluate(model, number) == evaluate_batch(model, [number])[0]
+
+
+def test_a_model_makes_its_evaluation_plan_once_and_keeps_it_out_of_its_value(monkeypatch):
+    rng, draws = random.Random(487), np.random.default_rng(487)
+    fitted = fit_bernstein(random_cube_sample(rng, 80, 2), (5, 3))
+    scaled = BernsteinClassifier((2, 4, 1), _up_set(draws, (2, 4, 1)), ((0.0, -1.0, 2.0), (2.0, 1.0, 2.0)))
+    real = bernstein._basis_rows
+    for model in (fitted, scaled):
+        assert "_plan" not in model.__dict__
+        point = (0.3,) * model.dim
+        value = bernstein_evaluate(model, point)
+        plan = model._plan
+        grid, steps = plan
+        assert np.shares_memory(grid, model.theta_grid) and grid.shape == (model.orders[0] + 1, len(model.theta) // (model.orders[0] + 1))
+        assert [k for k, _ in steps] == list(model.orders) and all(rows is real(k) for k, rows in steps)
+        calls = []
+        monkeypatch.setattr(bernstein, "_basis_rows", lambda *args: calls.append(args) or real(*args))
+        assert [bernstein_evaluate(model, point), bernstein_predict(model, point)] == [value, 1 if value >= 0 else -1]
+        monkeypatch.undo()
+        assert calls == [] and model._plan is plan
+        twin = BernsteinClassifier(model.orders, model.theta, model.scale)
+        assert "_plan" not in twin.__dict__ and model == twin and repr(model) == repr(twin) and "_plan" not in repr(model)
+        assert model.to_dict() == twin.to_dict() and "_plan" not in model.to_dict()
+
+
 def test_theta_grid_is_theta_as_floats_however_the_model_is_made(tmp_path):
     rng, draws = random.Random(461), np.random.default_rng(461)
     for orders in ((7,), (3, 4), (2, 1, 3)):

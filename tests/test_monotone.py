@@ -25,6 +25,7 @@ from isoclass import (
     zero_one,
 )
 import isoclass.monotone as monotone
+import isoclass.order as order
 from isoclass.io import load_sample
 from isoclass.monotone import predict_batch
 
@@ -674,3 +675,28 @@ def test_a_one_dimensional_fit_equals_the_fit_of_its_lift(monkeypatch, case):
             for p in points:
                 first.setdefault(p[0], p)
             assert all(p is first[p[0]] and q[0] is p[0] for p, q in zip(model.support, lift.support))
+
+
+@pytest.mark.parametrize("case", ["1-d distinct", "1-d tied", "2-d", "3-d", "weighted duplicates"])
+def test_a_fit_builds_its_dag_on_support_ranks_in_lexicographic_order(monkeypatch, case):
+    # build_dag takes the order of fit's ranks as its lex_order instead of sorting them again
+    rng = np.random.default_rng(list(map(ord, case)))
+    n = 300
+    if case == "1-d distinct":
+        points = rng.random((n, 1))
+    elif case == "1-d tied":
+        points = rng.integers(0, 12, (n, 1)).astype(float)
+    elif case == "weighted duplicates":
+        points = rng.integers(0, 5, (n, 2)).astype(float)
+    else:
+        points = rng.random((n, int(case[0])))
+    weights = rng.uniform(0.0, 2.0, n) if case == "weighted duplicates" else np.ones(n, dtype=np.int64)
+    dags, sorts = [], []
+    real_build, real_sort = monotone.build_dag, order.lex_argsort
+    monkeypatch.setattr(monotone, "build_dag", lambda points, ranks: dags.append(real_build(points, ranks)) or dags[-1])
+    monkeypatch.setattr(order, "lex_argsort", lambda ranks: sorts.append(len(ranks)) or real_sort(ranks))
+    model = fit_monotone(WeightedSample(weights, rng.choice([-1, 1], n), [tuple(p) for p in points.tolist()]))
+    (dag,) = dags
+    assert sorts == [] and dag.ranks is model._ranks
+    assert dag.lex_order.tolist() == monotone.lex_argsort(model._ranks).tolist() == list(range(len(model._ranks)))
+    assert (len(model._ranks) < n) == (case in ("1-d tied", "weighted duplicates"))
