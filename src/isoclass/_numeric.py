@@ -209,6 +209,13 @@ def exact_floats(numerators: np.ndarray, den: int):
         return None
 
 
+def _cell(value):
+    """A given exact coordinate as ``Points.texts`` writes it."""
+    if isinstance(value, (np.integer, np.float16, np.float32, np.float64)):
+        return value.item()
+    return value if type(value) in (int, float) else str(Fraction(*_ratio(value)))
+
+
 class Points:
     """Rows of numbers in their one form: an (n, d) matrix ``values``, read-only, and the tuples given for them.
 
@@ -255,16 +262,19 @@ class Points:
         return tuple(list(zip(*columns))) if columns else ((),) * len(values)
 
     def texts(self, index=None) -> list:
-        """Rows ``index`` (all by default) as lists of cells to write: each Fraction as its ``str``, every other number as it is.
+        """Rows ``index`` (all by default) as lists of cells that json writes exactly.
 
-        Float rows hold only Python floats.  Exact rows that were not given
-        are written from their int64 numerators, reduced in numpy, as
-        ``str(Fraction)`` writes them.
+        Float rows hold only Python floats.  Given exact rows keep each int
+        and float, write numpy's ints as ``int`` and float16/32/64 as
+        ``float``, and any other number (a Fraction too) as the ``str`` of
+        its exact Fraction.  Exact rows that were not given are written from
+        their int64 numerators, reduced in numpy, as ``str(Fraction)`` writes
+        them.
         """
         if self.denominators is None:
             return list(map(list, self.rows(index)))
         if self.given is not None:
-            return [[str(v) if isinstance(v, Fraction) else v for v in p] for p in self.rows(index)]
+            return [list(map(_cell, p)) for p in self.rows(index)]
         values = self.values if index is None else self.values[index]
         columns = []
         for column, den in zip(values.T, self.denominators):
@@ -373,9 +383,10 @@ def read_points(points, noun: str) -> Points:
 
     ``Points`` are float64 when every coordinate is a float, else exact
     (denominators bounded by ``WIDE``).  Points given as a sequence keep
-    their tuples (``Points.given``), which ``rows`` hands back; an array is
-    kept only in its form, and ``Points`` are taken as they are.  Nonempty
-    points of dimension 0 are refused; no points are a (0, 0) batch, whatever their width.
+    their tuples (``Points.given``), which ``rows`` hands back; a float array
+    is kept only in its form, any other array as tuples of its numpy
+    scalars, and ``Points`` are taken as they are.  Nonempty points of
+    dimension 0 are refused; no points are a (0, 0) batch, whatever their width.
     """
     if isinstance(points, Points):
         return points

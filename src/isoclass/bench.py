@@ -262,8 +262,15 @@ def _draw(dgp, rng, n: int):
     return xs, np.where(rng.random(n) < dgp.eta(xs), 1, -1)
 
 
+def _check_dimension(dgp, model) -> None:
+    """Refuse a fitted model of another dimension than ``dgp``'s; a monotone one with an empty support has dimension 0 and fits any."""
+    if isinstance(model, (MonotoneClassifier, BernsteinClassifier)) and model.dim not in (0, dgp.dim):
+        raise ValidationError(f"model has dimension {model.dim}, design expects {dgp.dim}")
+
+
 def _threshold_risk(dgp, model) -> float:
     """A 1-d design's ``population_risk``: its closed-form risk at the model's threshold."""
+    _check_dimension(dgp, model)
     return dgp.risk_of_threshold(_threshold_1d(model))
 
 
@@ -335,9 +342,8 @@ class Step2dDgp:
         return pts, self.eta(pts)
 
     def population_risk(self, model) -> float:
+        _check_dimension(self, model)
         if isinstance(model, MonotoneClassifier):
-            if model.values and model.dim != self.dim:
-                raise ValidationError(f"model has dimension {model.dim}, design expects {self.dim}")
             return _staircase_risk(model.frontier)
         if not isinstance(model, BernsteinClassifier):
             raise ValidationError(f"unsupported model type for step2d risk: {type(model)!r}")

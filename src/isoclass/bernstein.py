@@ -129,10 +129,20 @@ def _values(model: "BernsteinClassifier", features: np.ndarray) -> np.ndarray:
 
 
 def _lattice_shape(orders) -> tuple:
-    """Coefficient-grid shape (k_1 + 1, ..., k_d + 1) of ``orders``: integers (read by ``operator.index``, no bool), each >= 1."""
+    """Coefficient-grid shape (k_1 + 1, ..., k_d + 1) of ``orders``: integers (read by ``operator.index``, no bool), each >= 1.
+
+    Every model is checked here, so the caps hold for one read from a file
+    too, before any lattice-sized array is made: each order at most
+    ``MAX_ORDER_PER_DIM``, the lattice at most ``MAX_LATTICE_SIZE`` entries.
+    """
     shape = tuple(k + 1 for k in integers(orders, "Bernstein orders"))
     if any(s < 2 for s in shape):
         raise ValidationError("every Bernstein order must be >= 1")
+    if any(s > MAX_ORDER_PER_DIM + 1 for s in shape):
+        raise ValidationError(f"orders are capped at {MAX_ORDER_PER_DIM} per dimension")
+    size = math.prod(shape)
+    if size > MAX_LATTICE_SIZE:
+        raise ValidationError(f"coefficient lattice of size {size} exceeds {MAX_LATTICE_SIZE}")
     return shape
 
 
@@ -359,11 +369,6 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
         raise ValidationError(
             f"{len(orders)} orders for {sample.dim}-dimensional covariates"
         )
-    if any(k > MAX_ORDER_PER_DIM for k in orders):
-        raise ValidationError(f"orders are capped at {MAX_ORDER_PER_DIM} per dimension")
-    size = math.prod(shape)
-    if size > MAX_LATTICE_SIZE:
-        raise ValidationError(f"coefficient lattice of size {size} exceeds {MAX_LATTICE_SIZE}")
     pts = sample._points.floats()
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise ValidationError(
@@ -374,7 +379,7 @@ def fit(sample: WeightedSample, orders) -> BernsteinClassifier:
     # objective coefficient per multi-index: sum_i w_i y_i prod_v b_{k_v j_v}(x_iv), as one matrix
     # product per row chunk: the first basis matrix against the weighted row-wise products of the rest
     scaled = np.abs(signed).max() <= _SCALED_WEIGHT_LIMIT / sample.n
-    coeff = np.zeros((shape[0], size // shape[0]))
+    coeff = np.zeros((shape[0], math.prod(shape[1:])))
     step = _chunk_rows(orders)
     for start in range(0, sample.n, step):
         features = _log_features(pts[start : start + step])
@@ -415,6 +420,7 @@ def suggest_orders(n: int, d: int):
     and the largest k with (k + 1)^d <= ``MAX_LATTICE_SIZE``.  Past the dimension
     where order 1 already breaks the last cap, no order fits: a ValidationError.
     """
+    n, d = integers((n, d), "sample size and dimension")
     if n < 2:
         raise ValidationError("need a sample size of at least 2")
     if d < 1:

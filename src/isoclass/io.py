@@ -22,9 +22,10 @@ read exactly in both modes.  Labels, weights and propensities are checked
 on whole columns; when a column fails to parse or its check, the cells are
 read again in row order and the first bad one is named.  Model files read
 their support through the same column parser.
-Models are stored as the bytes of ``json.dumps(payload, indent=2)``
-(``json_text``) and written atomically (temp file + rename) so failed runs
-leave nothing partial behind.
+Models and reports are written as ``json.dumps(payload)`` (one line) and
+atomically (temp file + rename) so failed runs leave nothing partial behind;
+any JSON text of the same content, such as the indented files of earlier
+versions, loads.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import math
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import repeat
 
 import numpy as np
 
@@ -237,54 +237,9 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _nested(types) -> bool:
-    """True iff one of ``types`` is a JSON container: a list, tuple or dict (or a subclass)."""
-    return any(issubclass(t, (list, tuple, dict)) for t in types)
-
-
-def _key(key) -> str:
-    """A dict key as ``json.dumps`` writes it: a str, or the quoted JSON text of an int, float, bool or None."""
-    if not isinstance(key, (str, int, float)) and key is not None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
-
-
-def json_text(value, prefix: str = "") -> str:
-    """``json.dumps(value, indent=2)``, with each list of leaves written by one call of json's C encoder.
-
-    json runs its C encoder only without ``indent``, but it takes any item
-    separator: a list of leaves (str, int, float, bool, None; anything else is
-    json's TypeError) gets the indented separator, and a list of nonempty rows
-    of leaves gets the separator of their cells, and each boundary between
-    rows is then replaced.  That text holds no other such boundary: json
-    escapes a line break inside a string, and no leaf ends with ``]``.
-    Other lists and dicts are laid out here.  ``prefix`` is the indent of the
-    line that holds ``value``.
-    """
-    inner = prefix + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = map("{}: {}".format, map(_key, value), [json_text(v, inner) for v in value.values()])
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + prefix + "}"
-    if not isinstance(value, (list, tuple)):
-        return json.dumps(value)
-    if not value:
-        return "[]"
-    types = set(map(type, value))
-    if not _nested(types):
-        return "[\n" + inner + json.dumps(value, separators=(",\n" + inner, ": "))[1:-1] + "\n" + prefix + "]"
-    if types <= {list, tuple} and all(value) and not _nested(set(map(type, chain.from_iterable(value)))):
-        cell = ",\n" + inner + "  "
-        opening, closing = "[" + cell[1:], "\n" + inner + "]"
-        rows = json.dumps(value, separators=(cell, ": "))[2:-2].replace("]" + cell + "[", closing + ",\n" + inner + opening)
-        return "[\n" + inner + opening + rows + closing + "\n" + prefix + "]"
-    return "[\n" + inner + (",\n" + inner).join([json_text(v, inner) for v in value]) + "\n" + prefix + "]"
-
-
 def write_json(path: str, payload) -> None:
-    """``payload`` as 2-space-indented JSON (the bytes of ``json.dumps(payload, indent=2)``) and a line break, written atomically."""
-    atomic_write_text(path, json_text(payload) + "\n")
+    """``payload`` as the text of ``json.dumps(payload)`` and a line break, written atomically."""
+    atomic_write_text(path, json.dumps(payload) + "\n")
 
 
 def model_module(model):

@@ -251,6 +251,7 @@ def up_set_matrix(dag: DominanceDag, node_limit: int = DEFAULT_NODE_LIMIT) -> np
     the order of the bitmasks they spell, node i as bit i.
     """
     n = dag.n
+    (node_limit,) = integers((node_limit,), "node limit")
     if n > node_limit:
         raise ValidationError(
             f"up-set enumeration refused: {n} nodes exceeds the limit of {node_limit}"

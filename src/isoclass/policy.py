@@ -127,23 +127,25 @@ def _columns(records) -> TrialColumns:
     return records if isinstance(records, TrialColumns) else TrialColumns.of_records(records)
 
 
-def _check_overlap(records: TrialColumns, kappa) -> None:
-    if not (0 < kappa < 0.5):
+def _check_kappa(kappa) -> None:
+    """Refuse an overlap bound kappa outside (0, 1/2), or one that does not compare as a number."""
+    try:
+        inside = 0 < kappa < 0.5
+    except TypeError:
+        inside = False
+    if not inside:
         raise ValidationError(f"overlap bound kappa must lie in (0, 1/2), got {kappa!r}")
-    high = 1 - kappa
-    bad = records._outside(kappa, high)
-    if bad:
-        shown = ", ".join(str(i) for i in bad[:10])
-        more = "" if len(bad) <= 10 else f" (and {len(bad) - 10} more)"
-        raise ValidationError(
-            f"propensity outside ({kappa}, {high}) for record(s) {shown}{more}"
-        )
 
 
 def to_weighted_sample(records, kappa=DEFAULT_KAPPA) -> WeightedSample:
     """Map records to rows (|z|/denom, sign(z)*d, x) after checking strict overlap; weights |``_ipw``|."""
     records = _columns(records)
-    _check_overlap(records, kappa)
+    _check_kappa(kappa)
+    bad = records._outside(kappa, 1 - kappa)
+    if bad:
+        shown = ", ".join(str(i) for i in bad[:10])
+        more = "" if len(bad) <= 10 else f" (and {len(bad) - 10} more)"
+        raise ValidationError(f"propensity outside ({kappa}, {1 - kappa}) for record(s) {shown}{more}")
     terms, scale = records._ipw
     labels = np.where(records._z[0] >= 0, 1, -1) * records._d
     weights = np.abs(terms) if scale is None else Points(np.abs(terms)[:, None], (scale,))
@@ -151,19 +153,14 @@ def to_weighted_sample(records, kappa=DEFAULT_KAPPA) -> WeightedSample:
 
 
 def _labels(classifier, points) -> list:
-    """Labels at ``points`` (as ``TrialColumns`` keep them): a fitted model in one batch, a plain callable point by point, on tuples.
-
-    The bernstein module is imported only for a model that is not monotone.
-    """
+    """Labels at ``points`` (as ``TrialColumns`` keep them): a fitted model in one batch by its module's ``predict_batch``, a plain callable point by point, on tuples."""
     if callable(classifier):
         return [classifier(x) for x in (points if type(points) is tuple else points.rows())]
-    from . import monotone
-    if isinstance(classifier, monotone.MonotoneClassifier):
-        return monotone.predict_batch(classifier, points).tolist()
-    from . import bernstein
-    if isinstance(classifier, bernstein.BernsteinClassifier):
-        return bernstein.predict_batch(classifier, points).tolist()
-    raise ValidationError("classifier must be callable or a fitted model")
+    from .io import model_module
+    module = model_module(classifier)
+    if module is None:
+        raise ValidationError("classifier must be callable or a fitted model")
+    return module.predict_batch(classifier, points).tolist()
 
 
 def welfare_estimate(classifier, records):
@@ -190,8 +187,7 @@ def welfare_constant(records):
 def max_weight_bound(records, kappa=DEFAULT_KAPPA):
     """Certified weight bound max|z| / kappa under the overlap condition."""
     records = _columns(records)
-    if not (0 < kappa < 0.5):
-        raise ValidationError(f"overlap bound kappa must lie in (0, 1/2), got {kappa!r}")
+    _check_kappa(kappa)
     if not len(records):
         return 0.0
     z = records._z[0].tolist()

@@ -458,3 +458,28 @@ def test_dgp_draws_are_bit_identical_to_the_written_out_formulas():
             assert labels.dtype == np.int64 and labels.shape == (n,)
             assert points.tobytes() == want_points.tobytes()
             assert labels.tobytes() == want_labels.astype(np.int64).tobytes()
+
+
+def test_calibration_table_refuses_a_node_limit_that_is_not_an_integer():
+    dist = example_distribution_1()
+    for limit in (2.5, "15", None):
+        with pytest.raises(ValidationError, match=r"^node limit must be integers, got \["):
+            calibration_table(dist, (hinge(1),), node_limit=limit)
+    assert calibration_table(dist, (hinge(1),), node_limit=np.int64(3)).sets == calibration_table(dist, (hinge(1),)).sets
+
+
+def test_each_design_refuses_a_model_of_another_dimension():
+    rng = np.random.default_rng(3)
+    x2, x3 = rng.random((30, 2)), rng.random((30, 3))
+    y = np.where(x2.sum(axis=1) > 1, 1, -1)
+    models = {
+        2: (fit_monotone(WeightedSample.unweighted(y, x2)), fit_bernstein(WeightedSample.unweighted(y, x2), (2, 2))),
+        3: (fit_monotone(WeightedSample.unweighted(y, x3)), fit_bernstein(WeightedSample.unweighted(y, x3), (1, 1, 1))),
+    }
+    for dgp in DGPS.values():
+        for dim, fitted in models.items():
+            for model in fitted if dim != dgp.dim else ():
+                with pytest.raises(ValidationError, match=f"^model has dimension {dim}, design expects {dgp.dim}$"):
+                    dgp().population_risk(model)
+        # a monotone model with an empty support has dimension 0 and labels every point +1
+        assert dgp().population_risk(MonotoneClassifier((), ())) == 0.5

@@ -846,7 +846,7 @@ def test_theta_grid_is_theta_as_floats_however_the_model_is_made(tmp_path):
     expected = {"type": "bernstein", "orders": [2, 1], "thresholds": [2, 0, 0], "scale": None}
     for saved in (model, BernsteinClassifier.from_dict(model.to_dict())):
         save_model(str(tmp_path / "model.json"), saved)
-        assert (tmp_path / "model.json").read_bytes() == (json.dumps(expected, indent=2) + "\n").encode()
+        assert (tmp_path / "model.json").read_bytes() == (json.dumps(expected) + "\n").encode()
 
 
 def test_a_model_file_holds_one_threshold_per_last_axis_row_and_reads_back_the_same_model():
@@ -923,3 +923,34 @@ def test_a_fitted_399_by_399_model_file_is_under_4_kb(tmp_path):
     save_model(str(path), model)
     assert path.stat().st_size < 4096
     assert BernsteinClassifier.from_dict(json.loads(path.read_text())) == model
+
+
+def test_every_model_is_held_to_the_lattice_caps_before_its_lattice_is_made():
+    # an 83-byte file whose last order is a million: its 2 thresholds would make a 2 000 002-entry lattice
+    payload = {"type": "bernstein", "orders": [1, 1000000], "thresholds": [0, 0], "scale": None}
+    capped = f"orders are capped at {MAX_ORDER_PER_DIM} per dimension"
+    for make in (lambda: BernsteinClassifier((1, 10**6), ()), lambda: BernsteinClassifier.from_dict(payload),
+                 lambda: BernsteinClassifier.from_dict({**payload, "theta": [1] * 4})):
+        with pytest.raises(ValidationError, match=f"^{capped}$"):
+            make()
+    # orders under the cap whose lattice is too large
+    for orders in ((100, 100, 100), (9, 9, 9, 9, 9, 10)):
+        size = math.prod(k + 1 for k in orders)
+        message = f"^coefficient lattice of size {size} exceeds {MAX_LATTICE_SIZE}$"
+        with pytest.raises(ValidationError, match=message):
+            BernsteinClassifier(orders, ())
+        with pytest.raises(ValidationError, match=message):
+            BernsteinClassifier.from_dict({**payload, "orders": list(orders)})
+    # the largest orders under both caps still make a model
+    assert BernsteinClassifier((MAX_ORDER_PER_DIM,), (1,) * (MAX_ORDER_PER_DIM + 1)).orders == (MAX_ORDER_PER_DIM,)
+    assert BernsteinClassifier.from_dict({**payload, "orders": [1, MAX_ORDER_PER_DIM]}).orders == (1, MAX_ORDER_PER_DIM)
+
+
+@pytest.mark.parametrize("n, d", [(2.5, 1), (100, True), (100, 1.0), ("100", 2), (100, None), (np.float64(100), 1)])
+def test_suggest_orders_refuses_a_count_that_is_not_an_integer(n, d):
+    with pytest.raises(ValidationError, match=r"^sample size and dimension must be integers, got \["):
+        suggest_orders(n, d)
+
+
+def test_suggest_orders_takes_numpy_integers():
+    assert suggest_orders(np.int64(100), np.int32(1)) == suggest_orders(100, 1)

@@ -152,8 +152,9 @@ def test_simulate_regret_csv(tmp_path, capsys):
     assert lines[0] == "n,mean_regret,se,reps"
     assert len(lines) == 3
     assert json.loads(Path(summary).read_text())["reps"] == 4
-    # the summary is as_dict of the curve: its fields in order, each tuple written as a list
-    assert Path(summary).read_text() == SUMMARY_STEP_40_80
+    # the summary is as_dict of the curve: its fields in order, each tuple written as a list, on one line;
+    # the same content as the indented summary written before
+    assert Path(summary).read_text() == json.dumps(json.loads(SUMMARY_STEP_40_80)) + "\n"
     curve = simulate_regret("step", (40, 80), 4, 3)
     as_dict = curve.as_dict()
     assert list(as_dict) == [f.name for f in dataclasses.fields(curve)]
@@ -614,7 +615,7 @@ def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path,
     def reference_model(rows):
         sample = WeightedSample(tuple(Fraction(r[0]) for r in rows), tuple(int(r[1]) for r in rows),
                                 tuple(tuple(map(Fraction, r[2:])) for r in rows))
-        return json.dumps(fit_monotone(sample).to_dict(), indent=2) + "\n"
+        return json.dumps(fit_monotone(sample).to_dict()) + "\n"
 
     # a 19-digit decimal column (its denominator leaves int64), numerators at and past 2**63
     rows = [["1", "1", "0.1234567890123456789", "9223372036854775807"],
@@ -656,7 +657,7 @@ def test_columns_beyond_int64_give_the_models_and_welfare_of_fractions(tmp_path,
         records = [TrialRecord(Fraction(r[0]), int(r[1]), tuple(map(Fraction, r[2:4])), Fraction(r[4])) for r in rows]
         sample = to_weighted_sample(records)
         fitted = fit_monotone(sample)
-        assert Path(model).read_text() == json.dumps(fitted.to_dict(), indent=2) + "\n", name
+        assert Path(model).read_text() == json.dumps(fitted.to_dict()) + "\n", name
         assert welfare_line == f"estimated welfare of the fitted policy: {float(welfare_estimate(fitted, records)):.6g}"
         # each weight cell is the str of its Fraction
         assert main(["policy-weights", "--in", data, "--out", weights]) == 0
@@ -787,3 +788,13 @@ def test_a_coordinate_column_stops_its_common_denominator_early(tmp_path, monkey
     assert support == sorted(set(values))
     assert json.loads(Path(model).read_text())["support"] == [[str(v)] for v in support]
     capsys.readouterr()
+
+
+def test_predict_refuses_a_bernstein_file_past_the_order_cap(tmp_path, capsys):
+    model = write(tmp_path / "m.json", '{"type": "bernstein", "orders": [1, 1000000], "thresholds": [0, 0], "scale": null}')
+    points = write(tmp_path / "p.csv", "x1,x2\n0.5,0.5\n")
+    out = tmp_path / "labels.csv"
+    capsys.readouterr()
+    assert main(["predict", "--model", model, "--in", points, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {model}: malformed bernstein model (ValidationError: orders are capped at 500 per dimension)\n"
+    assert not out.exists()

@@ -1,6 +1,5 @@
 import json
-import math
-import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +7,8 @@ import numpy as np
 import pytest
 
 from isoclass import BernsteinClassifier, WeightedSample, fit_bernstein, fit_monotone
-from isoclass.io import json_text, load_model, load_sample, save_model
+from isoclass._numeric import _ratio
+from isoclass.io import load_model, load_sample, model_module, save_model, write_json
 
 
 def _models(tmp_path):
@@ -43,12 +43,12 @@ def _models(tmp_path):
     return named
 
 
-def test_model_files_are_the_bytes_of_json_dumps_with_indent_2(tmp_path):
+def test_model_files_are_the_bytes_of_json_dumps(tmp_path):
     for name, model, compact in _models(tmp_path):
         path = tmp_path / "model.json"
         save_model(str(path), model, compact=compact)
         payload = model.to_compact_dict() if compact else model.to_dict()
-        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode(), name
+        assert path.read_bytes() == (json.dumps(payload) + "\n").encode(), name
 
 
 def test_a_model_file_loads_and_saves_back_to_its_own_bytes(tmp_path):
@@ -68,45 +68,56 @@ def test_a_model_file_loads_and_saves_back_to_its_own_bytes(tmp_path):
     assert strings == 4
 
 
-class _Float(float):
-    def __repr__(self):
-        return "not json"
-
-
-LEAVES = [0, -7, 10**30, 1.5, -0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, np.float64(0.1), _Float(2.5),
-          True, False, None, "", "a\n\"b\\", "é☃", "]\n[", ",\n  "]
-
-
-def _value(rng, depth=0):
-    roll = rng.random()
-    if depth > 3 or roll < 0.3:
-        return rng.choice(LEAVES)
-    if roll < 0.5:
-        return [rng.choice(LEAVES) for _ in range(rng.randint(0, 4))]
-    if roll < 0.7:
-        width = rng.randint(0, 3)
-        return [(tuple if rng.random() < 0.3 else list)(rng.choice(LEAVES) for _ in range(width))
-                for _ in range(rng.randint(0, 4))]
-    if roll < 0.85:
-        items = [_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-        return tuple(items) if rng.random() < 0.3 else items
-    keys = ("a", "é", 1, 2.5, True, False, None, math.nan, "x\ny")
-    return {rng.choice(keys): _value(rng, depth + 1) for _ in range(rng.randint(0, 4))}
-
-
-def test_json_text_is_json_dumps_with_indent_2():
-    fixed = [[], {}, (), [[]], [[], []], [[1], []], {"a": []}, ([1, 2], (3, 4)), [[1, [2]], [3, 4]],
-             [LEAVES, LEAVES], {k: k for k in (1, 2.5, True, None)}, LEAVES]
-    rng = random.Random(20)
-    for value in fixed + [_value(rng) for _ in range(3000)]:
-        assert json_text(value) == json.dumps(value, indent=2), value
+def test_an_indented_model_file_of_earlier_versions_loads_to_the_same_model(tmp_path):
+    # model files were written as json.dumps(payload, indent=2): the same content loads to the same model and labels
+    points = [(0, 0), (0.5, 0.25), (1, 1), (0.25, 0.75), (2, -1), (-1.5, 1e20)]
+    for name, model, compact in _models(tmp_path):
+        path, indented = tmp_path / "model.json", tmp_path / "indented.json"
+        save_model(str(path), model, compact=compact)
+        indented.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
+        new, old = load_model(str(path)), load_model(str(indented))
+        assert old == new and old.to_dict() == new.to_dict(), name
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the Bernstein models clamp points outside their box
+            labels = [model_module(m).predict_batch(m, points).tolist() for m in (new, old)]
+        assert labels[0] == labels[1], name
 
 
 @pytest.mark.parametrize("value", [np.int64(1), [1, np.int64(2)], [[1, 2], [3, object()]], {(1, 2): 3},
                                    {"a": {1j: 2}}, {1, 2}, [b"x"], Path(".")])
-def test_json_text_refuses_what_json_dumps_refuses(value):
+def test_json_text_refuses_what_json_dumps_refuses(tmp_path, value):
+    # write_json raises json's own TypeError, and leaves neither the file nor a temp file behind
     with pytest.raises(TypeError) as expected:
-        json.dumps(value, indent=2)
+        json.dumps(value)
     with pytest.raises(TypeError) as raised:
-        json_text(value)
+        write_json(str(tmp_path / "out.json"), value)
     assert str(raised.value) == str(expected.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_support_of_numpy_scalars_saves_and_loads_back_to_equal_points(tmp_path):
+    # rows of an int array, and tuples of numpy ints and floats (other numbers too), are kept as given
+    y = [1, -1, 1, -1]
+    supports = {
+        "int array": np.array([[1, 2], [3, 0], [4, 4], [0, 1]]),
+        "uint8 array": np.array([[1, 2], [3, 0], [4, 4], [0, 1]], dtype=np.uint8),
+        "numpy scalars": [(np.int64(1), np.float32(0.1)), (np.int32(3), np.float16(0.5)),
+                          (np.uint64(2**64 - 1), np.float64(0.3)), (np.int8(-2), np.float32(-1e-30))],
+        "longdouble and Fraction": [(np.longdouble(0.1), Fraction(1, 3)), (2, 0.25), (Fraction(7, 2), 1), (-1, 0.5)],
+    }
+
+    def exact(points):
+        return [[Fraction(*_ratio(v)) for v in p] for p in points]
+
+    for name, points in supports.items():
+        model = fit_monotone(WeightedSample.unweighted(y, points))
+        for compact in (False, True):
+            path = tmp_path / "model.json"
+            save_model(str(path), model, compact=compact)
+            loaded = load_model(str(path))
+            if not compact:
+                # compared exactly: numpy compares a longdouble with a Fraction through a rounding
+                assert exact(loaded.support) == exact(model.support) and loaded.values == model.values, name
+            assert exact(loaded.frontier) == exact(model.frontier), name
+            queries = [tuple(p) for p in supports["int array"].tolist()] + [(0.05, 0.05), (5, 5)]
+            assert model_module(loaded).predict_batch(loaded, queries).tolist() == model_module(model).predict_batch(model, queries).tolist(), name

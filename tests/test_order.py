@@ -435,3 +435,16 @@ def test_dense_ranks_equal_those_of_np_unique_with_the_order_that_sorts_the_colu
             ranks, order = dense_ranks(column)
             assert ranks.dtype == np.int64 and ranks.tolist() == np.unique(column, return_inverse=True)[1].tolist()
             assert sorted(order.tolist()) == list(range(n)) and (np.diff(ranks[order]) >= 0).all()
+
+
+@pytest.mark.parametrize("limit", [2.5, "x", None, True, 15.0])
+def test_up_set_matrix_refuses_a_node_limit_that_is_not_an_integer(limit):
+    dag = build_dag([(0,), (1,)])
+    with pytest.raises(ValidationError, match=r"^node limit must be integers, got \["):
+        up_set_matrix(dag, limit)
+    with pytest.raises(ValidationError, match=r"^node limit must be integers, got \["):
+        list(enumerate_up_sets(dag, limit))
+    # an integer limit of any integer type still counts nodes, with its message
+    assert len(up_set_matrix(dag, np.int64(2))) == 3
+    with pytest.raises(ValidationError, match="^up-set enumeration refused: 2 nodes exceeds the limit of 1$"):
+        up_set_matrix(dag, np.int8(1))

@@ -11,6 +11,7 @@ from isoclass import (
     build_dag,
     empirical_risk,
     enumerate_up_sets,
+    fit_bernstein,
     fit_monotone,
     max_weight_bound,
     monotone_predict,
@@ -215,3 +216,27 @@ def test_exact_welfare_is_the_fraction_0_when_nothing_is_summed():
         for got in (welfare_estimate(lambda x: 0, records), welfare_constant(records)):
             assert got == 0 and type(got) is kind
     assert welfare_estimate(lambda x: 1, exact) == -2 and type(welfare_estimate(lambda x: 1, exact)) is Fraction
+
+
+@pytest.mark.parametrize("kappa", ["a", None, (0.1,), 1j, 0.5, 0, True, math.nan])
+def test_a_kappa_outside_the_open_interval_or_not_a_number_is_refused_with_one_message(kappa):
+    records = [TrialRecord(1, 1, (0.0,), 0.5)]
+    message = f"overlap bound kappa must lie in (0, 1/2), got {kappa!r}"
+    for call in (to_weighted_sample, max_weight_bound):
+        with pytest.raises(ValidationError) as raised:
+            call(records, kappa)
+        assert str(raised.value) == message, call
+
+
+def test_welfare_of_a_model_labels_through_the_io_model_lookup(monkeypatch):
+    from isoclass import io
+    records = [TrialRecord(2, 1, (0.2, 0.1), 0.5), TrialRecord(-1, -1, (0.6, 0.9), 0.5), TrialRecord(3, 1, (0.9, 0.4), 0.5)]
+    models = [fit_monotone(to_weighted_sample(records)), fit_bernstein(to_weighted_sample(records), (1, 1))]
+    want = [welfare_estimate(lambda x, m=m: int(io.model_module(m).predict_batch(m, [x])[0]), records) for m in models]
+    looked_up = []
+    lookup = io.model_module
+    monkeypatch.setattr(io, "model_module", lambda model: looked_up.append(model) or lookup(model))
+    assert [welfare_estimate(m, records) for m in models] == want
+    assert looked_up == models
+    with pytest.raises(ValidationError, match="^classifier must be callable or a fitted model$"):
+        welfare_estimate(object(), records)
