@@ -442,6 +442,8 @@ def simulate_regret(dgp, ns, reps: int, seed: int, estimator: str = "monotone", 
         raise ValidationError("seed must be >= 0")
     if any(n < 1 for n in ns):
         raise ValidationError("sample sizes must be positive")
+    if estimator == "monotone" and orders is not None:
+        raise ValidationError("orders apply only to the bernstein estimator")
 
     def one_rep(n: int, rep: int) -> float:
         rng = np.random.default_rng([seed, n, rep])

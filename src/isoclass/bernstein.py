@@ -163,7 +163,8 @@ class BernsteinClassifier:
     that is not +/-1, or the first pair that falls.  ``scale`` optionally
     records per-dimension (min, max) training ranges for prediction-time
     rescaling into the unit cube: ``dim`` finite numbers each, kept as
-    floats.  ``theta_grid`` is ``theta`` as a float array of shape
+    floats, and no min above its max (a column whose min equals its max
+    maps to 0.5).  ``theta_grid`` is ``theta`` as a float array of shape
     (k_1 + 1, ..., k_d + 1), made once from the checked entries.
 
     A model file stores the up-set as ``thresholds``: per row of the last
@@ -202,7 +203,11 @@ class BernsteinClassifier:
             bounds = finite_array(mins + maxs, 2 * self.dim)
             if len(mins) != self.dim or len(maxs) != self.dim or bounds is None:
                 raise ValidationError(f"scale needs {self.dim} finite min and {self.dim} finite max values")
-            object.__setattr__(self, "scale", tuple(map(tuple, bounds.reshape(2, -1).tolist())))
+            lows, highs = bounds.reshape(2, -1).tolist()
+            for lo, hi in zip(lows, highs):
+                if lo > hi:
+                    raise ValidationError(f"scale min must not exceed its max, got min {lo!r} > max {hi!r}")
+            object.__setattr__(self, "scale", (tuple(lows), tuple(highs)))
 
     @classmethod
     def _of_fit(cls, orders: tuple, values: np.ndarray) -> "BernsteinClassifier":

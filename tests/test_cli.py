@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -9,7 +10,8 @@ import sys
 
 import pytest
 
-from isoclass import BernsteinClassifier, WeightedSample, bernstein_predict, fit_bernstein, monotone_predict, simulate_regret
+from isoclass import BernsteinClassifier, ValidationError, WeightedSample, bernstein_predict, fit_bernstein, monotone_predict, simulate_regret
+from isoclass.bench import StepDgp
 from isoclass.cli import _rescale_sample, build_parser, main
 from isoclass.io import load_model, load_sample
 
@@ -100,17 +102,33 @@ def test_policy_weights_needs_propensity_when_column_absent(tmp_path, capsys):
     capsys.readouterr()
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _pinned_examples_text() -> str:
+    """``EXAMPLES_TEXT`` of ``perfbench/workloads.py``, read from its source: importing it would import networkx."""
+    tree = ast.parse(WORKLOADS.read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "EXAMPLES_TEXT")
+
+
 def test_reproduce_examples_report_values(tmp_path, capsys):
+    # stdout is the six lines the benchmark pins, byte for byte
+    assert main(["reproduce-examples"]) == 0
+    assert capsys.readouterr().out == _pinned_examples_text()
     report_path = str(tmp_path / "rep.json")
     assert main(["reproduce-examples", "--out", report_path]) == 0
-    out = capsys.readouterr().out
-    assert "14/30" in out
-    assert "8/15" in out
+    assert capsys.readouterr().out == _pinned_examples_text() + f"wrote report -> {report_path}\n"
     payload = json.loads(Path(report_path).read_text())
     assert payload["example2"]["linear_risk"] == "8/15"
+    assert payload["example2"]["linear_vertex"] == ["-1", "1"]
     over_30 = {row["loss"]: row["classification_risk_over_30"] for row in payload["example1"]}
     assert over_30["hinge:1"] == "14/30"
     assert over_30["exp"] == "16/30"
+
+
+# three 2-d points, two below the third: five up-sets, {}, {2}, {0, 2}, {1, 2} and {0, 1, 2}
+TWO_BELOW_A_THIRD = "mass,eta,x1,x2\n1/3,0.9,0,1\n1/3,3/10,1,0\n1/3,0.2,1,1\n"
 
 
 def test_calibration_table_csv(tmp_path, capsys):
@@ -122,6 +140,37 @@ def test_calibration_table_csv(tmp_path, capsys):
     assert "zero-one vs exp: DISAGREE" in text
     header = Path(out).read_text().splitlines()[0]
     assert header == "set,risk_zero_one,risk_hinge:1,risk_exp"
+    # each up-set is one row of the table and one set of the summary
+    dist = write(tmp_path / "dist2.csv", TWO_BELOW_A_THIRD)
+    summary = tmp_path / "s.json"
+    assert main(["calibration-table", "--dist", dist, "--losses", "zero-one,hinge:1,exp", "--out", out,
+                 "--summary", str(summary)]) == 0
+    capsys.readouterr()
+    assert [line.split(",")[0] for line in Path(out).read_text().splitlines()[1:]] == ["-", "2", "0|2", "1|2", "0|1|2"]
+    assert json.loads(summary.read_text())["sets"] == [[], [2], [0, 2], [1, 2], [0, 1, 2]]
+
+
+# (flags, distribution, stderr): each is refused with exit 2 before a table is written
+CALIBRATION_REFUSALS = {
+    "node limit below the support": (
+        ["--node-limit", "1"], TWO_BELOW_A_THIRD,
+        "error: up-set enumeration refused: 3 nodes exceeds the limit of 1"),
+    "eta above 1": (
+        [], TWO_BELOW_A_THIRD.replace("3/10", "3/2"), "error: eta must lie in [0, 1], got Fraction(3, 2)"),
+    "negative w+": (
+        [], "mass,eta,x1,x2,wplus,wminus\n1/3,0.9,0,1,1,1\n1/3,3/10,1,0,-1,1\n1/3,0.2,1,1,1,1\n",
+        "error: w_plus must be nonnegative, got Fraction(-1, 1)"),
+}
+
+
+@pytest.mark.parametrize("name", CALIBRATION_REFUSALS)
+def test_calibration_table_refusals_exit_2_and_write_no_table(tmp_path, capsys, name):
+    flags, text, message = CALIBRATION_REFUSALS[name]
+    out = tmp_path / "table.csv"
+    dist = write(tmp_path / "dist.csv", text)
+    assert main(["calibration-table", "--dist", dist, "--losses", "hinge:1", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not out.exists()
 
 
 def test_calibration_table_pins_example_1_for_every_loss(tmp_path, capsys):
@@ -159,6 +208,22 @@ def test_simulate_regret_csv(tmp_path, capsys):
     as_dict = curve.as_dict()
     assert list(as_dict) == [f.name for f in dataclasses.fields(curve)]
     assert [type(as_dict[k]) for k in ("sample_sizes", "mean_regret", "std_error")] == [list] * 3
+    # a 1-d Bernstein curve, each replication bisecting its model's threshold, writes one row per n too
+    assert main(["simulate-regret", "--dgp", "step", "--estimator", "bernstein", "--ns", "50,200", "--reps", "2", "--out", out]) == 0
+    capsys.readouterr()
+    lines = Path(out).read_text().splitlines()
+    assert lines[0] == "n,mean_regret,se,reps" and [line.split(",")[0] for line in lines[1:]] == ["50", "200"]
+
+
+def test_simulate_regret_refuses_orders_for_the_monotone_estimator(tmp_path, monkeypatch, capsys):
+    # orders set a Bernstein sieve; the monotone estimator refuses them before it draws a sample
+    monkeypatch.setattr(StepDgp, "sample", lambda *args: pytest.fail("drew a sample"))
+    with pytest.raises(ValidationError, match="^orders apply only to the bernstein estimator$"):
+        simulate_regret("step", (20,), 2, 1, estimator="monotone", orders=(3,))
+    out = tmp_path / "curve.csv"
+    assert main(["simulate-regret", "--estimator", "monotone", "--orders", "3", "--ns", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: orders apply only to the bernstein estimator\n")
+    assert not out.exists()
 
 
 SUMMARY_STEP_40_80 = """{
@@ -286,13 +351,31 @@ def test_bernstein_rescale_handles_out_of_cube_data(tmp_path, capsys):
     assert bernstein_predict(model, (19.0,)) == 1
 
 
+# one sample whose values are all dyadic (exact in binary64), its weights written as fractions and as decimals
+DYADIC = "w,y,x1,x2\n1/4,1,0.25,1.5\n5/4,-1,0.75,0.5\n1,1,1,1.25\n3/4,-1,0,0.75\n2,1,0.5,0.25\n1/2,-1,1.25,0\n"
+DYADIC_DECIMAL = "w,y,x1,x2\n0.25,1,0.25,1.5\n1.25,-1,0.75,0.5\n1,1,1,1.25\n0.75,-1,0,0.75\n2,1,0.5,0.25\n0.5,-1,1.25,0\n"
+
+
+def test_exact_and_float_monotone_fits_of_a_dyadic_sample_give_equal_values(tmp_path, capsys):
+    plain = "".join(line.split(",", 1)[1] + "\n" for line in DYADIC.splitlines())
+    runs = {
+        "plain": [(plain, []), (plain, ["--float"])],
+        "weighted": [(DYADIC, ["--weighted"]), (DYADIC_DECIMAL, ["--weighted", "--float"])],
+    }
+    for name, fits in runs.items():
+        values = []
+        for text, flags in fits:
+            model = tmp_path / "m.json"
+            assert main(["fit-monotone", "--in", write(tmp_path / "s.csv", text), *flags, "--out", str(model)]) == 0
+            values.append(json.loads(model.read_text())["values"])
+        assert values[0] == values[1] and -1 in values[0] and 1 in values[0], name
+    capsys.readouterr()
+
+
 def test_rescaled_bernstein_model_predicts_alike_on_rational_and_float_points(tmp_path, capsys):
     # dyadic values are exact in binary64, so both number modes fit the same model file; its labels at
     # decimal points inside the training box are equal whether the points are read exactly or as floats
-    dyadic = write(tmp_path / "d.csv", "w,y,x1,x2\n1/4,1,0.25,1.5\n5/4,-1,0.75,0.5\n1,1,1,1.25\n"
-                                       "3/4,-1,0,0.75\n2,1,0.5,0.25\n1/2,-1,1.25,0\n")
-    decimal = write(tmp_path / "dd.csv", "w,y,x1,x2\n0.25,1,0.25,1.5\n1.25,-1,0.75,0.5\n1,1,1,1.25\n"
-                                         "0.75,-1,0,0.75\n2,1,0.5,0.25\n0.5,-1,1.25,0\n")
+    dyadic, decimal = write(tmp_path / "d.csv", DYADIC), write(tmp_path / "dd.csv", DYADIC_DECIMAL)
     points = write(tmp_path / "p.csv", "x1,x2\n0.1,0.3\n0.6,0.7\n1.2,1.4\n0.3,1.1\n1,0.2\n")
     models = []
     for data, flags in ((dyadic, []), (decimal, ["--float"])):
@@ -307,6 +390,10 @@ def test_rescaled_bernstein_model_predicts_alike_on_rational_and_float_points(tm
     # the coordinates are written as read (1/10 exactly, 0.1 as a float), the labels must agree
     columns = [[line.rsplit(",", 1)[1] for line in path.read_text().splitlines()] for path in labels]
     assert columns[0] == columns[1] and len(columns[0]) == 6 and {"-1", "1"} <= set(columns[0])
+    # the one-point path, on each point read as Fractions, gives the batch's label column
+    model = load_model(str(models[0]))
+    rows = [line.split(",") for line in Path(points).read_text().splitlines()[1:]]
+    assert [str(bernstein_predict(model, tuple(map(Fraction, r)))) for r in rows] == columns[0][1:]
     capsys.readouterr()
 
 
@@ -510,6 +597,8 @@ MALFORMED_MODELS = {
                       "scale": {"min": [float("nan"), 0], "max": [1, 1]}},
     "scale of one entry": {"type": "bernstein", "orders": [1, 1], "theta": [-1, 0, 0, 1],
                            "scale": {"min": [0], "max": [1]}},
+    # a min above its max would map every coordinate to 0.5
+    "scale min above max": {"type": "bernstein", "orders": [1], "thresholds": [1], "scale": {"min": [1.0], "max": [0.0]}},
     # orders are integers: neither truncated (2.5 is not order 2) nor parsed ("2") nor a bool
     "order not an integer": {"type": "bernstein", "orders": [2.5], "theta": [-1, 0, 1]},
     "order a string": {"type": "bernstein", "orders": ["2"], "theta": [-1, 0, 1]},
@@ -583,6 +672,8 @@ def test_column_path_and_token_path_write_the_same_bytes(tmp_path, capsys):
         results.append((codes, {name: Path(p).read_bytes() for name, p in out.items()}))
     assert results[0] == results[1]
     assert b"-1" in results[0][1]["p.csv"] and b"1/4" in results[0][1]["w.json"]
+    # a compact model predicts the bytes of the full one
+    assert results[0][1]["pc.csv"] == results[0][1]["p.csv"]
 
 
 def test_a_bad_cell_is_named_in_row_order_whichever_column_it_is_in(tmp_path, capsys):

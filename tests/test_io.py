@@ -85,7 +85,7 @@ def test_an_indented_model_file_of_earlier_versions_loads_to_the_same_model(tmp_
 
 @pytest.mark.parametrize("value", [np.int64(1), [1, np.int64(2)], [[1, 2], [3, object()]], {(1, 2): 3},
                                    {"a": {1j: 2}}, {1, 2}, [b"x"], Path(".")])
-def test_json_text_refuses_what_json_dumps_refuses(tmp_path, value):
+def test_write_json_refuses_what_json_dumps_refuses(tmp_path, value):
     # write_json raises json's own TypeError, and leaves neither the file nor a temp file behind
     with pytest.raises(TypeError) as expected:
         json.dumps(value)
